@@ -16,9 +16,11 @@ Traffic Analysis in Wireless Networks Through Traffic Reshaping"
   morphing, pseudonyms) and overhead accounting;
 * :mod:`repro.analysis` — the traffic-classification attack (SVM / NN
   over per-window MAC features) and the RSSI linking adversary;
-* :mod:`repro.experiments` — regeneration of every table and figure.
+* :mod:`repro.experiments` — regeneration of every table and figure,
+  all evaluated through one path: ``ExperimentRunner`` plans a scheme
+  when it can fuse, applies it when it cannot, then featurizes.
 
-Quickstart::
+Quickstart (``evaluate_flows`` scores flows you materialized yourself)::
 
     from repro import (
         AppType, AttackPipeline, OrthogonalReshaper, ReshapingEngine,

@@ -10,12 +10,11 @@ observable flows a defense produces.
 """
 
 from repro.analysis.aggregation import AggregationAttack, AggregationOutcome
-from repro.analysis.attack import AttackPipeline, AttackReport, DefenseEvaluation
+from repro.analysis.attack import AttackPipeline, AttackReport
 from repro.analysis.batch import (
     WindowCache,
     augment_direction_dropout,
     flow_feature_matrix,
-    flows_feature_matrix,
 )
 from repro.analysis.privacy import (
     attribution_entropy_bits,
@@ -55,7 +54,6 @@ __all__ = [
     "Classifier",
     "ConfusionMatrix",
     "Dataset",
-    "DefenseEvaluation",
     "FEATURE_NAMES",
     "GaussianNaiveBayes",
     "KNearestNeighbors",
@@ -75,7 +73,6 @@ __all__ = [
     "false_positive_rates",
     "features_from_windows",
     "flow_feature_matrix",
-    "flows_feature_matrix",
     "linking_accuracy",
     "mean_accuracy",
     "sliding_windows",

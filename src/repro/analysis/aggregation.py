@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.attack import AttackPipeline, AttackReport
+from repro.analysis.batch import flow_feature_matrix
 from repro.analysis.linking import RssiLinker
 from repro.traffic.trace import Trace, merge_traces
 
@@ -67,9 +68,22 @@ class AggregationAttack:
             merged.append(merge_traces(group_flows, label=group_flows[0].label))
         return merged
 
+    def _report(self, flows_by_label: dict[str, list[Trace]]) -> AttackReport:
+        """Featurize every (split or merged) flow and score the lot."""
+        pipeline = self._pipeline
+        return pipeline.evaluate_matrices(
+            {
+                label: [
+                    flow_feature_matrix(flow, pipeline.window, pipeline.min_packets)
+                    for flow in flows
+                ]
+                for label, flows in flows_by_label.items()
+            }
+        )
+
     def evaluate(self, flows_by_label: dict[str, list[Trace]]) -> AggregationOutcome:
         """Attack both the split and the merged views of the same traffic."""
-        split_report = self._pipeline.evaluate_flows(flows_by_label)
+        split_report = self._report(flows_by_label)
         merged_by_label: dict[str, list[Trace]] = {}
         groups = 0
         for label, flows in flows_by_label.items():
@@ -77,7 +91,7 @@ class AggregationAttack:
             merged = self.merge_flows(relabeled)
             merged_by_label[label] = merged
             groups += len(merged)
-        merged_report = self._pipeline.evaluate_flows(merged_by_label)
+        merged_report = self._report(merged_by_label)
         return AggregationOutcome(
             split_report=split_report,
             merged_report=merged_report,

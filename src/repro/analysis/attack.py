@@ -9,18 +9,13 @@ attacker recovers the true activity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.batch import (
-    WindowCache,
-    augment_direction_dropout,
-    flow_feature_matrix,
-)
+from repro.analysis.batch import augment_direction_dropout, flow_feature_matrix
 from repro.analysis.classifiers import Classifier, best_classifier, default_attackers
 from repro.analysis.dataset import Dataset
-from repro.analysis.features import extract_features
 from repro.analysis.metrics import (
     ConfusionMatrix,
     accuracy_by_class,
@@ -28,12 +23,11 @@ from repro.analysis.metrics import (
     mean_accuracy,
 )
 from repro.analysis.scaler import StandardScaler
-from repro.defenses.base import DefendedTraffic
 from repro.obs import add as obs_add
 from repro.obs import span as obs_span
 from repro.traffic.trace import Trace
 
-__all__ = ["AttackPipeline", "AttackReport", "DefenseEvaluation"]
+__all__ = ["AttackPipeline", "AttackReport"]
 
 
 @dataclass(frozen=True)
@@ -64,17 +58,6 @@ class AttackReport:
         if not values:
             return float("nan")
         return float(sum(values) / len(values))
-
-
-@dataclass
-class DefenseEvaluation:
-    """Per-application defended traffic, keyed by true label."""
-
-    defended: dict[str, DefendedTraffic] = field(default_factory=dict)
-
-    def add(self, label: str, defended: DefendedTraffic) -> None:
-        """Record the defended traffic of application ``label``."""
-        self.defended[label] = defended
 
 
 class AttackPipeline:
@@ -225,53 +208,23 @@ class AttackPipeline:
             predictions = self._classifier.predict(self.transform_matrix(matrix))
         return [self._classes[int(index)] for index in predictions]
 
-    def classify_windows(self, windows: list[Trace]) -> list[str]:
-        """Predict an activity label for each window trace.
+    def evaluate_flows(self, flows_by_label: dict[str, list[Trace]]) -> AttackReport:
+        """Score already-materialized flows, keyed by their true application.
 
-        The windows need not share a parent flow, so features are
-        extracted per window; prediction is batched into a single
-        classifier call and unlabeled rows need no sentinel class.
+        Each flow is featurized with
+        :func:`~repro.analysis.batch.flow_feature_matrix`, then
+        :meth:`evaluate_matrices` scores the lot.  Experiments featurize
+        through :meth:`repro.experiments.ExperimentRunner.flow_feature_matrices`.
         """
-        if self._classifier is None:
-            raise RuntimeError("pipeline is not trained")
-        if not windows:
-            return []
-        vectors = [extract_features(w, self.window, label=None).vector for w in windows]
-        return self.classify_matrix(np.vstack(vectors))
-
-    def evaluate_flows(
-        self,
-        flows_by_label: dict[str, list[Trace]],
-        cache: WindowCache | None = None,
-    ) -> AttackReport:
-        """Classify every window of every flow; score against true labels.
-
-        ``flows_by_label`` maps the *true* application to the observable
-        flows its defended traffic produced (one flow per virtual
-        interface / pseudonym / channel slice).  When ``cache`` is given,
-        per-flow feature matrices are reused across calls (e.g. across
-        the schemes of one table).  All windows of all flows are
-        classified in one batched prediction.
-        """
-        matrices: list[np.ndarray] = []
-        true_labels: list[str] = []
-        with obs_span("featurize"):
-            for label, flows in flows_by_label.items():
-                for flow in flows:
-                    if cache is not None:
-                        matrix = cache.feature_matrix(
-                            flow, self.window, self.min_packets
-                        )
-                    else:
-                        matrix = flow_feature_matrix(
-                            flow, self.window, self.min_packets
-                        )
-                    obs_add("featurize.flows")
-                    obs_add("featurize.windows", len(matrix))
-                    if len(matrix):
-                        matrices.append(matrix)
-                        true_labels.extend([label] * len(matrix))
-        return self._score(matrices, true_labels)
+        return self.evaluate_matrices(
+            {
+                label: [
+                    flow_feature_matrix(flow, self.window, self.min_packets)
+                    for flow in flows
+                ]
+                for label, flows in flows_by_label.items()
+            }
+        )
 
     def evaluate_matrices(
         self,
@@ -281,11 +234,11 @@ class AttackPipeline:
 
         ``matrices_by_label`` maps each true application to its flows'
         feature matrices (one ``(n_windows, 12)`` array per observable
-        flow, e.g. from :func:`repro.analysis.batch.fused_feature_matrices`).
-        Scoring — batched classification, confusion accounting — and the
-        ``featurize.*`` telemetry are shared with :meth:`evaluate_flows`,
-        so a fused evaluation reports bit-identically to the
-        materializing one when the matrices match.
+        flow, e.g. from
+        :meth:`repro.experiments.ExperimentRunner.flow_feature_matrices`).
+        All windows of all flows are classified in one batched
+        prediction; the ``featurize.*`` counters record the flows and
+        windows scored.
         """
         matrices: list[np.ndarray] = []
         true_labels: list[str] = []
@@ -297,12 +250,6 @@ class AttackPipeline:
                     if len(matrix):
                         matrices.append(matrix)
                         true_labels.extend([label] * len(matrix))
-        return self._score(matrices, true_labels)
-
-    def _score(
-        self, matrices: list[np.ndarray], true_labels: list[str]
-    ) -> AttackReport:
-        """Classify the collected windows and score against truth."""
         if matrices:
             predicted = self.classify_matrix(np.concatenate(matrices, axis=0))
         else:
@@ -311,17 +258,3 @@ class AttackPipeline:
             true_labels, predicted, self._classes
         )
         return AttackReport(confusion=confusion)
-
-    def evaluate_traces(self, traces_by_label: dict[str, list[Trace]]) -> AttackReport:
-        """Evaluate undefended traces (each trace is one observable flow)."""
-        return self.evaluate_flows(
-            {label: list(traces) for label, traces in traces_by_label.items()}
-        )
-
-    def evaluate_defense(self, evaluation: DefenseEvaluation) -> AttackReport:
-        """Evaluate a :class:`DefenseEvaluation` built from defended traffic."""
-        flows = {
-            label: defended.observable_flows
-            for label, defended in evaluation.defended.items()
-        }
-        return self.evaluate_flows(flows)

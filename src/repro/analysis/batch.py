@@ -18,9 +18,9 @@ passes instead:
 * interarrival means come from one :func:`numpy.diff` over re-based
   timestamps with idle gaps masked and summed via ``bincount``.
 
-No per-window ``Trace`` is materialized and no column is copied.  The
-legacy per-window path is kept as the reference oracle; the property
-tests assert the two paths agree element-for-element.
+No per-window ``Trace`` is materialized.  The legacy per-window path
+is kept as the reference oracle; the property tests assert the two
+paths agree element-for-element.
 
 ``_direction_block`` doubles as the shared per-window kernel of the
 streaming engine: :class:`repro.stream.featurizer.StreamingFeaturizer`
@@ -30,23 +30,26 @@ module's matrices (a ufunc reduction sees the same contiguous float64
 values either way).  Changes to its arithmetic are parity-tested from
 both sides.
 
-:class:`WindowCache` memoizes the two artifacts the experiment drivers
-recompute most — per-flow feature matrices (keyed by flow identity and
-normalized window) and reshaped observable flows (keyed by scheme and
-trace identity) — so the five schemes (Original/FH/RA/RR/OR) and
-multi-window sweeps share windowing work.
+Every batch entry point — :func:`flow_feature_matrix` and both branches
+of :func:`fused_feature_matrices` — lays the window grid, splits
+directions and applies the ``min_packets`` filter through one private
+kernel, ``_flow_matrix``.
+
+:class:`WindowCache` memoizes what the experiment drivers recompute
+most — feature matrices, fused plans and defended traffic — so the
+scheme grid and multi-window sweeps share windowing work.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
 from repro import obs
 from repro.analysis.features import _IAT_EPSILON, FEATURE_NAMES
 from repro.analysis.windows import window_edges, window_key
-from repro.defenses.base import FusedPlan
+from repro.defenses.base import DefendedTraffic, FusedPlan
 from repro.traffic.packet import DOWNLINK, UPLINK
 from repro.traffic.stats import DEFAULT_IDLE_CUTOFF
 from repro.traffic.trace import Trace
@@ -56,7 +59,6 @@ __all__ = [
     "WindowCache",
     "augment_direction_dropout",
     "flow_feature_matrix",
-    "flows_feature_matrix",
     "fused_feature_matrices",
     "fused_flow_matrices",
 ]
@@ -129,6 +131,50 @@ def _direction_block(
     block[:, 5] = np.log(mean_iat + _IAT_EPSILON)
 
 
+def _flow_matrix(
+    first: float,
+    last: float,
+    by_direction: Iterable[tuple[np.ndarray, np.ndarray]],
+    window: float,
+    min_packets: int,
+) -> np.ndarray:
+    """The one windowing kernel behind every featurization entry point.
+
+    ``first``/``last`` are the flow's extreme timestamps (all
+    :func:`window_edges` reads); ``by_direction`` yields the downlink's
+    then the uplink's ``(times, float64 sizes)`` in time order.  Fills
+    both 6-feature halves and keeps windows of ``min_packets`` or more.
+    """
+    edges = window_edges(np.array([first, last]), window)
+    idle_cutoff = min(DEFAULT_IDLE_CUTOFF, window)
+    matrix = np.empty((len(edges) - 1, _N_FEATURES), dtype=np.float64)
+    totals = np.zeros(len(edges) - 1, dtype=np.int64)
+    column = 0
+    for dtimes, dsizes in by_direction:
+        totals += np.diff(np.searchsorted(dtimes, edges))
+        _direction_block(
+            dtimes, dsizes, edges, window, idle_cutoff,
+            matrix[:, column : column + 6],
+        )
+        del dtimes, dsizes  # a lazy split holds one direction at a time
+        column += 6
+    return matrix[totals >= min_packets]
+
+
+def _split_directions(
+    times: np.ndarray, sizes: np.ndarray, directions: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """A flow's columns as ``(times, float64 sizes)``, one direction at a time.
+
+    Slices per direction *before* the float conversion, so converting
+    touches only that direction's packets; int64 → float64 is exact per
+    element, so the features are bit-identical either way.
+    """
+    for direction in (DOWNLINK, UPLINK):
+        mask = directions == int(direction)
+        yield times[mask], sizes[mask].astype(np.float64)
+
+
 def flow_feature_matrix(
     trace: Trace,
     window: float,
@@ -144,64 +190,16 @@ def flow_feature_matrix(
     """
     require_positive(window, "window")
     require(min_packets >= 1, "min_packets must be >= 1")
-    if len(trace) == 0:
+    times = trace.times
+    if len(times) == 0:
         return np.empty((0, _N_FEATURES), dtype=np.float64)
-    window = float(window)
-    edges = window_edges(trace.times, window)
-    totals = np.diff(np.searchsorted(trace.times, edges))
-    idle_cutoff = min(DEFAULT_IDLE_CUTOFF, window)
-    matrix = np.empty((len(edges) - 1, _N_FEATURES), dtype=np.float64)
-    for column, direction in ((0, DOWNLINK), (6, UPLINK)):
-        mask = trace.directions == int(direction)
-        # Slice per direction *before* the float conversion: converting
-        # the masked int64 slice touches only that direction's packets
-        # (the old full-trace astype copied every size twice per call).
-        # int64 → float64 is exact per element, so the values — and the
-        # resulting features — are bit-identical either way.
-        _direction_block(
-            trace.times[mask],
-            trace.sizes[mask].astype(np.float64),
-            edges,
-            window,
-            idle_cutoff,
-            matrix[:, column : column + 6],
-        )
-    return matrix[totals >= min_packets]
-
-
-def flows_feature_matrix(
-    flows: Sequence[Trace],
-    window: float,
-    min_packets: int = 2,
-) -> np.ndarray:
-    """Feature matrices of several flows, concatenated in flow order.
-
-    The output is preallocated from per-flow surviving-window counts (a
-    cheap grid-only pass) and each flow's matrix is written into its
-    slice, so peak memory is one flow's matrix plus the result — the
-    old list-append + ``np.concatenate`` held every per-flow matrix and
-    the concatenated copy simultaneously.  Row values and order are
-    unchanged.
-    """
-    require_positive(window, "window")
-    require(min_packets >= 1, "min_packets must be >= 1")
-    window = float(window)
-    rows_of: list[int] = []
-    for flow in flows:
-        if len(flow) == 0:
-            rows_of.append(0)
-            continue
-        edges = window_edges(flow.times, window)
-        totals = np.diff(np.searchsorted(flow.times, edges))
-        rows_of.append(int(np.count_nonzero(totals >= min_packets)))
-    out = np.empty((sum(rows_of), _N_FEATURES), dtype=np.float64)
-    row = 0
-    for flow, rows in zip(flows, rows_of):
-        if rows == 0:
-            continue
-        out[row : row + rows] = flow_feature_matrix(flow, window, min_packets)
-        row += rows
-    return out
+    return _flow_matrix(
+        times[0],
+        times[-1],
+        _split_directions(times, trace.sizes, trace.directions),
+        float(window),
+        min_packets,
+    )
 
 
 def fused_feature_matrices(
@@ -223,8 +221,8 @@ def fused_feature_matrices(
     ``f``'s matrix is bit-identical to
     ``flow_feature_matrix(defended.observable_flows[f], ...)``: the
     gather yields the same contiguous float64 values the materialized
-    flow's columns would hold, and the per-window arithmetic is the
-    shared :func:`_direction_block` kernel.
+    flow's columns would hold, and both run the shared
+    :func:`_flow_matrix` kernel.
 
     Telemetry makes the no-materialization claim checkable instead of
     trusted: ``batch.fused_flows``/``batch.fused_windows`` count the
@@ -235,7 +233,6 @@ def fused_feature_matrices(
     require_positive(window, "window")
     require(min_packets >= 1, "min_packets must be >= 1")
     window = float(window)
-    idle_cutoff = min(DEFAULT_IDLE_CUTOFF, window)
     transform = plan.size_transform
     times = np.asarray(times)
     sizes = np.asarray(sizes)
@@ -251,23 +248,19 @@ def fused_feature_matrices(
             obs.gauge("batch.bytes_materialized", 0)
             return [np.empty((0, _N_FEATURES), dtype=np.float64)]
         fsizes = sizes
-        materialized = 0
+        # The per-direction times and float64 sizes the split gathers:
+        # every packet lands in exactly one direction.
+        materialized = len(times) * (times.itemsize + 8)
         if transform is not None:
             fsizes = transform(fsizes, directions)
             materialized += fsizes.nbytes
-        edges = window_edges(times, window)
-        totals = np.diff(np.searchsorted(times, edges))
-        matrix = np.empty((len(edges) - 1, _N_FEATURES), dtype=np.float64)
-        for column, direction in ((0, DOWNLINK), (6, UPLINK)):
-            mask = directions == int(direction)
-            dtimes = times[mask]
-            dsizes = fsizes[mask].astype(np.float64)
-            materialized += dtimes.nbytes + dsizes.nbytes
-            _direction_block(
-                dtimes, dsizes, edges, window, idle_cutoff,
-                matrix[:, column : column + 6],
-            )
-        kept = matrix[totals >= min_packets]
+        kept = _flow_matrix(
+            times[0],
+            times[-1],
+            _split_directions(times, fsizes, directions),
+            window,
+            min_packets,
+        )
         obs.add("batch.fused_windows", len(kept))
         obs.gauge("batch.bytes_materialized", materialized)
         return [kept]
@@ -318,21 +311,15 @@ def fused_feature_matrices(
             dsizes = dsizes.astype(np.float64)
             materialized += dsizes.nbytes
             by_direction.append((dtimes, dsizes))
-        # The flow's window grid depends only on its first and last
-        # timestamp; both are the extrema of the per-direction runs.
-        firsts = [dtimes[0] for dtimes, _ in by_direction if len(dtimes)]
-        lasts = [dtimes[-1] for dtimes, _ in by_direction if len(dtimes)]
-        edges = window_edges(np.array([min(firsts), max(lasts)]), window)
-        totals = np.diff(np.searchsorted(by_direction[0][0], edges)) + np.diff(
-            np.searchsorted(by_direction[1][0], edges)
+        # The grid reads only the flow's first and last timestamp: the
+        # extrema of the per-direction runs.
+        kept = _flow_matrix(
+            min(dtimes[0] for dtimes, _ in by_direction if len(dtimes)),
+            max(dtimes[-1] for dtimes, _ in by_direction if len(dtimes)),
+            by_direction,
+            window,
+            min_packets,
         )
-        matrix = np.empty((len(edges) - 1, _N_FEATURES), dtype=np.float64)
-        for (dtimes, dsizes), column in zip(by_direction, (0, 6)):
-            _direction_block(
-                dtimes, dsizes, edges, window, idle_cutoff,
-                matrix[:, column : column + 6],
-            )
-        kept = matrix[totals >= min_packets]
         matrices.append(kept)
         obs.add("batch.fused_windows", len(kept))
         obs.gauge("batch.bytes_materialized", materialized)
@@ -382,40 +369,51 @@ def augment_direction_dropout(matrix: np.ndarray, window: float) -> np.ndarray:
 class WindowCache:
     """Memoizes windowing work shared across schemes and window sweeps.
 
-    Two layers:
+    Four layers share one memo, each counted as
+    ``proc.window_cache.<layer>_hits`` / ``_misses``: ``feature``
+    (per-flow matrices by flow, normalized window and ``min_packets``),
+    ``flow`` (a non-fusable scheme's :class:`DefendedTraffic` — flows
+    and byte accounting — by scheme and trace), ``plan`` (fused plans,
+    declined ``None`` included, by scheme and trace) and ``fused``
+    (per-flow matrix lists by scheme, trace, window and
+    ``min_packets``).  Keys use object identity; cached keys pin their
+    sources so ``id()`` reuse after garbage collection cannot alias.
 
-    * ``feature_matrix`` — per-flow feature matrices keyed by flow
-      identity, the normalized window (:func:`window_key`) and the
-      ``min_packets`` threshold.  Evaluating several schemes or re-using
-      a runner across experiments re-featurizes nothing.
-    * ``observable_flows`` — reshaped per-interface flows keyed by
-      (reshaper identity, trace identity).  A window sweep reshapes each
-      evaluation trace once per scheme instead of once per (scheme,
-      window).  Safe because ``ReshapingEngine.apply`` resets scheduler
-      state, making reshaping deterministic in (reshaper, trace).
-    * ``fused_plan`` / ``fused_matrices`` — the fused path's
-      counterparts: plans keyed like flows, per-flow matrix lists keyed
-      like feature matrices, both carrying captured telemetry for
-      replay (see :meth:`defended_flows`) so counters stay logical.
-
-    Cached keys pin their source objects so ``id()`` reuse after garbage
-    collection cannot alias entries.
+    The ``flow``/``plan``/``fused`` builds return ``(value,
+    subprofile)`` — the telemetry the work recorded while it physically
+    ran (:func:`repro.obs.captured`) — and every request, hit or miss,
+    gets the subprofile back to :func:`repro.obs.replay`, so a cell
+    counts the same whether its cache was warm or cold.
     """
 
     def __init__(self) -> None:
-        self._features: dict[tuple[int, float, int], np.ndarray] = {}
-        self._flows: dict[tuple[int, int], list[Trace]] = {}
-        self._subprofiles: dict[tuple[int, int], "obs.Subprofile | None"] = {}
-        self._plans: dict[
-            tuple[int, int], tuple[FusedPlan | None, "obs.Subprofile | None"]
-        ] = {}
-        self._fused: dict[
-            tuple[int, int, float, int],
-            tuple[list[np.ndarray], "obs.Subprofile | None"],
-        ] = {}
+        self._entries: dict[tuple, object] = {}
         self._pinned: dict[int, object] = {}
         self.hits: int = 0
         self.misses: int = 0
+
+    def _memo(
+        self,
+        layer: str,
+        sources: tuple[object, ...],
+        params: tuple[object, ...],
+        build: Callable[[], object],
+    ) -> object:
+        """The cached ``build()`` for (``layer``, source identities, params)."""
+        # repro-lint: allow[nondeterminism]: cache is strictly process-local (never pickled) and pins sources against id() reuse
+        key = (layer, *(id(source) for source in sources), *params)
+        if key in self._entries:
+            self.hits += 1
+            obs.add(f"proc.window_cache.{layer}_hits")
+            return self._entries[key]
+        self.misses += 1
+        obs.add(f"proc.window_cache.{layer}_misses")
+        for source in sources:
+            if source is not None:
+                # repro-lint: allow[nondeterminism]: pin keeps the id() key alive; cache never crosses a process boundary
+                self._pinned[id(source)] = source
+        value = self._entries[key] = build()
+        return value
 
     def feature_matrix(
         self,
@@ -424,73 +422,25 @@ class WindowCache:
         min_packets: int = 2,
     ) -> np.ndarray:
         """The (cached) feature matrix of ``flow`` at ``window``."""
-        # repro-lint: allow[nondeterminism]: cache is strictly process-local (never pickled) and pins sources against id() reuse
-        key = (id(flow), window_key(window), int(min_packets))
-        cached = self._features.get(key)
-        if cached is None:
-            self.misses += 1
-            obs.add("proc.window_cache.feature_misses")
-            # repro-lint: allow[nondeterminism]: pin keeps the id() key alive; cache never crosses a process boundary
-            self._pinned[id(flow)] = flow
-            cached = flow_feature_matrix(flow, window, min_packets)
-            self._features[key] = cached
-        else:
-            self.hits += 1
-            obs.add("proc.window_cache.feature_hits")
-        return cached
-
-    def observable_flows(
-        self,
-        scheme: object,
-        trace: Trace,
-        build: Callable[[], list[Trace]],
-    ) -> list[Trace]:
-        """The (cached) observable flows of ``trace`` under ``scheme``.
-
-        ``build`` runs on a cache miss and must be deterministic in
-        (scheme, trace); ``scheme`` may be ``None`` for the undefended
-        original.
-        """
-        flows, _ = self.defended_flows(
-            scheme, trace, lambda: (list(build()), None)
+        return self._memo(
+            "feature",
+            (flow,),
+            (window_key(window), int(min_packets)),
+            lambda: flow_feature_matrix(flow, window, min_packets),
         )
-        return flows
 
     def defended_flows(
         self,
         scheme: object,
         trace: Trace,
-        build: Callable[[], tuple[list[Trace], "obs.Subprofile | None"]],
-    ) -> tuple[list[Trace], "obs.Subprofile | None"]:
-        """Like :meth:`observable_flows`, carrying captured telemetry.
+        build: Callable[[], tuple[DefendedTraffic, "obs.Subprofile | None"]],
+    ) -> tuple[DefendedTraffic, "obs.Subprofile | None"]:
+        """The (cached) defended traffic of ``trace`` under ``scheme``.
 
-        ``build`` returns ``(flows, subprofile)`` where the subprofile
-        is the telemetry the scheme application recorded while it
-        physically ran (see :func:`repro.obs.captured`).  The cache
-        stores both and hands the subprofile back on *every* request —
-        hit or miss — so callers can :func:`repro.obs.replay` it and
-        keep counters logical: a cell sees the same counts whether its
-        flows were computed here or reused from a warmer cache.
+        ``build`` must be deterministic in (scheme, trace); the flows
+        keep their identity across hits, so their matrices memoize too.
         """
-        # repro-lint: allow[nondeterminism]: cache is strictly process-local (never pickled) and pins sources against id() reuse
-        key = (id(scheme), id(trace))
-        flows = self._flows.get(key)
-        if flows is None:
-            self.misses += 1
-            obs.add("proc.window_cache.flow_misses")
-            # repro-lint: allow[nondeterminism]: pin keeps the id() key alive; cache never crosses a process boundary
-            self._pinned[id(trace)] = trace
-            if scheme is not None:
-                # repro-lint: allow[nondeterminism]: pin keeps the id() key alive; cache never crosses a process boundary
-                self._pinned[id(scheme)] = scheme
-            flows, subprofile = build()
-            flows = list(flows)
-            self._flows[key] = flows
-            self._subprofiles[key] = subprofile
-        else:
-            self.hits += 1
-            obs.add("proc.window_cache.flow_hits")
-        return flows, self._subprofiles.get(key)
+        return self._memo("flow", (scheme, trace), (), build)
 
     def fused_plan(
         self,
@@ -498,29 +448,8 @@ class WindowCache:
         trace: Trace,
         build: Callable[[], tuple["FusedPlan | None", "obs.Subprofile | None"]],
     ) -> tuple["FusedPlan | None", "obs.Subprofile | None"]:
-        """The (cached) fused plan of ``trace`` under ``scheme``.
-
-        ``build`` runs on a miss and returns ``(plan, subprofile)``
-        where the plan may legitimately be ``None`` (non-fusable scheme)
-        — the miss is cached either way so fallback schemes don't
-        re-attempt fusion per window.  Like :meth:`defended_flows`, the
-        captured telemetry is handed back on every request for replay.
-        """
-        # repro-lint: allow[nondeterminism]: cache is strictly process-local (never pickled) and pins sources against id() reuse
-        key = (id(scheme), id(trace))
-        if key not in self._plans:
-            self.misses += 1
-            obs.add("proc.window_cache.plan_misses")
-            # repro-lint: allow[nondeterminism]: pin keeps the id() key alive; cache never crosses a process boundary
-            self._pinned[id(trace)] = trace
-            if scheme is not None:
-                # repro-lint: allow[nondeterminism]: pin keeps the id() key alive; cache never crosses a process boundary
-                self._pinned[id(scheme)] = scheme
-            self._plans[key] = build()
-        else:
-            self.hits += 1
-            obs.add("proc.window_cache.plan_hits")
-        return self._plans[key]
+        """The (cached) fused plan — ``None`` when the scheme declines."""
+        return self._memo("plan", (scheme, trace), (), build)
 
     def fused_matrices(
         self,
@@ -530,36 +459,17 @@ class WindowCache:
         min_packets: int,
         build: Callable[[], tuple[list[np.ndarray], "obs.Subprofile | None"]],
     ) -> tuple[list[np.ndarray], "obs.Subprofile | None"]:
-        """The (cached) fused per-flow matrices of one (scheme, trace, window).
-
-        Keyed like :meth:`feature_matrix` — scheme and trace identity
-        plus the normalized window and ``min_packets`` — so fused
-        memoization behaves exactly like the materializing path's
-        per-flow matrix cache across schemes, windows and experiments.
-        """
-        # repro-lint: allow[nondeterminism]: cache is strictly process-local (never pickled) and pins sources against id() reuse
-        key = (id(scheme), id(trace), window_key(window), int(min_packets))
-        if key not in self._fused:
-            self.misses += 1
-            obs.add("proc.window_cache.fused_misses")
-            # repro-lint: allow[nondeterminism]: pin keeps the id() key alive; cache never crosses a process boundary
-            self._pinned[id(trace)] = trace
-            if scheme is not None:
-                # repro-lint: allow[nondeterminism]: pin keeps the id() key alive; cache never crosses a process boundary
-                self._pinned[id(scheme)] = scheme
-            self._fused[key] = build()
-        else:
-            self.hits += 1
-            obs.add("proc.window_cache.fused_hits")
-        return self._fused[key]
+        """The (cached) fused per-flow matrices of one (scheme, trace, window)."""
+        return self._memo(
+            "fused",
+            (scheme, trace),
+            (window_key(window), int(min_packets)),
+            build,
+        )
 
     def clear(self) -> None:
         """Drop every cached artifact (and the object pins)."""
-        self._features.clear()
-        self._flows.clear()
-        self._subprofiles.clear()
-        self._plans.clear()
-        self._fused.clear()
+        self._entries.clear()
         self._pinned.clear()
         self.hits = 0
         self.misses = 0

@@ -259,6 +259,17 @@ class FusedPlan:
         return self.order[lo:hi]
 
     @property
+    def stage_overheads(self) -> tuple[StageOverhead, ...]:
+        """The accounting ``apply`` would report as ``DefendedTraffic.stages``.
+
+        A stage's flows are the total fan-out of its applies.
+        """
+        return tuple(
+            StageOverhead(s.scheme, s.extra_bytes, s.handshake_bytes, sum(s.fanouts))
+            for s in self.stages
+        )
+
+    @property
     def extra_bytes(self) -> int:
         """Total data-path bytes added (additive across stages)."""
         return sum(stage.extra_bytes for stage in self.stages)

@@ -17,7 +17,7 @@ pytest-benchmark and print the regenerated tables next to the
 published values.
 """
 
-from repro.experiments.scenarios import EvaluationScenario, SCHEME_NAMES, build_schemes
+from repro.experiments.scenarios import EvaluationScenario, SCHEME_NAMES
 from repro.experiments.registry import (
     ExperimentCell,
     ExperimentSpec,
@@ -66,7 +66,6 @@ __all__ = [
     "WindowSweepResult",
     "SCHEME_NAMES",
     "all_specs",
-    "build_schemes",
     "classification_accuracy_table",
     "combined_defense_accuracy",
     "combined_grid",

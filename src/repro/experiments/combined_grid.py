@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.analysis.attack import AttackPipeline
 from repro.analysis.classifiers import (
     GaussianNaiveBayes,
@@ -32,7 +34,6 @@ from repro.analysis.classifiers import (
     LinearSvm,
     MlpClassifier,
 )
-from repro.analysis.batch import WindowCache
 from repro.analysis.windows import window_key
 from repro.experiments import parallel, registry
 from repro.experiments.registry import (
@@ -41,7 +42,7 @@ from repro.experiments.registry import (
     ScenarioParams,
     make_cell,
 )
-from repro.schemes import SchemeSpec, canonical_stack, stack_label
+from repro.schemes import Scheme, SchemeSpec, canonical_stack, stack_label
 from repro.schemes.registry import build_stack, get_scheme
 from repro.util.results import ExperimentResult
 from repro.util.rng import derive_seed
@@ -99,6 +100,19 @@ class CombinedGridResult:
         return min(self.cells, key=lambda cell: cell.mean_accuracy)
 
 
+def _unique(option: str, names: tuple[str, ...]) -> tuple[str, ...]:
+    """``names``, refusing a repeat (it would yield duplicate cells)."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(
+                f"{option} lists {name!r} more than once "
+                f"(after canonicalization: {', '.join(names)})"
+            )
+        seen.add(name)
+    return names
+
+
 def _parse_compositions(options: dict[str, object]) -> tuple[str, ...]:
     """The canonicalized composition list from the ``schemes`` option."""
     raw = [part.strip() for part in str(options["schemes"]).split(",") if part.strip()]
@@ -107,7 +121,9 @@ def _parse_compositions(options: dict[str, object]) -> tuple[str, ...]:
             "schemes must name at least one composition "
             "(comma-separated, stages joined with '+')"
         )
-    return tuple(stack_label(canonical_stack(text)) for text in raw)
+    return _unique(
+        "schemes", tuple(stack_label(canonical_stack(text)) for text in raw)
+    )
 
 
 def _parse_scheme_params(options: dict[str, object]) -> tuple[tuple[str, str], ...]:
@@ -165,7 +181,7 @@ def _classifiers(options: dict[str, object]) -> tuple[str, ...]:
             f"classifiers must be a comma-separated subset of {{{known}}}, "
             f"got {options['classifiers']!r}"
         )
-    return names
+    return _unique("classifiers", names)
 
 
 def _cells(
@@ -173,6 +189,7 @@ def _cells(
 ) -> tuple[ExperimentCell, ...]:
     scheme_params = _parse_scheme_params(options)
     compositions = _parse_compositions(options)
+    classifiers = _classifiers(options)
     specs_by_composition = {
         composition: _specs_for(composition, scheme_params)
         for composition in compositions
@@ -194,7 +211,7 @@ def _cells(
             )
     cells = []
     for composition in compositions:
-        for classifier in _classifiers(options):
+        for classifier in classifiers:
             cells.append(
                 make_cell(
                     "combined_grid",
@@ -231,79 +248,66 @@ def _grid_pipeline(
     )
 
 
-def _defended_corpus(
-    params: ScenarioParams,
-    composition: str,
-    specs: tuple[SchemeSpec, ...],
-) -> dict[str, object]:
-    """Defended evaluation flows + accounting, cached per composition.
+def _grid_stack(
+    params: ScenarioParams, composition: str, specs: tuple[SchemeSpec, ...]
+) -> Scheme:
+    """The composition's stack, built once per process.
 
     The stack seed is derived from the composition alone — NOT the
     cell name, which also carries the classifier — so every classifier
     column attacks the *same* defended traffic and the accuracy
     comparison is not confounded by a different stochastic defense
     realization per column.  Still a pure function of
-    (root seed, composition): identical in any process.  The
-    process-local memo means each composition is transformed once per
-    worker, not once per classifier; flow identity stays stable, so
-    the shared window cache below also featurizes each flow once.
+    (root seed, composition): identical in any process.  The memo keeps
+    the stack's identity stable, so the runner's window cache plans
+    (or applies) and featurizes each trace once per composition, not
+    once per classifier.
     """
-
-    def build() -> dict[str, object]:
-        scenario = parallel.shared_scenario(params)
-        stack = build_stack(
+    return parallel.worker_cached(
+        ("combined_grid-stack", params, specs),
+        lambda: build_stack(
             specs, seed=derive_seed(params.seed, "combined-grid-stack", composition)
-        )
-        flows_by_label: dict[str, list] = {}
-        original_bytes = 0
-        extra_bytes = 0
-        handshake_bytes = 0
-        flow_count = 0
-        per_stage: dict[str, int] = {}
-        for label, traces in scenario.evaluation_by_label().items():
-            flows_by_label[label] = []
-            for trace in traces:
-                defended = stack.apply(trace)
-                flows_by_label[label].extend(defended.observable_flows)
-                original_bytes += trace.total_bytes
-                extra_bytes += defended.extra_bytes
-                handshake_bytes += defended.handshake_bytes
-                flow_count += len(defended.flows)
-                for stage in defended.stages:
-                    per_stage[stage.scheme] = (
-                        per_stage.get(stage.scheme, 0) + stage.extra_bytes
-                    )
-        return {
-            "flows_by_label": flows_by_label,
-            "overhead_percent": 100.0 * extra_bytes / max(original_bytes, 1),
-            "handshake_bytes": handshake_bytes,
-            "flows": flow_count,
-            "stage_overhead": tuple(per_stage.items()),
-        }
-
-    return parallel.worker_cached(("combined_grid-defended", params, specs), build)
+        ),
+    )
 
 
 def _run_cell(cell: ExperimentCell) -> GridCell:
     params = cell.params["scenario"]
     composition = str(cell.params["composition"])
-    defended = _defended_corpus(params, composition, cell.params["specs"])
+    stack = _grid_stack(params, composition, cell.params["specs"])
     pipeline = _grid_pipeline(
         params, str(cell.params["classifier"]), float(cell.params["window"])
     )
-    # One shared per-process window cache: defended flows have stable
-    # identity (memoized above), so featurization happens once per
-    # (flow, window) no matter how many classifiers attack it.
-    cache = parallel.worker_cached(("combined_grid-wcache", params), WindowCache)
-    report = pipeline.evaluate_flows(defended["flows_by_label"], cache=cache)
+    runner = parallel.shared_runner(params)
+    matrices_by_label: dict[str, list[np.ndarray]] = {}
+    original_bytes = extra_bytes = handshake_bytes = flow_count = 0
+    per_stage: dict[str, int] = {}
+    for label, traces in runner.scenario.evaluation_by_label().items():
+        matrices_by_label[label] = []
+        for trace in traces:
+            matrices_by_label[label].extend(
+                runner.flow_feature_matrices(
+                    stack, trace, pipeline.window, pipeline.min_packets
+                )
+            )
+            stages = runner.stage_overhead(stack, trace)
+            original_bytes += trace.total_bytes
+            extra_bytes += sum(stage.extra_bytes for stage in stages)
+            handshake_bytes += sum(stage.handshake_bytes for stage in stages)
+            flow_count += stages[-1].flows
+            for stage in stages:
+                per_stage[stage.scheme] = (
+                    per_stage.get(stage.scheme, 0) + stage.extra_bytes
+                )
+    report = pipeline.evaluate_matrices(matrices_by_label)
     return GridCell(
         composition=composition,
         classifier=str(cell.params["classifier"]),
         mean_accuracy=report.mean_accuracy,
-        overhead_percent=defended["overhead_percent"],
-        handshake_bytes=defended["handshake_bytes"],
-        flows=defended["flows"],
-        stage_overhead=defended["stage_overhead"],
+        overhead_percent=100.0 * extra_bytes / max(original_bytes, 1),
+        handshake_bytes=handshake_bytes,
+        flows=flow_count,
+        stage_overhead=tuple(per_stage.items()),
     )
 
 

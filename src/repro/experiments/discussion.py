@@ -13,6 +13,8 @@ import math
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.analysis.attack import AttackPipeline
 from repro.analysis.linking import RssiLinker, linking_accuracy
 from repro.core.combined import CombinedDefense
@@ -25,10 +27,17 @@ from repro.experiments.registry import (
     single_cell,
     take_only,
 )
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import EvaluationScenario
 from repro.net.channel import Position
 from repro.net.wlan import WlanSimulation
-from repro.schemes import DEFAULT_INTERFACES, build_raw, build_scheme, legacy_scheme_spec
+from repro.schemes import (
+    DEFAULT_INTERFACES,
+    as_scheme,
+    build_raw,
+    build_scheme,
+    legacy_scheme_spec,
+)
 from repro.traffic.apps import AppType
 from repro.traffic.generator import TrafficGenerator
 from repro.util.results import ExperimentResult
@@ -72,37 +81,52 @@ def combined_defense_accuracy(
     Table II accuracy, as the paper reports).  Under our calibrated
     models the morph reduces chatting's residual accuracy partially
     rather than to zero — deviation documented in EXPERIMENTS.md.
+
+    OR plans and fuses; the combined defense morphs, so the runner
+    falls back to applying it — once per trace, with its byte overhead
+    read from that same cached application.
     """
-    scenario = scenario or EvaluationScenario()
+    runner = ExperimentRunner(scenario or EvaluationScenario())
+    scenario = runner.scenario
     pipeline = AttackPipeline(window=window, seed=scenario.seed)
     pipeline.train(scenario.training_traces())
+    orthogonal = runner.scheme(legacy_scheme_spec("or"))
+    combined = as_scheme(
+        CombinedDefense(
+            build_raw(legacy_scheme_spec("or"), scenario.seed),
+            {
+                0: scenario.evaluation_trace(AppType.GAMING),
+                1: scenario.evaluation_trace(AppType.BROWSING),
+            },
+            seed=scenario.seed,
+        )
+    )
 
-    orthogonal = build_scheme(legacy_scheme_spec("or"), scenario.seed)
-    interface_targets = {
-        0: scenario.evaluation_trace(AppType.GAMING),
-        1: scenario.evaluation_trace(AppType.BROWSING),
-    }
-
-    or_flows: dict[str, list] = {}
-    combined_flows: dict[str, list] = {}
+    or_matrices: dict[str, list[np.ndarray]] = {}
+    combined_matrices: dict[str, list[np.ndarray]] = {}
     extra_bytes = 0
     original_bytes = 0
-    for app in AppType:
-        or_flows[app.value] = []
-        combined_flows[app.value] = []
-        for trace in scenario.evaluation_traces()[app]:
+    for label, traces in scenario.evaluation_by_label().items():
+        or_matrices[label] = []
+        combined_matrices[label] = []
+        for trace in traces:
             original_bytes += trace.total_bytes
-            or_flows[app.value].extend(orthogonal.apply(trace).observable_flows)
-            combined = CombinedDefense(
-                build_raw(legacy_scheme_spec("or"), scenario.seed),
-                interface_targets,
-                seed=scenario.seed,
-            ).apply(trace)
-            combined_flows[app.value].extend(combined.observable_flows)
-            extra_bytes += combined.extra_bytes
+            or_matrices[label].extend(
+                runner.flow_feature_matrices(
+                    orthogonal, trace, window, pipeline.min_packets
+                )
+            )
+            combined_matrices[label].extend(
+                runner.flow_feature_matrices(
+                    combined, trace, window, pipeline.min_packets
+                )
+            )
+            extra_bytes += sum(
+                stage.extra_bytes for stage in runner.stage_overhead(combined, trace)
+            )
 
-    or_report = pipeline.evaluate_flows(or_flows)
-    combined_report = pipeline.evaluate_flows(combined_flows)
+    or_report = pipeline.evaluate_matrices(or_matrices)
+    combined_report = pipeline.evaluate_matrices(combined_matrices)
     return CombinedDefenseResult(
         or_accuracy=or_report.accuracy_by_class,
         combined_accuracy=combined_report.accuracy_by_class,

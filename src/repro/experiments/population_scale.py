@@ -47,7 +47,6 @@ import numpy as np
 
 from repro import obs
 from repro.analysis.attack import AttackPipeline
-from repro.analysis.batch import flow_feature_matrix
 from repro.analysis.metrics import ConfusionMatrix, mean_accuracy
 from repro.experiments import parallel, registry
 
@@ -60,6 +59,7 @@ from repro.experiments.registry import (
     ScenarioParams,
     parse_number_list,
 )
+from repro.experiments.runner import ExperimentRunner
 from repro.schemes import canonical_stack, stack_label
 from repro.schemes.registry import build_stack
 from repro.storage import TraceStore, TraceStoreWriter, shard_for_key
@@ -239,6 +239,8 @@ def _run_cell(cell: ExperimentCell) -> PopulationShardResult:
     pipeline = _population_pipeline(
         params, str(cell.params["classifier"]), window
     )
+    # A private runner: its cache is cleared per station, never shared.
+    runner = ExperimentRunner(parallel.shared_scenario(params))
     classes = pipeline.classes
     class_index = {label: i for i, label in enumerate(classes)}
     confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
@@ -263,17 +265,19 @@ def _run_cell(cell: ExperimentCell) -> PopulationShardResult:
                         params.seed, "population", "defense", station
                     ),
                 )
-                defended = stack.apply(trace)
+                matrices = runner.flow_feature_matrices(
+                    stack, trace, window, pipeline.min_packets
+                )
+                stages = runner.stage_overhead(stack, trace)
+                # Out of core: nothing cached may outlive its station.
+                runner.window_cache.clear()
                 stations += 1
                 packets += len(trace)
                 original_bytes += trace.total_bytes
-                extra_bytes += defended.extra_bytes
-                handshake_bytes += defended.handshake_bytes
-                flows += len(defended.flows)
-                for flow in defended.observable_flows:
-                    matrix = flow_feature_matrix(
-                        flow, window, pipeline.min_packets
-                    )
+                extra_bytes += sum(stage.extra_bytes for stage in stages)
+                handshake_bytes += sum(stage.handshake_bytes for stage in stages)
+                flows += stages[-1].flows
+                for matrix in matrices:
                     if not len(matrix):
                         continue
                     windows += len(matrix)

@@ -1,18 +1,16 @@
 """Experiment orchestration: train once, evaluate every scheme.
 
 The runner owns a trained :class:`~repro.analysis.attack.AttackPipeline`
-per eavesdropping window W and evaluates each defense scheme by
-transforming the evaluation traces and classifying the observable
-flows.  Schemes arrive as registry specs
-(:class:`~repro.schemes.SchemeSpec`, built + memoized per recipe via
-:meth:`ExperimentRunner.scheme`) or as legacy
-:class:`~repro.core.base.Reshaper` objects; both run through the same
-shared :class:`~repro.analysis.batch.WindowCache`, which memoizes
-observable flows per scheme and per-flow feature matrices per window,
-so the scheme grid and multi-window sweeps never repeat windowing
-work.  Pipelines are keyed by the normalized window
-(:func:`~repro.analysis.windows.window_key`), so float jitter in a
-sweep's window arithmetic cannot silently retrain a duplicate pipeline.
+per eavesdropping window W (keyed by
+:func:`~repro.analysis.windows.window_key`, so float jitter cannot
+retrain a duplicate) and is every experiment's one evaluation path:
+:meth:`ExperimentRunner.flow_feature_matrices` plans a scheme when it
+can fuse and applies it when it declines, and
+:meth:`ExperimentRunner.stage_overhead` reports the byte accounting of
+that same cached result.  Schemes arrive as registry specs (built and
+memoized per recipe by :meth:`ExperimentRunner.scheme`) or as built
+:class:`~repro.schemes.Scheme` objects; all work memoizes in one
+shared :class:`~repro.analysis.batch.WindowCache`.
 """
 
 from __future__ import annotations
@@ -26,25 +24,18 @@ from repro import obs
 from repro.analysis.attack import AttackPipeline, AttackReport
 from repro.analysis.batch import WindowCache, fused_flow_matrices
 from repro.analysis.windows import window_key
-from repro.core.base import Reshaper
-from repro.experiments.scenarios import EvaluationScenario, build_schemes
-from repro.schemes import (
-    DEFAULT_INTERFACES,
-    Scheme,
-    SchemeSpec,
-    as_scheme,
-    build_stack,
-    canonical_stack,
-)
+from repro.defenses.base import DefendedTraffic, FusedPlan, StageOverhead
+from repro.experiments.scenarios import EvaluationScenario
+from repro.schemes import Scheme, SchemeSpec, build_stack, canonical_stack
 from repro.traffic.apps import AppType
 from repro.traffic.trace import Trace
 
 __all__ = ["ExperimentRunner"]
 
 #: What the evaluation entry points accept as "a scheme": a registry
-#: spec / composition, an already-built Scheme, a bare legacy
-#: Reshaper, or None for the undefended original.
-SchemeLike = "Scheme | Reshaper | SchemeSpec | Sequence[SchemeSpec] | str | None"
+#: spec / composition, an already-built Scheme, or None for the
+#: undefended original.
+SchemeLike = "Scheme | SchemeSpec | Sequence[SchemeSpec] | str | None"
 
 
 @dataclass
@@ -53,9 +44,6 @@ class ExperimentRunner:
 
     scenario: EvaluationScenario
     _pipelines: dict[float, AttackPipeline] = field(default_factory=dict, repr=False)
-    _schemes: dict[int, dict[str, Reshaper | None]] = field(
-        default_factory=dict, repr=False
-    )
     _built: dict[tuple[SchemeSpec, ...], Scheme] = field(
         default_factory=dict, repr=False
     )
@@ -88,11 +76,10 @@ class ExperimentRunner:
 
         Accepts one spec, a stack of specs, or the ``"padding+or"``
         composition syntax.  Object identity is stable per canonical
-        recipe — the same guarantee :meth:`schemes` gives for the
-        legacy reshaper dict — so the window cache reuses transformed
-        flows across cells, windows, and experiments.  Seeding comes
-        from the scenario (single schemes build with ``scenario.seed``
-        verbatim; stack stages get order-salted derivations — see
+        recipe, so the window cache reuses plans, flows and matrices
+        across cells, windows, and experiments.  Seeding comes from the
+        scenario (single schemes build with ``scenario.seed`` verbatim;
+        stack stages get order-salted derivations — see
         :func:`repro.schemes.build_stack`).
         """
         if isinstance(composition, SchemeSpec):
@@ -103,25 +90,27 @@ class ExperimentRunner:
                 self._built[key] = build_stack(key, self.scenario.seed)
         return self._built[key]
 
-    def _resolve(self, scheme: "SchemeLike") -> tuple[object, Scheme | None]:
-        """``(cache key object, applied Scheme)`` for any scheme-like input.
+    def _resolve(self, scheme: "SchemeLike") -> Scheme | None:
+        """The identity-stable Scheme behind ``scheme`` (``None``: undefended)."""
+        if scheme is None or isinstance(scheme, Scheme):
+            return scheme
+        return self.scheme(scheme)
 
-        Specs/compositions build through :meth:`scheme` (memoized, so
-        the key is identity-stable); legacy bare reshapers route through
-        the Scheme adapter for instrumentation while the cache stays
-        keyed on the reshaper itself (identity is what callers share).
-        ``None`` — the undefended original — resolves to ``(None, None)``.
-        """
-        if scheme is None:
-            return None, None
-        if isinstance(scheme, (SchemeSpec, str)) or (
-            not isinstance(scheme, (Scheme, Reshaper))
-            and isinstance(scheme, Sequence)
-        ):
-            scheme = self.scheme(scheme)
-        if isinstance(scheme, Scheme):
-            return scheme, scheme
-        return scheme, as_scheme(scheme)
+    def _plan(
+        self, scheme: Scheme, trace: Trace
+    ) -> tuple[FusedPlan | None, "obs.Subprofile | None"]:
+        """The cached ``(plan, subprofile)`` of ``trace`` under ``scheme``."""
+        return self._cache.fused_plan(
+            scheme, trace, lambda: obs.captured(lambda: scheme.fused_plan(trace))
+        )
+
+    def _defended(
+        self, scheme: Scheme, trace: Trace
+    ) -> tuple[DefendedTraffic, "obs.Subprofile | None"]:
+        """The cached ``(defended traffic, subprofile)`` of a real ``apply``."""
+        return self._cache.defended_flows(
+            scheme, trace, lambda: obs.captured(lambda: scheme.apply(trace))
+        )
 
     def observable_flows(
         self,
@@ -130,22 +119,19 @@ class ExperimentRunner:
     ) -> list[Trace]:
         """What the eavesdropper captures when ``trace`` runs under ``scheme``.
 
+        Always materializes (the streaming replay needs real flows).
         Telemetry is cache-transparent: the scheme application records
         its counters/spans into a captured subprofile stored next to
-        the memoized flows, and every request — hit or miss — replays
+        the memoized traffic, and every request — hit or miss — replays
         it.  A cell therefore observes identical ``scheme.*`` counts
         whether it shares a warm serial cache or a cold per-worker one.
         """
-        key, applied = self._resolve(scheme)
+        applied = self._resolve(scheme)
         if applied is None:
             return [trace]
-        flows, subprofile = self._cache.defended_flows(
-            key,
-            trace,
-            lambda: obs.captured(lambda: applied.apply(trace).observable_flows),
-        )
+        defended, subprofile = self._defended(applied, trace)
         obs.replay(subprofile)
-        return flows
+        return defended.observable_flows
 
     def flow_feature_matrices(
         self,
@@ -161,23 +147,18 @@ class ExperimentRunner:
         :meth:`repro.schemes.Scheme.fused_plan`) are featurized straight
         off the trace's columns with zero intermediate ``Trace``
         allocation; everything else (morphing, adaptive, custom
-        schemes) transparently falls back to the materializing
-        apply→featurize path, counted in ``batch.fallback_flows``.
-        Both paths memoize in the shared :class:`WindowCache` with
-        capture-and-replay telemetry, and both are bit-identical: the
-        fused path is property-tested against the legacy oracle
-        element-for-element.
+        schemes) transparently falls back to apply→featurize, counted
+        in ``batch.fallback_flows``.  Both paths memoize in the shared
+        :class:`WindowCache` with capture-and-replay telemetry, and both
+        are bit-identical: the fused path is property-tested against
+        the materializing oracle element-for-element.
         """
-        key, applied = self._resolve(scheme)
+        applied = self._resolve(scheme)
         if applied is None:
             return [self._cache.feature_matrix(trace, window, min_packets)]
-        plan, plan_subprofile = self._cache.fused_plan(
-            key,
-            trace,
-            lambda: obs.captured(lambda: applied.fused_plan(trace)),
-        )
+        plan, plan_subprofile = self._plan(applied, trace)
         if plan is None:
-            flows = self.observable_flows(scheme, trace)
+            flows = self.observable_flows(applied, trace)
             obs.add("batch.fallback_flows", len(flows))
             return [
                 self._cache.feature_matrix(flow, window, min_packets)
@@ -185,7 +166,7 @@ class ExperimentRunner:
             ]
         obs.replay(plan_subprofile)
         matrices, subprofile = self._cache.fused_matrices(
-            key,
+            applied,
             trace,
             window,
             min_packets,
@@ -196,6 +177,28 @@ class ExperimentRunner:
         obs.replay(subprofile)
         return matrices
 
+    def stage_overhead(
+        self, scheme: "SchemeLike", trace: Trace
+    ) -> tuple[StageOverhead, ...]:
+        """Per-stage byte accounting of ``trace`` under ``scheme``.
+
+        Read from the same cached plan-or-apply result
+        :meth:`flow_feature_matrices` featurizes — the plan's stages
+        when the scheme fuses, the applied traffic's otherwise — so
+        accounting never costs a second ``apply``.  The totals are the
+        sums over stages; the last stage's ``flows`` is the observable
+        flow count.  Records no scheme telemetry (the featurization
+        request replays it); the undefended original has no stages.
+        """
+        applied = self._resolve(scheme)
+        if applied is None:
+            return ()
+        plan, _ = self._plan(applied, trace)
+        if plan is not None:
+            return plan.stage_overheads
+        defended, _ = self._defended(applied, trace)
+        return defended.stages
+
     def evaluate_scheme(
         self,
         scheme: "SchemeLike",
@@ -205,8 +208,7 @@ class ExperimentRunner:
 
         Featurization routes through :meth:`flow_feature_matrices`
         (fused when the scheme allows, materializing otherwise); scoring
-        is the pipeline's shared tail, so reports are bit-identical to
-        the legacy ``observable_flows`` → ``evaluate_flows`` loop.
+        is the pipeline's :meth:`~AttackPipeline.evaluate_matrices`.
         """
         pipeline = self.pipeline(window)
         matrices_by_label: dict[str, list[np.ndarray]] = {}
@@ -220,27 +222,6 @@ class ExperimentRunner:
                 )
             matrices_by_label[label] = matrices
         return pipeline.evaluate_matrices(matrices_by_label)
-
-    def schemes(self, interfaces: int = DEFAULT_INTERFACES) -> dict[str, Reshaper | None]:
-        """The runner's scheme set (built once per interface count).
-
-        Reshaper identity must be stable across calls so the window
-        cache can reuse reshaped flows across windows and experiments.
-        """
-        if interfaces not in self._schemes:
-            self._schemes[interfaces] = build_schemes(interfaces, self.scenario.seed)
-        return self._schemes[interfaces]
-
-    def evaluate_all_schemes(
-        self,
-        window: float,
-        interfaces: int = DEFAULT_INTERFACES,
-    ) -> dict[str, AttackReport]:
-        """Reports for Original / FH / RA / RR / OR at one window size."""
-        reports: dict[str, AttackReport] = {}
-        for name, reshaper in self.schemes(interfaces).items():
-            reports[name] = self.evaluate_scheme(reshaper, window)
-        return reports
 
     @staticmethod
     def app_order() -> tuple[AppType, ...]:

@@ -1,9 +1,8 @@
 """Evaluation scenarios: the home-WLAN setting of Sec. IV-A.
 
 The scenario object owns the generated corpus (training sessions and an
-evaluation session per application) and the scheduler configurations
-being compared; experiment modules draw everything from here so all
-tables share one consistent setup.
+evaluation session per application); experiment modules draw every
+trace from here so all tables share one consistent setup.
 """
 
 from __future__ import annotations
@@ -11,18 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.core.base import Reshaper
-from repro.schemes import (
-    DEFAULT_INTERFACES,
-    LEGACY_SCHEME_SPECS,
-    build_raw,
-    legacy_scheme_spec,
-)
+from repro.schemes import LEGACY_SCHEME_SPECS
 from repro.traffic.apps import ALL_APPS, AppType
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.trace import Trace
 
-__all__ = ["SCHEME_NAMES", "build_schemes", "recipe_scalars", "EvaluationScenario"]
+__all__ = ["SCHEME_NAMES", "recipe_scalars", "EvaluationScenario"]
 
 
 def recipe_scalars(recipe: dict) -> dict:
@@ -45,23 +38,6 @@ def recipe_scalars(recipe: dict) -> dict:
 SCHEME_NAMES: tuple[str, ...] = tuple(
     display for display, _ in LEGACY_SCHEME_SPECS
 )
-
-
-def build_schemes(
-    interfaces: int = DEFAULT_INTERFACES, seed: int = 0
-) -> dict[str, Reshaper | None]:
-    """The four defended schemes of Sec. IV plus the undefended original.
-
-    Thin legacy wrapper over the scheme registry
-    (:mod:`repro.schemes.catalog`) — the registry is the single source
-    of truth for each scheme's configuration; this keeps the historical
-    shape (``"Original"`` maps to ``None``, the rest to raw
-    :class:`~repro.core.base.Reshaper` objects).
-    """
-    schemes: dict[str, Reshaper | None] = {"Original": None}
-    for display in SCHEME_NAMES[1:]:
-        schemes[display] = build_raw(legacy_scheme_spec(display, interfaces), seed)
-    return schemes
 
 
 @dataclass

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.analysis.attack import AttackPipeline
 from repro.analysis.windows import window_key
 from repro.defenses.morphing import TrafficMorphing
 from repro.defenses.overhead import overhead_percent
-from repro.defenses.padding import PacketPadding
 from repro.experiments import parallel, registry
 from repro.experiments.registry import (
     ExperimentCell,
@@ -29,9 +30,10 @@ from repro.experiments.registry import (
     ScenarioParams,
     make_cell,
 )
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import EvaluationScenario
+from repro.schemes import SchemeSpec
 from repro.traffic.apps import AppType
-from repro.traffic.trace import Trace
 from repro.util.results import ExperimentResult
 
 __all__ = ["Table6Result", "table6_efficiency"]
@@ -100,22 +102,39 @@ class Table6Result:
         return rows
 
 
-def _app_defenses(
-    scenario: EvaluationScenario,
+#: The padding baseline, as the registry recipe (pad to 1576 B).
+_PADDING = SchemeSpec("padding")
+
+
+def _app_row(
+    runner: ExperimentRunner,
+    pipeline: AttackPipeline,
     app: AppType,
-) -> tuple[list[Trace], float, float]:
-    """One application's padded flows and per-defense mean overheads."""
-    padding = PacketPadding()
-    morph_pairs = TrafficMorphing.paper_morph_pairs()
+) -> tuple[float, float, float]:
+    """One application's timing-attack accuracy and mean overheads.
+
+    Padded flows are featurized through the runner's dispatch and the
+    padding overhead read from the same cached plan; morphing only
+    needs its byte overhead (the timing attack is shared).  Per-class
+    accuracy depends only on that class's confusion row, so scoring
+    each application on its own yields the joint evaluation's numbers.
+    """
+    scenario = runner.scenario
+    padding = runner.scheme(_PADDING)
+    target_app = TrafficMorphing.paper_morph_pairs().get(app.value)
     pad_overheads: list[float] = []
     morph_overheads: list[float] = []
-    flows: list[Trace] = []
+    matrices: list[np.ndarray] = []
     for session_index, trace in enumerate(scenario.evaluation_by_app()[app]):
-        defended = padding.apply(trace)
-        pad_overheads.append(overhead_percent(defended))
-        flows.extend(defended.observable_flows)
-
-        target_app = morph_pairs.get(app.value)
+        matrices.extend(
+            runner.flow_feature_matrices(
+                padding, trace, pipeline.window, pipeline.min_packets
+            )
+        )
+        extra = sum(stage.extra_bytes for stage in runner.stage_overhead(padding, trace))
+        pad_overheads.append(
+            100.0 * extra / trace.total_bytes if trace.total_bytes else 0.0
+        )
         if target_app is None:
             morph_overheads.append(0.0)
         else:
@@ -123,12 +142,31 @@ def _app_defenses(
                 target_trace=scenario.evaluation_trace(AppType(target_app)),
                 seed=scenario.seed + session_index,
             )
-            morphed = morpher.apply(trace)
-            morph_overheads.append(overhead_percent(morphed))
+            morph_overheads.append(overhead_percent(morpher.apply(trace)))
+    report = pipeline.evaluate_matrices({app.value: matrices})
     return (
-        flows,
+        report.accuracy_by_class[app.value],
         sum(pad_overheads) / len(pad_overheads),
         sum(morph_overheads) / len(morph_overheads),
+    )
+
+
+def _timing_attack(scenario: EvaluationScenario, window: float) -> AttackPipeline:
+    """The size-blind attacker, trained on the scenario's training split."""
+    pipeline = AttackPipeline(
+        window=window,
+        seed=scenario.seed,
+        feature_indices=_TIMING_FEATURES,
+    )
+    return pipeline.train(scenario.training_traces())
+
+
+def _table(rows: list[tuple[float, float, float]]) -> Table6Result:
+    """Per-app ``(accuracy, padding %, morphing %)`` rows, in AppType order."""
+    apps = [app.value for app in AppType]
+    accuracy, padding, morphing = (dict(zip(apps, column)) for column in zip(*rows))
+    return Table6Result(
+        accuracy=accuracy, padding_overhead=padding, morphing_overhead=morphing
     )
 
 
@@ -137,58 +175,21 @@ def table6_efficiency(
     window: float = 5.0,
 ) -> Table6Result:
     """Regenerate Table VI (timing attack + per-defense overheads)."""
-    scenario = scenario or EvaluationScenario()
-    pipeline = AttackPipeline(
-        window=window,
-        seed=scenario.seed,
-        feature_indices=_TIMING_FEATURES,
-    )
-    pipeline.train(scenario.training_traces())
-
-    accuracy: dict[str, float] = {}
-    padding_overhead: dict[str, float] = {}
-    morphing_overhead: dict[str, float] = {}
-    flows_by_label: dict[str, list] = {}
-    for app in AppType:
-        flows, pad_mean, morph_mean = _app_defenses(scenario, app)
-        padding_overhead[app.value] = pad_mean
-        morphing_overhead[app.value] = morph_mean
-        flows_by_label[app.value] = flows
-
-    report = pipeline.evaluate_flows(flows_by_label)
-    for app in AppType:
-        accuracy[app.value] = report.accuracy_by_class[app.value]
-
-    return Table6Result(
-        accuracy=accuracy,
-        padding_overhead=padding_overhead,
-        morphing_overhead=morphing_overhead,
-    )
+    runner = ExperimentRunner(scenario or EvaluationScenario())
+    pipeline = _timing_attack(runner.scenario, window)
+    return _table([_app_row(runner, pipeline, app) for app in AppType])
 
 
 # ----------------------------------------------------------------------
 # Registry integration: one cell per application
-#
-# Per-class accuracy depends only on that class's confusion row, so
-# classifying each application's padded flows in its own cell yields
-# exactly the joint evaluation's per-app accuracies.
 # ----------------------------------------------------------------------
 
 
 def _timing_pipeline(params: ScenarioParams, window: float) -> AttackPipeline:
     """Process-local timing-attack pipeline (trained once per worker)."""
-
-    def build() -> AttackPipeline:
-        scenario = parallel.shared_scenario(params)
-        pipeline = AttackPipeline(
-            window=window,
-            seed=scenario.seed,
-            feature_indices=_TIMING_FEATURES,
-        )
-        return pipeline.train(scenario.training_traces())
-
     return parallel.worker_cached(
-        ("table6-pipeline", params, window_key(window)), build
+        ("table6-pipeline", params, window_key(window)),
+        lambda: _timing_attack(parallel.shared_scenario(params), window),
     )
 
 
@@ -212,13 +213,11 @@ def _cells(
 
 def _run_cell(cell: ExperimentCell) -> tuple[float, float, float]:
     params = cell.params["scenario"]
-    app = AppType(cell.params["app"])
-    window = float(cell.params["window"])
-    scenario = parallel.shared_scenario(params)
-    pipeline = _timing_pipeline(params, window)
-    flows, pad_mean, morph_mean = _app_defenses(scenario, app)
-    report = pipeline.evaluate_flows({app.value: flows})
-    return report.accuracy_by_class[app.value], pad_mean, morph_mean
+    return _app_row(
+        parallel.shared_runner(params),
+        _timing_pipeline(params, float(cell.params["window"])),
+        AppType(cell.params["app"]),
+    )
 
 
 def _combine(
@@ -226,18 +225,7 @@ def _combine(
     options: dict[str, object],
     results: list[tuple[float, float, float]],
 ) -> Table6Result:
-    accuracy: dict[str, float] = {}
-    padding_overhead: dict[str, float] = {}
-    morphing_overhead: dict[str, float] = {}
-    for app, (acc, pad_mean, morph_mean) in zip(AppType, results):
-        accuracy[app.value] = acc
-        padding_overhead[app.value] = pad_mean
-        morphing_overhead[app.value] = morph_mean
-    return Table6Result(
-        accuracy=accuracy,
-        padding_overhead=padding_overhead,
-        morphing_overhead=morphing_overhead,
-    )
+    return _table(results)
 
 
 def _to_result(

@@ -67,9 +67,11 @@ def classification_accuracy_table(
     interfaces: int = DEFAULT_INTERFACES,
 ) -> AccuracyTable:
     """Regenerate Table II (window=5) or Table III (window=60)."""
-    scenario = scenario or EvaluationScenario()
-    runner = ExperimentRunner(scenario)
-    reports = runner.evaluate_all_schemes(window, interfaces)
+    runner = ExperimentRunner(scenario or EvaluationScenario())
+    reports = {
+        name: runner.evaluate_scheme(legacy_scheme_spec(name, interfaces), window)
+        for name in SCHEME_NAMES
+    }
     return AccuracyTable(window=window, reports=reports)
 
 

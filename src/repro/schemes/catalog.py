@@ -250,8 +250,8 @@ register_scheme(
 
 
 #: The five schemes of Tables II/III, in column order, as registry
-#: specs.  ``scenarios.build_schemes`` and the streaming experiments
-#: derive their scheme dicts from this single table.
+#: specs.  The table experiments and the streaming experiments derive
+#: their scheme columns from this single table.
 LEGACY_SCHEME_SPECS: tuple[tuple[str, str], ...] = (
     ("Original", "original"),
     ("FH", "fh"),
@@ -268,8 +268,7 @@ def legacy_scheme_spec(
 
     ``name`` may be a display spelling (``"OR"``) or a canonical key;
     interface-parameterized schedulers get ``interfaces`` stamped into
-    the spec (FH and the byte-level defenses ignore it, matching the
-    historical ``build_schemes`` behavior).
+    the spec (FH and the byte-level defenses ignore it).
     """
     canonical = get_scheme(name).name
     if canonical in ("ra", "rr", "or", "modulo"):

@@ -135,9 +135,9 @@ def all_scheme_definitions() -> tuple[SchemeDefinition, ...]:
 def build_raw(spec: SchemeSpec | str, seed: int = 0) -> object:
     """Build the *raw* object behind ``spec`` (Reshaper/Defense/Scheme).
 
-    The legacy surfaces (``scenarios.build_schemes``, the streaming
-    base-reshaper factory) want the unwrapped scheduler; everything
-    else should prefer :func:`build_scheme`.
+    The streaming base-reshaper factory and the WLAN simulation want
+    the unwrapped scheduler; everything else should prefer
+    :func:`build_scheme`.
     """
     if isinstance(spec, str):
         spec = SchemeSpec(spec)

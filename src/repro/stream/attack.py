@@ -8,8 +8,8 @@ scaler + classifier pair and turns a packet stream into a stream of
   :class:`~repro.analysis.attack.AttackPipeline`'s scaler, feature
   selection and winning classifier.  Because the streaming featurizer is
   bit-identical to the batch engine and classification is row-wise, the
-  per-window predictions match ``AttackPipeline.evaluate_flows`` on the
-  same flows exactly — the parity bar the integration tests assert.
+  per-window predictions match the batch evaluation of the same flows
+  exactly — the parity bar the integration tests assert.
 * **learning** (``learn=True``) — the classifier must satisfy the
   :class:`~repro.analysis.classifiers.base.OnlineClassifier` protocol;
   each labeled window is first predicted, then fed to ``partial_fit``

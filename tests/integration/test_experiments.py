@@ -7,7 +7,7 @@ import pytest
 
 from repro.experiments.fig1 import figure1_cdf_series
 from repro.experiments.fig45 import figure4_series, figure5_series
-from repro.experiments.scenarios import EvaluationScenario, build_schemes
+from repro.experiments.scenarios import SCHEME_NAMES, EvaluationScenario
 from repro.experiments.table1 import table1_interface_features
 from repro.experiments.tables23 import classification_accuracy_table
 from repro.experiments.table4 import table4_false_positives
@@ -18,6 +18,8 @@ from repro.experiments.discussion import (
     reshaping_scalability,
     tpc_linking_experiment,
 )
+from repro.schemes import build_scheme, legacy_scheme_spec
+from repro.schemes.base import IdentityScheme
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +125,8 @@ class TestDiscussion:
 
 
 class TestSchemes:
-    def test_build_schemes_names(self):
-        schemes = build_schemes()
-        assert list(schemes) == ["Original", "FH", "RA", "RR", "OR"]
-        assert schemes["Original"] is None
+    def test_table_columns_resolve_to_registry_specs(self):
+        assert SCHEME_NAMES == ("Original", "FH", "RA", "RR", "OR")
+        specs = [legacy_scheme_spec(name) for name in SCHEME_NAMES]
+        assert [spec.scheme for spec in specs] == ["original", "fh", "ra", "rr", "or"]
+        assert isinstance(build_scheme(specs[0]), IdentityScheme)

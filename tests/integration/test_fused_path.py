@@ -1,8 +1,8 @@
 """Integration: the fused evaluation path end to end.
 
 Three claims ride on the fused kernels at runner level.  Reports are
-bit-identical to the legacy ``observable_flows`` → ``evaluate_flows``
-loop for every legacy scheme.  Telemetry proves the route taken: a
+bit-identical to the materializing oracle (apply → featurize → score,
+:mod:`oracles.materializing`) for every legacy scheme.  Telemetry proves the route taken: a
 table run over fusable schemes records ``batch.fused_plans`` and zero
 ``batch.fallback_flows``, while a morphing run records the fallback.
 And the CLI profile carries the counters out, so CI can assert the
@@ -14,8 +14,8 @@ import json
 import numpy as np
 import pytest
 
+from oracles import materializing
 from repro import obs
-from repro.analysis.batch import WindowCache
 from repro.cli import main
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import EvaluationScenario
@@ -41,18 +41,13 @@ def scenario():
     )
 
 
-def legacy_report(runner, scheme, window):
-    """The materializing loop evaluate_scheme replaced."""
-    pipeline = runner.pipeline(window)
-    flows_by_label = {
-        label: [
-            flow
-            for trace in traces
-            for flow in runner.observable_flows(scheme, trace)
-        ]
-        for label, traces in runner.scenario.evaluation_by_label().items()
-    }
-    return pipeline.evaluate_flows(flows_by_label, cache=WindowCache())
+def legacy_report(runner, spec, window):
+    """The materializing oracle's report for ``spec`` (None: undefended)."""
+    return materializing.evaluate_scheme(
+        runner.pipeline(window),
+        None if spec is None else runner.scheme(spec),
+        runner.scenario.evaluation_by_label(),
+    )
 
 
 def assert_reports_equal(fused, reference):

@@ -12,6 +12,7 @@ Covers the acceptance bars of the scheme refactor:
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,32 @@ class TestSchemesCli:
         assert payload["params"]["scheme_params"] == "channels=1,6;dwell=0.25"
         # Two channels -> at most 2 observable slices per trace (7 traces).
         assert payload["rows"][0][5] <= 2 * 7
+
+    @pytest.mark.parametrize(
+        "options, duplicate",
+        [
+            ({"schemes": "or,OR"}, "'or'"),
+            ({"schemes": "padding+or,Padding+Orthogonal"}, "'padding+or'"),
+            ({"schemes": "or", "classifiers": "bayes,bayes"}, "'bayes'"),
+        ],
+    )
+    def test_duplicate_grid_entries_are_refused(self, options, duplicate):
+        # Duplicates used to yield identical rows under one cell name,
+        # and the stage_overhead extra silently collapsed them.
+        from repro.experiments import registry as experiment_registry
+
+        spec = experiment_registry.get("combined_grid")
+        with pytest.raises(
+            ValueError, match=re.escape(f"lists {duplicate} more than once")
+        ):
+            spec.build_cells(TINY, spec.resolve_options(options))
+
+    def test_duplicate_grid_entries_exit_2(self, capsys):
+        assert main([
+            "run", "combined_grid", *TINY_FLAGS,
+            "--set", "schemes=or,OR", "--set", "classifiers=bayes",
+        ]) == 2
+        assert "more than once" in capsys.readouterr().err
 
     def test_scheme_flag_conflicting_with_set_exits_2(self, capsys):
         assert main([

@@ -19,6 +19,7 @@ from repro.cli import main
 from repro.experiments import parallel
 from repro.experiments.registry import ScenarioParams
 from repro.experiments.runner import ExperimentRunner
+from repro.schemes import legacy_scheme_spec
 from repro.stream import OnlineAttack, PacketStream
 
 TINY = ScenarioParams(
@@ -46,14 +47,14 @@ class TestStreamingParity:
     def test_window_predictions_match_evaluate_flows(self, scheme):
         runner = ExperimentRunner(TINY.build())
         pipeline = runner.pipeline(5.0)
-        reshaper = runner.schemes(3)[scheme]
+        spec = legacy_scheme_spec(scheme, 3)
 
         flows_by_label = {}
         streams = []
         for label, traces in runner.scenario.evaluation_by_label().items():
             flows = []
             for trace in traces:
-                flows.extend(runner.observable_flows(reshaper, trace))
+                flows.extend(runner.observable_flows(spec, trace))
             flows_by_label[label] = flows
             streams.extend(
                 PacketStream.replay(flow, station=f"{label}/f{index}", label=label)
@@ -62,7 +63,7 @@ class TestStreamingParity:
 
         attacker = OnlineAttack.from_pipeline(pipeline)
         attacker.consume(PacketStream.merge(streams))
-        batch = pipeline.evaluate_flows(flows_by_label, cache=runner.window_cache)
+        batch = pipeline.evaluate_flows(flows_by_label)
 
         streaming = attacker.report()
         assert streaming.confusion.classes == batch.confusion.classes
@@ -75,12 +76,12 @@ class TestStreamingParity:
         """Stronger than matrix equality: flow-by-flow label sequences."""
         runner = ExperimentRunner(TINY.build())
         pipeline = runner.pipeline(5.0)
-        reshaper = runner.schemes(3)["OR"]
+        spec = legacy_scheme_spec("OR", 3)
         from repro.analysis.batch import flow_feature_matrix
 
         for label, traces in runner.scenario.evaluation_by_label().items():
             for trace in traces:
-                for index, flow in enumerate(runner.observable_flows(reshaper, trace)):
+                for flow in runner.observable_flows(spec, trace):
                     attacker = OnlineAttack.from_pipeline(pipeline)
                     attacker.consume(
                         PacketStream.replay(flow, station="f", label=label)

@@ -1,8 +1,9 @@
 """Tests for the end-to-end attack pipeline."""
 
+import numpy as np
 import pytest
 
-from repro.analysis.attack import AttackPipeline, DefenseEvaluation
+from repro.analysis.attack import AttackPipeline
 from repro.core.engine import ReshapingEngine
 from repro.core.schedulers import OrthogonalReshaper
 from repro.defenses.padding import PacketPadding
@@ -39,7 +40,7 @@ class TestTraining:
     def test_untrained_pipeline_refuses_to_classify(self):
         pipeline = AttackPipeline(window=5.0)
         with pytest.raises(RuntimeError):
-            pipeline.classify_windows([])
+            pipeline.transform_matrix(np.zeros((0, 12)))
         assert pipeline.classifier_name == "untrained"
 
     def test_empty_training_rejected(self):
@@ -60,7 +61,7 @@ class TestEvaluation:
             app.value: [generator.generate(app, duration=60.0, session=9)]
             for app in AppType
         }
-        report = trained.evaluate_traces(held_out)
+        report = trained.evaluate_flows(held_out)
         assert report.mean_accuracy > 60.0
 
     def test_or_reduces_identifiability_of_bt(self, trained):
@@ -73,42 +74,39 @@ class TestEvaluation:
         report = trained.evaluate_flows({"bittorrent": flows})
         assert report.accuracy_by_class["bittorrent"] < 60.0
 
-    def test_classify_windows_empty(self, trained):
-        assert trained.classify_windows([]) == []
-
-    def test_classify_windows_agrees_with_matrix_path(self, trained):
+    def test_per_window_features_classify_like_matrix_path(self, trained):
         from repro.analysis.batch import flow_feature_matrix
+        from repro.analysis.features import extract_features
         from repro.analysis.windows import sliding_windows
         from repro.traffic.generator import TrafficGenerator
 
         generator = TrafficGenerator(seed=782)
         flow = generator.generate(AppType.VIDEO, 60.0, session=8)
         windows = sliding_windows(flow, trained.window, trained.min_packets)
-        per_window = trained.classify_windows(windows)
+        per_window = trained.classify_matrix(
+            np.vstack(
+                [extract_features(w, trained.window, label=None).vector for w in windows]
+            )
+        )
         batched = trained.classify_matrix(
             flow_feature_matrix(flow, trained.window, trained.min_packets)
         )
         assert per_window == batched
 
     def test_classify_matrix_empty(self, trained):
-        import numpy as np
-
         assert trained.classify_matrix(np.empty((0, 12))) == []
 
     def test_classify_matrix_untrained(self):
-        import numpy as np
-
         with pytest.raises(RuntimeError):
             AttackPipeline(window=5.0).classify_matrix(np.zeros((1, 12)))
 
-    def test_defense_evaluation_container(self, trained):
+    def test_padded_flows_evaluate(self, trained):
         from repro.traffic.generator import TrafficGenerator
 
         generator = TrafficGenerator(seed=779)
-        evaluation = DefenseEvaluation()
         trace = generator.generate(AppType.CHATTING, 60.0, session=3)
-        evaluation.add("chatting", PacketPadding().apply(trace))
-        report = trained.evaluate_defense(evaluation)
+        flows = PacketPadding().apply(trace).observable_flows
+        report = trained.evaluate_flows({"chatting": flows})
         assert report.confusion.total > 0
 
     def test_report_mean_fp(self, trained):
@@ -119,7 +117,7 @@ class TestEvaluation:
             app.value: [generator.generate(app, duration=60.0, session=4)]
             for app in AppType
         }
-        report = trained.evaluate_traces(held_out)
+        report = trained.evaluate_flows(held_out)
         assert 0.0 <= report.mean_false_positive <= 100.0
 
 
@@ -138,5 +136,5 @@ class TestFeatureMasking:
             app.value: [generator.generate(app, duration=60.0, session=6)]
             for app in AppType
         }
-        report = pipeline.evaluate_traces(held_out)
+        report = pipeline.evaluate_flows(held_out)
         assert report.mean_accuracy > 100.0 / 7.0

@@ -14,8 +14,8 @@ from repro.analysis.batch import (
     WindowCache,
     augment_direction_dropout,
     flow_feature_matrix,
-    flows_feature_matrix,
 )
+from repro.defenses.base import DefendedTraffic
 from repro.analysis.features import (
     direction_dropout_variants,
     features_from_windows,
@@ -115,17 +115,14 @@ class TestFlowFeatureMatrix:
             flow_feature_matrix(Trace.empty(), 5.0, min_packets=0)
 
 
-class TestFlowsFeatureMatrix:
-    def test_concatenates_in_flow_order(self):
+class TestSeveralFlows:
+    def test_rows_match_window_traces_in_flow_order(self):
         rng = np.random.default_rng(21)
         flows = [random_trace(rng, 120, 5.0) for _ in range(3)]
-        stacked = flows_feature_matrix(flows, 5.0, 2)
-        per_flow = [flow_feature_matrix(f, 5.0, 2) for f in flows]
-        assert np.array_equal(stacked, np.concatenate(per_flow))
+        stacked = np.concatenate([flow_feature_matrix(f, 5.0, 2) for f in flows])
+        reference = np.concatenate([legacy_matrix(f, 5.0, 2) for f in flows])
+        np.testing.assert_allclose(stacked, reference, rtol=1e-12, atol=1e-12)
         assert len(stacked) == len(window_traces(flows, 5.0, 2))
-
-    def test_empty_input(self):
-        assert flows_feature_matrix([], 5.0).shape == (0, 12)
 
 
 class TestAugmentDirectionDropout:
@@ -166,21 +163,23 @@ class TestWindowCache:
         assert cache.feature_matrix(flow, 0.1 + 0.2, 2) is cache.feature_matrix(flow, 0.3, 2)
         assert cache.misses == 1
 
-    def test_observable_flows_builds_once(self):
+    def test_defended_flows_builds_once(self):
         trace = Trace.from_arrays([0.0, 1.0], [10, 20])
         cache = WindowCache()
         calls = []
 
         def build():
             calls.append(1)
-            return [trace]
+            return DefendedTraffic(original=trace, flows={0: trace}), None
 
         scheme = object()
-        assert cache.observable_flows(scheme, trace, build) == [trace]
-        assert cache.observable_flows(scheme, trace, build) == [trace]
+        first, _ = cache.defended_flows(scheme, trace, build)
+        second, _ = cache.defended_flows(scheme, trace, build)
+        assert first is second
+        assert first.observable_flows == [trace]
         assert len(calls) == 1
         # A different scheme re-reshapes.
-        cache.observable_flows(object(), trace, build)
+        cache.defended_flows(object(), trace, build)
         assert len(calls) == 2
 
     def test_clear(self):

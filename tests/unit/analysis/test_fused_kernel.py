@@ -6,8 +6,8 @@ kernel's unit-level contracts — telemetry (counts, the O(one flow)
 ``batch.bytes_materialized`` gauge), empty-flow handling — and the
 cache semantics the runner depends on: None plans are cached (fallback
 schemes don't re-attempt fusion per window), captured subprofiles come
-back on every request, and the preallocating ``flows_feature_matrix``
-still equals the concatenate-of-parts construction.
+back on every request — and that every featurization site runs the
+one shared windowing kernel.
 """
 
 import numpy as np
@@ -17,10 +17,10 @@ from repro import obs
 from repro.analysis.batch import (
     WindowCache,
     flow_feature_matrix,
-    flows_feature_matrix,
     fused_feature_matrices,
     fused_flow_matrices,
 )
+from repro.defenses.base import FusedPlan
 from repro.schemes import build_stack
 from repro.traffic.trace import Trace
 
@@ -98,27 +98,38 @@ class TestFusedKernel:
             fused_flow_matrices(trace, plan, window=5.0, min_packets=0)
 
 
-class TestFlowsFeatureMatrixPreallocation:
-    """The preallocated writer equals building each block and stacking."""
+class TestOneKernel:
+    """All three featurization sites share one windowing kernel.
+
+    ``flow_feature_matrix``, the fused kernel's single-flow branch and
+    its multi-flow branch must agree bit for bit on the same packets.
+    """
+
+    @staticmethod
+    def _three_sites(trace, min_packets):
+        columns = (trace.times, trace.sizes, trace.directions)
+        n = len(trace)
+        single = FusedPlan.from_assignments(np.zeros(n, dtype=np.int64), n_flows=1)
+        # Every packet in flow 0 of two: forces the multi-flow gather.
+        multi = FusedPlan.from_assignments(np.zeros(n, dtype=np.int64), n_flows=2)
+        (via_single,) = fused_feature_matrices(*columns, single, 5.0, min_packets)
+        via_multi, empty = fused_feature_matrices(*columns, multi, 5.0, min_packets)
+        assert empty.shape == (0, 12)
+        return flow_feature_matrix(trace, 5.0, min_packets), via_single, via_multi
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("min_packets", [1, 2, 5])
-    def test_equals_concatenated_per_flow_blocks(self, seed, min_packets):
-        rng = np.random.default_rng(seed)
-        flows = [make_trace(n=int(n), seed=seed + 50 + i) for i, n in
-                 enumerate(rng.integers(0, 400, 6))]
-        stacked = flows_feature_matrix(flows, 5.0, min_packets)
-        reference = [flow_feature_matrix(f, 5.0, min_packets) for f in flows]
-        expected = (
-            np.concatenate(reference, axis=0)
-            if reference
-            else np.empty((0, 12))
+    def test_sites_agree(self, seed, min_packets):
+        n = int(np.random.default_rng(seed).integers(1, 400))
+        reference, via_single, via_multi = self._three_sites(
+            make_trace(n=n, seed=seed + 50), min_packets
         )
-        assert stacked.shape == expected.shape
-        np.testing.assert_array_equal(stacked, expected)
+        np.testing.assert_array_equal(via_single, reference)
+        np.testing.assert_array_equal(via_multi, reference)
 
-    def test_no_flows(self):
-        assert flows_feature_matrix([], 5.0, 2).shape == (0, 12)
+    def test_empty_flow(self):
+        for matrix in self._three_sites(make_trace(n=0), 2):
+            assert matrix.shape == (0, 12)
 
 
 class TestWindowCacheFusedMemoization:

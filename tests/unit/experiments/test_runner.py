@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core.schedulers import OrthogonalReshaper
+from repro.defenses.base import StageOverhead
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import EvaluationScenario
+from repro.schemes import SchemeSpec, build_scheme, legacy_scheme_spec
 
 
 @pytest.fixture(scope="module")
@@ -34,18 +35,17 @@ class TestPipelineCache:
 
 class TestWindowCacheSharing:
     def test_scheme_objects_stable_across_calls(self, runner):
-        # Reshaper identity keys the observable-flows cache, so the
-        # runner must not rebuild fresh scheme objects per call.
-        first = runner.schemes(3)
-        second = runner.schemes(3)
-        assert all(first[name] is second[name] for name in first)
-        assert runner.schemes(2) is not first
+        # Scheme identity keys the window cache, so the runner must not
+        # rebuild fresh scheme objects per call.
+        first = runner.scheme(legacy_scheme_spec("OR", 3))
+        assert runner.scheme(SchemeSpec("or", (("interfaces", 3),))) is first
+        assert runner.scheme(legacy_scheme_spec("OR", 2)) is not first
 
     def test_reshaped_flows_cached_across_windows(self, runner):
-        reshaper = OrthogonalReshaper.paper_default()
+        scheme = build_scheme("or")
         trace = runner.scenario.evaluation_traces()[runner.app_order()[0]][0]
-        first = runner.observable_flows(reshaper, trace)
-        second = runner.observable_flows(reshaper, trace)
+        first = runner.observable_flows(scheme, trace)
+        second = runner.observable_flows(scheme, trace)
         assert all(a is b for a, b in zip(first, second))
 
     def test_original_flows_bypass_cache(self, runner):
@@ -61,3 +61,26 @@ class TestWindowCacheSharing:
         assert runner.window_cache.misses == misses  # second pass all hits
         assert runner.window_cache.hits >= misses
         assert report.confusion.total > 0
+
+
+class TestStageOverhead:
+    def test_fused_accounting_matches_apply(self, runner):
+        trace = runner.scenario.evaluation_traces()[runner.app_order()[0]][0]
+        for composition in ("or", "padding", "padding+or", "pseudonym+or"):
+            expected = runner.scheme(composition).apply(trace).stages
+            assert runner.stage_overhead(composition, trace) == expected
+
+    def test_fallback_reads_the_cached_application(self, runner):
+        trace = runner.scenario.evaluation_traces()[runner.app_order()[0]][0]
+        flows = runner.observable_flows("morphing", trace)
+        (stage,) = runner.stage_overhead("morphing", trace)
+        assert isinstance(stage, StageOverhead)
+        assert stage.scheme == "morphing"
+        assert stage.flows == len(flows)
+        hits = runner.window_cache.hits
+        runner.stage_overhead("morphing", trace)  # plan + flow hits, no apply
+        assert runner.window_cache.hits == hits + 2
+
+    def test_undefended_original_has_no_stages(self, runner):
+        trace = runner.scenario.evaluation_traces()[runner.app_order()[0]][0]
+        assert runner.stage_overhead(None, trace) == ()

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.base import Reshaper
-from repro.experiments.scenarios import SCHEME_NAMES, EvaluationScenario, build_schemes
+from repro.experiments.scenarios import SCHEME_NAMES, EvaluationScenario
+from repro.schemes import build_raw, legacy_scheme_spec
+from repro.schemes.base import IdentityScheme
 from repro.traffic.apps import AppType
 
 
@@ -15,21 +17,18 @@ def scenario():
     )
 
 
-class TestBuildSchemes:
+class TestTableSchemes:
     def test_scheme_order_matches_tables(self):
         assert SCHEME_NAMES == ("Original", "FH", "RA", "RR", "OR")
-        assert list(build_schemes()) == list(SCHEME_NAMES)
 
-    def test_original_is_none_rest_are_reshapers(self):
-        schemes = build_schemes()
-        assert schemes["Original"] is None
+    def test_original_is_identity_rest_are_reshapers(self):
+        assert isinstance(build_raw(legacy_scheme_spec("Original")), IdentityScheme)
         for name in ("FH", "RA", "RR", "OR"):
-            assert isinstance(schemes[name], Reshaper)
+            assert isinstance(build_raw(legacy_scheme_spec(name)), Reshaper)
 
     def test_interface_count_propagates(self):
-        schemes = build_schemes(interfaces=5)
-        assert schemes["RA"].interfaces == 5
-        assert schemes["OR"].interfaces == 5
+        assert build_raw(legacy_scheme_spec("RA", 5)).interfaces == 5
+        assert build_raw(legacy_scheme_spec("OR", 5)).interfaces == 5
 
 
 class TestScenario:

@@ -131,12 +131,15 @@ class TestLegacySpecs:
         }
         assert legacy_scheme_spec("Original").param_dict() == {}
 
-    def test_build_schemes_delegates_to_registry(self):
-        from repro.experiments.scenarios import SCHEME_NAMES, build_schemes
+    def test_runner_builds_table_columns_from_the_registry(self):
+        from repro.experiments.runner import ExperimentRunner
+        from repro.experiments.scenarios import SCHEME_NAMES, EvaluationScenario
 
-        schemes = build_schemes(interfaces=5, seed=2)
-        assert list(schemes) == list(SCHEME_NAMES)
-        assert schemes["Original"] is None
+        runner = ExperimentRunner(EvaluationScenario(seed=2))
+        schemes = {
+            name: runner.scheme(legacy_scheme_spec(name, 5)) for name in SCHEME_NAMES
+        }
+        assert isinstance(schemes["Original"], IdentityScheme)
         for name in SCHEME_NAMES[1:]:
-            assert isinstance(schemes[name], Reshaper)
-        assert schemes["OR"].interfaces == 5
+            assert isinstance(schemes[name].reshaper, Reshaper)
+        assert schemes["OR"].reshaper.interfaces == 5
