@@ -22,18 +22,16 @@ No per-window ``Trace`` is materialized.  The legacy per-window path
 is kept as the reference oracle; the property tests assert the two
 paths agree element-for-element.
 
-``_direction_block`` doubles as the shared per-window kernel of the
-streaming engine: :class:`repro.stream.featurizer.StreamingFeaturizer`
-applies it to each closed window's buffered packets with a two-edge
-grid, which is what makes streaming output bit-identical to this
-module's matrices (a ufunc reduction sees the same contiguous float64
-values either way).  Changes to its arithmetic are parity-tested from
-both sides.
-
 Every batch entry point — :func:`flow_feature_matrix` and both branches
 of :func:`fused_feature_matrices` — lays the window grid, splits
 directions and applies the ``min_packets`` filter through one private
-kernel, ``_flow_matrix``.
+kernel, ``_flow_matrix``, over ``_grid_block``.  The streaming engine
+(:class:`repro.stream.featurizer.StreamingFeaturizer`) calls
+``_grid_block`` too, on the run of grid windows a chunk of packets
+closes, which is what makes streaming output bit-identical to this
+module's matrices: a window's reductions see the same contiguous
+float64 values wherever its segment sits.  Changes to the kernel's
+arithmetic are parity-tested from both sides.
 
 :class:`WindowCache` memoizes what the experiment drivers recompute
 most — feature matrices, fused plans and defended traffic — so the
@@ -131,21 +129,17 @@ def _direction_block(
     block[:, 5] = np.log(mean_iat + _IAT_EPSILON)
 
 
-def _flow_matrix(
-    first: float,
-    last: float,
+def _grid_block(
+    edges: np.ndarray,
     by_direction: Iterable[tuple[np.ndarray, np.ndarray]],
     window: float,
-    min_packets: int,
-) -> np.ndarray:
-    """The one windowing kernel behind every featurization entry point.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows and packet totals of every window on ``edges``.
 
-    ``first``/``last`` are the flow's extreme timestamps (all
-    :func:`window_edges` reads); ``by_direction`` yields the downlink's
-    then the uplink's ``(times, float64 sizes)`` in time order.  Fills
-    both 6-feature halves and keeps windows of ``min_packets`` or more.
+    ``by_direction`` yields the downlink's then the uplink's ``(times,
+    float64 sizes)`` in time order; packets of any other direction are
+    neither featurized nor counted.
     """
-    edges = window_edges(np.array([first, last]), window)
     idle_cutoff = min(DEFAULT_IDLE_CUTOFF, window)
     matrix = np.empty((len(edges) - 1, _N_FEATURES), dtype=np.float64)
     totals = np.zeros(len(edges) - 1, dtype=np.int64)
@@ -158,6 +152,25 @@ def _flow_matrix(
         )
         del dtimes, dsizes  # a lazy split holds one direction at a time
         column += 6
+    return matrix, totals
+
+
+def _flow_matrix(
+    first: float,
+    last: float,
+    by_direction: Iterable[tuple[np.ndarray, np.ndarray]],
+    window: float,
+    min_packets: int,
+) -> np.ndarray:
+    """The one windowing kernel behind every featurization entry point.
+
+    ``first``/``last`` are the flow's extreme timestamps (all
+    :func:`window_edges` reads); ``by_direction`` is as for
+    :func:`_grid_block`.  Keeps windows of ``min_packets`` or more.
+    """
+    matrix, totals = _grid_block(
+        window_edges(np.array([first, last]), window), by_direction, window
+    )
     return matrix[totals >= min_packets]
 
 

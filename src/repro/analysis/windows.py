@@ -9,10 +9,15 @@ eavesdropper cannot classify silence).
 :func:`window_edges` defines the canonical window grid of a flow; it is
 shared by the per-window slicer below and by the vectorized batch
 featurizer (:mod:`repro.analysis.batch`), so both paths agree on window
-boundaries by construction.  :func:`sliding_windows` remains the
-reference per-window path: it materializes one re-based sub-``Trace``
-per window (columns other than time are views into the parent flow, not
-copies) and is what the batch engine is tested against.
+boundaries by construction.  The grid rule itself — packet ``t`` lies
+in window ``k`` iff ``start + k*W <= t < start + (k+1)*W``, evaluated
+in that exact float arithmetic — lives in :func:`window_index` (one
+timestamp) and :func:`window_indices` (a column), which the streaming
+featurizer (:mod:`repro.stream.featurizer`) uses to place packets on
+the same grid.  :func:`sliding_windows` remains the reference
+per-window path: it materializes one re-based sub-``Trace`` per window
+(columns other than time are views into the parent flow, not copies)
+and is what the batch engine is tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +27,15 @@ import numpy as np
 from repro.traffic.trace import Trace
 from repro.util.validation import require, require_positive
 
-__all__ = ["sliding_windows", "window_edges", "window_key", "window_traces"]
+__all__ = [
+    "grid_edges",
+    "sliding_windows",
+    "window_edges",
+    "window_index",
+    "window_indices",
+    "window_key",
+    "window_traces",
+]
 
 #: Decimal places used to normalize eavesdropping-window cache keys.
 _WINDOW_KEY_DECIMALS = 9
@@ -40,26 +53,59 @@ def window_key(window: float) -> float:
     return round(float(window), _WINDOW_KEY_DECIMALS)
 
 
+def window_index(time: float, start: float, window: float) -> int:
+    """The index ``k`` of the grid window ``[start + k*W, start + (k+1)*W)``
+    holding ``time`` (``time >= start``).
+
+    The division is only a first guess; the comparisons are
+    authoritative under float rounding, so a packet landing exactly on
+    an edge opens the next window on every path.
+    """
+    index = int((time - start) / window)
+    while start + index * window > time:
+        index -= 1
+    while start + (index + 1) * window <= time:
+        index += 1
+    return index
+
+
+def window_indices(times: np.ndarray, start: float, window: float) -> np.ndarray:
+    """:func:`window_index` of every entry of ``times`` (all ``>= start``).
+
+    ``start`` may be an array, one grid anchor per entry.
+    """
+    index = ((times - start) / window).astype(np.int64)
+    while True:
+        over = start + index * window > times
+        if not over.any():
+            break
+        index -= over
+    while True:
+        under = start + (index + 1) * window <= times
+        if not under.any():
+            break
+        index += under
+    return index
+
+
+def grid_edges(start: float, first: int, stop: int, window: float) -> np.ndarray:
+    """Edges ``start + k*W``, ``k = first .. stop``: windows ``first .. stop - 1``."""
+    return start + np.arange(first, stop + 1) * window
+
+
 def window_edges(times: np.ndarray, window: float) -> np.ndarray:
     """Edges of the consecutive W-second windows covering ``times``.
 
     Returns ``count + 1`` edges for ``count`` half-open windows
     ``[edge[k], edge[k+1])``, the minimum number that covers every
-    packet (a packet landing exactly on the final flow timestamp at a
-    whole multiple of W still falls inside the last window).
+    packet: the grid anchors at the first timestamp and ends with the
+    window holding the last (a packet landing exactly on the final flow
+    timestamp at a whole multiple of W still falls inside it).
     """
     if len(times) == 0:
         raise ValueError("window_edges requires at least one timestamp")
     start = float(times[0])
-    end = float(times[-1])
-    count = max(1, int(np.ceil((end - start) / window)))
-    # Test the coverage invariant directly rather than nudging the
-    # division with an epsilon: a span that is an exact multiple of W
-    # (or rounds to one) must still place the final packet strictly
-    # inside the last half-open window.
-    while start + count * window <= end:
-        count += 1
-    return start + np.arange(count + 1) * window
+    return grid_edges(start, 0, window_index(float(times[-1]), start, window) + 1, window)
 
 
 def sliding_windows(

@@ -3,11 +3,14 @@
 The batch pipeline (:mod:`repro.analysis`) evaluates whole traces after
 the fact; this package evaluates them *as they happen*:
 
-* :mod:`repro.stream.source` — :class:`PacketStream`: lazy trace replay
-  and bounded-memory k-way merge of concurrent stations.
+* :mod:`repro.stream.source` — :class:`PacketStream`: trace and corpus
+  replay as time-ordered column chunks (:class:`PacketChunk`) through a
+  bounded-memory vectorized k-way merge of concurrent stations, or as
+  one :class:`PacketEvent` at a time.
 * :mod:`repro.stream.featurizer` — :class:`StreamingFeaturizer`: open
-  windows maintained incrementally, each closed window's 12-feature
-  vector bit-identical to the batch oracle
+  windows maintained incrementally, a chunk's closed windows featurized
+  by the batch kernel in one call per station, each 12-feature vector
+  bit-identical to the batch oracle
   (:func:`repro.analysis.batch.flow_feature_matrix`).
 * :mod:`repro.stream.attack` — :class:`OnlineAttack`: classify windows
   the moment they close, optionally learning prequentially through the
@@ -24,13 +27,14 @@ from the ``repro`` CLI.
 from repro.stream.adaptive import AdaptiveReshaper, ArmsRaceOutcome, run_arms_race
 from repro.stream.attack import OnlineAttack, WindowPrediction
 from repro.stream.featurizer import ClosedWindow, StreamingFeaturizer
-from repro.stream.source import PacketEvent, PacketStream
+from repro.stream.source import PacketChunk, PacketEvent, PacketStream
 
 __all__ = [
     "AdaptiveReshaper",
     "ArmsRaceOutcome",
     "ClosedWindow",
     "OnlineAttack",
+    "PacketChunk",
     "PacketEvent",
     "PacketStream",
     "StreamingFeaturizer",

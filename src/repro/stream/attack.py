@@ -2,7 +2,11 @@
 
 Wraps a :class:`~repro.stream.featurizer.StreamingFeaturizer` around a
 scaler + classifier pair and turns a packet stream into a stream of
-:class:`WindowPrediction`.  Two operating modes:
+:class:`WindowPrediction`.  :meth:`OnlineAttack.consume` drains a
+capture as column chunks (any event iterable is batched into chunks
+first); :meth:`OnlineAttack.observe` / :meth:`~OnlineAttack.observe_event`
+take one packet at a time, for loops that react to every close.  Two
+operating modes:
 
 * **frozen** (:meth:`OnlineAttack.from_pipeline`) — reuse a batch-trained
   :class:`~repro.analysis.attack.AttackPipeline`'s scaler, feature
@@ -34,6 +38,7 @@ from repro.analysis.attack import AttackPipeline, AttackReport
 from repro.analysis.classifiers import Classifier, OnlineClassifier
 from repro.analysis.metrics import ConfusionMatrix
 from repro.stream.featurizer import ClosedWindow, StreamingFeaturizer
+from repro.stream.source import PacketStream, event_chunks
 
 __all__ = ["OnlineAttack", "WindowPrediction"]
 
@@ -183,15 +188,29 @@ class OnlineAttack:
         return self._handle(self.featurizer.push_event(event, flow))
 
     def consume(self, stream) -> list[WindowPrediction]:
-        """Drain an entire :class:`~repro.stream.source.PacketStream`.
+        """Drain an entire capture, then flush.
 
-        Convenience for non-adaptive replays: observes every event, then
-        flushes.  Returns every prediction made (also accumulated on
+        For non-adaptive replays.  A :class:`~repro.stream.source.PacketStream`
+        is read as column chunks; any other iterable of
+        :class:`~repro.stream.source.PacketEvent` is batched into chunks
+        first.  Frozen, each chunk's closed windows are classified in one
+        pass; learning, they are handled one close at a time in close
+        order, exactly as per-event :meth:`observe_event` calls would.
+        Returns every prediction made (also accumulated on
         :attr:`predictions`).
         """
+        if isinstance(stream, PacketStream):
+            chunks = stream.chunks()
+        else:
+            chunks = event_chunks(stream)
         emitted: list[WindowPrediction] = []
-        for event in stream:
-            emitted.extend(self.observe_event(event))
+        for chunk in chunks:
+            closed = self.featurizer.push_chunk(chunk)
+            if self._learn:
+                for window in closed:
+                    emitted.extend(self._handle([window]))
+            else:
+                emitted.extend(self._handle(closed))
         emitted.extend(self.finish())
         return emitted
 

@@ -1,41 +1,59 @@
-"""Packet streams: replaying traces as timestamp-ordered event sources.
+"""Packet streams: replaying traces as timestamp-ordered captures.
 
 The paper's threat model is online — "the adversary keeps snooping the
 WLAN channels" and classifies traffic as it is captured — so the
-streaming engine consumes *events*, not whole traces.
-:class:`PacketStream` is the abstraction: an iterable of
-:class:`PacketEvent` in non-decreasing time order.
+streaming engine consumes a capture in time order rather than whole
+traces.  :class:`PacketStream` is the abstraction: a capture in
+non-decreasing time order, readable two ways —
+
+* as :class:`PacketChunk` s (:meth:`PacketStream.chunks`): time-ordered
+  column blocks of about 64k packets, what
+  :meth:`~repro.stream.attack.OnlineAttack.consume` runs on;
+* as :class:`PacketEvent` s (iteration), one packet at a time, built
+  from those chunks, for loops that react to every packet (the
+  adaptive defender of :mod:`repro.stream.adaptive`).
+
+Constructors:
 
 * :meth:`PacketStream.replay` turns one :class:`~repro.traffic.trace.Trace`
-  into a lazy event stream (a cursor over the trace's columns — no
-  per-packet object list is ever materialized ahead of consumption).
+  into a column source: the trace's own columns (or memmap slices),
+  plus station, label and time offset.  Nothing is copied up front.
 * :meth:`PacketStream.from_store` replays a persisted
   :class:`~repro.storage.TraceStore` corpus the same way, straight off
-  its memory-mapped columns — multi-million-packet captures stream in
-  bounded memory without ever materializing a trace copy.
+  its memory-mapped columns.
 * :meth:`PacketStream.merge` interleaves many concurrent stations into
-  one global capture with a k-way heap merge.  Memory is bounded by the
-  number of input streams (one pending event each), never by trace
-  length, and ties are broken deterministically by stream order then
-  arrival sequence — so a merged replay is reproducible bit-for-bit and
-  safe against equal timestamps across stations.
+  one global capture.  Column sources merge by a vectorized k-way merge
+  (a nested merge flattens into one source list): each chunk takes
+  every packet up to a cutoff time from every source with
+  ``searchsorted(..., "right")`` and stable-argsorts the concatenation,
+  which orders equal timestamps by source position exactly as a heap
+  merge keyed on (time, stream index) would.  Memory is one chunk plus
+  a bounded look-ahead per source, never O(trace length), and a merged
+  replay is reproducible bit-for-bit.
 
-Both constructors validate monotonicity as they go: a source that emits
-a decreasing timestamp raises immediately instead of silently producing
-windows that disagree with the batch oracle.
+Every route validates as it goes: a non-finite or decreasing timestamp
+raises a :class:`ValueError` naming the station and the time instead
+of silently producing windows that disagree with the batch oracle.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import islice, repeat
+from operator import itemgetter
 from typing import NamedTuple
+
+import numpy as np
 
 from repro import obs
 from repro.traffic.trace import Trace
 from repro.util.validation import require
 
-__all__ = ["PacketEvent", "PacketStream"]
+__all__ = ["PacketChunk", "PacketEvent", "PacketStream", "event_chunks"]
+
+#: Packets per chunk (about; equal timestamps are never split).
+_CHUNK_EVENTS = 1 << 16
 
 
 class PacketEvent(NamedTuple):
@@ -59,23 +77,248 @@ class PacketEvent(NamedTuple):
     label: str | None
 
 
-class PacketStream:
-    """An iterable of :class:`PacketEvent` in non-decreasing time order.
+class PacketChunk(NamedTuple):
+    """A block of consecutive packets of a capture, as columns.
 
-    Thin by design: it wraps any event iterable and re-checks ordering
-    on the way through, so downstream consumers (featurizer, attack
-    loop) can assume a valid capture without re-validating.
+    ``stations`` and ``labels`` are integer codes into
+    ``station_names`` / ``label_names`` (a label name may be None).
+    """
+
+    times: np.ndarray
+    sizes: np.ndarray
+    directions: np.ndarray
+    stations: np.ndarray
+    labels: np.ndarray
+    station_names: tuple
+    label_names: tuple
+
+    def events(self) -> Iterator[PacketEvent]:
+        """The chunk's packets as :class:`PacketEvent` s, in order."""
+        # tuple.__new__ is what PacketEvent._make runs, minus a Python
+        # frame per packet.
+        return map(
+            tuple.__new__,
+            repeat(PacketEvent),
+            zip(
+                self.times.tolist(),
+                self.sizes.tolist(),
+                self.directions.tolist(),
+                map(self.station_names.__getitem__, self.stations.tolist()),
+                map(self.label_names.__getitem__, self.labels.tolist()),
+            ),
+        )
+
+
+def _codes(values: Sequence[object]) -> tuple[np.ndarray, tuple]:
+    """Integer codes of ``values`` and the names they index, first-seen order."""
+    names = tuple(dict.fromkeys(values))
+    code_of = {name: code for code, name in enumerate(names)}
+    codes = np.fromiter(map(code_of.__getitem__, values), np.int64, len(values))
+    return codes, names
+
+
+def event_chunks(events: Iterable[PacketEvent]) -> Iterator[PacketChunk]:
+    """Batch any event iterable into :class:`PacketChunk` s, order kept.
+
+    No ordering is checked here: the streaming featurizer checks each
+    flow's times as it ingests the chunk, exactly as it checks pushed
+    events.
+    """
+    iterator = iter(events)
+    while True:
+        batch = list(islice(iterator, _CHUNK_EVENTS))
+        if not batch:
+            return
+        n = len(batch)
+        station_codes, station_names = _codes(list(map(itemgetter(3), batch)))
+        label_codes, label_names = _codes(list(map(itemgetter(4), batch)))
+        yield PacketChunk(
+            np.fromiter(map(itemgetter(0), batch), np.float64, n),
+            np.fromiter(map(itemgetter(1), batch), np.int64, n),
+            np.fromiter(map(itemgetter(2), batch), np.int64, n),
+            station_codes,
+            label_codes,
+            station_names,
+            label_names,
+        )
+
+
+class _Source(NamedTuple):
+    """One replayed trace: its columns plus what each event is stamped with."""
+
+    times: np.ndarray
+    sizes: np.ndarray
+    directions: np.ndarray
+    station: object
+    label: str | None
+    offset: float
+
+
+def _check_times(times: np.ndarray, previous: float, station: object) -> None:
+    """Raise unless ``times`` are finite and non-decreasing after ``previous``."""
+    finite = np.isfinite(times)
+    if not finite.all():
+        bad = times[np.argmin(finite)]
+        raise ValueError(f"station {station!r} has a non-finite packet time: {bad}")
+    steps = np.diff(times, prepend=previous)
+    if (steps < 0).any():
+        at = int(np.argmax(steps < 0))
+        before = times[at - 1] if at else previous
+        raise ValueError(
+            f"station {station!r} went backwards in time: {times[at]} after {before}"
+        )
+
+
+class _Cursor:
+    """Read position and look-ahead window of one column source."""
+
+    __slots__ = ("source", "code", "label", "position", "end", "last", "ahead")
+
+    def __init__(self, source: _Source, code: int, label: int):
+        self.source = source
+        self.code = code
+        self.label = label
+        self.position = 0
+        self.end = len(source.times)
+        self.last = -math.inf
+        self.ahead = source.times[:0]
+
+    def look_ahead(self, count: int) -> np.ndarray:
+        """The next ``count`` (or fewer) times, offset applied and validated."""
+        stop = min(self.position + count, self.end)
+        if stop > self.position + len(self.ahead):
+            times = self.source.times[self.position + len(self.ahead) : stop]
+            if self.source.offset:
+                times = times + self.source.offset
+            previous = self.ahead[-1] if len(self.ahead) else self.last
+            _check_times(times, previous, self.source.station)
+            self.ahead = np.concatenate((self.ahead, times)) if len(self.ahead) else times
+        return self.ahead
+
+    def take(self, cutoff: float, step: int) -> int:
+        """Packets up to ``cutoff``; ties are followed past the look-ahead."""
+        ahead = self.look_ahead(step)
+        count = int(np.searchsorted(ahead, cutoff, "right"))
+        while count == len(ahead) and self.position + count < self.end:
+            ahead = self.look_ahead(len(ahead) + step)
+            count = int(np.searchsorted(ahead, cutoff, "right"))
+        return count
+
+    def advance(self, count: int) -> None:
+        if count:
+            self.last = float(self.ahead[count - 1])
+            self.position += count
+            self.ahead = self.ahead[count:]
+
+
+def _column_chunks(sources: Sequence[_Source]) -> Iterator[PacketChunk]:
+    """Vectorized k-way merge of column sources into time-ordered chunks.
+
+    Each chunk's cutoff is the earliest time a live source reaches
+    ``step`` packets ahead (no cutoff when every source ends sooner), so
+    the source that sets it contributes ``step`` packets and every other
+    source at most ``step`` plus ties.
+    ``step`` starts at ``chunk // sources`` and adapts: it doubles while
+    chunks come out small (skewed sources) and halves until a chunk
+    holds at most twice the target.
+    """
+    target = _CHUNK_EVENTS
+    station_codes, station_names = _codes([source.station for source in sources])
+    label_codes, label_names = _codes([source.label for source in sources])
+    live = [
+        _Cursor(source, int(station_codes[i]), int(label_codes[i]))
+        for i, source in enumerate(sources)
+        if len(source.times)
+    ]
+    step = max(1, target // max(1, len(live)))
+    while live:
+        while True:
+            # A source that ends within the look-ahead bounds nothing.
+            cutoff = min(
+                (
+                    float(cursor.look_ahead(step)[step - 1])
+                    for cursor in live
+                    if cursor.end - cursor.position > step
+                ),
+                default=math.inf,
+            )
+            counts = [cursor.take(cutoff, step) for cursor in live]
+            total = sum(counts)
+            if total <= 2 * target or step == 1:
+                break
+            step //= 2
+        parts = [(cursor, count) for cursor, count in zip(live, counts) if count]
+        times = np.concatenate([cursor.ahead[:count] for cursor, count in parts])
+        columns = [
+            np.concatenate(
+                [
+                    getattr(cursor.source, name)[cursor.position : cursor.position + count]
+                    for cursor, count in parts
+                ]
+            )
+            for name in ("sizes", "directions")
+        ]
+        codes = [
+            np.repeat([getattr(cursor, name) for cursor, _ in parts], [n for _, n in parts])
+            for name in ("code", "label")
+        ]
+        if len(parts) > 1:
+            # Concatenation is in source order, so a stable sort on time
+            # breaks ties by source, then by position within the source.
+            order = np.argsort(times, kind="stable")
+            times = times[order]
+            columns = [column[order] for column in columns]
+            codes = [column[order] for column in codes]
+        for cursor, count in parts:
+            cursor.advance(count)
+        live = [cursor for cursor in live if cursor.position < cursor.end]
+        if total < target // 2:
+            step = min(2 * step, target)
+        yield PacketChunk(times, *columns, *codes, station_names, label_names)
+
+
+class PacketStream:
+    """A capture in non-decreasing time order, as chunks or as events.
+
+    Built from column sources by :meth:`replay`, :meth:`from_store` and
+    :meth:`merge`; ``PacketStream(events)`` wraps any event iterable
+    and re-checks its ordering on the way through, so downstream
+    consumers (featurizer, attack loop) can assume a valid capture
+    without re-validating.
     """
 
     def __init__(self, events: Iterable[PacketEvent]):
         self._events = events
+        self._sources: tuple[_Source, ...] | None = None
+
+    @classmethod
+    def _of(cls, sources: Sequence[_Source]) -> "PacketStream":
+        stream = cls(())
+        stream._sources = tuple(sources)
+        return stream
+
+    def chunks(self) -> Iterator[PacketChunk]:
+        """The capture as time-ordered :class:`PacketChunk` s."""
+        if self._sources is None:
+            return event_chunks(self)
+        return _column_chunks(self._sources)
 
     def __iter__(self) -> Iterator[PacketEvent]:
-        last = float("-inf")
+        if self._sources is not None:
+            for chunk in _column_chunks(self._sources):
+                yield from chunk.events()
+            return
+        last = -math.inf
         for event in self._events:
+            if not math.isfinite(event.time):
+                raise ValueError(
+                    f"station {event.station!r} has a non-finite packet time: "
+                    f"{event.time}"
+                )
             if event.time < last:
                 raise ValueError(
-                    f"packet stream went backwards in time: {event.time} after {last}"
+                    f"packet stream went backwards in time at station "
+                    f"{event.station!r}: {event.time} after {last}"
                 )
             last = event.time
             yield event
@@ -99,24 +342,18 @@ class PacketStream:
         """
         if label is None:
             label = trace.label
-        offset = float(offset)
         # Counted at stream construction (the trace length is known up
-        # front), not per event — replay stays a zero-overhead generator.
+        # front), not per event.
         obs.add("stream.traces_replayed")
         obs.add("stream.packets_replayed", len(trace))
-
-        def generate() -> Iterator[PacketEvent]:
-            times, sizes, directions = trace.times, trace.sizes, trace.directions
-            for index in range(len(trace)):
-                yield PacketEvent(
-                    time=float(times[index]) + offset,
-                    size=int(sizes[index]),
-                    direction=int(directions[index]),
-                    station=station,
-                    label=label,
+        return cls._of(
+            [
+                _Source(
+                    trace.times, trace.sizes, trace.directions,
+                    station, label, float(offset),
                 )
-
-        return cls(generate())
+            ]
+        )
 
     @classmethod
     def from_store(
@@ -133,10 +370,11 @@ class PacketStream:
         Every matching stored trace becomes one station (its manifest
         ``station`` if set, otherwise a stable synthetic identity), and
         the stations are interleaved with :meth:`merge` — so resident
-        memory is O(stored traces) pending events plus whatever pages
-        the OS keeps warm, never O(corpus packets).  The emitted events
-        are identical to replaying the same traces from RAM, which the
-        parity tests and ``benchmarks/bench_corpus.py`` assert.
+        memory is one chunk plus a look-ahead per stored trace, plus
+        whatever pages the OS keeps warm, never O(corpus packets).  The
+        emitted packets are identical to replaying the same traces from
+        RAM, which the parity tests and ``benchmarks/bench_corpus.py``
+        assert.
 
         Args:
             store: an open corpus, or a filesystem path to one.
@@ -159,35 +397,23 @@ class PacketStream:
             for entry in store.select(role=role, label=label)
         ]
         if not streams:
-            return cls(iter(()))
+            return cls._of(())
         return cls.merge(streams)
 
     @classmethod
     def merge(cls, streams: Sequence["PacketStream"]) -> "PacketStream":
         """Interleave concurrent streams into one global capture.
 
-        A k-way heap merge: memory is O(number of streams) regardless of
-        how many packets each carries.  Equal timestamps order by stream
-        position (earlier stream wins), matching the stable tie-break of
-        :func:`repro.traffic.trace.merge_traces`.
+        Equal timestamps order by stream position (earlier stream wins),
+        matching the stable tie-break of
+        :func:`repro.traffic.trace.merge_traces`.  The streams' column
+        sources join one flat source list, so a merge of merges reads
+        exactly like one merge of every source.
         """
         require(len(streams) >= 1, "merge needs at least one stream")
-        sources = [iter(stream) for stream in streams]
-
-        def generate() -> Iterator[PacketEvent]:
-            # (time, stream index) is unique — one pending event per
-            # stream — so the event itself is never compared.
-            heap: list[tuple[float, int, PacketEvent]] = []
-            for index, source in enumerate(sources):
-                first = next(source, None)
-                if first is not None:
-                    heap.append((first.time, index, first))
-            heapq.heapify(heap)
-            while heap:
-                _, index, event = heapq.heappop(heap)
-                yield event
-                following = next(sources[index], None)
-                if following is not None:
-                    heapq.heappush(heap, (following.time, index, following))
-
-        return cls(generate())
+        if any(stream._sources is None for stream in streams):
+            raise TypeError(
+                "merge interleaves replayed streams (replay, from_store, merge); "
+                "a stream wrapping an event iterable has no columns to merge"
+            )
+        return cls._of([source for stream in streams for source in stream._sources])

@@ -2,7 +2,7 @@
 
 The streaming engine's parity contract, fuzzed: for arbitrary flows
 (jittered window offsets, empty and single-packet flows, equal
-timestamps, arbitrary windows) every vector a
+timestamps, directions outside {0, 1}, arbitrary windows) every vector a
 :class:`~repro.stream.featurizer.StreamingFeaturizer` emits equals the
 matching row of :func:`~repro.analysis.batch.flow_feature_matrix`
 **exactly** — ``np.array_equal``, not allclose — and a merged
@@ -32,8 +32,10 @@ def flows(draw, min_packets=0, max_packets=120):
     sizes = draw(
         st.lists(st.integers(min_value=1, max_value=1576), min_size=n, max_size=n)
     )
+    # Mostly downlink/uplink, plus directions outside {0, 1}, which both
+    # paths must ignore alike (neither featurized nor counted).
     directions = draw(
-        st.lists(st.integers(min_value=0, max_value=1), min_size=n, max_size=n)
+        st.lists(st.sampled_from([0, 1, 0, 1, 2, -1]), min_size=n, max_size=n)
     )
     # Jitter the flow's absolute start so window grids anchor at awkward
     # floats, not at zero.

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.batch import flow_feature_matrix
-from repro.stream import PacketStream, StreamingFeaturizer
+from repro.stream import PacketEvent, PacketStream, StreamingFeaturizer
+from repro.stream.source import event_chunks
 from repro.traffic.apps import AppType
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.trace import Trace
@@ -106,11 +107,64 @@ class TestLifecycle:
         (unlabeled,) = featurizer.flush()
         assert unlabeled.label is None
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_first_time_raises_naming_the_flow(self, bad):
+        featurizer = StreamingFeaturizer(5.0)
+        with pytest.raises(ValueError, match=r"flow 'f' has a non-finite packet time"):
+            featurizer.push("f", bad, 10, 0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_later_time_raises_naming_the_flow(self, bad):
+        featurizer = StreamingFeaturizer(5.0)
+        featurizer.push("f", 1.0, 10, 0)
+        with pytest.raises(ValueError, match=r"flow 'f' has a non-finite packet time: (nan|inf)"):
+            featurizer.push("f", bad, 10, 0)
+
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ([1.0, float("nan"), 0.5], r"flow 'f' has a non-finite packet time: nan"),
+            ([1.0, float("inf")], r"flow 'f' has a non-finite packet time: inf"),
+            ([1.0, 2.0, 0.5], r"flow 'f' went backwards in time: 0.5 after 2.0"),
+        ],
+    )
+    def test_chunk_route_rejects_bad_times_naming_the_flow(self, times, message):
+        events = [PacketEvent(t, 10, 0, "f", None) for t in times]
+        featurizer = StreamingFeaturizer(5.0)
+        with pytest.raises(ValueError, match=message):
+            for chunk in event_chunks(events):
+                featurizer.push_chunk(chunk)
+
+    def test_chunk_route_rejects_a_step_back_across_chunks(self):
+        featurizer = StreamingFeaturizer(5.0)
+        (chunk,) = event_chunks([PacketEvent(2.0, 10, 0, "f", None)])
+        featurizer.push_chunk(chunk)
+        (chunk,) = event_chunks([PacketEvent(1.0, 10, 0, "f", None)])
+        with pytest.raises(ValueError, match=r"flow 'f' went backwards in time: 1.0 after 2.0"):
+            featurizer.push_chunk(chunk)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             StreamingFeaturizer(0.0)
         with pytest.raises(ValueError):
             StreamingFeaturizer(5.0, min_packets=0)
+
+
+class TestDirections:
+    """Stream and batch count exactly the same packets toward min_packets."""
+
+    def test_out_of_range_directions_are_not_counted(self):
+        trace = Trace.from_arrays([0, 1, 2], [100] * 3, [0, 2, 2])
+        ours, closed, featurizer = _stream_matrix(trace, 5.0, min_packets=3)
+        assert closed == [] and ours.shape == (0, 12)
+        assert flow_feature_matrix(trace, 5.0, 3).shape == (0, 12)
+        assert featurizer.peak_open_packets == 1
+
+    def test_window_counts_only_downlink_and_uplink(self):
+        trace = Trace.from_arrays([0, 1, 2, 3], [100] * 4, [0, 2, 1, -1])
+        ours, closed, _ = _stream_matrix(trace, 5.0, min_packets=1)
+        assert [w.count for w in closed] == [2]
+        assert np.array_equal(ours, flow_feature_matrix(trace, 5.0, 1))
 
 
 class TestConcurrentFlows:

@@ -85,6 +85,33 @@ class TestMerge:
         with pytest.raises(ValueError):
             PacketStream.merge([])
 
+    def test_event_iterables_do_not_merge(self):
+        events = PacketStream([PacketEvent(1.0, 10, 0, "a", None)])
+        with pytest.raises(TypeError, match="replayed streams"):
+            PacketStream.merge([PacketStream.replay(_trace([0.0]), "b"), events])
+
+    def test_merge_of_merges_flattens_in_order(self):
+        a, b, c = (_trace([1.0], sizes=[size]) for size in (1, 2, 3))
+        nested = PacketStream.merge(
+            [
+                PacketStream.merge([PacketStream.replay(a, "x"), PacketStream.replay(b, "y")]),
+                PacketStream.replay(c, "z"),
+            ]
+        )
+        assert [e.station for e in nested] == ["x", "y", "z"]
+
+    def test_chunks_cover_the_capture_in_order(self):
+        streams = [
+            PacketStream.replay(_trace(np.arange(50) * 3.0 + offset), f"s{offset}")
+            for offset in range(5)
+        ]
+        chunks = list(PacketStream.merge(streams).chunks())
+        times = np.concatenate([chunk.times for chunk in chunks])
+        assert len(times) == 250 and np.all(np.diff(times) >= 0)
+        assert [e for chunk in chunks for e in chunk.events()] == list(
+            PacketStream.merge(streams)
+        )
+
 
 class TestValidation:
     def test_backwards_stream_raises(self):
@@ -94,6 +121,46 @@ class TestValidation:
         ]
         with pytest.raises(ValueError, match="backwards"):
             list(PacketStream(events))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_event_time_raises_naming_the_station(self, bad):
+        events = [
+            PacketEvent(1.0, 10, 0, "a", None),
+            PacketEvent(bad, 10, 0, "a", None),
+            PacketEvent(0.5, 10, 0, "a", None),
+        ]
+        with pytest.raises(ValueError, match=r"station 'a' has a non-finite packet time"):
+            list(PacketStream(events))
+
+    def test_backwards_event_names_station_and_time(self):
+        events = [PacketEvent(1.0, 10, 0, "a", None), PacketEvent(0.5, 10, 0, "a", None)]
+        with pytest.raises(ValueError, match=r"station 'a': 0.5 after 1.0"):
+            list(PacketStream(events))
+
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ([1.0, float("nan"), 0.5], r"station 'b' has a non-finite packet time: nan"),
+            ([1.0, float("inf")], r"station 'b' has a non-finite packet time: inf"),
+        ],
+    )
+    def test_column_replay_rejects_non_finite_times(self, times, message):
+        stream = PacketStream.merge(
+            [PacketStream.replay(_trace([0.0, 3.0]), "a"), PacketStream.replay(_trace(times), "b")]
+        )
+        with pytest.raises(ValueError, match=message):
+            list(stream)
+        with pytest.raises(ValueError, match=message):
+            list(stream.chunks())
+
+    def test_column_replay_rejects_a_step_back(self):
+        trace = Trace._trusted(
+            np.array([1.0, 2.0, 0.5]), np.full(3, 10), np.zeros(3, np.int8),
+            np.zeros(3, np.int16), np.zeros(3, np.int8), np.zeros(3, np.float32),
+            None, {},
+        )
+        with pytest.raises(ValueError, match=r"station 'b' went backwards in time: 0.5 after 2.0"):
+            list(PacketStream.replay(trace, "b"))
 
     def test_equal_timestamps_are_fine(self):
         events = [
