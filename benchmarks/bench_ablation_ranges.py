@@ -9,7 +9,7 @@ choice; this ablation compares three realizations of OR at I = 3:
 """
 
 from repro.core.adaptive import QuantileBoundaryReshaper
-from repro.core.engine import ReshapingEngine
+from repro.core.base import ReshaperScheme
 from repro.core.schedulers import OrthogonalReshaper
 from repro.core.targets import FIG4_RANGES
 
@@ -20,8 +20,8 @@ def _mean_accuracy(runner, scenario, make_reshaper) -> float:
     for app, traces in scenario.evaluation_traces().items():
         flows = []
         for trace in traces:
-            engine = ReshapingEngine(make_reshaper(trace))
-            flows.extend(engine.apply(trace).observable_flows)
+            scheme = ReshaperScheme("or", make_reshaper(trace))
+            flows.extend(scheme.apply(trace).observable_flows)
         flows_by_label[app.value] = flows
     return pipeline.evaluate_flows(flows_by_label).mean_accuracy
 

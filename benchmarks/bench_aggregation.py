@@ -8,18 +8,18 @@ is exactly what the TPC counter-measure protects.
 """
 
 from repro.analysis.aggregation import AggregationAttack
-from repro.core.engine import ReshapingEngine
+from repro.core.base import ReshaperScheme
 from repro.core.schedulers import OrthogonalReshaper
 
 
 def test_aggregation_recovers_accuracy(benchmark, scenario, runner, save_table):
     pipeline = runner.pipeline(5.0)
-    engine = ReshapingEngine(OrthogonalReshaper.paper_default())
+    scheme = ReshaperScheme("or", OrthogonalReshaper.paper_default())
     flows_by_label = {}
     for app, traces in scenario.evaluation_traces().items():
         flows = []
         for trace in traces:
-            flows.extend(engine.apply(trace).observable_flows)
+            flows.extend(scheme.apply(trace).observable_flows)
         flows_by_label[app.value] = flows
 
     attack = AggregationAttack(pipeline, linker=None)

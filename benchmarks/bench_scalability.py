@@ -57,8 +57,9 @@ def test_scheduler_throughput(benchmark, big_trace, reshaper_factory):
     reshaper = reshaper_factory()
 
     def run():
-        reshaper.reset()
-        return reshaper.assign_trace(big_trace)
+        return reshaper.assign_columns(
+            big_trace.times, big_trace.sizes, big_trace.directions
+        )
 
     assignment = benchmark(run)
     assert len(assignment) == len(big_trace)

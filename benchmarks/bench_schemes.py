@@ -1,8 +1,8 @@
 """SCHEMES: trace-transform throughput, single vs stacked compositions.
 
-The unified scheme pipeline replaces two hand-wired code paths
-(`ReshapingEngine` for schedulers, `Defense.apply` for the byte-level
-baselines), so this bench tracks what the abstraction costs: per-scheme
+Every defense is a `Scheme` (schedulers through `ReshaperScheme`, the
+byte-level baselines directly), so this bench tracks what the
+abstraction costs: per-scheme
 ``apply`` throughput in packets/sec over a multi-hundred-thousand-packet
 capture, for every registered single scheme and a ladder of stacked
 compositions.  Two hard assertions ride along (no wall-clock

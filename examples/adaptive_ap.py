@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.analysis.privacy import wlan_privacy_entropy_bits
 from repro.core.adaptive import QuantileBoundaryReshaper
-from repro.core.engine import ReshapingEngine
+from repro.core.base import ReshaperScheme
 from repro.mac.addresses import MacAddress
 from repro.mac.pool import AddressPool
 from repro.mac.resource import ResourceManager
@@ -67,7 +67,7 @@ def main() -> None:
     calibration = trace.time_slice(0.0, 30.0)
     reshaper = QuantileBoundaryReshaper.fit(calibration, interfaces=3)
     print(f"  fitted boundaries from 30 s of traffic: {reshaper.boundaries}")
-    result = ReshapingEngine(reshaper).apply(trace)
+    result = ReshaperScheme("reshaper", reshaper).apply(trace)
     for iface, flow in sorted(result.flows.items()):
         print(f"  interface {iface}: {len(flow):5d} packets "
               f"({100.0 * len(flow) / len(trace):4.1f}% of traffic)")

@@ -13,7 +13,7 @@ from repro import (
     OrthogonalReshaper,
     PacketPadding,
     RandomReshaper,
-    ReshapingEngine,
+    ReshaperScheme,
     RoundRobinReshaper,
     TrafficGenerator,
     TrafficMorphing,
@@ -81,7 +81,7 @@ def _morph(trace, evaluation, morph_pairs):
 
 
 def _reshape(trace, reshaper):
-    result = ReshapingEngine(reshaper).apply(trace)
+    result = ReshaperScheme("reshaper", reshaper).apply(trace)
     return result.observable_flows, 0.0
 
 

@@ -15,7 +15,7 @@ from repro import (
     AppType,
     AttackPipeline,
     OrthogonalReshaper,
-    ReshapingEngine,
+    ReshaperScheme,
     TrafficGenerator,
 )
 
@@ -44,10 +44,10 @@ def main() -> None:
 
     # 3. Defended: OR over three virtual MAC interfaces (paper defaults:
     #    size ranges (0,232], (232,1540], (1540,1576]).
-    engine = ReshapingEngine(OrthogonalReshaper.paper_default())
-    result = engine.apply(victim)
-    print(f"Reshaped over {result.interface_count} virtual interfaces "
-          f"(data overhead: {result.data_overhead_bytes} bytes)")
+    scheme = ReshaperScheme("or", OrthogonalReshaper.paper_default())
+    result = scheme.apply(victim)
+    print(f"Reshaped over {len(result.flows)} virtual interfaces "
+          f"(data overhead: {result.extra_bytes} bytes)")
 
     defended = attack.evaluate_flows({"bittorrent": result.observable_flows})
     print(f"Reshaped BT:     classified correctly "

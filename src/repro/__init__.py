@@ -11,9 +11,10 @@ Traffic Analysis in Wireless Networks Through Traffic Reshaping"
 * :mod:`repro.net` — a discrete-event WLAN with RSSI modeling and a
   passive sniffer;
 * :mod:`repro.core` — the reshaping algorithms (RA, RR, OR, FH, and the
-  Eq. 1 target-driven scheduler) and the reshaping engine;
-* :mod:`repro.defenses` — the baselines (packet padding, traffic
-  morphing, pseudonyms) and overhead accounting;
+  Eq. 1 target-driven scheduler) and their defense adapter;
+* :mod:`repro.defenses` — the one defense contract (``Scheme``), the
+  baselines (packet padding, traffic morphing, pseudonyms) and overhead
+  accounting;
 * :mod:`repro.analysis` — the traffic-classification attack (SVM / NN
   over per-window MAC features) and the RSSI linking adversary;
 * :mod:`repro.experiments` — regeneration of every table and figure,
@@ -23,7 +24,7 @@ Traffic Analysis in Wireless Networks Through Traffic Reshaping"
 Quickstart (``evaluate_flows`` scores flows you materialized yourself)::
 
     from repro import (
-        AppType, AttackPipeline, OrthogonalReshaper, ReshapingEngine,
+        AppType, AttackPipeline, OrthogonalReshaper, ReshaperScheme,
         TrafficGenerator,
     )
 
@@ -32,7 +33,7 @@ Quickstart (``evaluate_flows`` scores flows you materialized yourself)::
     attack = AttackPipeline(window=5.0).train(train)
 
     bt = gen.generate("bittorrent", 300.0, session=9)
-    flows = ReshapingEngine(OrthogonalReshaper.paper_default()).apply(bt)
+    flows = ReshaperScheme("or", OrthogonalReshaper.paper_default()).apply(bt)
     report = attack.evaluate_flows({"bittorrent": flows.observable_flows})
     print(report.accuracy_by_class["bittorrent"])  # collapses vs undefended
 """
@@ -53,7 +54,7 @@ from repro.core import (
     OrthogonalReshaper,
     RandomReshaper,
     Reshaper,
-    ReshapingEngine,
+    ReshaperScheme,
     RoundRobinReshaper,
     TargetDrivenReshaper,
 )
@@ -86,7 +87,7 @@ __all__ = [
     "PseudonymDefense",
     "RandomReshaper",
     "Reshaper",
-    "ReshapingEngine",
+    "ReshaperScheme",
     "RoundRobinReshaper",
     "RssiLinker",
     "TargetDrivenReshaper",

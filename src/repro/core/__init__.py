@@ -13,14 +13,15 @@ distribution approaches a per-interface target distribution φⁱ
 * the Eq. 1 machinery (:mod:`repro.core.optimization`,
   :mod:`repro.core.targets`) and a greedy online
   :class:`TargetDrivenReshaper` for arbitrary (non-orthogonal) targets;
-* :class:`ReshapingEngine` — applies a reshaper to a whole trace; and
+* :class:`ReshaperScheme` — any reshaper as a defense
+  :class:`~repro.defenses.base.Scheme` (per-interface flows plus the
+  Fig. 2 handshake cost); and
 * :class:`CombinedDefense` — reshaping + per-interface morphing
   (Sec. V-C).
 """
 
 from repro.core.adaptive import QuantileBoundaryReshaper, quantile_boundaries
-from repro.core.base import Reshaper, StatelessReshaper
-from repro.core.engine import ReshapingEngine
+from repro.core.base import CONFIG_MESSAGE_BYTES, Reshaper, ReshaperScheme
 from repro.core.schedulers import (
     FrequencyHoppingScheduler,
     ModuloReshaper,
@@ -47,6 +48,7 @@ from repro.core.target_driven import TargetDrivenReshaper
 from repro.core.combined import CombinedDefense
 
 __all__ = [
+    "CONFIG_MESSAGE_BYTES",
     "CombinedDefense",
     "FIG4_RANGES",
     "FrequencyHoppingScheduler",
@@ -58,10 +60,9 @@ __all__ = [
     "QuantileBoundaryReshaper",
     "RandomReshaper",
     "Reshaper",
-    "ReshapingEngine",
+    "ReshaperScheme",
     "ReshapingObjective",
     "RoundRobinReshaper",
-    "StatelessReshaper",
     "TargetDistribution",
     "TargetDrivenReshaper",
     "interface_distributions",

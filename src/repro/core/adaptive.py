@@ -85,9 +85,6 @@ class QuantileBoundaryReshaper(Reshaper):
     def assign_packet(self, time: float, size: int, direction: int) -> int:
         return self._inner.assign_packet(time, size, direction)
 
-    def assign_trace(self, trace: Trace) -> np.ndarray:
-        return self._inner.assign_trace(trace)
-
     def assign_columns(
         self,
         times: np.ndarray,

@@ -15,16 +15,15 @@ the morphed interfaces, which carry a fraction of the traffic — hence
 
 from __future__ import annotations
 
-from repro.core.base import Reshaper
-from repro.core.engine import ReshapingEngine
-from repro.defenses.base import DefendedTraffic, Defense
+from repro.core.base import Reshaper, ReshaperScheme
+from repro.defenses.base import DefendedTraffic, Scheme
 from repro.defenses.morphing import TrafficMorphing
 from repro.traffic.trace import Trace
 
 __all__ = ["CombinedDefense"]
 
 
-class CombinedDefense(Defense):
+class CombinedDefense(Scheme):
     """Reshape, then morph selected virtual interfaces.
 
     Args:
@@ -49,14 +48,14 @@ class CombinedDefense(Defense):
         morph_all_packets: bool = False,
         seed: int = 0,
     ):
-        self._engine = ReshapingEngine(reshaper)
+        self._reshaping = ReshaperScheme(self.name, reshaper)
         self._interface_targets = dict(interface_targets)
         self._morph_all = bool(morph_all_packets)
         self._seed = int(seed)
 
-    def apply(self, trace: Trace) -> DefendedTraffic:
+    def transform(self, trace: Trace) -> DefendedTraffic:
         """Reshape ``trace`` then morph the configured interfaces."""
-        result = self._engine.apply(trace)
+        result = self._reshaping.transform(trace)
         flows: dict[int, Trace] = {}
         extra = 0
         for iface, flow in result.flows.items():
@@ -69,7 +68,7 @@ class CombinedDefense(Defense):
                 morph_all_packets=self._morph_all,
                 seed=self._seed + iface,
             )
-            morphed = morpher.apply(flow)
+            morphed = morpher.transform(flow)
             flows[iface] = morphed.observable_flows[0]
             extra += morphed.extra_bytes
         return DefendedTraffic(original=trace, flows=flows, extra_bytes=extra)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import Reshaper, StatelessReshaper
+from repro.core.base import Reshaper
 from repro.core.targets import TargetDistribution, orthogonal_targets, paper_ranges
 from repro.traffic.trace import Trace
 from repro.util.rng import derive_rng
@@ -52,9 +52,6 @@ class RandomReshaper(Reshaper):
     def assign_packet(self, time: float, size: int, direction: int) -> int:
         return int(self._rng.integers(0, self._interfaces))
 
-    def assign_trace(self, trace: Trace) -> np.ndarray:
-        return self._rng.integers(0, self._interfaces, size=len(trace)).astype(np.int16)
-
     def assign_columns(
         self,
         times: np.ndarray,
@@ -62,7 +59,7 @@ class RandomReshaper(Reshaper):
         directions: np.ndarray,
     ) -> np.ndarray:
         # A fresh derivation replays the post-reset stream: the first
-        # ``n`` draws are exactly what reset() + assign_trace would emit.
+        # ``n`` draws are exactly what reset() + per-packet draws emit.
         rng = derive_rng(self._seed, "reshaper", "random")
         return rng.integers(0, self._interfaces, size=len(times)).astype(np.int16)
 
@@ -93,25 +90,18 @@ class RoundRobinReshaper(Reshaper):
         self._counters[direction] += 1
         return index
 
-    def assign_trace(self, trace: Trace) -> np.ndarray:
-        out = np.empty(len(trace), dtype=np.int16)
-        for direction in (0, 1):
-            mask = trace.directions == direction
-            count = int(mask.sum())
-            start = self._counters[direction]
-            out[mask] = (start + np.arange(count)) % self._interfaces
-            self._counters[direction] += count
-        return out
-
     def assign_columns(
         self,
         times: np.ndarray,
         sizes: np.ndarray,
         directions: np.ndarray,
     ) -> np.ndarray:
+        # The same lane folding as assign_packet: any direction value
+        # lands on counter 0 or 1.
+        lanes = np.asarray(directions) & 1
         out = np.empty(len(times), dtype=np.int16)
-        for direction in (0, 1):
-            mask = np.asarray(directions) == direction
+        for lane in (0, 1):
+            mask = lanes == lane
             out[mask] = np.arange(int(mask.sum())) % self._interfaces
         return out
 
@@ -119,7 +109,7 @@ class RoundRobinReshaper(Reshaper):
         self._counters = [0, 0]
 
 
-class OrthogonalReshaper(StatelessReshaper):
+class OrthogonalReshaper(Reshaper):
     """OR by size ranges: interface i carries the packets of range i.
 
     With orthogonal targets and L = I the online optimization of Eq. 1
@@ -166,10 +156,6 @@ class OrthogonalReshaper(StatelessReshaper):
         range_index = int(self._targets.range_of(np.asarray([size]))[0])
         return int(self._owners[range_index])
 
-    def assign_trace(self, trace: Trace) -> np.ndarray:
-        ranges = self._targets.range_of(trace.sizes)
-        return self._owners[ranges].astype(np.int16)
-
     def assign_columns(
         self,
         times: np.ndarray,
@@ -179,7 +165,7 @@ class OrthogonalReshaper(StatelessReshaper):
         return self._owners[self._targets.range_of(np.asarray(sizes))].astype(np.int16)
 
 
-class ModuloReshaper(StatelessReshaper):
+class ModuloReshaper(Reshaper):
     """OR by size modulo: ``i = L(s_k) mod I`` (Fig. 5).
 
     Sets L = l_max so each interface receives a comb of sizes spanning
@@ -199,9 +185,6 @@ class ModuloReshaper(StatelessReshaper):
     def assign_packet(self, time: float, size: int, direction: int) -> int:
         return int(size) % self._interfaces
 
-    def assign_trace(self, trace: Trace) -> np.ndarray:
-        return (trace.sizes % self._interfaces).astype(np.int16)
-
     def assign_columns(
         self,
         times: np.ndarray,
@@ -211,7 +194,7 @@ class ModuloReshaper(StatelessReshaper):
         return (np.asarray(sizes) % self._interfaces).astype(np.int16)
 
 
-class FrequencyHoppingScheduler(StatelessReshaper):
+class FrequencyHoppingScheduler(Reshaper):
     """FH baseline: channel hopping with a fixed dwell (footnote 2).
 
     Channels are visited round-robin (default 1, 6, 11) for
@@ -253,9 +236,6 @@ class FrequencyHoppingScheduler(StatelessReshaper):
     def assign_packet(self, time: float, size: int, direction: int) -> int:
         return int(self.slot_of(np.asarray([time]))[0])
 
-    def assign_trace(self, trace: Trace) -> np.ndarray:
-        return self.slot_of(trace.times)
-
     def assign_columns(
         self,
         times: np.ndarray,
@@ -266,6 +246,6 @@ class FrequencyHoppingScheduler(StatelessReshaper):
 
     def reshape(self, trace: Trace) -> Trace:
         """Assign slots and stamp the per-packet channel numbers."""
-        reshaped = trace.with_ifaces(self.assign_trace(trace))
+        reshaped = super().reshape(trace)
         reshaped.channels = self.channel_of(trace.times).astype(np.int8)
         return reshaped

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core.base import Reshaper
 from repro.core.targets import TargetDistribution
-from repro.traffic.trace import Trace
 
 __all__ = ["TargetDrivenReshaper"]
 
@@ -95,7 +94,12 @@ class TargetDrivenReshaper(Reshaper):
         p = self.achieved_distributions()
         return float(np.sqrt(((self._targets.matrix - p) ** 2).sum(axis=1)).sum())
 
-    def assign_trace(self, trace: Trace) -> np.ndarray:
+    def assign_columns(
+        self,
+        times: np.ndarray,
+        sizes: np.ndarray,
+        directions: np.ndarray,
+    ) -> np.ndarray:
         # The greedy recurrence is inherently sequential (each decision
         # feeds the next), but the per-packet work need not rescan every
         # interface's history: only the winner's deviation and load
@@ -104,8 +108,9 @@ class TargetDrivenReshaper(Reshaper):
         # evaluates the same float expression `_current_deviation` would
         # after the increment), so caching both is bit-identical to the
         # recompute-everything loop the per-packet oracle runs.
-        range_indices = self._targets.range_of(trace.sizes)
-        out = np.empty(len(trace), dtype=np.int16)
+        self.reset()
+        range_indices = self._targets.range_of(np.asarray(sizes))
+        out = np.empty(len(range_indices), dtype=np.int16)
         current = [self._current_deviation(iface) for iface in range(self.interfaces)]
         loads = [int(self._counts[iface].sum()) for iface in range(self.interfaces)]
         for position, range_index in enumerate(range_indices):

@@ -1,4 +1,8 @@
-"""Baseline defenses the paper compares against (Sec. II-B, Sec. IV-D).
+"""The defense contract and the baselines the paper compares against.
+
+:class:`Scheme` is the one defense interface (trace in,
+:class:`DefendedTraffic` out); the byte-level baselines of Sec. II-B
+and Sec. IV-D implement it directly:
 
 * :class:`PacketPadding` — pad every data packet to l_max = 1576 B.
 * :class:`TrafficMorphing` — reshape one application's packet-size
@@ -13,10 +17,10 @@
 """
 
 from repro.defenses.base import (
-    Defense,
     DefendedTraffic,
     FusedPlan,
-    FusedStage,
+    Scheme,
+    StageOverhead,
 )
 from repro.defenses.padding import PacketPadding
 from repro.defenses.morphing import (
@@ -30,12 +34,12 @@ from repro.defenses.overhead import byte_overhead, overhead_percent
 
 __all__ = [
     "DefendedTraffic",
-    "Defense",
     "FusedPlan",
-    "FusedStage",
     "MorphingMatrix",
     "PacketPadding",
     "PseudonymDefense",
+    "Scheme",
+    "StageOverhead",
     "TrafficMorphing",
     "byte_overhead",
     "monotone_coupling",

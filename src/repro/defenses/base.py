@@ -1,12 +1,14 @@
-"""Common defense interface.
+"""The defense contract: :class:`Scheme` and what it returns.
 
-Every defense consumes an application trace and produces
-:class:`DefendedTraffic`: the set of *observable flows* an eavesdropper
-can distinguish (per MAC address / virtual interface / channel slice)
-plus byte-overhead accounting.  The attack pipeline then classifies each
-observable flow separately.
+Every defense — reshaping scheduler, byte-level baseline, the
+undefended original, a composed stack — is a :class:`Scheme`: a named
+transform from an application trace to :class:`DefendedTraffic`, the
+set of *observable flows* an eavesdropper can distinguish (per MAC
+address / virtual interface / channel slice) plus byte-overhead
+accounting.  The attack pipeline then classifies each observable flow
+separately.
 
-Reshaping-style defenses — whose observable flows are masked selections
+Reshaping-style schemes — whose observable flows are masked selections
 and relabelings of the source columns, optionally with an elementwise
 size rewrite — can additionally describe themselves as a
 :class:`FusedPlan`: a per-packet flow-assignment array plus the
@@ -22,17 +24,21 @@ import abc
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.obs import add, gauge, observe, span
 from repro.traffic.trace import Trace
+
+if TYPE_CHECKING:
+    from repro.core.base import Reshaper
 
 __all__ = [
     "ChainedSizeTransform",
     "DefendedTraffic",
-    "Defense",
     "FusedPlan",
-    "FusedStage",
+    "Scheme",
     "StageOverhead",
 ]
 
@@ -41,10 +47,11 @@ __all__ = [
 class StageOverhead:
     """One pipeline stage's contribution to a defended trace's cost.
 
-    A single defense produces one entry; a
+    A single scheme produces one entry; a
     :class:`~repro.schemes.SchemeStack` produces one per stage, in
     application order, so the rolled-up report can attribute every
-    byte to the stage that spent it.
+    byte to the stage that spent it.  The materializing ``apply`` and
+    the fused plan report the same records.
 
     Attributes:
         scheme: registry name of the stage (``"padding"``, ``"or"``...).
@@ -52,13 +59,25 @@ class StageOverhead:
             fragment headers); 0 for pure reshaping stages.
         handshake_bytes: control-path bytes this stage spent on Fig. 2
             configuration exchanges (one per association it opened).
-        flows: observable flows leaving this stage.
+        fanouts: observable-flow count of each of the stage's applies,
+            in application order — one apply for a top-level scheme,
+            one per input flow inside a stack.
     """
 
     scheme: str
     extra_bytes: int
     handshake_bytes: int
-    flows: int
+    fanouts: tuple[int, ...]
+
+    @property
+    def flows(self) -> int:
+        """Observable flows leaving this stage."""
+        return sum(self.fanouts)
+
+    @property
+    def applies(self) -> int:
+        """How many times the stage was applied."""
+        return len(self.fanouts)
 
 
 @dataclass(frozen=True)
@@ -74,8 +93,8 @@ class DefendedTraffic:
         handshake_bytes: configuration-protocol bytes spent setting the
             defense up (Sec. V-B's "only message overhead"); 0 for
             defenses that need no virtual-interface handshake.
-        stages: per-stage accounting when the defense is a composed
-            scheme pipeline; empty for plain single defenses.
+        stages: per-stage accounting; :meth:`Scheme.apply` fills in the
+            one stage of a single scheme, a stack reports one per stage.
     """
 
     original: Trace
@@ -106,33 +125,6 @@ class DefendedTraffic:
 #: Elementwise size rewrite of a fused plan: ``(sizes, directions) ->
 #: int64 sizes``, pure and vectorized (padding is the canonical case).
 SizeTransform = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class FusedStage:
-    """One stage's accounting inside a :class:`FusedPlan`.
-
-    Mirrors exactly what the stage's materializing ``apply`` would have
-    recorded — the fused path replays these so ``scheme.*`` telemetry is
-    identical whether flows were materialized or planned.
-
-    Attributes:
-        scheme: the stage's scheme name (``"or"``, ``"padding"``...).
-        applies: how many times the legacy path would have called the
-            stage's ``apply`` (1 for a top-level scheme; the previous
-            stage's fan-out inside a stack).
-        fanouts: observable-flow count of each of those applies, in
-            application order.
-        extra_bytes: total data-path bytes the stage adds.
-        handshake_bytes: total Fig. 2 configuration bytes the stage
-            spends (one engine handshake per apply).
-    """
-
-    scheme: str
-    applies: int
-    fanouts: tuple[int, ...]
-    extra_bytes: int
-    handshake_bytes: int
 
 
 @dataclass(frozen=True)
@@ -172,14 +164,14 @@ class FusedPlan:
         n_flows: observable flow count (flows may be empty — the legacy
             path emits empty flows too, e.g. identity on an empty trace).
         size_transform: elementwise size rewrite, or ``None``.
-        stages: per-stage accounting (see :class:`FusedStage`).
+        stages: per-stage accounting, as ``apply`` would report it.
         stack: whether the plan describes a composed scheme stack.
     """
 
     assignments: np.ndarray
     n_flows: int
     size_transform: SizeTransform | None = None
-    stages: tuple[FusedStage, ...] = ()
+    stages: tuple[StageOverhead, ...] = ()
     stack: bool = False
 
     @classmethod
@@ -189,7 +181,7 @@ class FusedPlan:
         *,
         n_flows: int | None = None,
         size_transform: SizeTransform | None = None,
-        stages: tuple[FusedStage, ...] = (),
+        stages: tuple[StageOverhead, ...] = (),
         stack: bool = False,
     ) -> FusedPlan:
         """Build a plan from a raw per-packet assignment array.
@@ -235,7 +227,7 @@ class FusedPlan:
         )
 
     def with_stages(
-        self, stages: tuple[FusedStage, ...], stack: bool = False
+        self, stages: tuple[StageOverhead, ...], stack: bool = False
     ) -> FusedPlan:
         """The same plan with its accounting replaced."""
         return replace(self, stages=stages, stack=stack)
@@ -259,17 +251,6 @@ class FusedPlan:
         return self.order[lo:hi]
 
     @property
-    def stage_overheads(self) -> tuple[StageOverhead, ...]:
-        """The accounting ``apply`` would report as ``DefendedTraffic.stages``.
-
-        A stage's flows are the total fan-out of its applies.
-        """
-        return tuple(
-            StageOverhead(s.scheme, s.extra_bytes, s.handshake_bytes, sum(s.fanouts))
-            for s in self.stages
-        )
-
-    @property
     def extra_bytes(self) -> int:
         """Total data-path bytes added (additive across stages)."""
         return sum(stage.extra_bytes for stage in self.stages)
@@ -290,18 +271,92 @@ class FusedPlan:
         return 2 * self.assignments.nbytes + (self.n_flows + 1) * 8
 
 
-class Defense(abc.ABC):
-    """A traffic-analysis countermeasure applied to one trace."""
+def _record_stages(
+    stages: tuple[StageOverhead, ...], packets_in: int, packets_out: int
+) -> None:
+    """Scheme telemetry for ``stages``, each seeing ``packets_in``/``_out``.
 
-    name: str = "defense"
+    Counters are additive per apply — aggregate totals plus a
+    ``scheme[<name>].*`` breakdown (the paper's per-stage overhead
+    accounting, as counters) — and record into whatever collection
+    context is active, so the window cache's capture-and-replay makes
+    them follow logical requests, not physical executions.  Both routes
+    record through here: a materializing ``apply`` with its one stage
+    and its real packet counts, a fused plan with all its stages (fused
+    schemes conserve packets, so each stage's applies see the trace's
+    packet count in and out in total).  A cell's profile is therefore
+    identical whichever route ran.
+    """
+    for stage in stages:
+        if not stage.fanouts:
+            # A dead stack arm: no flow ever reached the stage.
+            continue
+        add("scheme.apply_calls", stage.applies)
+        add("scheme.packets_in", packets_in)
+        add("scheme.packets_out", packets_out)
+        add("scheme.extra_bytes", stage.extra_bytes)
+        add("scheme.handshake_bytes", stage.handshake_bytes)
+        add(f"scheme[{stage.scheme}].apply_calls", stage.applies)
+        add(f"scheme[{stage.scheme}].packets_out", packets_out)
+        add(f"scheme[{stage.scheme}].extra_bytes", stage.extra_bytes)
+        add(f"scheme[{stage.scheme}].handshake_bytes", stage.handshake_bytes)
+        for fanout in stage.fanouts:
+            observe("scheme.fanout", fanout)
+
+
+class Scheme(abc.ABC):
+    """A named, composable defense: trace in, observable flows out.
+
+    Subclasses implement :meth:`transform`; :meth:`apply` is the one
+    instrumented entry point around it.  A scheme that applies another
+    scheme internally calls the inner one's ``transform``, so a logical
+    application is counted once.
+    """
+
+    #: Registry name (stacks use the ``a+b`` composition label).
+    name: str = "scheme"
 
     @abc.abstractmethod
-    def apply(self, trace: Trace) -> DefendedTraffic:
-        """Defend ``trace`` and return the observable flows."""
+    def transform(self, trace: Trace) -> DefendedTraffic:
+        """Defend ``trace`` without recording telemetry.
 
-    def apply_many(self, traces: list[Trace]) -> list[DefendedTraffic]:
-        """Apply the defense to several traces independently."""
-        return [self.apply(trace) for trace in traces]
+        Deterministic in ``(self, trace)``.  Leaves ``stages`` empty
+        unless the scheme is itself a pipeline of stages.
+        """
+
+    def apply(self, trace: Trace) -> DefendedTraffic:
+        """Defend ``trace``, with per-stage accounting and telemetry."""
+        with span(f"scheme.apply[{self.name}]"):
+            defended = self.transform(trace)
+            if not defended.stages:
+                defended = replace(
+                    defended,
+                    stages=(
+                        StageOverhead(
+                            self.name,
+                            defended.extra_bytes,
+                            defended.handshake_bytes,
+                            (len(defended.flows),),
+                        ),
+                    ),
+                )
+        packets_out = sum(len(flow) for flow in defended.flows.values())
+        _record_stages(defended.stages, len(trace), packets_out)
+        return defended
+
+    def reset(self) -> None:
+        """Clear any online state (delegated to wrapped objects)."""
+
+    @property
+    def reshaper(self) -> Reshaper | None:
+        """The underlying packet scheduler, when the scheme has one.
+
+        The streaming loop (:mod:`repro.stream.adaptive`) schedules
+        packet by packet, so it unwraps the scheduler from whatever
+        scheme the batch path evaluates; byte-level defenses return
+        ``None`` (they have no online form).
+        """
+        return None
 
     def fused_plan_columns(
         self,
@@ -312,12 +367,38 @@ class Defense(abc.ABC):
     ) -> FusedPlan | None:
         """Describe :meth:`apply` as a :class:`FusedPlan`, if possible.
 
-        Returns ``None`` when the defense cannot be expressed as a flow
-        assignment plus an elementwise size rewrite (e.g. morphing,
-        which resamples sizes stochastically); the evaluation pipeline
-        then falls back to the materializing path.  Implementations
-        must be deterministic in ``(self, columns)`` and bit-identical
-        to ``apply`` — flow ``f`` of the plan selects exactly the
-        packets of ``apply(trace).observable_flows[f]``.
+        The fusion protocol: reshaping-only schemes — whose observable
+        flows are masked selections/relabelings of the source columns,
+        optionally with an elementwise size rewrite — return a plan the
+        batch featurizer evaluates with zero intermediate ``Trace``
+        allocation.  Schemes that genuinely rewrite traffic (morphing)
+        return ``None`` (the default) and the pipeline falls back to
+        :meth:`apply`.  Implementations must be deterministic in
+        ``(self, columns)`` and bit-identical to ``apply``: plan flow
+        ``f`` selects exactly the packets of
+        ``apply(trace).observable_flows[f]``, in order, and the plan's
+        ``stages`` equal the applied traffic's.
         """
         return None
+
+    def fused_plan(self, trace: Trace) -> FusedPlan | None:
+        """The fused plan for ``trace``, with scheme telemetry recorded.
+
+        Returns ``None`` for non-fusable schemes without recording
+        anything — the fallback's real ``apply`` will count itself.  On
+        success records the exact ``scheme.*`` counters ``apply`` would
+        have (see :func:`_record_stages`).
+        """
+        with span(f"scheme.fuse[{self.name}]"):
+            plan = self.fused_plan_columns(
+                trace.times, trace.sizes, trace.directions, trace.label
+            )
+        if plan is None:
+            return None
+        _record_stages(plan.stages, len(trace), len(trace))
+        if plan.stack:
+            add("scheme.stacks_applied")
+            observe("scheme.stack_fanout", plan.n_flows)
+        add("batch.fused_plans")
+        gauge("batch.plan_bytes", plan.plan_bytes)
+        return plan

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from repro.defenses.base import DefendedTraffic, Defense
+from repro.defenses.base import DefendedTraffic, Scheme
 from repro.mac.frames import FRAME_HEADER_BYTES
 from repro.traffic.packet import Direction
 from repro.traffic.trace import Trace
@@ -170,7 +170,7 @@ class MorphingMatrix:
         return out
 
 
-class TrafficMorphing(Defense):
+class TrafficMorphing(Scheme):
     """Morph a trace's data direction to look like a target application.
 
     Args:
@@ -198,7 +198,7 @@ class TrafficMorphing(Defense):
         self._morph_all = bool(morph_all_packets)
         self._seed = int(seed)
 
-    def apply(self, trace: Trace) -> DefendedTraffic:
+    def transform(self, trace: Trace) -> DefendedTraffic:
         """Morph ``trace`` toward the target's size distribution."""
         from repro.defenses.padding import data_direction_of
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.defenses.base import DefendedTraffic, Defense, FusedPlan, FusedStage
+from repro.defenses.base import DefendedTraffic, FusedPlan, Scheme, StageOverhead
 from repro.traffic.apps import AppType
 from repro.traffic.packet import DOWNLINK, UPLINK, Direction
 from repro.traffic.sizes import MAX_PACKET_SIZE
@@ -43,12 +43,11 @@ def data_direction_of(app: AppType | str | None) -> Direction:
 
 @dataclass(frozen=True)
 class PadSizes:
-    """Elementwise size transform of :class:`PacketPadding` (fused form).
+    """Elementwise size rewrite of :class:`PacketPadding`.
 
-    ``direction`` is the padded direction, or ``None`` for both; the
-    arithmetic mirrors ``PacketPadding.apply`` exactly (same
-    ``np.where``/``np.maximum`` expressions on int64), so fused sizes
-    are bit-identical to the materialized defended trace's.
+    ``direction`` is the padded direction, or ``None`` for both.  The
+    materializing ``transform`` and the fused plan both rewrite sizes
+    through this one object, so their sizes are bit-identical.
     """
 
     pad_to: int
@@ -64,7 +63,7 @@ class PadSizes:
         )
 
 
-class PacketPadding(Defense):
+class PacketPadding(Scheme):
     """Pad packets to a fixed length (default l_max = 1576 bytes)."""
 
     name = "padding"
@@ -79,17 +78,22 @@ class PacketPadding(Defense):
         self.pad_to = int(pad_to)
         self.pad_both_directions = bool(pad_both_directions)
 
-    def apply(self, trace: Trace) -> DefendedTraffic:
+    def _padding(
+        self, sizes: np.ndarray, directions: np.ndarray, label: str | None
+    ) -> tuple[PadSizes, int]:
+        """The size rewrite for a trace labelled ``label``, and its extra bytes."""
+        direction = None if self.pad_both_directions else int(data_direction_of(label))
+        # extra = sum over covered packets of max(0, pad_to - size),
+        # computed maskwise so no gathered copy of the column is made.
+        deficit = np.maximum(self.pad_to - np.asarray(sizes), 0)
+        if direction is not None:
+            deficit = np.where(np.asarray(directions) == direction, deficit, 0)
+        return PadSizes(self.pad_to, direction), int(deficit.sum())
+
+    def transform(self, trace: Trace) -> DefendedTraffic:
         """Pad the data direction (or both) of ``trace`` to ``pad_to`` bytes."""
-        sizes = trace.sizes.copy()
-        if self.pad_both_directions:
-            mask = np.ones(len(trace), dtype=bool)
-        else:
-            direction = data_direction_of(trace.label)
-            mask = trace.directions == int(direction)
-        padded = np.where(mask, np.maximum(sizes, self.pad_to), sizes)
-        defended = trace.with_sizes(padded)
-        extra = int(padded.sum() - sizes.sum())
+        pad, extra = self._padding(trace.sizes, trace.directions, trace.label)
+        defended = trace.with_sizes(pad(trace.sizes, trace.directions))
         return DefendedTraffic(original=trace, flows={0: defended}, extra_bytes=extra)
 
     def fused_plan_columns(
@@ -100,22 +104,10 @@ class PacketPadding(Defense):
         label: str | None,
     ) -> FusedPlan:
         """Padding fuses trivially: one flow, an elementwise size rewrite."""
-        sizes = np.asarray(sizes)
-        # extra = sum over covered packets of max(0, pad_to - size),
-        # computed maskwise so no gathered copy of the column is made.
-        deficit = np.maximum(self.pad_to - sizes, 0)
-        if self.pad_both_directions:
-            transform = PadSizes(self.pad_to, None)
-            extra = int(deficit.sum())
-        else:
-            direction = int(data_direction_of(label))
-            transform = PadSizes(self.pad_to, direction)
-            extra = int(
-                np.where(np.asarray(directions) == direction, deficit, 0).sum()
-            )
+        pad, extra = self._padding(sizes, directions, label)
         return FusedPlan.from_assignments(
             np.zeros(len(sizes), dtype=np.int64),
             n_flows=1,
-            size_transform=transform,
-            stages=(FusedStage(self.name, 1, (1,), extra, 0),),
+            size_transform=pad,
+            stages=(StageOverhead(self.name, extra, 0, (1,)),),
         )

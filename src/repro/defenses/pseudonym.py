@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.defenses.base import DefendedTraffic, Defense, FusedPlan, FusedStage
+from repro.defenses.base import DefendedTraffic, FusedPlan, Scheme, StageOverhead
 from repro.traffic.trace import Trace
 from repro.util.validation import require_positive
 
 __all__ = ["PseudonymDefense"]
 
 
-class PseudonymDefense(Defense):
+class PseudonymDefense(Scheme):
     """Split a trace into per-pseudonym epochs.
 
     Args:
@@ -36,18 +36,15 @@ class PseudonymDefense(Defense):
         require_positive(epoch, "epoch")
         self.epoch = float(epoch)
 
-    def apply(self, trace: Trace) -> DefendedTraffic:
+    def _epochs(self, times: np.ndarray) -> np.ndarray:
+        """The pseudonym epoch of each packet time (the first opens epoch 0)."""
+        start = float(times[0]) if len(times) else 0.0
+        return np.floor((times - start) / self.epoch).astype(np.int16)
+
+    def transform(self, trace: Trace) -> DefendedTraffic:
         """Assign each packet to the pseudonym active at its timestamp."""
-        if len(trace) == 0:
-            return DefendedTraffic(original=trace, flows={}, extra_bytes=0)
-        start = float(trace.times[0])
-        epoch_index = np.floor((trace.times - start) / self.epoch).astype(np.int16)
-        relabeled = trace.with_ifaces(epoch_index)
-        return DefendedTraffic(
-            original=trace,
-            flows=relabeled.split_by_iface(),
-            extra_bytes=0,
-        )
+        relabeled = trace.with_ifaces(self._epochs(trace.times))
+        return DefendedTraffic(original=trace, flows=relabeled.split_by_iface())
 
     def fused_plan_columns(
         self,
@@ -56,17 +53,6 @@ class PseudonymDefense(Defense):
         directions: np.ndarray,
         label: str | None,
     ) -> FusedPlan:
-        """Epoch partitioning as a plan (same arithmetic as ``apply``)."""
-        if len(times) == 0:
-            # apply() emits zero flows for an empty trace.
-            return FusedPlan.from_assignments(
-                np.zeros(0, dtype=np.int64),
-                n_flows=0,
-                stages=(FusedStage(self.name, 1, (0,), 0, 0),),
-            )
-        start = float(times[0])
-        epoch_index = np.floor((times - start) / self.epoch).astype(np.int16)
-        plan = FusedPlan.from_assignments(epoch_index)
-        return plan.with_stages(
-            (FusedStage(self.name, 1, (plan.n_flows,), 0, 0),)
-        )
+        """Epoch partitioning as a plan (the same epochs as ``transform``)."""
+        plan = FusedPlan.from_assignments(self._epochs(times))
+        return plan.with_stages((StageOverhead(self.name, 0, 0, (plan.n_flows,)),))

@@ -33,7 +33,6 @@ from repro.net.channel import Position
 from repro.net.wlan import WlanSimulation
 from repro.schemes import (
     DEFAULT_INTERFACES,
-    as_scheme,
     build_raw,
     build_scheme,
     legacy_scheme_spec,
@@ -91,15 +90,13 @@ def combined_defense_accuracy(
     pipeline = AttackPipeline(window=window, seed=scenario.seed)
     pipeline.train(scenario.training_traces())
     orthogonal = runner.scheme(legacy_scheme_spec("or"))
-    combined = as_scheme(
-        CombinedDefense(
-            build_raw(legacy_scheme_spec("or"), scenario.seed),
-            {
-                0: scenario.evaluation_trace(AppType.GAMING),
-                1: scenario.evaluation_trace(AppType.BROWSING),
-            },
-            seed=scenario.seed,
-        )
+    combined = CombinedDefense(
+        build_raw(legacy_scheme_spec("or"), scenario.seed),
+        {
+            0: scenario.evaluation_trace(AppType.GAMING),
+            1: scenario.evaluation_trace(AppType.BROWSING),
+        },
+        seed=scenario.seed,
     )
 
     or_matrices: dict[str, list[np.ndarray]] = {}

@@ -195,7 +195,7 @@ class ExperimentRunner:
             return ()
         plan, _ = self._plan(applied, trace)
         if plan is not None:
-            return plan.stage_overheads
+            return plan.stages
         defended, _ = self._defended(applied, trace)
         return defended.stages
 

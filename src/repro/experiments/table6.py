@@ -142,7 +142,9 @@ def _app_row(
                 target_trace=scenario.evaluation_trace(AppType(target_app)),
                 seed=scenario.seed + session_index,
             )
-            morph_overheads.append(overhead_percent(morpher.apply(trace)))
+            # Only the byte cost is read, so the morph is not counted
+            # as an evaluated scheme application.
+            morph_overheads.append(overhead_percent(morpher.transform(trace)))
     report = pipeline.evaluate_matrices({app.value: matrices})
     return (
         report.accuracy_by_class[app.value],

@@ -3,9 +3,10 @@
 One abstraction for every defense the repo evaluates:
 
 * :class:`Scheme` — trace in, :class:`~repro.defenses.base.DefendedTraffic`
-  out, with overhead + handshake accounting attached; adapters wrap the
-  legacy :class:`~repro.core.base.Reshaper` and
-  :class:`~repro.defenses.base.Defense` interfaces.
+  out, with overhead + handshake accounting attached (defined in
+  :mod:`repro.defenses.base`, re-exported here); the byte-level
+  baselines are schemes, and :class:`ReshaperScheme` adapts any
+  :class:`~repro.core.base.Reshaper`.
 * :class:`SchemeStack` — chains schemes (``padding+or+fh``), fanning
   each stage over the previous stage's observable flows and rolling
   per-stage accounting up into one report.
@@ -22,14 +23,12 @@ See ``docs/architecture.md`` ("The scheme pipeline") for composition
 semantics and the determinism model.
 """
 
-from repro.defenses.base import FusedPlan, FusedStage
+from repro.defenses.base import FusedPlan, StageOverhead
 from repro.schemes.base import (
-    DefenseScheme,
     IdentityScheme,
     ReshaperScheme,
     Scheme,
     SchemeStack,
-    as_scheme,
 )
 from repro.schemes.catalog import (
     DEFAULT_INTERFACES,
@@ -63,11 +62,9 @@ from repro.schemes.spec import (
 
 __all__ = [
     "DEFAULT_INTERFACES",
-    "DefenseScheme",
     "FH_CHANNELS",
     "FH_DWELL_SECONDS",
     "FusedPlan",
-    "FusedStage",
     "IdentityScheme",
     "LEGACY_SCHEME_SPECS",
     "MorphTowardApp",
@@ -79,8 +76,8 @@ __all__ = [
     "SchemeDefinition",
     "SchemeSpec",
     "SchemeStack",
+    "StageOverhead",
     "all_scheme_definitions",
-    "as_scheme",
     "build_raw",
     "build_scheme",
     "build_stack",

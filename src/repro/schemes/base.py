@@ -1,22 +1,21 @@
-"""The unified defense-scheme interface: one trace transform to rule them all.
+"""The scheme pipeline: the undefended original and stacks of schemes.
 
-The repo grew two disjoint abstractions for the paper's defenses —
-:class:`~repro.core.base.Reshaper` (+ :class:`~repro.core.engine.ReshapingEngine`)
-for the scheduling schemes and :class:`~repro.defenses.base.Defense` for
-the byte-level baselines.  A :class:`Scheme` subsumes both: a named,
-resettable transform ``apply(trace) -> DefendedTraffic`` whose output
-carries its own overhead/handshake accounting.  Because every scheme
-speaks the same contract, they **compose**: :class:`SchemeStack` chains
-any sequence (padding → OR → FH, ...), fanning each stage over the
-previous stage's observable flows and rolling the per-stage accounting
-up into one report.
+Every defense speaks one contract, :class:`~repro.defenses.base.Scheme`
+(defined next to the :class:`~repro.defenses.base.DefendedTraffic` it
+returns and re-exported here): a named, resettable transform
+``apply(trace) -> DefendedTraffic`` whose output carries its own
+overhead/handshake accounting.  Reshaping schedulers join through
+:class:`~repro.core.base.ReshaperScheme`; the byte-level baselines are
+schemes themselves.  Because every scheme speaks the same contract, they
+**compose**: :class:`SchemeStack` chains any sequence (padding → OR →
+FH, ...), fanning each stage over the previous stage's observable flows
+and rolling the per-stage accounting up into one report.
 
 Composition semantics:
 
 * Stage *k+1* is applied to **each** observable flow stage *k* emitted,
-  independently (each flow is its own association, mirroring
-  ``ReshapingEngine.apply_many``); its outputs concatenate, renumbered
-  in stage-major order.
+  independently (each flow is its own association); its outputs
+  concatenate, renumbered in stage-major order.
 * ``extra_bytes`` / ``handshake_bytes`` are **additive** across stages:
   the stack's totals are the per-stage sums, and every stage's own
   contribution is preserved in ``DefendedTraffic.stages``.
@@ -32,157 +31,27 @@ Composition semantics:
 
 from __future__ import annotations
 
-import abc
-from collections.abc import Sequence
-from dataclasses import replace
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from repro.core.base import Reshaper
-from repro.core.engine import ReshapingEngine
+from repro.core.base import Reshaper, ReshaperScheme
 from repro.defenses.base import (
     ChainedSizeTransform,
     DefendedTraffic,
-    Defense,
     FusedPlan,
-    FusedStage,
+    Scheme,
     StageOverhead,
 )
-from repro.obs import add, gauge, observe, span
+from repro.obs import add, observe, span
 from repro.traffic.trace import Trace
 
 __all__ = [
-    "DefenseScheme",
     "IdentityScheme",
     "ReshaperScheme",
     "Scheme",
     "SchemeStack",
-    "as_scheme",
 ]
-
-
-def _record_apply(name: str, defended: DefendedTraffic) -> DefendedTraffic:
-    """Telemetry for one leaf scheme application.
-
-    Counters are additive per apply — aggregate totals plus a
-    ``scheme[<name>].*`` breakdown (the paper's per-stage overhead
-    accounting, as counters) — and record into whatever collection
-    context is active, so the window cache's capture-and-replay makes
-    them follow logical requests, not physical executions.  Stacks do
-    not call this: their stages are leaves and already counted, which
-    keeps the byte totals additive instead of double-counted.
-    """
-    flows = defended.observable_flows
-    packets_out = sum(len(flow) for flow in flows)
-    add("scheme.apply_calls")
-    add("scheme.packets_in", len(defended.original))
-    add("scheme.packets_out", packets_out)
-    add("scheme.extra_bytes", defended.extra_bytes)
-    add("scheme.handshake_bytes", defended.handshake_bytes)
-    add(f"scheme[{name}].apply_calls")
-    add(f"scheme[{name}].packets_out", packets_out)
-    add(f"scheme[{name}].extra_bytes", defended.extra_bytes)
-    add(f"scheme[{name}].handshake_bytes", defended.handshake_bytes)
-    observe("scheme.fanout", len(flows))
-    return defended
-
-
-def _record_fused(plan: FusedPlan, n_packets: int) -> None:
-    """Telemetry for one fused plan, counter-for-counter with the legacy path.
-
-    Every ``scheme.*`` counter and histogram observation the
-    materializing path would have recorded is replayed from the plan's
-    per-stage accounting (fusable schemes conserve packets, so each
-    stage's leaves see ``n_packets`` in and out in total).  A cell's
-    profile is therefore identical whether its flows were materialized
-    or planned — only the ``batch.*`` namespace says which path ran.
-    """
-    for stage in plan.stages:
-        if stage.applies == 0:
-            # A dead stack arm: the legacy path never calls the stage.
-            continue
-        add("scheme.apply_calls", stage.applies)
-        add("scheme.packets_in", n_packets)
-        add("scheme.packets_out", n_packets)
-        add("scheme.extra_bytes", stage.extra_bytes)
-        add("scheme.handshake_bytes", stage.handshake_bytes)
-        add(f"scheme[{stage.scheme}].apply_calls", stage.applies)
-        add(f"scheme[{stage.scheme}].packets_out", n_packets)
-        add(f"scheme[{stage.scheme}].extra_bytes", stage.extra_bytes)
-        add(f"scheme[{stage.scheme}].handshake_bytes", stage.handshake_bytes)
-        for fanout in stage.fanouts:
-            observe("scheme.fanout", fanout)
-    if plan.stack:
-        add("scheme.stacks_applied")
-        observe("scheme.stack_fanout", plan.n_flows)
-    add("batch.fused_plans")
-    gauge("batch.plan_bytes", plan.plan_bytes)
-
-
-class Scheme(abc.ABC):
-    """A named, composable defense: trace in, observable flows out."""
-
-    #: Registry name (stacks use the ``a+b`` composition label).
-    name: str = "scheme"
-
-    @abc.abstractmethod
-    def apply(self, trace: Trace) -> DefendedTraffic:
-        """Defend ``trace``; deterministic in ``(self, trace)``."""
-
-    def reset(self) -> None:
-        """Clear any online state (delegated to wrapped objects)."""
-
-    def apply_many(self, traces: Sequence[Trace]) -> list[DefendedTraffic]:
-        """Apply the scheme to several traces independently."""
-        return [self.apply(trace) for trace in traces]
-
-    @property
-    def reshaper(self) -> Reshaper | None:
-        """The underlying packet scheduler, when the scheme has one.
-
-        The streaming loop (:mod:`repro.stream.adaptive`) schedules
-        packet by packet, so it unwraps the scheduler from whatever
-        scheme the batch path evaluates; byte-level defenses return
-        ``None`` (they have no online form).
-        """
-        return None
-
-    def fused_plan_columns(
-        self,
-        times: np.ndarray,
-        sizes: np.ndarray,
-        directions: np.ndarray,
-        label: str | None,
-    ) -> FusedPlan | None:
-        """Describe :meth:`apply` as a :class:`FusedPlan`, if possible.
-
-        The fusion protocol: reshaping-only schemes — whose observable
-        flows are masked selections/relabelings of the source columns,
-        optionally with an elementwise size rewrite — return a plan the
-        batch featurizer evaluates with zero intermediate ``Trace``
-        allocation.  Schemes that genuinely rewrite traffic (morphing)
-        return ``None`` (the default) and the pipeline falls back to
-        :meth:`apply`.  Implementations must be bit-identical to
-        ``apply``: plan flow ``f`` selects exactly the packets of
-        ``apply(trace).observable_flows[f]``, in order.
-        """
-        return None
-
-    def fused_plan(self, trace: Trace) -> FusedPlan | None:
-        """The fused plan for ``trace``, with scheme telemetry recorded.
-
-        Returns ``None`` for non-fusable schemes without recording
-        anything — the fallback's real ``apply`` will count itself.  On
-        success records the exact ``scheme.*`` counters the legacy path
-        would have (see :func:`_record_fused`).
-        """
-        with span(f"scheme.fuse[{self.name}]"):
-            plan = self.fused_plan_columns(
-                trace.times, trace.sizes, trace.directions, trace.label
-            )
-        if plan is not None:
-            _record_fused(plan, len(trace))
-        return plan
 
 
 class IdentityScheme(Scheme):
@@ -190,14 +59,8 @@ class IdentityScheme(Scheme):
 
     name = "original"
 
-    def apply(self, trace: Trace) -> DefendedTraffic:
-        with span(f"scheme.apply[{self.name}]"):
-            defended = DefendedTraffic(
-                original=trace,
-                flows={0: trace},
-                stages=(StageOverhead(self.name, 0, 0, 1),),
-            )
-        return _record_apply(self.name, defended)
+    def transform(self, trace: Trace) -> DefendedTraffic:
+        return DefendedTraffic(original=trace, flows={0: trace})
 
     def fused_plan_columns(
         self,
@@ -206,106 +69,12 @@ class IdentityScheme(Scheme):
         directions: np.ndarray,
         label: str | None,
     ) -> FusedPlan:
-        # apply() always emits one flow — the trace itself — even empty.
+        # transform() always emits one flow — the trace itself — even empty.
         return FusedPlan.from_assignments(
             np.zeros(len(times), dtype=np.int64),
             n_flows=1,
-            stages=(FusedStage(self.name, 1, (1,), 0, 0),),
+            stages=(StageOverhead(self.name, 0, 0, (1,)),),
         )
-
-
-class ReshaperScheme(Scheme):
-    """Adapter: any :class:`~repro.core.base.Reshaper` as a :class:`Scheme`.
-
-    ``apply`` runs the trace through a :class:`ReshapingEngine` (state
-    reset, partition verified) — bit-identical to the engine path the
-    batch experiments always used — and charges the engine's Fig. 2
-    configuration handshake as the stage's ``handshake_bytes``.
-    """
-
-    def __init__(self, name: str, reshaper: Reshaper):
-        self.name = str(name)
-        self._engine = ReshapingEngine(reshaper)
-
-    @property
-    def reshaper(self) -> Reshaper:
-        return self._engine.reshaper
-
-    def reset(self) -> None:
-        self._engine.reshaper.reset()
-
-    def apply(self, trace: Trace) -> DefendedTraffic:
-        with span(f"scheme.apply[{self.name}]"):
-            result = self._engine.apply(trace)
-            handshake = self._engine.config_overhead_bytes
-            defended = DefendedTraffic(
-                original=trace,
-                flows=result.flows,
-                extra_bytes=0,
-                handshake_bytes=handshake,
-                stages=(StageOverhead(self.name, 0, handshake, len(result.flows)),),
-            )
-        return _record_apply(self.name, defended)
-
-    def fused_plan_columns(
-        self,
-        times: np.ndarray,
-        sizes: np.ndarray,
-        directions: np.ndarray,
-        label: str | None,
-    ) -> FusedPlan | None:
-        raw = self._engine.reshaper.assign_columns(times, sizes, directions)
-        if raw is None:
-            return None
-        plan = FusedPlan.from_assignments(raw)
-        handshake = self._engine.config_overhead_bytes
-        return plan.with_stages(
-            (FusedStage(self.name, 1, (plan.n_flows,), 0, handshake),)
-        )
-
-
-class DefenseScheme(Scheme):
-    """Adapter: any :class:`~repro.defenses.base.Defense` as a :class:`Scheme`."""
-
-    def __init__(self, name: str, defense: Defense):
-        self.name = str(name)
-        self._defense = defense
-
-    @property
-    def defense(self) -> Defense:
-        """The wrapped byte-level defense."""
-        return self._defense
-
-    def apply(self, trace: Trace) -> DefendedTraffic:
-        with span(f"scheme.apply[{self.name}]"):
-            result = self._defense.apply(trace)
-            defended = replace(
-                result,
-                stages=(
-                    StageOverhead(
-                        self.name, result.extra_bytes, result.handshake_bytes,
-                        len(result.flows),
-                    ),
-                ),
-            )
-        return _record_apply(self.name, defended)
-
-    def fused_plan_columns(
-        self,
-        times: np.ndarray,
-        sizes: np.ndarray,
-        directions: np.ndarray,
-        label: str | None,
-    ) -> FusedPlan | None:
-        plan = self._defense.fused_plan_columns(times, sizes, directions, label)
-        if plan is None or not plan.stages:
-            return plan
-        # The stage is reported under the *scheme's* label, which may
-        # differ from the wrapped defense's registry name.
-        stage = plan.stages[0]
-        if stage.scheme == self.name:
-            return plan
-        return plan.with_stages((replace(stage, scheme=self.name),))
 
 
 class SchemeStack(Scheme):
@@ -333,28 +102,40 @@ class SchemeStack(Scheme):
         for stage in self._stages:
             stage.reset()
 
+    def transform(self, trace: Trace) -> DefendedTraffic:
+        return self._chain(trace, lambda stage, flow: stage.transform(flow))
+
     def apply(self, trace: Trace) -> DefendedTraffic:
-        flows: list[Trace] = [trace]
-        accounting: list[StageOverhead] = []
         # Stage applies are leaves: they record their own counters and
         # spans (nested under this one), so the stack adds only its
         # fan-out observation — byte totals stay additive.
         with span(f"scheme.apply[{self.name}]"):
-            for stage in self._stages:
-                emitted: list[Trace] = []
-                extra = 0
-                handshake = 0
-                for flow in flows:
-                    result = stage.apply(flow)
-                    emitted.extend(result.observable_flows)
-                    extra += result.extra_bytes
-                    handshake += result.handshake_bytes
-                accounting.append(
-                    StageOverhead(stage.name, extra, handshake, len(emitted))
-                )
-                flows = emitted
+            defended = self._chain(trace, lambda stage, flow: stage.apply(flow))
         add("scheme.stacks_applied")
-        observe("scheme.stack_fanout", len(flows))
+        observe("scheme.stack_fanout", len(defended.flows))
+        return defended
+
+    def _chain(
+        self, trace: Trace, step: Callable[[Scheme, Trace], DefendedTraffic]
+    ) -> DefendedTraffic:
+        """Run ``step(stage, flow)`` over every flow, stage by stage."""
+        flows: list[Trace] = [trace]
+        accounting: list[StageOverhead] = []
+        for stage in self._stages:
+            emitted: list[Trace] = []
+            fanouts: list[int] = []
+            extra = 0
+            handshake = 0
+            for flow in flows:
+                result = step(stage, flow)
+                emitted.extend(result.observable_flows)
+                fanouts.append(len(result.flows))
+                extra += result.extra_bytes
+                handshake += result.handshake_bytes
+            accounting.append(
+                StageOverhead(stage.name, extra, handshake, tuple(fanouts))
+            )
+            flows = emitted
         return DefendedTraffic(
             original=trace,
             flows=dict(enumerate(flows)),
@@ -390,13 +171,12 @@ class SchemeStack(Scheme):
         assignments = np.zeros(n, dtype=np.int64)
         n_flows = 1
         transforms: list = []
-        stage_records: list[FusedStage] = []
+        stage_records: list[StageOverhead] = []
         for stage in self._stages:
             new_assignments = np.empty(n, dtype=np.int64)
             new_sizes = None
             stage_transform = None
             offset = 0
-            applies = 0
             fanouts: list[int] = []
             extra = 0
             handshake = 0
@@ -425,7 +205,6 @@ class SchemeStack(Scheme):
                 else:
                     new_assignments[mask] = sub.assignments + offset
                 offset += sub.n_flows
-                applies += 1
                 fanouts.append(sub.n_flows)
                 extra += sub.extra_bytes
                 handshake += sub.handshake_bytes
@@ -449,7 +228,7 @@ class SchemeStack(Scheme):
                 transforms.append(stage_transform)
                 current_sizes = new_sizes
             stage_records.append(
-                FusedStage(stage.name, applies, tuple(fanouts), extra, handshake)
+                StageOverhead(stage.name, extra, handshake, tuple(fanouts))
             )
         if not transforms:
             size_transform = None
@@ -464,21 +243,3 @@ class SchemeStack(Scheme):
             stages=tuple(stage_records),
             stack=True,
         )
-
-
-def as_scheme(obj: Scheme | Reshaper | Defense, name: str | None = None) -> Scheme:
-    """Wrap ``obj`` into the unified :class:`Scheme` interface.
-
-    Schemes pass through; reshapers and defenses get the appropriate
-    adapter.  ``name`` overrides the wrapped object's default label.
-    """
-    if isinstance(obj, Scheme):
-        return obj
-    if isinstance(obj, Reshaper):
-        return ReshaperScheme(name or type(obj).__name__, obj)
-    if isinstance(obj, Defense):
-        return DefenseScheme(name or obj.name, obj)
-    raise TypeError(
-        f"cannot interpret {type(obj).__name__} as a Scheme "
-        "(expected a Scheme, Reshaper, or Defense)"
-    )

@@ -17,7 +17,7 @@ from repro.core.schedulers import (
     RandomReshaper,
     RoundRobinReshaper,
 )
-from repro.defenses.base import DefendedTraffic, Defense
+from repro.defenses.base import DefendedTraffic, Scheme
 from repro.defenses.morphing import TrafficMorphing
 from repro.defenses.padding import PacketPadding
 from repro.defenses.pseudonym import PseudonymDefense
@@ -75,7 +75,7 @@ def _parse_int_tuple(text: object, what: str) -> tuple[int, ...]:
 # ----------------------------------------------------------------------
 
 
-class MorphTowardApp(Defense):
+class MorphTowardApp(Scheme):
     """Morph a flow toward a *generated* target application's sizes.
 
     The registered form of :class:`~repro.defenses.morphing.TrafficMorphing`:
@@ -115,8 +115,8 @@ class MorphTowardApp(Defense):
             )
         return self._morpher
 
-    def apply(self, trace) -> DefendedTraffic:
-        return self._build_morpher().apply(trace)
+    def transform(self, trace) -> DefendedTraffic:
+        return self._build_morpher().transform(trace)
 
 
 # ----------------------------------------------------------------------

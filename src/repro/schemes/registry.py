@@ -29,7 +29,8 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from repro.schemes.base import Scheme, as_scheme
+from repro.core.base import Reshaper
+from repro.schemes.base import ReshaperScheme, Scheme
 from repro.schemes.spec import (
     SchemeSpec,
     coerce_value,
@@ -62,8 +63,8 @@ class SchemeDefinition:
             ``"defense"`` (byte-level, batch only), or ``"identity"``.
         params: parameter defaults; values must be str/int/float/bool
             (the types CLI text and manifest JSON coerce to).
-        build: ``(params, seed) -> Scheme | Reshaper | Defense`` — may
-            return the raw legacy object; the registry wraps it.
+        build: ``(params, seed) -> Scheme | Reshaper`` — a scheduler
+            is wrapped in a :class:`~repro.core.base.ReshaperScheme`.
         aliases: alternative lookups (the legacy table column spellings
             ``"OR"``, ``"RA"``, ... map here).
     """
@@ -133,7 +134,7 @@ def all_scheme_definitions() -> tuple[SchemeDefinition, ...]:
 
 
 def build_raw(spec: SchemeSpec | str, seed: int = 0) -> object:
-    """Build the *raw* object behind ``spec`` (Reshaper/Defense/Scheme).
+    """Build the *raw* object behind ``spec`` (a Reshaper or a Scheme).
 
     The streaming base-reshaper factory and the WLAN simulation want
     the unwrapped scheduler; everything else should prefer
@@ -149,7 +150,10 @@ def build_scheme(spec: SchemeSpec | str, seed: int = 0) -> Scheme:
     """Materialize one spec as a :class:`Scheme` (seed passed through)."""
     if isinstance(spec, str):
         spec = SchemeSpec(spec)
-    return as_scheme(build_raw(spec, seed), name=get_scheme(spec.scheme).name)
+    built = build_raw(spec, seed)
+    if isinstance(built, Reshaper):
+        return ReshaperScheme(get_scheme(spec.scheme).name, built)
+    return built
 
 
 def canonical_stack(

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.traffic.trace import Trace
+from repro.traffic.trace import Trace, column_problem
 
 __all__ = [
     "COLUMN_DTYPES",
@@ -194,7 +194,7 @@ class TraceStoreWriter:
     corpora larger than RAM.
 
     The writer enforces the :class:`~repro.traffic.trace.Trace`
-    invariants (equal column lengths, non-negative sorted times,
+    invariants (equal column lengths, finite non-negative sorted times,
     strictly positive sizes) on every chunk, so readers can rebuild
     traces through the unchecked ``Trace._trusted`` fast path.
     """
@@ -308,17 +308,14 @@ class TraceStoreWriter:
         if n:
             t = columns["times"]
             boundary = self._pending["last_time"]
-            if boundary is None and float(t[0]) < 0:
-                raise ValueError(f"{who}: packet times must be non-negative")
             if boundary is not None and float(t[0]) < boundary:
                 raise ValueError(
                     f"{who}: chunk starts at {float(t[0])}, before the "
                     f"previous chunk's last packet at {boundary}"
                 )
-            if np.any(np.diff(t) < 0):
-                raise ValueError(f"{who}: packet times must be sorted non-decreasingly")
-            if np.any(columns["sizes"] <= 0):
-                raise ValueError(f"{who}: packet sizes must be strictly positive")
+            problem = column_problem(t, columns["sizes"])
+            if problem is not None:
+                raise ValueError(f"{who}: {problem}")
             self._pending["last_time"] = float(t[-1])
         for name, column in columns.items():
             self._files[name].write(column.tobytes())
@@ -669,21 +666,11 @@ class TraceStore:
             raise RuntimeError(f"store at {self.path!r} is closed")
         for entry in self._entries:
             lo, hi = entry.offset, entry.offset + entry.count
-            times = self._columns["times"][lo:hi]
-            sizes = self._columns["sizes"][lo:hi]
-            if entry.count:
-                if float(times[0]) < 0:
-                    raise StoreFormatError(
-                        f"trace {entry.index}: negative packet time"
-                    )
-                if np.any(np.diff(times) < 0):
-                    raise StoreFormatError(
-                        f"trace {entry.index}: packet times are not sorted"
-                    )
-                if np.any(sizes <= 0):
-                    raise StoreFormatError(
-                        f"trace {entry.index}: non-positive packet size"
-                    )
+            problem = column_problem(
+                self._columns["times"][lo:hi], self._columns["sizes"][lo:hi]
+            )
+            if problem is not None:
+                raise StoreFormatError(f"trace {entry.index}: {problem}")
 
     def close(self) -> None:
         """Drop column maps and cached traces.

@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.attack import AttackPipeline, AttackReport
-from repro.core.base import Reshaper
-from repro.core.engine import CONFIG_MESSAGE_BYTES
+from repro.core.base import CONFIG_MESSAGE_BYTES, Reshaper
 from repro.mac.addresses import MacAddress, random_mac
 from repro.mac.virtual_iface import VirtualInterfaceSet
 from repro.stream.attack import OnlineAttack, WindowPrediction
@@ -209,7 +208,7 @@ def run_arms_race(
             read — never mutated.
         base_factory: zero-argument callable building a fresh base
             reshaper per trace (scheduler state must not leak between
-            associations, mirroring ``ReshapingEngine.apply``).
+            associations, mirroring ``ReshaperScheme.apply``).
         adaptive: when False the defender never reallocates (the static
             baseline; everything else identical).
         confidence_threshold / cooldown: trigger tuning, see

@@ -22,6 +22,7 @@ CSV round trip reproduces the original float64 values bit for bit.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from collections.abc import Iterator, Sequence
 
@@ -95,6 +96,8 @@ def _parse_csv_rows(path: str) -> Iterator[tuple[int, float, int, int, int, int]
                     raise ValueError(f"missing value for required column {missing!r}")
                 time = float(raw_time)
                 size = int(raw_size)
+                if not math.isfinite(time):
+                    raise ValueError(f"non-finite timestamp {raw_time!r}")
                 if time < 0:
                     raise ValueError(f"negative timestamp {time}")
                 if size <= 0:

@@ -17,9 +17,31 @@ import numpy as np
 
 from repro.traffic.packet import DOWNLINK, Direction, Packet
 
-__all__ = ["Trace", "concat_traces", "merge_traces"]
+__all__ = ["Trace", "column_problem", "concat_traces", "merge_traces"]
 
 _RSSI_UNSET = np.float32(np.nan)
+
+
+def column_problem(times: np.ndarray, sizes: np.ndarray) -> str | None:
+    """Why ``times``/``sizes`` are not valid packet columns, else ``None``.
+
+    Times must be finite, non-negative and sorted non-decreasingly;
+    sizes strictly positive.  Finiteness costs no extra pass: NaN fails
+    every comparison, so the negated checks reject it anywhere, and a
+    sorted column with a finite first element can only be non-finite
+    at its last element (+inf).
+    """
+    if not len(times):
+        return None
+    if not float(times[0]) >= 0:
+        return "packet times must be finite and non-negative"
+    if not (np.diff(times) >= 0).all():
+        return "packet times must be finite and sorted non-decreasingly"
+    if not np.isfinite(times[-1]):
+        return "packet times must be finite"
+    if not (sizes > 0).all():
+        return "packet sizes must be strictly positive"
+    return None
 
 
 @dataclass
@@ -29,7 +51,7 @@ class Trace:
     Invariants (enforced at construction):
 
     * all columns have equal length,
-    * times are non-negative and sorted non-decreasingly,
+    * times are finite, non-negative and sorted non-decreasingly,
     * sizes are strictly positive integers.
 
     Attributes:
@@ -66,13 +88,9 @@ class Trace:
                 raise ValueError(
                     f"column {name!r} has length {len(column)}, expected {length}"
                 )
-        if length:
-            if float(self.times[0]) < 0:
-                raise ValueError("packet times must be non-negative")
-            if np.any(np.diff(self.times) < 0):
-                raise ValueError("packet times must be sorted non-decreasingly")
-            if np.any(self.sizes <= 0):
-                raise ValueError("packet sizes must be strictly positive")
+        problem = column_problem(self.times, self.sizes)
+        if problem is not None:
+            raise ValueError(problem)
 
     # ------------------------------------------------------------------
     # Constructors

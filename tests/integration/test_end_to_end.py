@@ -9,7 +9,7 @@ padding costs hundreds of percent.
 import pytest
 
 from repro.analysis.attack import AttackPipeline
-from repro.core.engine import ReshapingEngine
+from repro.core.base import ReshaperScheme
 from repro.core.schedulers import (
     OrthogonalReshaper,
     RandomReshaper,
@@ -45,7 +45,8 @@ def _evaluate(pipeline, evaluation, reshaper) -> float:
             if reshaper is None:
                 app_flows.append(trace)
             else:
-                app_flows.extend(ReshapingEngine(reshaper).apply(trace).observable_flows)
+                scheme = ReshaperScheme("reshaper", reshaper)
+                app_flows.extend(scheme.apply(trace).observable_flows)
         flows[app.value] = app_flows
     return pipeline.evaluate_flows(flows).mean_accuracy
 
@@ -76,8 +77,8 @@ class TestHeadlineResult:
         for app, traces in evaluation.items():
             app_flows = []
             for trace in traces:
-                engine = ReshapingEngine(OrthogonalReshaper.paper_default())
-                app_flows.extend(engine.apply(trace).observable_flows)
+                scheme = ReshaperScheme("or", OrthogonalReshaper.paper_default())
+                app_flows.extend(scheme.apply(trace).observable_flows)
             flows[app.value] = app_flows
         report = pipeline.evaluate_flows(flows)
         accuracy = report.accuracy_by_class
@@ -95,9 +96,9 @@ class TestHeadlineResult:
         }
         or_flows = {}
         for app, traces in evaluation.items():
-            engine = ReshapingEngine(OrthogonalReshaper.paper_default())
+            scheme = ReshaperScheme("or", OrthogonalReshaper.paper_default())
             or_flows[app.value] = [
-                flow for trace in traces for flow in engine.apply(trace).observable_flows
+                flow for trace in traces for flow in scheme.apply(trace).observable_flows
             ]
         fp_original = pipeline.evaluate_flows(original_flows).mean_false_positive
         fp_or = pipeline.evaluate_flows(or_flows).mean_false_positive
@@ -109,9 +110,9 @@ class TestEfficiency:
     def test_reshaping_free_padding_expensive(self, setup):
         _, evaluation = setup
         chat = evaluation[AppType.CHATTING][0]
-        engine = ReshapingEngine(OrthogonalReshaper.paper_default())
-        result = engine.apply(chat)
-        assert result.data_overhead_bytes == 0
+        scheme = ReshaperScheme("or", OrthogonalReshaper.paper_default())
+        result = scheme.apply(chat)
+        assert result.extra_bytes == 0
 
         padded = PacketPadding().apply(chat)
         # Table VI: chatting padding overhead ~486%.

@@ -10,7 +10,7 @@ perform traffic analysis accurately."
 import pytest
 
 from repro.analysis.attack import AttackPipeline
-from repro.core.engine import ReshapingEngine
+from repro.core.base import ReshaperScheme
 from repro.core.schedulers import OrthogonalReshaper
 from repro.defenses.pseudonym import PseudonymDefense
 from repro.traffic.apps import AppType
@@ -52,12 +52,12 @@ def test_pseudonyms_barely_reduce_accuracy(setup):
 def test_reshaping_beats_pseudonyms(setup):
     pipeline, evaluation = setup
     pseudonym = PseudonymDefense(epoch=30.0)
-    engine = ReshapingEngine(OrthogonalReshaper.paper_default())
+    scheme = ReshaperScheme("or", OrthogonalReshaper.paper_default())
 
     pseudonym_flows, or_flows = {}, {}
     for app, trace in evaluation.items():
         pseudonym_flows[app.value] = pseudonym.apply(trace).observable_flows
-        or_flows[app.value] = engine.apply(trace).observable_flows
+        or_flows[app.value] = scheme.apply(trace).observable_flows
 
     pseudonym_accuracy = pipeline.evaluate_flows(pseudonym_flows).mean_accuracy
     or_accuracy = pipeline.evaluate_flows(or_flows).mean_accuracy

@@ -20,7 +20,7 @@ from repro.analysis.attack import AttackPipeline, AttackReport
 from repro.analysis.batch import flow_feature_matrix
 from repro.analysis.metrics import ConfusionMatrix, mean_accuracy
 from repro.core.combined import CombinedDefense
-from repro.defenses.base import DefendedTraffic, Defense
+from repro.defenses.base import DefendedTraffic
 from repro.defenses.morphing import TrafficMorphing
 from repro.defenses.overhead import overhead_percent
 from repro.defenses.padding import PacketPadding
@@ -43,7 +43,7 @@ __all__ = [
 
 
 def defended_matrices(
-    scheme: Scheme | Defense | None,
+    scheme: Scheme | None,
     trace: Trace,
     window: float,
     min_packets: int = 2,

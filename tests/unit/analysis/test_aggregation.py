@@ -6,7 +6,7 @@ import pytest
 from repro.analysis.aggregation import AggregationAttack
 from repro.analysis.attack import AttackPipeline
 from repro.analysis.linking import RssiLinker
-from repro.core.engine import ReshapingEngine
+from repro.core.base import ReshaperScheme
 from repro.core.schedulers import OrthogonalReshaper
 from repro.traffic.apps import AppType
 from repro.traffic.generator import TrafficGenerator
@@ -27,11 +27,11 @@ def pipeline():
 @pytest.fixture(scope="module")
 def or_flows():
     generator = TrafficGenerator(seed=62)
-    engine = ReshapingEngine(OrthogonalReshaper.paper_default())
+    scheme = ReshaperScheme("or", OrthogonalReshaper.paper_default())
     flows = {}
     for app in (AppType.BITTORRENT, AppType.VIDEO, AppType.BROWSING):
         trace = generator.generate(app, 90.0, session=9)
-        flows[app.value] = engine.apply(trace).observable_flows
+        flows[app.value] = scheme.apply(trace).observable_flows
     return flows
 
 
@@ -48,7 +48,7 @@ class TestOracleAggregation:
     def test_merged_flow_is_the_original_traffic(self, pipeline):
         generator = TrafficGenerator(seed=63)
         trace = generator.generate(AppType.BITTORRENT, 60.0)
-        flows = ReshapingEngine(OrthogonalReshaper.paper_default()).apply(trace)
+        flows = ReshaperScheme("or", OrthogonalReshaper.paper_default()).apply(trace)
         attack = AggregationAttack(pipeline, linker=None)
         [merged] = attack.merge_flows(flows.observable_flows)
         assert len(merged) == len(trace)
@@ -68,7 +68,7 @@ class TestLinkerAggregation:
         attack = AggregationAttack(pipeline, linker=linker)
         generator = TrafficGenerator(seed=64)
         trace = generator.generate(AppType.BITTORRENT, 60.0)
-        flows = ReshapingEngine(OrthogonalReshaper.paper_default()).apply(trace)
+        flows = ReshaperScheme("or", OrthogonalReshaper.paper_default()).apply(trace)
         # Give all flows the same synthetic uplink RSSI.
         tagged = []
         for flow in flows.observable_flows:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.attack import AttackPipeline
-from repro.core.engine import ReshapingEngine
+from repro.core.base import ReshaperScheme
 from repro.core.schedulers import OrthogonalReshaper
 from repro.defenses.padding import PacketPadding
 from repro.traffic.apps import AppType
@@ -69,8 +69,8 @@ class TestEvaluation:
 
         generator = TrafficGenerator(seed=778)
         bt = generator.generate(AppType.BITTORRENT, 60.0, session=5)
-        engine = ReshapingEngine(OrthogonalReshaper.paper_default())
-        flows = engine.apply(bt).observable_flows
+        scheme = ReshaperScheme("or", OrthogonalReshaper.paper_default())
+        flows = scheme.apply(bt).observable_flows
         report = trained.evaluate_flows({"bittorrent": flows})
         assert report.accuracy_by_class["bittorrent"] < 60.0
 

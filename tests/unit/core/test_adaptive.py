@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.adaptive import QuantileBoundaryReshaper, quantile_boundaries
-from repro.core.engine import ReshapingEngine
+from repro.core.base import ReshaperScheme
 from repro.traffic.apps import AppType
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.sizes import MAX_PACKET_SIZE
-from repro.traffic.trace import Trace
 
 
 class TestQuantileBoundaries:
@@ -39,7 +38,7 @@ class TestQuantileBoundaryReshaper:
 
     def test_fit_and_partition(self, bt):
         reshaper = QuantileBoundaryReshaper.fit(bt, interfaces=3)
-        result = ReshapingEngine(reshaper).apply(bt)
+        result = ReshaperScheme("reshaper", reshaper).apply(bt)
         counts = [len(flow) for flow in result.flows.values()]
         # Equal-mass boundaries balance the interfaces far better than the
         # fixed paper ranges do on a bimodal flow.
@@ -58,8 +57,7 @@ class TestQuantileBoundaryReshaper:
         online = [
             reshaper.assign_packet(0.0, int(size), 0) for size in bt.sizes[:200]
         ]
-        sub = Trace(
-            bt.times[:200], bt.sizes[:200], bt.directions[:200],
-            bt.ifaces[:200], bt.channels[:200], bt.rssi[:200],
+        batch = reshaper.assign_columns(
+            bt.times[:200], bt.sizes[:200], bt.directions[:200]
         )
-        assert online == list(reshaper.assign_trace(sub))
+        assert online == list(batch)

@@ -1,11 +1,10 @@
 """Reset-semantics column assignment (`Reshaper.assign_columns`).
 
 The fused evaluation path never constructs a Trace, so each scheduler
-must reproduce — bit for bit — what a freshly reset instance's
-``assign_trace`` would emit, from raw columns alone.  Statefulness is
-the trap: ``assign_columns`` must ignore accumulated online state
-(that's what "reset semantics" means), and schedulers whose recurrence
-cannot be written in closed form must decline with ``None``.
+must reproduce — bit for bit — what a freshly reset instance emits
+packet by packet, from raw columns alone.  Statefulness is the trap:
+``assign_columns`` must ignore accumulated online state (that's what
+"reset semantics" means).
 """
 
 import numpy as np
@@ -34,8 +33,23 @@ def make_trace(n=400, seed=0):
     )
 
 
+def per_packet(reshaper, trace):
+    """Reference assignment: reset, then replay packet by packet."""
+    reshaper.reset()
+    return np.array(
+        [
+            reshaper.assign_packet(
+                float(trace.times[k]), int(trace.sizes[k]), int(trace.directions[k])
+            )
+            for k in range(len(trace))
+        ],
+        dtype=np.int16,
+    )
+
+
 def schedulers():
     calibration = make_trace(seed=3)
+    targets = TargetDistribution((800, 1576), np.array([[0.6, 0.4], [0.4, 0.6]]))
     return [
         RandomReshaper(interfaces=3, seed=7),
         RoundRobinReshaper(interfaces=3),
@@ -43,6 +57,7 @@ def schedulers():
         ModuloReshaper(interfaces=4),
         FrequencyHoppingScheduler(),
         QuantileBoundaryReshaper.fit(calibration, interfaces=3),
+        TargetDrivenReshaper(targets),
     ]
 
 
@@ -50,14 +65,12 @@ class TestAssignColumnsBitIdentity:
     @pytest.mark.parametrize(
         "reshaper", schedulers(), ids=lambda r: type(r).__name__
     )
-    def test_matches_reset_assign_trace(self, reshaper):
+    def test_matches_reset_per_packet_replay(self, reshaper):
         trace = make_trace()
-        reshaper.reset()
-        reference = reshaper.assign_trace(trace)
+        reference = per_packet(reshaper, trace)
         vectorized = reshaper.assign_columns(
             trace.times, trace.sizes, trace.directions
         )
-        assert vectorized is not None
         assert vectorized.dtype == reference.dtype
         np.testing.assert_array_equal(vectorized, reference)
 
@@ -67,8 +80,7 @@ class TestAssignColumnsBitIdentity:
     def test_ignores_accumulated_state(self, reshaper):
         """Columns answer as a *fresh* scheduler even after online use."""
         trace = make_trace()
-        reshaper.reset()
-        reference = reshaper.assign_trace(trace)
+        reference = per_packet(reshaper, trace)
         # Poison any online state, then ask again at the column level.
         for k in range(17):
             reshaper.assign_packet(time=float(k), size=100 + k, direction=k % 2)
@@ -86,32 +98,30 @@ class TestAssignColumnsBitIdentity:
         )
         assert len(out) == 0
 
-    def test_default_declines(self):
-        """Schedulers without a closed form fall back via ``None``."""
+    def test_default_replays_assign_packet(self):
+        """Schedulers without a closed form get a reset + per-packet replay."""
 
-        class Sequential(Reshaper):
+        class Alternating(Reshaper):
+            def __init__(self):
+                self.sent = 0
+
             @property
             def interfaces(self):
                 return 2
 
             def assign_packet(self, time, size, direction):
-                return 0
+                self.sent += 1
+                return self.sent % 2
 
+            def reset(self):
+                self.sent = 0
+
+        reshaper = Alternating()
+        reshaper.assign_packet(0.0, 100, 0)
         trace = make_trace(n=5)
-        assert (
-            Sequential().assign_columns(trace.times, trace.sizes, trace.directions)
-            is None
-        )
-
-    def test_target_driven_declines(self):
-        """The greedy recurrence has no closed form — it must decline."""
-        targets = TargetDistribution((800, 1576), np.array([[0.6, 0.4], [0.4, 0.6]]))
-        reshaper = TargetDrivenReshaper(targets)
-        trace = make_trace(n=20)
-        assert (
-            reshaper.assign_columns(trace.times, trace.sizes, trace.directions)
-            is None
-        )
+        out = reshaper.assign_columns(trace.times, trace.sizes, trace.directions)
+        assert out.dtype == np.int16
+        assert list(out) == [1, 0, 1, 0, 1]
 
 
 class TestTargetDrivenIncrementalDeviation:
@@ -122,7 +132,7 @@ class TestTargetDrivenIncrementalDeviation:
         return TargetDistribution((500, 1000, 1576), matrix)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_assign_trace_matches_per_packet_replay(self, seed):
+    def test_assign_columns_matches_per_packet_replay(self, seed):
         trace = make_trace(n=300, seed=seed)
         batch = TargetDrivenReshaper(self._targets())
         online = TargetDrivenReshaper(self._targets())
@@ -132,17 +142,8 @@ class TestTargetDrivenIncrementalDeviation:
             )
             for k in range(len(trace))
         ]
-        np.testing.assert_array_equal(batch.assign_trace(trace), one_by_one)
-        np.testing.assert_array_equal(batch._counts, online._counts)
-
-    def test_resumes_from_accumulated_state(self):
-        """Mid-stream batch calls continue the online recurrence exactly."""
-        trace = make_trace(n=200, seed=9)
-        first = trace.select(np.arange(200) < 100)
-        second = trace.select(np.arange(200) >= 100)
-        split = TargetDrivenReshaper(self._targets())
-        whole = TargetDrivenReshaper(self._targets())
-        resumed = np.concatenate(
-            [split.assign_trace(first), split.assign_trace(second)]
+        np.testing.assert_array_equal(
+            batch.assign_columns(trace.times, trace.sizes, trace.directions),
+            one_by_one,
         )
-        np.testing.assert_array_equal(resumed, whole.assign_trace(trace))
+        np.testing.assert_array_equal(batch._counts, online._counts)

@@ -10,7 +10,7 @@ classification accuracy (Tables II/III).
 import numpy as np
 import pytest
 
-from repro.core.engine import ReshapingEngine
+from repro.core.base import ReshaperScheme
 from repro.core.schedulers import FrequencyHoppingScheduler, OrthogonalReshaper
 from repro.traffic.apps import AppType
 from repro.traffic.generator import TrafficGenerator
@@ -22,8 +22,8 @@ def bt():
 
 
 def test_fh_slices_keep_the_original_size_profile(bt):
-    engine = ReshapingEngine(FrequencyHoppingScheduler())
-    result = engine.apply(bt)
+    scheme = ReshaperScheme("fh", FrequencyHoppingScheduler())
+    result = scheme.apply(bt)
     original_mean = bt.sizes.mean()
     original_std = bt.sizes.std()
     for flow in result.flows.values():
@@ -36,8 +36,8 @@ def test_fh_slices_keep_the_original_size_profile(bt):
 
 def test_or_interfaces_break_the_size_profile(bt):
     # The contrast: OR's per-interface means differ wildly from the original.
-    engine = ReshapingEngine(OrthogonalReshaper.paper_default())
-    result = engine.apply(bt)
+    scheme = ReshaperScheme("or", OrthogonalReshaper.paper_default())
+    result = scheme.apply(bt)
     original_mean = bt.sizes.mean()
     deviations = [
         abs(flow.sizes.mean() - original_mean)

@@ -13,6 +13,10 @@ from repro.core.schedulers import (
 from repro.traffic.trace import Trace
 
 
+def _assign(reshaper, trace):
+    return reshaper.assign_columns(trace.times, trace.sizes, trace.directions)
+
+
 @pytest.fixture
 def mixed_trace():
     return Trace.from_arrays(
@@ -25,17 +29,18 @@ def mixed_trace():
 class TestRandomReshaper:
     def test_indices_in_range(self, mixed_trace):
         reshaper = RandomReshaper(interfaces=3, seed=1)
-        assert set(reshaper.assign_trace(mixed_trace)) <= {0, 1, 2}
+        assert set(_assign(reshaper, mixed_trace)) <= {0, 1, 2}
 
     def test_reset_restores_stream(self, mixed_trace):
         reshaper = RandomReshaper(interfaces=3, seed=1)
-        first = reshaper.assign_trace(mixed_trace)
+        first = [reshaper.assign_packet(0.0, 100, 0) for _ in range(10)]
         reshaper.reset()
-        assert np.array_equal(first, reshaper.assign_trace(mixed_trace))
+        assert first == [reshaper.assign_packet(0.0, 100, 0) for _ in range(10)]
+        assert first == list(_assign(reshaper, mixed_trace))
 
     def test_roughly_uniform(self):
         trace = Trace.from_arrays(np.arange(3000) * 0.001, np.full(3000, 100))
-        counts = np.bincount(RandomReshaper(3, seed=2).assign_trace(trace), minlength=3)
+        counts = np.bincount(_assign(RandomReshaper(3, seed=2), trace), minlength=3)
         assert counts.min() > 800
 
     def test_rejects_zero_interfaces(self):
@@ -46,7 +51,7 @@ class TestRandomReshaper:
 class TestRoundRobin:
     def test_per_direction_rotation(self, mixed_trace):
         reshaper = RoundRobinReshaper(interfaces=3)
-        out = reshaper.assign_trace(mixed_trace)
+        out = _assign(reshaper, mixed_trace)
         down = out[mixed_trace.directions == 0]
         up = out[mixed_trace.directions == 1]
         assert list(down) == [0, 1, 2, 0, 1]
@@ -63,28 +68,19 @@ class TestRoundRobin:
             )
             for i in range(len(mixed_trace))
         ]
-        assert one_by_one == list(batch.assign_trace(mixed_trace))
+        assert one_by_one == list(_assign(batch, mixed_trace))
 
-    def test_state_persists_across_traces(self, mixed_trace):
+    def test_reset(self):
         reshaper = RoundRobinReshaper(interfaces=3)
-        first = reshaper.assign_trace(mixed_trace)
-        second = reshaper.assign_trace(mixed_trace)
-        # Rotation continues: 5 downlink packets consumed, so the next
-        # downlink assignment starts at 5 % 3 == 2.
-        down_second = second[mixed_trace.directions == 0]
-        assert down_second[0] == 2
-
-    def test_reset(self, mixed_trace):
-        reshaper = RoundRobinReshaper(interfaces=3)
-        reshaper.assign_trace(mixed_trace)
+        assert [reshaper.assign_packet(0.0, 100, 0) for _ in range(2)] == [0, 1]
         reshaper.reset()
-        assert reshaper.assign_trace(mixed_trace)[0] == 0
+        assert reshaper.assign_packet(0.0, 100, 0) == 0
 
 
 class TestOrthogonalReshaper:
     def test_paper_default_ranges(self, mixed_trace):
         reshaper = OrthogonalReshaper.paper_default()
-        out = reshaper.assign_trace(mixed_trace)
+        out = _assign(reshaper, mixed_trace)
         # sizes: 100,200 -> 0; 500,1000,700,1200,1540-  -> 1; >1540 -> 2
         expected = [0, 0, 1, 1, 2, 2, 0, 1, 2, 1]
         assert list(out) == expected
@@ -94,7 +90,7 @@ class TestOrthogonalReshaper:
         online = [
             reshaper.assign_packet(0.0, int(s), 0) for s in mixed_trace.sizes
         ]
-        assert online == list(reshaper.assign_trace(mixed_trace))
+        assert online == list(_assign(reshaper, mixed_trace))
 
     def test_interfaces_property(self):
         assert OrthogonalReshaper.paper_default(5).interfaces == 5
@@ -114,13 +110,13 @@ class TestModuloReshaper:
     def test_matches_paper_formula(self, mixed_trace):
         # Fig. 5: i = L(s_k) mod I.
         reshaper = ModuloReshaper(interfaces=3)
-        out = reshaper.assign_trace(mixed_trace)
+        out = _assign(reshaper, mixed_trace)
         assert list(out) == [int(s) % 3 for s in mixed_trace.sizes]
 
     def test_online_matches_batch(self, mixed_trace):
         reshaper = ModuloReshaper(interfaces=3)
         online = [reshaper.assign_packet(0.0, int(s), 0) for s in mixed_trace.sizes]
-        assert online == list(reshaper.assign_trace(mixed_trace))
+        assert online == list(_assign(reshaper, mixed_trace))
 
 
 class TestFrequencyHopping:

@@ -19,7 +19,7 @@ class TestOrthogonalTargets:
     def test_matches_or_on_orthogonal_targets(self, trace):
         targets = orthogonal_targets((232, 1540, 1576))
         reshaper = TargetDrivenReshaper(targets)
-        reshaper.assign_trace(trace)
+        reshaper.assign_columns(trace.times, trace.sizes, trace.directions)
         # Greedy achieves the OR optimum on orthogonal targets.
         assert reshaper.objective() < 0.05
 
@@ -40,13 +40,13 @@ class TestGeneralTargets:
         # may park most packets on one interface; it must still land far
         # below the no-defense objective (every row at distance ~1).
         reshaper = TargetDrivenReshaper(self._mixed_targets())
-        reshaper.assign_trace(trace)
+        reshaper.assign_columns(trace.times, trace.sizes, trace.directions)
         assert reshaper.objective() < 0.6
 
     def test_greedy_beats_random_assignment(self, trace):
         targets = self._mixed_targets()
         greedy = TargetDrivenReshaper(targets)
-        greedy.assign_trace(trace)
+        greedy.assign_columns(trace.times, trace.sizes, trace.directions)
 
         rng = np.random.default_rng(0)
         random_assignment = rng.integers(0, 3, size=len(trace)).astype(np.int16)
@@ -59,14 +59,14 @@ class TestGeneralTargets:
 
     def test_achieved_distributions_rows(self, trace):
         reshaper = TargetDrivenReshaper(self._mixed_targets())
-        reshaper.assign_trace(trace)
+        reshaper.assign_columns(trace.times, trace.sizes, trace.directions)
         p = reshaper.achieved_distributions()
         used = p.sum(axis=1) > 0
         assert np.allclose(p[used].sum(axis=1), 1.0)
 
     def test_reset_clears_state(self, trace):
         reshaper = TargetDrivenReshaper(self._mixed_targets())
-        reshaper.assign_trace(trace)
+        reshaper.assign_columns(trace.times, trace.sizes, trace.directions)
         reshaper.reset()
         assert reshaper.objective() == pytest.approx(
             np.sqrt((reshaper.targets.matrix**2).sum(axis=1)).sum()
@@ -80,5 +80,8 @@ class TestGeneralTargets:
             online.assign_packet(float(t), int(s), 0)
             for t, s in zip(trace.times[:100], trace.sizes[:100])
         ]
-        sub = trace.select(np.arange(len(trace)) < 100)
-        assert one_by_one == list(batch.assign_trace(sub))
+        assert one_by_one == list(
+            batch.assign_columns(
+                trace.times[:100], trace.sizes[:100], trace.directions[:100]
+            )
+        )

@@ -12,11 +12,41 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.defenses import FusedPlan, FusedStage, PacketPadding
-from repro.schemes import SchemeStack, as_scheme, build_stack
+from repro.core.adaptive import QuantileBoundaryReshaper
+from repro.core.target_driven import TargetDrivenReshaper
+from repro.core.targets import TargetDistribution
+from repro.defenses import FusedPlan, PacketPadding, StageOverhead
+from repro.schemes import (
+    ReshaperScheme,
+    SchemeStack,
+    build_stack,
+    scheme_names,
+)
 from repro.traffic.trace import Trace
 
-FUSABLE = ("original", "fh", "ra", "rr", "or", "modulo", "padding", "pseudonym")
+#: Every registered scheme except morphing, which resamples sizes and
+#: so has no plan.
+FUSABLE = tuple(name for name in scheme_names() if name != "morphing")
+
+#: Fusable schemes the registry does not build.
+UNREGISTERED = {
+    "target_driven": lambda: ReshaperScheme(
+        "target_driven",
+        TargetDrivenReshaper(
+            TargetDistribution((800, 1576), np.array([[0.6, 0.4], [0.4, 0.6]]))
+        ),
+    ),
+    "quantile": lambda: ReshaperScheme(
+        "quantile", QuantileBoundaryReshaper((300, 900, 1576))
+    ),
+}
+
+
+def build(name):
+    """A registry composition, or one of the unregistered schemes."""
+    if name in UNREGISTERED:
+        return UNREGISTERED[name]()
+    return build_stack(name, seed=7)
 
 
 def make_trace(n=800, seed=0, label="uploading"):
@@ -44,15 +74,16 @@ def assert_plan_matches_apply(scheme, trace):
         np.testing.assert_array_equal(trace.times[indices], flow.times)
         np.testing.assert_array_equal(sizes, flow.sizes)
         np.testing.assert_array_equal(directions, flow.directions)
+    assert plan.stages == defended.stages
     assert plan.extra_bytes == defended.extra_bytes
     assert plan.handshake_bytes == defended.handshake_bytes
     return plan
 
 
 class TestPlanFlowParity:
-    @pytest.mark.parametrize("name", FUSABLE)
+    @pytest.mark.parametrize("name", [*FUSABLE, *UNREGISTERED])
     def test_catalog_schemes(self, name):
-        assert_plan_matches_apply(build_stack(name, seed=7), make_trace())
+        assert_plan_matches_apply(build(name), make_trace())
 
     @pytest.mark.parametrize(
         "composition", ["padding+or", "or+fh", "padding+rr+fh", "pseudonym+ra"]
@@ -77,7 +108,7 @@ class TestPlanFlowParity:
 
     def test_padding_direction_follows_label(self):
         """The padded direction comes from the trace's own label."""
-        scheme = as_scheme(PacketPadding())
+        scheme = PacketPadding()
         for label in ("uploading", "browsing", None):
             assert_plan_matches_apply(scheme, make_trace(label=label, n=300))
 
@@ -107,11 +138,13 @@ class TestPlanTelemetryParity:
         }
         return counters, histograms
 
-    @pytest.mark.parametrize("name", [*FUSABLE, "padding+or+fh", "or+fh"])
+    @pytest.mark.parametrize(
+        "name", [*FUSABLE, *UNREGISTERED, "padding+or+fh", "or+fh"]
+    )
     @pytest.mark.parametrize("packets", [0, 800])
     def test_counters_identical_to_apply(self, name, packets):
         trace = make_trace(n=packets)
-        scheme = build_stack(name, seed=7)
+        scheme = build(name)
         _, legacy = obs.captured(lambda: scheme.apply(trace))
         _, fused = obs.captured(lambda: scheme.fused_plan(trace))
         assert self._scheme_view(fused) == self._scheme_view(legacy)
@@ -151,8 +184,8 @@ class TestFusedPlanMechanics:
             np.zeros(3, dtype=np.int64),
             n_flows=1,
             stages=(
-                FusedStage("padding", 1, (1,), 100, 0),
-                FusedStage("or", 1, (3,), 0, 392),
+                StageOverhead("padding", 100, 0, (1,)),
+                StageOverhead("or", 0, 392, (3,)),
             ),
         )
         assert plan.extra_bytes == 100

@@ -77,16 +77,7 @@ class TestAdaptiveReshaperSchemes:
             AdaptiveReshaper(object())
 
 
-class TestSchemeApplyMany:
-    def test_apply_many_is_elementwise(self, trace):
-        scheme = build_scheme("or")
-        results = scheme.apply_many([trace, trace])
-        assert len(results) == 2
-        for key in results[0].flows:
-            np.testing.assert_array_equal(
-                results[0].flows[key].times, results[1].flows[key].times
-            )
-
+class TestSchemeParams:
     def test_fh_channels_param_must_parse(self):
         with pytest.raises(ValueError, match="channels"):
             build_scheme(SchemeSpec("fh", (("channels", ""),)))

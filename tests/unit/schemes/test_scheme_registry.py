@@ -9,7 +9,7 @@ from repro.core.schedulers import (
     OrthogonalReshaper,
     RandomReshaper,
 )
-from repro.defenses.base import Defense
+from repro.defenses.padding import PacketPadding
 from repro.schemes import (
     DEFAULT_INTERFACES,
     LEGACY_SCHEME_SPECS,
@@ -23,7 +23,7 @@ from repro.schemes import (
     register_scheme,
     scheme_names,
 )
-from repro.schemes.base import DefenseScheme, IdentityScheme, ReshaperScheme
+from repro.schemes.base import IdentityScheme, ReshaperScheme
 from repro.traffic.apps import AppType
 from repro.traffic.generator import TrafficGenerator
 
@@ -95,19 +95,19 @@ class TestBuild:
         assert isinstance(build_raw("ra", seed=3), RandomReshaper)
         assert isinstance(build_raw("fh"), FrequencyHoppingScheduler)
         assert isinstance(build_raw(SchemeSpec("or")), OrthogonalReshaper)
-        assert isinstance(build_raw("padding"), Defense)
+        assert isinstance(build_raw("padding"), PacketPadding)
 
     def test_build_scheme_wraps_by_kind(self):
         assert isinstance(build_scheme("original"), IdentityScheme)
         assert isinstance(build_scheme("or"), ReshaperScheme)
-        assert isinstance(build_scheme("padding"), DefenseScheme)
+        assert isinstance(build_scheme("padding"), PacketPadding)
 
     def test_registry_ra_matches_legacy_construction(self, trace):
         ours = build_raw(SchemeSpec("ra", (("interfaces", 3),)), seed=9)
         legacy = RandomReshaper(interfaces=3, seed=9)
-        ours.reset(), legacy.reset()
         np.testing.assert_array_equal(
-            ours.assign_trace(trace), legacy.assign_trace(trace)
+            ours.assign_columns(trace.times, trace.sizes, trace.directions),
+            legacy.assign_columns(trace.times, trace.sizes, trace.directions),
         )
 
     def test_or_boundaries_param(self):

@@ -125,6 +125,21 @@ class TestRoundTrip:
     def test_validate_passes_on_real_corpus(self, app_traces, store_path):
         write_traces(store_path, app_traces).validate()
 
+    @pytest.mark.parametrize("position", [0, 1, -1])
+    def test_validate_rejects_non_finite_times(self, app_traces, store_path, position):
+        store = write_traces(store_path, app_traces)
+        entry = store.entries()[1]
+        store.close()
+        times = np.memmap(
+            os.path.join(store_path, "times.bin"), dtype=COLUMN_DTYPES["times"],
+            mode="r+",
+        )
+        times[entry.offset + position % entry.count] = np.nan
+        times.flush()
+        del times
+        with pytest.raises(StoreFormatError, match="trace 1: .*finite"):
+            TraceStore.open(store_path).validate()
+
 
 class TestZeroCopy:
     def test_traces_are_memmap_views(self, app_traces, store_path):
@@ -195,6 +210,15 @@ class TestChunkedWriter:
             with TraceStoreWriter(str(tmp_path / "neg.store")) as writer:
                 writer.begin_trace()
                 writer.append_columns([-1.0], [10])
+
+    @pytest.mark.parametrize(
+        "times", [[0.0, float("nan"), 2.0], [float("nan")], [0.0, 1.0, float("inf")]]
+    )
+    def test_non_finite_times_rejected(self, store_path, times):
+        with pytest.raises(ValueError, match="trace 0.*finite"):
+            with TraceStoreWriter(store_path) as writer:
+                writer.begin_trace()
+                writer.append_columns(times, [10] * len(times))
 
     def test_mismatched_column_length_rejected(self, store_path):
         with pytest.raises(ValueError, match="length"):

@@ -145,8 +145,16 @@ class TestValidation:
         ],
     )
     def test_column_replay_rejects_non_finite_times(self, times, message):
+        # Trace refuses non-finite times, so the bad source bypasses it
+        # the way an unchecked column source would.
+        n = len(times)
+        bad = Trace._trusted(
+            np.asarray(times), np.full(n, 100), np.zeros(n, np.int8),
+            np.zeros(n, np.int16), np.zeros(n, np.int8), np.zeros(n, np.float32),
+            None, {},
+        )
         stream = PacketStream.merge(
-            [PacketStream.replay(_trace([0.0, 3.0]), "a"), PacketStream.replay(_trace(times), "b")]
+            [PacketStream.replay(_trace([0.0, 3.0]), "a"), PacketStream.replay(bad, "b")]
         )
         with pytest.raises(ValueError, match=message):
             list(stream)

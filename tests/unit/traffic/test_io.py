@@ -67,6 +67,13 @@ class TestCsvRobustness:
         with pytest.raises(ValueError, match="row 2.*non-positive"):
             trace_from_csv(str(path))
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_time_rejected_with_row(self, tmp_path, raw):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"time,size\n0.5,100\n{raw},100\n")
+        with pytest.raises(ValueError, match="row 3.*non-finite timestamp"):
+            trace_from_csv(str(path))
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

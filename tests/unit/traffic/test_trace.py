@@ -26,6 +26,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-negative"):
             Trace.from_arrays([-1.0, 0.0], [10, 20])
 
+    @pytest.mark.parametrize(
+        "times",
+        [[0.0, float("nan"), 2.0], [float("nan")], [0.0, 1.0, float("inf")],
+         [float("inf")], [float("-inf"), 0.0]],
+    )
+    def test_rejects_non_finite_times(self, times):
+        with pytest.raises(ValueError, match="finite"):
+            Trace.from_arrays(times, [10] * len(times))
+
     def test_rejects_non_positive_size(self):
         with pytest.raises(ValueError, match="positive"):
             Trace.from_arrays([0.0], [0])
