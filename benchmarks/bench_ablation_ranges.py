@@ -17,7 +17,7 @@ from repro.core.targets import FIG4_RANGES
 def _mean_accuracy(runner, scenario, make_reshaper) -> float:
     pipeline = runner.pipeline(5.0)
     flows_by_label = {}
-    for app, traces in scenario.evaluation_traces().items():
+    for app, traces in scenario.evaluation_by_app().items():
         flows = []
         for trace in traces:
             scheme = ReshaperScheme("or", make_reshaper(trace))

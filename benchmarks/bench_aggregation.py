@@ -16,7 +16,7 @@ def test_aggregation_recovers_accuracy(benchmark, scenario, runner, save_table):
     pipeline = runner.pipeline(5.0)
     scheme = ReshaperScheme("or", OrthogonalReshaper.paper_default())
     flows_by_label = {}
-    for app, traces in scenario.evaluation_traces().items():
+    for app, traces in scenario.evaluation_by_app().items():
         flows = []
         for trace in traces:
             flows.extend(scheme.apply(trace).observable_flows)

@@ -5,13 +5,9 @@ accuracy under 28% "while incurring much less overhead than
 [full] traffic morphing" (whose Table VI mean is 39.44%).
 """
 
-from repro.experiments.discussion import combined_defense_accuracy
 
-
-def test_combined_defense(benchmark, scenario, save_table):
-    result = benchmark.pedantic(
-        combined_defense_accuracy, args=(scenario,), rounds=1, iterations=1
-    )
+def test_combined_defense(run_registered, save_table):
+    result = run_registered("combined")
     rows = [
         [app, result.or_accuracy[app], result.combined_accuracy[app]]
         for app in sorted(result.or_accuracy)

@@ -2,13 +2,9 @@
 
 import numpy as np
 
-from repro.experiments.fig1 import figure1_cdf_series
 
-
-def test_figure1(benchmark, save_table):
-    series = benchmark.pedantic(
-        figure1_cdf_series, kwargs={"duration": 300.0, "seed": 7}, rounds=1, iterations=1
-    )
+def test_figure1(run_registered, save_table):
+    series = run_registered("fig1", duration=300.0)
     # Summarize each CDF at the paper's landmark sizes.
     landmarks = [232, 525, 1050, 1540, 1576]
     rows = []

@@ -1,17 +1,13 @@
 """FIG4: OR schedules a BT flow by size ranges (paper Figure 4)."""
 
-from repro.experiments.fig45 import figure4_series
+import numpy as np
 
 
-def test_figure4(benchmark, save_table):
-    series = benchmark.pedantic(
-        figure4_series, kwargs={"duration": 300.0, "seed": 7}, rounds=1, iterations=1
-    )
+def test_figure4(run_registered, save_table):
+    series = run_registered("fig4", duration=300.0)
     rows = []
     for iface, count in sorted(series.packets_per_interface.items()):
         flow_cdf_grid, flow_cdf = series.interface_cdfs[iface]
-        import numpy as np
-
         median = float(flow_cdf_grid[np.searchsorted(flow_cdf, 0.5)])
         rows.append([f"interface {iface + 1}", count, median])
     save_table(

@@ -2,13 +2,9 @@
 
 import numpy as np
 
-from repro.experiments.fig45 import figure5_series
 
-
-def test_figure5(benchmark, save_table):
-    series = benchmark.pedantic(
-        figure5_series, kwargs={"duration": 300.0, "seed": 7}, rounds=1, iterations=1
-    )
+def test_figure5(run_registered, save_table):
+    series = run_registered("fig5", duration=300.0)
     rows = []
     for iface in sorted(series.packets_per_interface):
         grid, cdf = series.interface_cdfs[iface]

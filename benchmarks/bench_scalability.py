@@ -8,18 +8,12 @@ from repro.core.schedulers import (
     RandomReshaper,
     RoundRobinReshaper,
 )
-from repro.experiments.discussion import reshaping_scalability
 from repro.traffic.apps import AppType
 from repro.traffic.generator import TrafficGenerator
 
 
-def test_scalability_linear(benchmark, save_table):
-    result = benchmark.pedantic(
-        reshaping_scalability,
-        kwargs={"seed": 7, "durations": (30.0, 60.0, 120.0, 240.0)},
-        rounds=1,
-        iterations=1,
-    )
+def test_scalability_linear(run_registered, save_table):
+    result = run_registered("scalability", durations="30,60,120,240")
     rows = [
         [n, seconds, rate]
         for n, seconds, rate in zip(

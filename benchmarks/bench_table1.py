@@ -2,7 +2,6 @@
 
 import math
 
-from repro.experiments.table1 import table1_interface_features
 
 #: Paper Table I, "Original" column: (mean size B, mean interarrival s).
 PAPER_ORIGINAL = {
@@ -16,10 +15,8 @@ PAPER_ORIGINAL = {
 }
 
 
-def test_table1(benchmark, scenario, save_table):
-    rows_data = benchmark.pedantic(
-        table1_interface_features, args=(scenario,), rounds=1, iterations=1
-    )
+def test_table1(run_registered, save_table):
+    rows_data = run_registered("table1")
     rows = []
     for row in rows_data:
         paper_size, paper_iat = PAPER_ORIGINAL[row.app]

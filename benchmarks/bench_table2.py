@@ -1,7 +1,5 @@
 """T2: classification accuracy at W = 5 s (paper Table II)."""
 
-from repro.experiments.tables23 import classification_accuracy_table
-
 #: Paper Table II (W = 5 s).
 PAPER = {
     "browsing": (37.77, 59.15, 58.74, 59.16, 1.90),
@@ -17,10 +15,8 @@ PAPER = {
 SCHEMES = ("Original", "FH", "RA", "RR", "OR")
 
 
-def test_table2(benchmark, scenario, save_table):
-    table = benchmark.pedantic(
-        classification_accuracy_table, args=(5.0, scenario), rounds=1, iterations=1
-    )
+def test_table2(run_registered, save_table):
+    table = run_registered("table2")
     rows = []
     for row in table.rows():
         app = row[0]

@@ -1,7 +1,5 @@
 """T3: classification accuracy at W = 60 s (paper Table III)."""
 
-from repro.experiments.tables23 import classification_accuracy_table
-
 #: Paper Table III (W = 60 s).
 PAPER = {
     "browsing": (72.94, 72.59, 76.72, 77.90, 0.57),
@@ -17,10 +15,8 @@ PAPER = {
 SCHEMES = ("Original", "FH", "RA", "RR", "OR")
 
 
-def test_table3(benchmark, scenario, save_table):
-    table = benchmark.pedantic(
-        classification_accuracy_table, args=(60.0, scenario), rounds=1, iterations=1
-    )
+def test_table3(run_registered, save_table):
+    table = run_registered("table3")
     rows = []
     for row in table.rows():
         app = row[0]

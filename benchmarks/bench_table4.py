@@ -1,7 +1,5 @@
 """T4: false-positive rates, Original vs OR (paper Table IV)."""
 
-from repro.experiments.table4 import table4_false_positives
-
 #: Paper Table IV: (orig 5s, OR 5s, orig 60s, OR 60s).
 PAPER = {
     "browsing": (2.73, 1.91, 1.51, 2.30),
@@ -15,10 +13,8 @@ PAPER = {
 }
 
 
-def test_table4(benchmark, scenario, save_table):
-    result = benchmark.pedantic(
-        table4_false_positives, args=(scenario,), rounds=1, iterations=1
-    )
+def test_table4(run_registered, save_table):
+    result = run_registered("table4")
     rows = []
     for row in result.rows():
         app = row[0]

@@ -1,7 +1,5 @@
 """T5: OR accuracy versus interface count I (paper Table V)."""
 
-from repro.experiments.table5 import table5_interface_sweep
-
 #: Paper Table V (OR accuracy %, W = 5 s).
 PAPER = {
     "browsing": (2.82, 1.90, 1.52),
@@ -15,10 +13,8 @@ PAPER = {
 }
 
 
-def test_table5(benchmark, scenario, save_table):
-    result = benchmark.pedantic(
-        table5_interface_sweep, args=(scenario,), rounds=1, iterations=1
-    )
+def test_table5(run_registered, save_table):
+    result = run_registered("table5")
     rows = []
     for row in result.rows():
         app = row[0]

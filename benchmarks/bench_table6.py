@@ -1,7 +1,5 @@
 """T6: efficiency comparison — padding / morphing vs reshaping (Table VI)."""
 
-from repro.experiments.table6 import table6_efficiency
-
 #: Paper Table VI: (accuracy %, padding overhead %, morphing overhead %).
 PAPER = {
     "browsing": (31.37, 55.55, 28.67),
@@ -15,10 +13,8 @@ PAPER = {
 }
 
 
-def test_table6(benchmark, scenario, save_table):
-    result = benchmark.pedantic(
-        table6_efficiency, args=(scenario,), rounds=1, iterations=1
-    )
+def test_table6(run_registered, save_table):
+    result = run_registered("table6")
     rows = []
     for row in result.rows():
         app = row[0]

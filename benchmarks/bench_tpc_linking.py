@@ -1,15 +1,8 @@
 """D-TPC: RSSI power analysis and the TPC counter-measure (Sec. V-A)."""
 
-from repro.experiments.discussion import tpc_linking_experiment
 
-
-def test_tpc_linking(benchmark, save_table):
-    result = benchmark.pedantic(
-        tpc_linking_experiment,
-        kwargs={"seed": 7, "duration": 25.0, "stations": 3},
-        rounds=1,
-        iterations=1,
-    )
+def test_tpc_linking(run_registered, save_table):
+    result = run_registered("tpc", duration=25.0, stations=3)
     save_table(
         "tpc_linking",
         ["setting", "pairwise linking accuracy"],

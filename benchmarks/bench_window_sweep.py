@@ -6,16 +6,9 @@ W = 60 s the attacker's accuracy on undefended traffic rises (83.2 ->
 traces the curve at four windows.
 """
 
-from repro.experiments.window_sweep import window_sweep
 
-
-def test_window_sweep(benchmark, scenario, save_table):
-    result = benchmark.pedantic(
-        window_sweep,
-        kwargs={"scenario": scenario, "windows": (5.0, 15.0, 30.0, 60.0)},
-        rounds=1,
-        iterations=1,
-    )
+def test_window_sweep(run_registered, save_table):
+    result = run_registered("window_sweep", windows="5,15,30,60")
     save_table(
         "window_sweep",
         ["W (s)", "Original mean %", "OR mean %", "gap"],

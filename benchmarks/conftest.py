@@ -1,12 +1,16 @@
 """Shared benchmark fixtures.
 
-One evaluation scenario (and its trained attack pipelines) is shared by
-all table benchmarks so the corpus is generated and the classifiers are
-trained once per session.  Each bench renders its regenerated table to
-stdout and to ``benchmarks/results/<name>.txt``; table-shaped benches
-additionally persist ``results/<name>.json`` (via ``save_table``) so
-comparisons across runs diff structured rows instead of re-parsing the
-printed tables.
+Every paper-table bench runs its experiment through the registry
+(``run_registered``), the path ``repro run`` takes, at one benchmark
+scale (``BENCH_PARAMS``).  The ``scenario`` and ``runner`` fixtures are
+the registry's process-local ``shared_scenario`` / ``shared_runner`` of
+those params, so the corpus is generated and each window's classifiers
+are trained once per session, whichever bench asks first.  Each bench
+renders its regenerated table to stdout and to
+``benchmarks/results/<name>.txt``; table-shaped benches additionally
+persist ``results/<name>.json`` (via ``save_table``) so comparisons
+across runs diff structured rows instead of re-parsing the printed
+tables.
 """
 
 from __future__ import annotations
@@ -16,29 +20,54 @@ import os
 import pytest
 
 from repro import obs
+from repro.experiments import parallel
+from repro.experiments.registry import ScenarioParams
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import EvaluationScenario
 from repro.util.results import ExperimentResult
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
+#: The benchmark-scale home-WLAN scenario (Sec. IV-A).
+BENCH_PARAMS = ScenarioParams(
+    seed=7,
+    train_duration=420.0,
+    eval_duration=300.0,
+    train_sessions=6,
+    eval_sessions=4,
+)
+
 
 @pytest.fixture(scope="session")
 def scenario() -> EvaluationScenario:
-    """The benchmark-scale home-WLAN scenario (Sec. IV-A)."""
-    return EvaluationScenario(
-        seed=7,
-        train_duration=420.0,
-        eval_duration=300.0,
-        train_sessions=6,
-        eval_sessions=4,
-    )
+    """The registry's shared scenario for ``BENCH_PARAMS``."""
+    return parallel.shared_scenario(BENCH_PARAMS)
 
 
 @pytest.fixture(scope="session")
-def runner(scenario: EvaluationScenario) -> ExperimentRunner:
-    """Experiment runner sharing trained pipelines across benches."""
-    return ExperimentRunner(scenario)
+def runner() -> ExperimentRunner:
+    """The registry's shared runner (trained pipelines, window cache)."""
+    return parallel.shared_runner(BENCH_PARAMS)
+
+
+@pytest.fixture
+def run_registered(benchmark):
+    """Time one registered experiment at ``BENCH_PARAMS``; return its result.
+
+    ``run_registered("table3", window=60.0)`` is
+    ``run_experiment("table3", BENCH_PARAMS, {"window": 60.0})`` under
+    one pedantic benchmark round.
+    """
+
+    def _run(name: str, **options):
+        return benchmark.pedantic(
+            parallel.run_experiment,
+            args=(name, BENCH_PARAMS, options),
+            rounds=1,
+            iterations=1,
+        )
+
+    return _run
 
 
 @pytest.fixture(scope="session")

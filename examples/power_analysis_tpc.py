@@ -8,13 +8,15 @@ per-packet transmission power control.
 Run:  python examples/power_analysis_tpc.py
 """
 
-from repro.experiments.discussion import tpc_linking_experiment
+from repro.experiments import ScenarioParams, run_experiment
 from repro.util.tables import format_table
 
 
 def main() -> None:
     print("Simulating 3 stations x 3 virtual interfaces, RSSI-linking adversary...\n")
-    result = tpc_linking_experiment(seed=3, duration=25.0, stations=3)
+    result = run_experiment(
+        "tpc", ScenarioParams(seed=3), {"duration": 25.0, "stations": 3}
+    )
     print(format_table(
         ["configuration", "pairwise linking accuracy"],
         [

@@ -1,56 +1,58 @@
 """Experiment harness: regenerates every table and figure of the paper.
 
-Each experiment module produces the same rows/series the paper reports
-(see the tables/figures map in the top-level README) and registers itself
-with the experiment registry (:mod:`repro.experiments.registry`) under
-a stable name (``table1`` .. ``table6``, ``fig1``, ``fig4``, ``fig5``,
-``window_sweep``, ``combined``, ``tpc``, ``scalability``, the
-streaming trio ``stream_replay`` / ``drift`` / ``arms_race``, and the
-stacked-defense sweep ``combined_grid``).  Defense schemes are
-declared as registry specs (:mod:`repro.schemes`), never hand-wired.  The
-registry powers the unified CLI (``repro list`` / ``repro run``) and
-the parallel executor (:mod:`repro.experiments.parallel`), which fans
-an experiment's independent cells out over worker processes while the
-serial path stays bit-identical to the module entry points.  The
-benchmarks in ``benchmarks/`` wrap these functions with
-pytest-benchmark and print the regenerated tables next to the
-published values.
+Every experiment is a registered :class:`ExperimentSpec`
+(:mod:`repro.experiments.registry`) under a stable name (``table1`` ..
+``table6``, ``fig1``, ``fig4``, ``fig5``, ``window_sweep``,
+``combined``, ``tpc``, ``scalability``, the streaming trio
+``stream_replay`` / ``drift`` / ``arms_race``, the stacked-defense
+sweep ``combined_grid`` and ``population_scale``); importing this
+package registers them all.  The registry is the one way to run an
+experiment: :func:`run_experiment` returns the combined result object
+(e.g. :class:`~repro.experiments.tables23.AccuracyTable`) and
+:func:`run_experiment_result` its rendered
+:class:`~repro.util.results.ExperimentResult`, serially or with the
+cells fanned out over worker processes
+(:mod:`repro.experiments.parallel`).  The CLI (``repro list`` /
+``repro run``), the benchmarks in ``benchmarks/`` and the examples all
+go through it.  Defense schemes are declared as registry specs
+(:mod:`repro.schemes`), never hand-wired.
 """
 
-from repro.experiments.scenarios import EvaluationScenario, SCHEME_NAMES
+# Importing a module registers its specs; this order is the registry's
+# (and ``repro list``'s) order.
+from repro.experiments import (  # noqa: F401
+    fig1,
+    fig45,
+    table1,
+    tables23,
+    table4,
+    table5,
+    table6,
+    discussion,
+    combined_grid,
+    population_scale,
+    window_sweep,
+    streaming,
+)
+from repro.experiments.combined_grid import CombinedGridResult
+from repro.experiments.parallel import run_experiment, run_experiment_result
+from repro.experiments.population_scale import PopulationScaleResult
 from repro.experiments.registry import (
     ExperimentCell,
     ExperimentSpec,
     ScenarioParams,
     all_specs,
 )
+from repro.experiments.registry import get as get_experiment
+from repro.experiments.registry import names as experiment_names
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.fig1 import figure1_cdf_series
-from repro.experiments.fig45 import figure4_series, figure5_series
-from repro.experiments.table1 import table1_interface_features
-from repro.experiments.tables23 import classification_accuracy_table
-from repro.experiments.table4 import table4_false_positives
-from repro.experiments.table5 import table5_interface_sweep
-from repro.experiments.table6 import table6_efficiency
-from repro.experiments.discussion import (
-    combined_defense_accuracy,
-    reshaping_scalability,
-    tpc_linking_experiment,
-)
-from repro.experiments.combined_grid import CombinedGridResult, combined_grid
-from repro.experiments.population_scale import (
-    PopulationScaleResult,
-    population_scale,
-)
-from repro.experiments.window_sweep import WindowSweepResult, window_sweep
+from repro.experiments.scenarios import EvaluationScenario
 from repro.experiments.streaming import (
     ArmsRaceResult,
     DriftResult,
     StreamReplayResult,
 )
-from repro.experiments.parallel import run_experiment, run_experiment_result
-from repro.experiments.registry import get as get_experiment
-from repro.experiments.registry import names as experiment_names
+from repro.experiments.window_sweep import WindowSweepResult
 
 __all__ = [
     "ArmsRaceResult",
@@ -64,24 +66,9 @@ __all__ = [
     "ScenarioParams",
     "StreamReplayResult",
     "WindowSweepResult",
-    "SCHEME_NAMES",
     "all_specs",
-    "classification_accuracy_table",
-    "combined_defense_accuracy",
-    "combined_grid",
     "experiment_names",
-    "figure1_cdf_series",
-    "figure4_series",
-    "figure5_series",
     "get_experiment",
-    "population_scale",
-    "reshaping_scalability",
     "run_experiment",
     "run_experiment_result",
-    "table1_interface_features",
-    "table4_false_positives",
-    "table5_interface_sweep",
-    "table6_efficiency",
-    "tpc_linking_experiment",
-    "window_sweep",
 ]

@@ -47,7 +47,7 @@ from repro.schemes.registry import build_stack, get_scheme
 from repro.util.results import ExperimentResult
 from repro.util.rng import derive_seed
 
-__all__ = ["CombinedGridResult", "GridCell", "combined_grid"]
+__all__ = ["CombinedGridResult", "GridCell"]
 
 #: The default composition grid: every single defense plus the stacked
 #: combinations the paper's discussion motivates (reshaping after a
@@ -354,17 +354,6 @@ def _to_result(
                 for cell in result.cells
             },
         },
-    )
-
-
-def combined_grid(
-    params: ScenarioParams | None = None,
-    options: dict[str, object] | None = None,
-    jobs: int = 1,
-) -> CombinedGridResult:
-    """Run the stacked-defense grid programmatically."""
-    return parallel.run_experiment(
-        "combined_grid", params=params, options=options, jobs=jobs
     )
 
 

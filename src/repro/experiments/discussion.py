@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.attack import AttackPipeline
 from repro.analysis.linking import RssiLinker, linking_accuracy
 from repro.core.combined import CombinedDefense
 from repro.experiments import parallel, registry
@@ -27,8 +26,6 @@ from repro.experiments.registry import (
     single_cell,
     take_only,
 )
-from repro.experiments.runner import ExperimentRunner
-from repro.experiments.scenarios import EvaluationScenario
 from repro.net.channel import Position
 from repro.net.wlan import WlanSimulation
 from repro.schemes import (
@@ -41,14 +38,7 @@ from repro.traffic.apps import AppType
 from repro.traffic.generator import TrafficGenerator
 from repro.util.results import ExperimentResult
 
-__all__ = [
-    "CombinedDefenseResult",
-    "combined_defense_accuracy",
-    "TpcLinkingResult",
-    "tpc_linking_experiment",
-    "ScalabilityResult",
-    "reshaping_scalability",
-]
+__all__ = ["CombinedDefenseResult", "ScalabilityResult", "TpcLinkingResult"]
 
 
 # ----------------------------------------------------------------------
@@ -67,11 +57,18 @@ class CombinedDefenseResult:
     combined_overhead_percent: float
 
 
-def combined_defense_accuracy(
-    scenario: EvaluationScenario | None = None,
-    window: float = 5.0,
-) -> CombinedDefenseResult:
-    """Regenerate the Sec. V-C claim: combined defense mean accuracy < OR's.
+def _combined_cells(
+    params: ScenarioParams, options: dict[str, object]
+) -> tuple[ExperimentCell, ...]:
+    return single_cell(
+        "combined",
+        params,
+        {"scenario": params, "window": float(options["window"])},
+    )
+
+
+def _run_combined_cell(cell: ExperimentCell) -> CombinedDefenseResult:
+    """The Sec. V-C claim: combined defense mean accuracy < OR's.
 
     Per the paper's text we morph the small-packet interface (the
     chatting look-alike) toward gaming and the mid-size interface toward
@@ -81,14 +78,15 @@ def combined_defense_accuracy(
     models the morph reduces chatting's residual accuracy partially
     rather than to zero — deviation documented in EXPERIMENTS.md.
 
-    OR plans and fuses; the combined defense morphs, so the runner
-    falls back to applying it — once per trace, with its byte overhead
-    read from that same cached application.
+    The attacker is the shared runner's pipeline (trained once per
+    process).  OR plans and fuses; the combined defense morphs, so the
+    runner falls back to applying it — once per trace, with its byte
+    overhead read from that same cached application.
     """
-    runner = ExperimentRunner(scenario or EvaluationScenario())
+    window = float(cell.params["window"])
+    runner = parallel.shared_runner(cell.params["scenario"])
     scenario = runner.scenario
-    pipeline = AttackPipeline(window=window, seed=scenario.seed)
-    pipeline.train(scenario.training_traces())
+    pipeline = runner.pipeline(window)
     orthogonal = runner.scheme(legacy_scheme_spec("or"))
     combined = CombinedDefense(
         build_raw(legacy_scheme_spec("or"), scenario.seed),
@@ -133,6 +131,40 @@ def combined_defense_accuracy(
     )
 
 
+def _combined_to_result(
+    params: ScenarioParams,
+    options: dict[str, object],
+    result: CombinedDefenseResult,
+) -> ExperimentResult:
+    rows: list[tuple[object, ...]] = [
+        (app, result.or_accuracy[app], result.combined_accuracy[app])
+        for app in result.or_accuracy
+    ]
+    rows.append(("Mean", result.or_mean, result.combined_mean))
+    return ExperimentResult(
+        experiment="combined",
+        title="Sec. V-C — OR vs OR+morphing accuracy % (D-COMB)",
+        headers=("app", "OR %", "OR+morph %"),
+        rows=tuple(rows),
+        params={**params.as_dict(), **options},
+        extras={"combined_overhead_percent": result.combined_overhead_percent},
+    )
+
+
+registry.register(
+    ExperimentSpec(
+        name="combined",
+        title="Sec. V-C — combined defense (reshaping + morphing)",
+        description="OR and OR+morphing accuracy side by side, with overhead.",
+        build_cells=_combined_cells,
+        run_cell=_run_combined_cell,
+        combine=take_only,
+        to_result=_combined_to_result,
+        options={"window": 5.0},
+    )
+)
+
+
 # ----------------------------------------------------------------------
 # D-TPC: RSSI linking of virtual interfaces, with and without TPC
 # ----------------------------------------------------------------------
@@ -147,13 +179,23 @@ class TpcLinkingResult:
     flows_observed: int
 
 
-def tpc_linking_experiment(
-    seed: int = 0,
-    duration: float = 30.0,
-    stations: int = 3,
-    interfaces: int = DEFAULT_INTERFACES,
-    tpc_range_db: float = 24.0,
-) -> TpcLinkingResult:
+def _tpc_cells(
+    params: ScenarioParams, options: dict[str, object]
+) -> tuple[ExperimentCell, ...]:
+    return single_cell(
+        "tpc",
+        params,
+        {
+            "seed": params.seed,
+            "duration": float(options["duration"]),
+            "stations": int(options["stations"]),
+            "interfaces": int(options["interfaces"]),
+            "tpc_range_db": float(options["tpc_range_db"]),
+        },
+    )
+
+
+def _run_tpc_cell(cell: ExperimentCell) -> TpcLinkingResult:
     """Sec. V-A: can the sniffer link virtual interfaces by RSSI?
 
     Runs two WLAN simulations — one with fixed transmit power, one with
@@ -161,6 +203,10 @@ def tpc_linking_experiment(
     all reshaping over ``interfaces`` VAPs.  The RSSI linker then tries
     to group the observed virtual identities by physical transmitter.
     """
+    seed = int(cell.params["seed"])
+    duration = float(cell.params["duration"])
+    stations = int(cell.params["stations"])
+    interfaces = int(cell.params["interfaces"])
 
     def run(tpc: float) -> tuple[float, int]:
         sim = WlanSimulation.build(seed=seed)
@@ -197,140 +243,11 @@ def tpc_linking_experiment(
         return linking_accuracy(groups, owner_list), len(flow_list)
 
     accuracy_fixed, observed = run(0.0)
-    accuracy_tpc, _ = run(tpc_range_db)
+    accuracy_tpc, _ = run(float(cell.params["tpc_range_db"]))
     return TpcLinkingResult(
         accuracy_without_tpc=accuracy_fixed,
         accuracy_with_tpc=accuracy_tpc,
         flows_observed=observed,
-    )
-
-
-# ----------------------------------------------------------------------
-# D-SCALE: O(N) scheduling cost (Sec. V-B)
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScalabilityResult:
-    """Throughput of the OR scheduler across trace sizes."""
-
-    packet_counts: tuple[int, ...]
-    seconds_per_run: tuple[float, ...]
-    packets_per_second: tuple[float, ...]
-
-
-def reshaping_scalability(
-    seed: int = 0,
-    durations: tuple[float, ...] = (30.0, 60.0, 120.0, 240.0),
-) -> ScalabilityResult:
-    """Measure OR's batch scheduling cost as traffic volume grows.
-
-    The paper claims O(N) complexity; the measured packets-per-second
-    rate should stay roughly flat across trace sizes.
-    """
-    generator = TrafficGenerator(seed=seed)
-    scheme = build_scheme(legacy_scheme_spec("or"), seed)
-    counts, times, rates = [], [], []
-    for duration in durations:
-        trace = generator.generate(AppType.DOWNLOADING, duration)
-        # repro-lint: allow[nondeterminism]: this experiment *measures* wall-clock (registered deterministic=False, excluded from bit-identity)
-        start = time.perf_counter()
-        scheme.apply(trace)
-        # repro-lint: allow[nondeterminism]: this experiment *measures* wall-clock (registered deterministic=False, excluded from bit-identity)
-        elapsed = time.perf_counter() - start
-        counts.append(len(trace))
-        times.append(elapsed)
-        rates.append(len(trace) / elapsed if elapsed > 0 else float("inf"))
-    return ScalabilityResult(
-        packet_counts=tuple(counts),
-        seconds_per_run=tuple(times),
-        packets_per_second=tuple(rates),
-    )
-
-
-# ----------------------------------------------------------------------
-# Registry integration: a single cell each
-# ----------------------------------------------------------------------
-
-
-# -- combined ----------------------------------------------------------
-
-
-def _combined_cells(
-    params: ScenarioParams, options: dict[str, object]
-) -> tuple[ExperimentCell, ...]:
-    return single_cell(
-        "combined",
-        params,
-        {"scenario": params, "window": float(options["window"])},
-    )
-
-
-def _run_combined_cell(cell: ExperimentCell) -> CombinedDefenseResult:
-    scenario = parallel.shared_scenario(cell.params["scenario"])
-    return combined_defense_accuracy(scenario, window=float(cell.params["window"]))
-
-
-def _combined_to_result(
-    params: ScenarioParams,
-    options: dict[str, object],
-    result: CombinedDefenseResult,
-) -> ExperimentResult:
-    rows: list[tuple[object, ...]] = [
-        (app, result.or_accuracy[app], result.combined_accuracy[app])
-        for app in result.or_accuracy
-    ]
-    rows.append(("Mean", result.or_mean, result.combined_mean))
-    return ExperimentResult(
-        experiment="combined",
-        title="Sec. V-C — OR vs OR+morphing accuracy % (D-COMB)",
-        headers=("app", "OR %", "OR+morph %"),
-        rows=tuple(rows),
-        params={**params.as_dict(), **options},
-        extras={"combined_overhead_percent": result.combined_overhead_percent},
-    )
-
-
-registry.register(
-    ExperimentSpec(
-        name="combined",
-        title="Sec. V-C — combined defense (reshaping + morphing)",
-        description="OR and OR+morphing accuracy side by side, with overhead.",
-        build_cells=_combined_cells,
-        run_cell=_run_combined_cell,
-        combine=take_only,
-        to_result=_combined_to_result,
-        options={"window": 5.0},
-    )
-)
-
-
-# -- tpc ---------------------------------------------------------------
-
-
-def _tpc_cells(
-    params: ScenarioParams, options: dict[str, object]
-) -> tuple[ExperimentCell, ...]:
-    return single_cell(
-        "tpc",
-        params,
-        {
-            "seed": params.seed,
-            "duration": float(options["duration"]),
-            "stations": int(options["stations"]),
-            "interfaces": int(options["interfaces"]),
-            "tpc_range_db": float(options["tpc_range_db"]),
-        },
-    )
-
-
-def _run_tpc_cell(cell: ExperimentCell) -> TpcLinkingResult:
-    return tpc_linking_experiment(
-        seed=int(cell.params["seed"]),
-        duration=float(cell.params["duration"]),
-        stations=int(cell.params["stations"]),
-        interfaces=int(cell.params["interfaces"]),
-        tpc_range_db=float(cell.params["tpc_range_db"]),
     )
 
 
@@ -371,7 +288,18 @@ registry.register(
 )
 
 
-# -- scalability -------------------------------------------------------
+# ----------------------------------------------------------------------
+# D-SCALE: O(N) scheduling cost (Sec. V-B)
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ScalabilityResult:
+    """Throughput of the OR scheduler across trace sizes."""
+
+    packet_counts: tuple[int, ...]
+    seconds_per_run: tuple[float, ...]
+    packets_per_second: tuple[float, ...]
 
 
 def _scalability_cells(
@@ -385,8 +313,30 @@ def _scalability_cells(
 
 
 def _run_scalability_cell(cell: ExperimentCell) -> ScalabilityResult:
-    durations = parse_number_list(cell.params["durations"])
-    return reshaping_scalability(seed=int(cell.params["seed"]), durations=durations)
+    """Measure OR's batch scheduling cost as traffic volume grows.
+
+    The paper claims O(N) complexity; the measured packets-per-second
+    rate should stay roughly flat across trace sizes.
+    """
+    seed = int(cell.params["seed"])
+    generator = TrafficGenerator(seed=seed)
+    scheme = build_scheme(legacy_scheme_spec("or"), seed)
+    counts, times, rates = [], [], []
+    for duration in parse_number_list(cell.params["durations"]):
+        trace = generator.generate(AppType.DOWNLOADING, duration)
+        # repro-lint: allow[nondeterminism]: this experiment *measures* wall-clock (registered deterministic=False, excluded from bit-identity)
+        start = time.perf_counter()
+        scheme.apply(trace)
+        # repro-lint: allow[nondeterminism]: this experiment *measures* wall-clock (registered deterministic=False, excluded from bit-identity)
+        elapsed = time.perf_counter() - start
+        counts.append(len(trace))
+        times.append(elapsed)
+        rates.append(len(trace) / elapsed if elapsed > 0 else float("inf"))
+    return ScalabilityResult(
+        packet_counts=tuple(counts),
+        seconds_per_run=tuple(times),
+        packets_per_second=tuple(rates),
+    )
 
 
 def _scalability_to_result(

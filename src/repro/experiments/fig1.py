@@ -23,7 +23,7 @@ from repro.traffic.packet import DOWNLINK
 from repro.traffic.stats import empirical_cdf
 from repro.util.results import ExperimentResult
 
-__all__ = ["figure1_cdf_series"]
+__all__: list[str] = []
 
 
 def _app_series(
@@ -32,30 +32,19 @@ def _app_series(
     seed: int,
     grid_step: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One application's downlink size CDF on the shared grid."""
+    """One application's downlink size CDF on the shared grid.
+
+    Reproduces one curve of Figure 1: the application's cumulative
+    packet-size distribution on the receiver (AP -> user) side.  The
+    shape targets are the two mass modes around [108, 232] and
+    [1546, 1576] with per-application weights (chatting mostly small,
+    downloading/video mostly full-size, BT bimodal, ...).
+    """
     generator = TrafficGenerator(seed=seed)
     grid = np.arange(0, 1576 + 1, grid_step, dtype=np.float64)
     trace = generator.generate(app, duration=duration)
     downlink = trace.direction_view(DOWNLINK)
     return empirical_cdf(downlink.sizes, grid)
-
-
-def figure1_cdf_series(
-    duration: float = 300.0,
-    seed: int = 0,
-    grid_step: int = 8,
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per-application downlink size CDFs: ``{app: (grid, cdf)}``.
-
-    Reproduces Figure 1: every application's cumulative packet-size
-    distribution on the receiver (AP -> user) side.  The shape targets
-    are the two mass modes around [108, 232] and [1546, 1576] with
-    per-application weights (chatting mostly small, downloading/video
-    mostly full-size, BT bimodal, ...).
-    """
-    return {
-        app.value: _app_series(app, duration, seed, grid_step) for app in AppType
-    }
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from repro.traffic.stats import empirical_cdf, size_histogram
 from repro.traffic.trace import Trace
 from repro.util.results import ExperimentResult
 
-__all__ = ["InterfaceSeries", "figure4_series", "figure5_series"]
+__all__ = ["InterfaceSeries"]
 
 
 @dataclass(frozen=True)
@@ -56,31 +56,10 @@ def _series_for(trace: Trace, flows: dict[int, Trace]) -> InterfaceSeries:
     )
 
 
-def _bt_trace(duration: float, seed: int) -> Trace:
-    return TrafficGenerator(seed=seed).generate(AppType.BITTORRENT, duration=duration)
-
-
 #: Fig. 4's scheme, as a registry recipe: OR over three equal ranges.
 FIG4_SPEC = SchemeSpec(
     "or", (("boundaries", ",".join(str(b) for b in FIG4_RANGES)),)
 )
-
-
-def figure4_series(duration: float = 300.0, seed: int = 0) -> InterfaceSeries:
-    """Figure 4: OR over the three equal ranges of a BT flow."""
-    trace = _bt_trace(duration, seed)
-    result = build_scheme(FIG4_SPEC, seed).apply(trace)
-    return _series_for(trace, result.flows)
-
-
-def figure5_series(
-    duration: float = 300.0, seed: int = 0, interfaces: int = DEFAULT_INTERFACES
-) -> InterfaceSeries:
-    """Figure 5: OR by size modulo over a BT flow."""
-    trace = _bt_trace(duration, seed)
-    spec = SchemeSpec("modulo", (("interfaces", int(interfaces)),))
-    result = build_scheme(spec, seed).apply(trace)
-    return _series_for(trace, result.flows)
 
 
 # ----------------------------------------------------------------------
@@ -100,18 +79,24 @@ def _cells(
     return single_cell(experiment, params, cell_params, name="bt")
 
 
-def _run_fig4_cell(cell: ExperimentCell) -> InterfaceSeries:
-    return figure4_series(
-        duration=float(cell.params["duration"]), seed=int(cell.params["seed"])
+def _reshaped_bt(cell: ExperimentCell, spec: SchemeSpec) -> InterfaceSeries:
+    """The cell's BT flow reshaped by ``spec``, as figure series."""
+    seed = int(cell.params["seed"])
+    trace = TrafficGenerator(seed=seed).generate(
+        AppType.BITTORRENT, duration=float(cell.params["duration"])
     )
+    return _series_for(trace, build_scheme(spec, seed).apply(trace).flows)
+
+
+def _run_fig4_cell(cell: ExperimentCell) -> InterfaceSeries:
+    """Figure 4: OR over the three equal ranges of a BT flow."""
+    return _reshaped_bt(cell, FIG4_SPEC)
 
 
 def _run_fig5_cell(cell: ExperimentCell) -> InterfaceSeries:
-    return figure5_series(
-        duration=float(cell.params["duration"]),
-        seed=int(cell.params["seed"]),
-        interfaces=int(cell.params["interfaces"]),
-    )
+    """Figure 5: OR by size modulo over a BT flow."""
+    interfaces = int(cell.params["interfaces"])
+    return _reshaped_bt(cell, SchemeSpec("modulo", (("interfaces", interfaces),)))
 
 
 def _to_result(
@@ -159,7 +144,7 @@ for _name, _runner_fn, _title, _options in (
             title=_title,
             description=(
                 "Per-interface packet counts of a reshaped BitTorrent flow "
-                "(histogram/CDF series are produced by the module API)."
+                "(histogram/CDF series ride in the combined InterfaceSeries)."
             ),
             build_cells=partial(_cells, experiment=_name),
             run_cell=_runner_fn,

@@ -7,9 +7,7 @@ over a process pool and folds the results back in cell order, so
 
 * ``jobs=1`` runs every cell in-process, sharing one scenario corpus,
   one trained pipeline per window, and one
-  :class:`~repro.analysis.batch.WindowCache` per scenario — exactly the
-  sharing the legacy per-module drivers perform, and therefore
-  bit-identical to them;
+  :class:`~repro.analysis.batch.WindowCache` per scenario;
 * ``jobs=N`` runs cells in worker processes.  Each worker rebuilds the
   scenario deterministically from :class:`ScenarioParams` (same seed ⇒
   same corpus ⇒ same trained classifiers, since every stochastic
@@ -57,10 +55,10 @@ __all__ = [
 
 #: Process-local memo: scenario corpora, experiment runners, and
 #: arbitrary per-experiment caches (e.g. Table VI's timing pipeline),
-#: keyed by picklable descriptors.  In the serial path this plays the
-#: role the module-level scenario/runner objects play in the legacy
-#: drivers; in workers it amortizes corpus generation and classifier
-#: training across the cells each worker executes.
+#: keyed by picklable descriptors.  The serial path shares it across
+#: every cell of a run (and across runs); in workers it amortizes
+#: corpus generation and classifier training across the cells each
+#: worker executes.
 _WORKER_STATE: dict[object, object] = {}
 
 
@@ -198,17 +196,28 @@ def _execute_cell(
     :class:`~repro.obs.PerfCounterSink` so spans carry durations
     (``repro bench --profile`` — excluded from the bit-identity
     contract by construction).
+
+    A failing cell re-raises as a :class:`RuntimeError` naming the
+    experiment and the cell (the original error is its ``__cause__``);
+    the message carries the original type and text, so the name
+    survives the trip back from a worker process.
     """
     name, cell, mode = payload
     spec = registry.get(name)
-    if mode is None:
-        return spec.run_cell(cell), None
-    sink = obs.PerfCounterSink() if mode == "timed" else None
-    with obs.capture(sink) as cap:
-        with obs.span(f"cell[{cell.name}]"):
-            obs.add("executor.cells_run")
-            result = spec.run_cell(cell)
-    return result, cap.cell_profile(cell.name)
+    try:
+        if mode is None:
+            return spec.run_cell(cell), None
+        sink = obs.PerfCounterSink() if mode == "timed" else None
+        with obs.capture(sink) as cap:
+            with obs.span(f"cell[{cell.name}]"):
+                obs.add("executor.cells_run")
+                result = spec.run_cell(cell)
+        return result, cap.cell_profile(cell.name)
+    except Exception as error:
+        raise RuntimeError(
+            f"experiment {name!r} cell {cell.name!r} failed: "
+            f"{type(error).__name__}: {error}"
+        ) from error
 
 
 def _run_resolved(
@@ -269,9 +278,14 @@ def run_experiment(
             worker start-up cost differs.
 
     Returns:
-        The experiment module's legacy result object (e.g.
-        :class:`~repro.experiments.tables23.AccuracyTable`), identical
-        to what the module's direct entry point produces.
+        The spec's combined result object (e.g.
+        :class:`~repro.experiments.tables23.AccuracyTable` for
+        ``table2``), built by :attr:`ExperimentSpec.combine` from the
+        cell results in cell order; the same for any ``jobs``.
+
+    Raises:
+        RuntimeError: a cell failed; the message names the experiment,
+            the cell and the original error.
     """
     _init_worker()
     spec = registry.get(name)

@@ -72,7 +72,6 @@ __all__ = [
     "PopulationRow",
     "PopulationScaleResult",
     "PopulationShardResult",
-    "population_scale",
     "station_app",
     "station_name",
 ]
@@ -389,17 +388,6 @@ def _to_result(
             # per packet across the six columns).
             "shard_packets": dict(result.shard_packets),
         },
-    )
-
-
-def population_scale(
-    params: ScenarioParams | None = None,
-    options: dict[str, object] | None = None,
-    jobs: int = 1,
-) -> PopulationScaleResult:
-    """Run the population sweep programmatically."""
-    return parallel.run_experiment(
-        "population_scale", params=params, options=options, jobs=jobs
     )
 
 

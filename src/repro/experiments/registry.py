@@ -3,11 +3,12 @@
 The paper's evaluation is a grid of independent cells — {table1..table6,
 fig1, fig4/5, window sweep, Sec. V experiments} × {scheme} × {window} ×
 {session} — and each experiment module registers itself here with a
-name, a cell decomposition, and a way to combine cell results back into
-the module's legacy result object.  The registry is what the unified
-CLI (``repro list`` / ``repro run``) and the parallel executor
-(:mod:`repro.experiments.parallel`) enumerate; experiment modules stay
-the single source of truth for *what* each cell computes.
+name, a cell decomposition, and a way to combine cell results into the
+experiment's result object.  The registry is the one way to run an
+experiment: the unified CLI (``repro list`` / ``repro run``), the
+parallel executor (:mod:`repro.experiments.parallel`), the benchmarks
+and the examples all go through it, and each experiment module's cell
+functions are the single source of truth for *what* a cell computes.
 
 Design constraints:
 
@@ -247,8 +248,9 @@ class ExperimentSpec:
             (resolved via the registry inside workers); must be
             deterministic in the cell for ``deterministic`` specs.
         combine: ``(params, options, cell_results) -> result`` — folds
-            per-cell results (in cell order) into the module's legacy
-            result object.
+            per-cell results (in cell order) into the experiment's
+            result object (e.g. ``AccuracyTable``), which
+            :func:`~repro.experiments.parallel.run_experiment` returns.
         to_result: ``(params, options, combined) -> ExperimentResult``
             — renders the combined result as a structured artifact.
         options: experiment-specific knobs and their defaults; values

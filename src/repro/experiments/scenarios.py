@@ -14,6 +14,7 @@ from repro.schemes import LEGACY_SCHEME_SPECS
 from repro.traffic.apps import ALL_APPS, AppType
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.trace import Trace
+from repro.util.validation import require
 
 __all__ = ["SCHEME_NAMES", "recipe_scalars", "EvaluationScenario"]
 
@@ -62,6 +63,13 @@ class EvaluationScenario:
     apps: tuple[AppType, ...] = ALL_APPS
     _train: dict[AppType, list[Trace]] = field(default_factory=dict, repr=False)
     _eval: dict[AppType, list[Trace]] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        # An empty split would train on nothing or score nothing (an
+        # all-NaN table), so it is refused up front.
+        for name in ("train_sessions", "eval_sessions"):
+            count = getattr(self, name)
+            require(count >= 1, f"{name} must be >= 1, got {count!r}")
 
     def _generator(self) -> TrafficGenerator:
         return TrafficGenerator(seed=self.seed)
@@ -251,10 +259,6 @@ class EvaluationScenario:
                             for s in range(self.eval_sessions)
                         ]
             return {app: list(traces) for app, traces in self._eval.items()}
-
-    def evaluation_traces(self) -> dict[AppType, list[Trace]]:
-        """Alias of :meth:`evaluation_by_app` (kept for existing callers)."""
-        return self.evaluation_by_app()
 
     def evaluation_by_label(self) -> dict[str, list[Trace]]:
         """Evaluation captures keyed by class label (mirror of training)."""

@@ -27,7 +27,7 @@ from repro.traffic.apps import ALL_APPS, AppType
 from repro.traffic.stats import summarize_trace
 from repro.util.results import ExperimentResult
 
-__all__ = ["Table1Row", "table1_interface_features"]
+__all__ = ["Table1Row"]
 
 
 @dataclass(frozen=True)
@@ -69,15 +69,6 @@ def _app_row(
         interface_mean_sizes=sizes,
         interface_interarrivals=interarrivals,
     )
-
-
-def table1_interface_features(
-    scenario: EvaluationScenario | None = None,
-    interfaces: int = DEFAULT_INTERFACES,
-) -> list[Table1Row]:
-    """Regenerate Table I from the evaluation traces."""
-    scenario = scenario or EvaluationScenario()
-    return [_app_row(scenario, app, interfaces) for app in ALL_APPS]
 
 
 # ----------------------------------------------------------------------

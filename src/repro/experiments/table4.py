@@ -17,13 +17,11 @@ from repro.experiments.registry import (
     make_cell,
     parse_number_list,
 )
-from repro.experiments.runner import ExperimentRunner
-from repro.experiments.scenarios import EvaluationScenario
 from repro.schemes import DEFAULT_INTERFACES, legacy_scheme_spec
 from repro.traffic.apps import ALL_APPS
 from repro.util.results import ExperimentResult
 
-__all__ = ["Table4Result", "table4_false_positives"]
+__all__ = ["Table4Result"]
 
 
 @dataclass(frozen=True)
@@ -50,25 +48,6 @@ class Table4Result:
             rows.append([app] + [self.fp_rates[column][app] for column in columns])
         rows.append(["Mean"] + [self.mean_fp[column] for column in columns])
         return rows
-
-
-def table4_false_positives(
-    scenario: EvaluationScenario | None = None,
-    windows: tuple[float, ...] = (5.0, 60.0),
-    interfaces: int = DEFAULT_INTERFACES,
-) -> Table4Result:
-    """Regenerate Table IV."""
-    scenario = scenario or EvaluationScenario()
-    runner = ExperimentRunner(scenario)
-    fp_rates: dict[tuple[float, str], dict[str, float]] = {}
-    mean_fp: dict[tuple[float, str], float] = {}
-    orthogonal = runner.scheme(legacy_scheme_spec("or", interfaces))
-    for window in windows:
-        for scheme, evaluated in (("Original", None), ("OR", orthogonal)):
-            report = runner.evaluate_scheme(evaluated, window)
-            fp_rates[(window, scheme)] = report.false_positive_by_class
-            mean_fp[(window, scheme)] = report.mean_false_positive
-    return Table4Result(fp_rates=fp_rates, mean_fp=mean_fp)
 
 
 # ----------------------------------------------------------------------

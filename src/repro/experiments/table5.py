@@ -20,12 +20,10 @@ from repro.experiments.registry import (
     make_cell,
     parse_number_list,
 )
-from repro.experiments.runner import ExperimentRunner
-from repro.experiments.scenarios import EvaluationScenario
 from repro.schemes import PAPER_INTERFACE_COUNTS, legacy_scheme_spec
 from repro.util.results import ExperimentResult
 
-__all__ = ["Table5Result", "table5_interface_sweep"]
+__all__ = ["Table5Result"]
 
 
 @dataclass(frozen=True)
@@ -52,23 +50,6 @@ class Table5Result:
             rows.append([app] + [self.accuracies[i][app] for i in counts])
         rows.append(["Mean"] + [self.means[i] for i in counts])
         return rows
-
-
-def table5_interface_sweep(
-    scenario: EvaluationScenario | None = None,
-    window: float = 5.0,
-    interface_counts: tuple[int, ...] = PAPER_INTERFACE_COUNTS,
-) -> Table5Result:
-    """Regenerate Table V (OR at W = 5 s for each interface count)."""
-    scenario = scenario or EvaluationScenario()
-    runner = ExperimentRunner(scenario)
-    accuracies: dict[int, dict[str, float]] = {}
-    means: dict[int, float] = {}
-    for count in interface_counts:
-        report = runner.evaluate_scheme(legacy_scheme_spec("or", count), window)
-        accuracies[count] = report.accuracy_by_class
-        means[count] = report.mean_accuracy
-    return Table5Result(accuracies=accuracies, means=means)
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,7 @@ from repro.schemes import SchemeSpec
 from repro.traffic.apps import AppType
 from repro.util.results import ExperimentResult
 
-__all__ = ["Table6Result", "table6_efficiency"]
+__all__ = ["Table6Result"]
 
 #: Feature indices of the timing-only attacker: packet count and mean
 #: interarrival per direction (sizes are masked — padded traffic makes
@@ -170,16 +170,6 @@ def _table(rows: list[tuple[float, float, float]]) -> Table6Result:
     return Table6Result(
         accuracy=accuracy, padding_overhead=padding, morphing_overhead=morphing
     )
-
-
-def table6_efficiency(
-    scenario: EvaluationScenario | None = None,
-    window: float = 5.0,
-) -> Table6Result:
-    """Regenerate Table VI (timing attack + per-defense overheads)."""
-    runner = ExperimentRunner(scenario or EvaluationScenario())
-    pipeline = _timing_attack(runner.scenario, window)
-    return _table([_app_row(runner, pipeline, app) for app in AppType])
 
 
 # ----------------------------------------------------------------------

@@ -20,12 +20,11 @@ from repro.experiments.registry import (
     ScenarioParams,
     make_cell,
 )
-from repro.experiments.runner import ExperimentRunner
-from repro.experiments.scenarios import SCHEME_NAMES, EvaluationScenario
+from repro.experiments.scenarios import SCHEME_NAMES
 from repro.schemes import DEFAULT_INTERFACES, legacy_scheme_spec
 from repro.util.results import ExperimentResult
 
-__all__ = ["AccuracyTable", "classification_accuracy_table"]
+__all__ = ["AccuracyTable"]
 
 
 @dataclass(frozen=True)
@@ -59,20 +58,6 @@ class AccuracyTable:
             rows.append([app] + [self.accuracy(scheme, app) for scheme in SCHEME_NAMES])
         rows.append(["Mean"] + [self.mean(scheme) for scheme in SCHEME_NAMES])
         return rows
-
-
-def classification_accuracy_table(
-    window: float,
-    scenario: EvaluationScenario | None = None,
-    interfaces: int = DEFAULT_INTERFACES,
-) -> AccuracyTable:
-    """Regenerate Table II (window=5) or Table III (window=60)."""
-    runner = ExperimentRunner(scenario or EvaluationScenario())
-    reports = {
-        name: runner.evaluate_scheme(legacy_scheme_spec(name, interfaces), window)
-        for name in SCHEME_NAMES
-    }
-    return AccuracyTable(window=window, reports=reports)
 
 
 # ----------------------------------------------------------------------

@@ -24,12 +24,10 @@ from repro.experiments.registry import (
     make_cell,
     parse_number_list,
 )
-from repro.experiments.runner import ExperimentRunner
-from repro.experiments.scenarios import EvaluationScenario
 from repro.schemes import legacy_scheme_spec
 from repro.util.results import ExperimentResult
 
-__all__ = ["WindowSweepResult", "window_sweep"]
+__all__ = ["WindowSweepResult"]
 
 
 @dataclass(frozen=True)
@@ -58,27 +56,6 @@ class WindowSweepResult:
     def original_gain(self) -> float:
         """How much the attacker gains on undefended traffic as W grows."""
         return self.original[-1] - self.original[0]
-
-
-def window_sweep(
-    scenario: EvaluationScenario | None = None,
-    windows: tuple[float, ...] = (5.0, 15.0, 30.0, 60.0),
-) -> WindowSweepResult:
-    """Mean accuracy of Original and OR across eavesdropping durations."""
-    scenario = scenario or EvaluationScenario()
-    runner = ExperimentRunner(scenario)
-    orthogonal_scheme = runner.scheme(legacy_scheme_spec("or"))
-    original, orthogonal = [], []
-    for window in windows:
-        original.append(runner.evaluate_scheme(None, window).mean_accuracy)
-        orthogonal.append(
-            runner.evaluate_scheme(orthogonal_scheme, window).mean_accuracy
-        )
-    return WindowSweepResult(
-        windows=tuple(windows),
-        original=tuple(original),
-        orthogonal=tuple(orthogonal),
-    )
 
 
 # ----------------------------------------------------------------------

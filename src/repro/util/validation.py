@@ -6,6 +6,7 @@ arguments so configuration mistakes surface immediately.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -25,9 +26,15 @@ def require(condition: bool, message: str) -> None:
 
 
 def require_positive(value: float, name: str) -> None:
-    """Raise unless ``value`` is strictly positive."""
+    """Raise unless ``value`` is strictly positive and finite.
+
+    ``inf`` is rejected too: a duration or window of ``inf`` would make
+    a generator loop forever or a window grid come out empty.
+    """
     if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def require_in_range(value: float, low: float, high: float, name: str) -> None:

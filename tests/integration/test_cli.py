@@ -6,6 +6,8 @@ experiment run end-to-end on every test pass.
 """
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -128,6 +130,22 @@ class TestRun:
     def test_malformed_set_exits_2(self, capsys):
         assert main(["run", "fig4", *TINY_FLAGS, "--set", "no-equals-sign"]) == 2
         assert "expected KEY=VALUE" in capsys.readouterr().err
+
+    def test_infinite_duration_fails_fast_naming_it(self):
+        # A subprocess with a timeout, so a regression (the generator
+        # looping forever on an endless capture) fails instead of hanging.
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "fig1", *TINY_FLAGS,
+             "--set", "duration=inf"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert completed.returncode != 0
+        assert "experiment 'fig1' cell 'app=browsing' failed" in completed.stderr
+        assert "duration must be finite, got inf" in completed.stderr
+
+    def test_empty_evaluation_split_fails_naming_it(self):
+        with pytest.raises(RuntimeError, match="eval_sessions must be >= 1, got 0"):
+            main(["run", "table2", *TINY_FLAGS, "--eval-sessions", "0"])
 
 
 class TestCorpus:

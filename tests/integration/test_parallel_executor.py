@@ -17,7 +17,6 @@ import pytest
 from repro import obs
 from repro.experiments import parallel, registry
 from repro.experiments.registry import ScenarioParams
-from repro.experiments.tables23 import classification_accuracy_table
 
 TINY = ScenarioParams(
     seed=5, train_duration=30.0, eval_duration=20.0, train_sessions=1, eval_sessions=1
@@ -43,13 +42,11 @@ def _assert_reports_equal(ours, reference):
 class TestJobsEquivalence:
     """jobs=1 and jobs=N produce identical reports for a small scenario."""
 
-    def test_table2_parallel_matches_serial_and_legacy(self):
+    def test_table2_parallel_matches_serial(self):
         serial = parallel.run_experiment("table2", TINY)
         parallel.clear_worker_state()
         fanned = parallel.run_experiment("table2", TINY, jobs=4)
         _assert_reports_equal(fanned.reports, serial.reports)
-        legacy = classification_accuracy_table(5.0, TINY.build())
-        _assert_reports_equal(fanned.reports, legacy.reports)
 
     def test_window_sweep_parallel_matches_serial(self):
         options = {"windows": "5,10"}

@@ -110,6 +110,12 @@ class TestFlowFeatureMatrix:
         with pytest.raises(ValueError):
             flow_feature_matrix(Trace.empty(), 0.0)
 
+    def test_rejects_infinite_window(self):
+        # An inf window grid has edges [nan, inf]: zero windows, no error.
+        trace = Trace.from_arrays([0.0, 1.0, 2.0], [10, 20, 30])
+        with pytest.raises(ValueError, match="window must be finite, got inf"):
+            flow_feature_matrix(trace, float("inf"))
+
     def test_rejects_bad_min_packets(self):
         with pytest.raises(ValueError):
             flow_feature_matrix(Trace.empty(), 5.0, min_packets=0)

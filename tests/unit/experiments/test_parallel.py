@@ -1,13 +1,17 @@
 """Tests for the parallel executor's worker-state sharing and serial path."""
 
-import numpy as np
+import pickle
+
 import pytest
 
-from repro.experiments import parallel
-from repro.experiments.registry import ScenarioParams
+from repro.experiments import parallel, registry
+from repro.experiments.registry import (
+    ExperimentSpec,
+    ScenarioParams,
+    make_cell,
+    take_only,
+)
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.table1 import table1_interface_features
-from repro.experiments.fig1 import figure1_cdf_series
 
 TINY = ScenarioParams(
     seed=5, train_duration=30.0, eval_duration=20.0, train_sessions=1, eval_sessions=1
@@ -55,23 +59,6 @@ class TestSerialPath:
         with pytest.raises(KeyError, match="registered experiments"):
             parallel.run_experiment("nope", TINY)
 
-    def test_serial_table1_matches_legacy_entry_point(self):
-        via_registry = parallel.run_experiment("table1", TINY)
-        legacy = table1_interface_features(TINY.build())
-        # repr-level equality is bit-exact for floats and NaN-tolerant
-        # (empty interfaces are NaN, and NaN != NaN under ==).
-        assert repr(via_registry) == repr(legacy)
-
-    def test_serial_fig1_matches_legacy_entry_point(self):
-        via_registry = parallel.run_experiment(
-            "fig1", TINY, options={"duration": 10.0}
-        )
-        legacy = figure1_cdf_series(duration=10.0, seed=TINY.seed)
-        assert set(via_registry) == set(legacy)
-        for app in legacy:
-            for ours, reference in zip(via_registry[app], legacy[app]):
-                np.testing.assert_array_equal(ours, reference)
-
     def test_option_overrides_reach_cells(self):
         rows = parallel.run_experiment("table1", TINY, options={"interfaces": 2})
         assert all(set(row.interface_mean_sizes) == {0, 1} for row in rows)
@@ -84,3 +71,52 @@ class TestSerialPath:
         assert result.params["seed"] == TINY.seed
         assert result.params["duration"] == 10.0
         assert len(result.rows) == 7
+
+
+def _explode_or_pass(cell):
+    if cell.name == "explode":
+        raise ValueError("boom")
+    return cell.name
+
+
+@pytest.fixture
+def exploding_experiment(monkeypatch):
+    """A registered two-cell experiment whose second cell raises."""
+    spec = ExperimentSpec(
+        name="exploding",
+        title="test",
+        description="test",
+        build_cells=lambda params, options: tuple(
+            make_cell("exploding", name, {}, params.seed)
+            for name in ("fine", "explode")
+        ),
+        run_cell=_explode_or_pass,
+        combine=take_only,
+        to_result=None,
+    )
+    monkeypatch.setitem(registry._REGISTRY, "exploding", spec)
+    return spec.name
+
+
+class TestCellFailure:
+    MESSAGE = r"experiment 'exploding' cell 'explode' failed: ValueError: boom"
+
+    def test_serial_failure_names_experiment_and_cell(self, exploding_experiment):
+        with pytest.raises(RuntimeError, match=self.MESSAGE) as excinfo:
+            parallel.run_experiment(exploding_experiment, TINY)
+        assert isinstance(excinfo.value.__cause__, ValueError)
+        assert str(excinfo.value.__cause__) == "boom"
+
+    def test_failure_survives_pickling(self, exploding_experiment):
+        with pytest.raises(RuntimeError) as excinfo:
+            parallel.run_experiment(exploding_experiment, TINY)
+        clone = pickle.loads(pickle.dumps(excinfo.value))
+        assert str(clone) == str(excinfo.value)
+
+    def test_forked_worker_failure_names_experiment_and_cell(
+        self, exploding_experiment
+    ):
+        with pytest.raises(RuntimeError, match=self.MESSAGE):
+            parallel.run_experiment(
+                exploding_experiment, TINY, jobs=2, start_method="fork"
+            )

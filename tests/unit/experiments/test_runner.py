@@ -43,13 +43,13 @@ class TestWindowCacheSharing:
 
     def test_reshaped_flows_cached_across_windows(self, runner):
         scheme = build_scheme("or")
-        trace = runner.scenario.evaluation_traces()[runner.app_order()[0]][0]
+        trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
         first = runner.observable_flows(scheme, trace)
         second = runner.observable_flows(scheme, trace)
         assert all(a is b for a, b in zip(first, second))
 
     def test_original_flows_bypass_cache(self, runner):
-        trace = runner.scenario.evaluation_traces()[runner.app_order()[0]][0]
+        trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
         assert runner.observable_flows(None, trace) == [trace]
 
     def test_evaluation_populates_feature_cache(self, runner):
@@ -65,13 +65,13 @@ class TestWindowCacheSharing:
 
 class TestStageOverhead:
     def test_fused_accounting_matches_apply(self, runner):
-        trace = runner.scenario.evaluation_traces()[runner.app_order()[0]][0]
+        trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
         for composition in ("or", "padding", "padding+or", "pseudonym+or"):
             expected = runner.scheme(composition).apply(trace).stages
             assert runner.stage_overhead(composition, trace) == expected
 
     def test_fallback_reads_the_cached_application(self, runner):
-        trace = runner.scenario.evaluation_traces()[runner.app_order()[0]][0]
+        trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
         flows = runner.observable_flows("morphing", trace)
         (stage,) = runner.stage_overhead("morphing", trace)
         assert isinstance(stage, StageOverhead)
@@ -82,5 +82,5 @@ class TestStageOverhead:
         assert runner.window_cache.hits == hits + 2
 
     def test_undefended_original_has_no_stages(self, runner):
-        trace = runner.scenario.evaluation_traces()[runner.app_order()[0]][0]
+        trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
         assert runner.stage_overhead(None, trace) == ()

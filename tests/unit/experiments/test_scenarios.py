@@ -43,13 +43,19 @@ class TestScenario:
         assert all(len(traces) == 2 for traces in train.values())
 
     def test_evaluation_sessions_count(self, scenario):
-        evaluation = scenario.evaluation_traces()
+        evaluation = scenario.evaluation_by_app()
         assert all(len(traces) == 2 for traces in evaluation.values())
 
     def test_evaluation_disjoint_from_training(self, scenario):
         train = scenario.training_traces()["video"][0]
         held_out = scenario.evaluation_trace(AppType.VIDEO, 0)
         assert not np.array_equal(train.times, held_out.times)
+
+    @pytest.mark.parametrize("field", ["train_sessions", "eval_sessions"])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_rejects_empty_split(self, field, count):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got {count}"):
+            EvaluationScenario(**{field: count})
 
     def test_same_seed_reproduces(self):
         a = EvaluationScenario(seed=9, train_duration=20.0, train_sessions=1,
@@ -65,10 +71,10 @@ class TestAccessorHygiene:
     """Returned mappings are defensive copies with aligned key types."""
 
     def test_mutating_evaluation_lists_does_not_corrupt_corpus(self, scenario):
-        first = scenario.evaluation_traces()
+        first = scenario.evaluation_by_app()
         first[AppType.VIDEO].clear()
         first[AppType.VIDEO].append("garbage")
-        again = scenario.evaluation_traces()
+        again = scenario.evaluation_by_app()
         assert len(again[AppType.VIDEO]) == 2
         assert all(not isinstance(t, str) for t in again[AppType.VIDEO])
 
@@ -92,15 +98,6 @@ class TestAccessorHygiene:
         assert all(isinstance(k, str) for k in scenario.evaluation_by_label())
         assert set(scenario.evaluation_by_label()) == set(scenario.training_traces())
 
-    def test_evaluation_traces_is_by_app_alias(self, scenario):
-        alias = scenario.evaluation_traces()
-        direct = scenario.evaluation_by_app()
-        assert set(alias) == set(direct)
-        assert all(
-            a is b
-            for app in alias
-            for a, b in zip(alias[app], direct[app])
-        )
 
 
 class TestCorpusRoundTrip:

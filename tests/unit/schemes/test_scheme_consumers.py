@@ -85,10 +85,12 @@ class TestSchemeParams:
 
 class TestCombinedGridApi:
     def test_programmatic_entry_point(self):
-        from repro.experiments import combined_grid
+        from repro.experiments import run_experiment
 
-        result = combined_grid(
-            TINY, options={"schemes": "or,padding+or", "classifiers": "bayes"}
+        result = run_experiment(
+            "combined_grid",
+            TINY,
+            options={"schemes": "or,padding+or", "classifiers": "bayes"},
         )
         assert {cell.composition for cell in result.cells} == {"or", "padding+or"}
         best = result.best_defense()

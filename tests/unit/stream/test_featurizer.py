@@ -107,6 +107,12 @@ class TestLifecycle:
         (unlabeled,) = featurizer.flush()
         assert unlabeled.label is None
 
+    def test_infinite_window_raises_naming_the_window(self):
+        # An inf window would put every packet on a [nan, inf] grid and
+        # close no window at all.
+        with pytest.raises(ValueError, match="window must be finite, got inf"):
+            StreamingFeaturizer(float("inf"))
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_first_time_raises_naming_the_flow(self, bad):
         featurizer = StreamingFeaturizer(5.0)

@@ -24,9 +24,14 @@ class TestRequirePositive:
     def test_accepts_positive(self):
         require_positive(0.5, "x")
 
-    @pytest.mark.parametrize("value", [0, -1, -0.001])
+    @pytest.mark.parametrize("value", [0, -1, -0.001, float("nan"), float("-inf")])
     def test_rejects_non_positive(self, value):
         with pytest.raises(ValueError, match="x must be > 0"):
+            require_positive(value, "x")
+
+    @pytest.mark.parametrize("value", [float("inf"), np.float64("inf")])
+    def test_rejects_infinity(self, value):
+        with pytest.raises(ValueError, match="x must be finite"):
             require_positive(value, "x")
 
 
