@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.analysis.batch import augment_direction_dropout, flow_feature_matrix
 from repro.analysis.classifiers import Classifier, best_classifier, default_attackers
+from repro.analysis.classifiers.selection import TaskMap
 from repro.analysis.dataset import Dataset
 from repro.analysis.metrics import (
     ConfusionMatrix,
@@ -111,27 +112,52 @@ class AttackPipeline:
     def train(self, traces_by_app: dict[str, list[Trace]]) -> "AttackPipeline":
         """Profile applications from undefended training traces.
 
-        Featurization runs through the vectorized batch engine
-        (:func:`repro.analysis.batch.flow_feature_matrix`): one feature
-        matrix per trace, augmented in bulk, with row order matching the
-        legacy per-window path (windows first, then each window's
-        one-sided variants).
+        The composition of the two pure training pieces: every trace's
+        :meth:`training_rows`, then :meth:`fit_rows` on them.  The
+        executor's training stage runs the same pieces spread over a
+        process pool.
+        """
+        with obs_span("train.rows"):
+            rows_by_label = {
+                label: [self.training_rows(trace) for trace in traces]
+                for label, traces in traces_by_app.items()
+            }
+        return self.fit_rows(rows_by_label)
+
+    def training_rows(self, trace: Trace) -> np.ndarray:
+        """One training trace's rows: its windows, then their variants.
+
+        The trace's feature matrix (vectorized batch engine,
+        :func:`repro.analysis.batch.flow_feature_matrix`) followed, when
+        augmenting, by every window's one-sided variants — the row
+        order of the legacy per-window path.
+        """
+        matrix = flow_feature_matrix(trace, self.window, self.min_packets)
+        if self.augment_directions and len(matrix):
+            variants = augment_direction_dropout(matrix, self.window)
+            if len(variants):
+                matrix = np.concatenate([matrix, variants], axis=0)
+        return matrix
+
+    def fit_rows(
+        self,
+        rows_by_label: dict[str, list[np.ndarray]],
+        map: TaskMap | None = None,
+    ) -> "AttackPipeline":
+        """Fit the scaler and select the classifier on training rows.
+
+        ``rows_by_label`` maps each application to its traces'
+        :meth:`training_rows`, in trace order.  ``map`` runs the
+        classifier fits as parallel tasks (see :func:`best_classifier`);
+        the fitted pipeline is the same either way.
         """
         blocks: list[np.ndarray] = []
         labels: list[str] = []
-        for label, traces in traces_by_app.items():
-            for trace in traces:
-                matrix = flow_feature_matrix(trace, self.window, self.min_packets)
-                if len(matrix) == 0:
-                    continue
-                rows = len(matrix)
-                blocks.append(matrix)
-                if self.augment_directions:
-                    variants = augment_direction_dropout(matrix, self.window)
-                    if len(variants):
-                        blocks.append(variants)
-                        rows += len(variants)
-                labels.extend([label] * rows)
+        for label, row_blocks in rows_by_label.items():
+            for rows in row_blocks:
+                if len(rows):
+                    blocks.append(rows)
+                    labels.extend([label] * len(rows))
         if not blocks:
             raise ValueError("no classifiable windows in the training traces")
         dataset = Dataset.from_matrix(np.concatenate(blocks, axis=0), labels)
@@ -140,7 +166,7 @@ class AttackPipeline:
         y = dataset.label_indices()
         attackers = self._attackers or default_attackers(self.seed)
         self._classifier, self.validation_accuracy = best_classifier(
-            attackers, x, y, len(self._classes), seed=self.seed
+            attackers, x, y, len(self._classes), seed=self.seed, map=map
         )
         return self
 

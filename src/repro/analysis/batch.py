@@ -64,6 +64,12 @@ __all__ = [
 _N_FEATURES = len(FEATURE_NAMES)
 
 
+#: Packets one pass of :func:`_direction_block` reduces at once.  Its
+#: temporaries (about ten float64 columns) scale with this rather than
+#: with the flow — a downloading capture runs to a million packets.
+_BLOCK_PACKETS = 1 << 16
+
+
 def _direction_block(
     dtimes: np.ndarray,
     dsizes: np.ndarray,
@@ -74,12 +80,18 @@ def _direction_block(
 ) -> None:
     """Per-window 6-feature block of one direction, for every window.
 
-    ``dtimes``/``dsizes`` are the (sorted) timestamps and float sizes of
-    the direction's packets; ``edges`` is the full window grid of the
-    flow.  Results are written into ``block``, a ``(n_windows, 6)``
-    column slice of the flow's feature matrix.  Windows where the
-    direction is silent get the empty-direction encoding (zero counts,
-    interarrival pinned to the window length).
+    ``dtimes``/``dsizes`` are the (sorted) timestamps and the sizes of
+    the direction's packets, float64 or integer; ``edges`` is the full
+    window grid of the flow.  Results are written into ``block``, a
+    ``(n_windows, 6)`` column slice of the flow's feature matrix.
+    Windows where the direction is silent get the empty-direction
+    encoding (zero counts, interarrival pinned to the window length).
+
+    The occupied windows are reduced in runs of about
+    ``_BLOCK_PACKETS`` packets, each run's sizes in float64.  Runs end
+    on window boundaries, so each window's reductions see the same
+    contiguous float64 values either way (int64 → float64 is exact per
+    element).
     """
     n_windows = len(edges) - 1
     block[:, :5] = 0.0
@@ -88,12 +100,44 @@ def _direction_block(
         return
 
     bounds = np.searchsorted(dtimes, edges)
-    counts = bounds[1:] - bounds[:-1]
-    occupied = np.flatnonzero(counts)
+    occupied = np.flatnonzero(bounds[1:] - bounds[:-1])
     if len(occupied) == 0:  # unreachable: edges cover every packet
         return
-    seg_counts = counts[occupied]
-    seg_starts = bounds[:-1][occupied]
+    mean_iat = np.full(n_windows, float(window))
+    ends = bounds[occupied + 1]
+    first = 0
+    while first < len(occupied):
+        limit = bounds[occupied[first]] + _BLOCK_PACKETS
+        last = max(first + 1, int(np.searchsorted(ends, limit, side="right")))
+        _window_run(
+            dtimes, dsizes, bounds, edges, occupied[first:last],
+            idle_cutoff, block, mean_iat,
+        )
+        first = last
+    block[:, 5] = np.log(mean_iat + _IAT_EPSILON)
+
+
+def _window_run(
+    dtimes: np.ndarray,
+    dsizes: np.ndarray,
+    bounds: np.ndarray,
+    edges: np.ndarray,
+    occupied: np.ndarray,
+    idle_cutoff: float,
+    block: np.ndarray,
+    mean_iat: np.ndarray,
+) -> None:
+    """Features of a run of consecutive occupied windows of one direction.
+
+    Writes the size columns of ``block`` and the interarrival means
+    into ``mean_iat`` for the windows in ``occupied``.
+    """
+    seg_starts = bounds[occupied]
+    seg_counts = bounds[occupied + 1] - seg_starts
+    lo, hi = seg_starts[0], seg_starts[-1] + seg_counts[-1]
+    dtimes = dtimes[lo:hi]
+    dsizes = np.asarray(dsizes[lo:hi], dtype=np.float64)
+    seg_starts = seg_starts - lo
 
     # Size statistics via segmented reductions.  Consecutive occupied
     # windows have contiguous segments (silent windows contribute no
@@ -102,6 +146,7 @@ def _direction_block(
     means = sums / seg_counts
     deviations = dsizes - np.repeat(means, seg_counts)
     variances = np.add.reduceat(deviations * deviations, seg_starts) / seg_counts
+    del deviations
     block[occupied, 0] = np.log1p(seg_counts)
     block[occupied, 1] = np.maximum.reduceat(dsizes, seg_starts)
     block[occupied, 2] = np.minimum.reduceat(dsizes, seg_starts)
@@ -114,9 +159,9 @@ def _direction_block(
     window_of = np.repeat(occupied, seg_counts)
     rebased = dtimes - np.repeat(edges[:-1][occupied], seg_counts)
     gaps = rebased[1:] - rebased[:-1]
+    del rebased
     keep = (window_of[1:] == window_of[:-1]) & (gaps <= idle_cutoff)
     kept_gaps = gaps[keep]
-    mean_iat = np.full(n_windows, float(window))
     if len(kept_gaps):
         # Surviving gaps are grouped by (non-decreasing) window; sum each
         # run with one segmented reduction.
@@ -126,7 +171,6 @@ def _direction_block(
         has_gaps = run_counts > 0
         gap_sums = np.add.reduceat(kept_gaps, run_starts[has_gaps])
         mean_iat[occupied[has_gaps]] = gap_sums / run_counts[has_gaps]
-    block[:, 5] = np.log(mean_iat + _IAT_EPSILON)
 
 
 def _grid_block(
@@ -137,7 +181,7 @@ def _grid_block(
     """Feature rows and packet totals of every window on ``edges``.
 
     ``by_direction`` yields the downlink's then the uplink's ``(times,
-    float64 sizes)`` in time order; packets of any other direction are
+    sizes)`` in time order; packets of any other direction are
     neither featurized nor counted.
     """
     idle_cutoff = min(DEFAULT_IDLE_CUTOFF, window)
@@ -177,15 +221,15 @@ def _flow_matrix(
 def _split_directions(
     times: np.ndarray, sizes: np.ndarray, directions: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """A flow's columns as ``(times, float64 sizes)``, one direction at a time.
+    """A flow's columns as ``(times, sizes)``, one direction at a time.
 
-    Slices per direction *before* the float conversion, so converting
-    touches only that direction's packets; int64 → float64 is exact per
-    element, so the features are bit-identical either way.
+    Sizes keep their dtype: :func:`_direction_block` converts them to
+    float64 one run of windows at a time, so a direction's sizes are
+    never held twice.
     """
     for direction in (DOWNLINK, UPLINK):
         mask = directions == int(direction)
-        yield times[mask], sizes[mask].astype(np.float64)
+        yield times[mask], sizes[mask]
 
 
 def flow_feature_matrix(
@@ -261,7 +305,7 @@ def fused_feature_matrices(
             obs.gauge("batch.bytes_materialized", 0)
             return [np.empty((0, _N_FEATURES), dtype=np.float64)]
         fsizes = sizes
-        # The per-direction times and float64 sizes the split gathers:
+        # The per-direction times and sizes the split gathers:
         # every packet lands in exactly one direction.
         materialized = len(times) * (times.itemsize + 8)
         if transform is not None:

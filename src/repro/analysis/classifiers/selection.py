@@ -9,8 +9,12 @@ survive.
 
 from __future__ import annotations
 
+import copy
+from collections.abc import Callable, Iterable
+
 import numpy as np
 
+from repro import obs
 from repro.analysis.classifiers.base import Classifier
 from repro.analysis.classifiers.nn import MlpClassifier
 from repro.analysis.classifiers.svm import LinearSvm
@@ -18,10 +22,34 @@ from repro.util.rng import derive_rng
 
 __all__ = ["default_attackers", "best_classifier"]
 
+#: ``map(fn, items) -> iterable of results``, in item order: the builtin
+#: or an executor's pool map.
+TaskMap = Callable[[Callable[[object], object], Iterable[object]], Iterable[object]]
+
 
 def default_attackers(seed: int = 0) -> list[Classifier]:
     """The paper's attacker set: one SVM and one NN."""
     return [LinearSvm(seed=seed), MlpClassifier(seed=seed)]
+
+
+def _fit(candidate: Classifier, x: np.ndarray, y: np.ndarray, n_classes: int) -> None:
+    with obs.span(f"fit[{candidate.name}]"):
+        candidate.fit(x, y, n_classes)
+
+
+def _fit_copy(
+    task: tuple[Classifier, np.ndarray, np.ndarray, int, tuple | None],
+) -> tuple[Classifier, float]:
+    """Fit a fresh copy of a candidate; score it when given validation rows.
+
+    A pure function of the task — every ``fit`` seeds itself from the
+    classifier's own seed — so it may run in any process.
+    """
+    candidate, x, y, n_classes, validation = task
+    fitted = copy.deepcopy(candidate)
+    _fit(fitted, x, y, n_classes)
+    accuracy = float("nan") if validation is None else fitted.score(*validation)
+    return fitted, accuracy
 
 
 def best_classifier(
@@ -31,10 +59,18 @@ def best_classifier(
     n_classes: int,
     validation_fraction: float = 0.25,
     seed: int = 0,
+    map: TaskMap | None = None,
 ) -> tuple[Classifier, float]:
     """Train every candidate; return (best fitted classifier, val accuracy).
 
-    The winner is refit on the full training data before returning.
+    Each candidate is fit on a training split and scored on the
+    held-out rest; the winner (first on ties) is fit again on all rows.
+    Without ``map`` that is one split fit per candidate, in order, then
+    the winner's refit, all on the candidate objects themselves.  With
+    a ``map`` (an executor's pool map) every candidate's split fit *and*
+    full-data fit run as independent tasks on fresh copies, and the
+    winner's full fit is kept: the same classifier, since a fit is a
+    pure function of (candidate, rows), computed in parallel.
     """
     if not candidates:
         raise ValueError("need at least one candidate classifier")
@@ -48,14 +84,30 @@ def best_classifier(
     val_idx, train_idx = order[:n_val], order[n_val:]
     if len(train_idx) == 0:
         raise ValueError("training split is empty; provide more windows")
+    validation = (x[val_idx], y[val_idx])
 
-    best: Classifier | None = None
-    best_accuracy = -1.0
-    for candidate in candidates:
-        candidate.fit(x[train_idx], y[train_idx], n_classes)
-        accuracy = candidate.score(x[val_idx], y[val_idx])
-        if accuracy > best_accuracy:
-            best, best_accuracy = candidate, accuracy
-    assert best is not None
-    best.fit(x, y, n_classes)
-    return best, float(best_accuracy)
+    if map is None:
+        accuracies = []
+        for candidate in candidates:
+            _fit(candidate, x[train_idx], y[train_idx], n_classes)
+            accuracies.append(candidate.score(*validation))
+        fitted = candidates
+    else:
+        # Full fits first: they are the longest tasks, so a pool starts
+        # them before the shorter split fits.
+        tasks = [(candidate, x, y, n_classes, None) for candidate in candidates]
+        tasks += [
+            (candidate, x[train_idx], y[train_idx], n_classes, validation)
+            for candidate in candidates
+        ]
+        outcomes = list(map(_fit_copy, tasks))
+        fitted = [model for model, _ in outcomes[: len(candidates)]]
+        accuracies = [accuracy for _, accuracy in outcomes[len(candidates) :]]
+    with obs.span("select"):
+        best = 0
+        for index, accuracy in enumerate(accuracies):
+            if accuracy > accuracies[best]:
+                best = index
+    if map is None:
+        _fit(fitted[best], x, y, n_classes)
+    return fitted[best], float(accuracies[best])

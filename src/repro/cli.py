@@ -141,6 +141,19 @@ def _add_profile_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _job_count(text: str) -> int:
+    """An ``--jobs`` value: a worker count, or 0 for one per CPU."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if jobs < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be >= 0 (0 = one worker per CPU), got {jobs}"
+        )
+    return jobs
+
+
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("experiment", help="registered experiment name (see `repro list`)")
     parser.add_argument(
@@ -150,7 +163,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         "from the corpus manifest",
     )
     parser.add_argument(
-        "--jobs", "-j", type=int, default=1, metavar="N",
+        "--jobs", "-j", type=_job_count, default=1, metavar="N",
         help="worker processes for independent cells; 0 = one per CPU "
         "(default: %(default)s, serial)",
     )
@@ -228,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser = commands.add_parser(
         "bench", help="time serial vs parallel execution",
         description="Run one experiment serially and with --jobs workers, "
-        "both from cold caches, and print the wall-clock comparison.",
+        "both from cold caches, and print the wall-clock comparison.  "
+        "--profile shows the timed profile of the parallel run when there "
+        "is one (its training stage included), else of the serial run.",
     )
     _add_run_arguments(bench_parser)
     # Unlike `run`, a bare `repro bench <exp>` should actually compare:
@@ -325,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     corpus_run_parser.add_argument("path", help="store directory to run against")
     corpus_run_parser.add_argument(
-        "--jobs", "-j", type=int, default=1, metavar="N",
+        "--jobs", "-j", type=_job_count, default=1, metavar="N",
         help="worker processes for independent cells; 0 = one per CPU "
         "(default: %(default)s, serial)",
     )
@@ -402,7 +417,7 @@ def _scenario_params(args: argparse.Namespace) -> ScenarioParams:
 
 
 def _resolve_jobs(jobs: int) -> int:
-    return default_jobs() if jobs == 0 else max(1, jobs)
+    return default_jobs() if jobs == 0 else jobs
 
 
 def _scheme_flag_overrides(
@@ -628,11 +643,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     clear_worker_state()
     start = time.perf_counter()
-    # The serial leg carries the profile: timing=True attaches the
-    # wall-clock sink, so its span tree explains where serial time goes.
-    serial_result = run_experiment_result(
+    # One leg carries the profile: the parallel one when it runs (its
+    # process block holds the training stage), else the serial one.
+    # timing=True attaches the wall-clock sink, so its span tree
+    # explains where the time went.
+    profiled = run_experiment_result(
         args.experiment, params=params, options=resolved, jobs=1,
-        timing=profiling,
+        timing=profiling and workers == 1,
     )
     serial_seconds = time.perf_counter() - start
     timings.append(["serial (--jobs 1)", serial_seconds, 1.0])
@@ -640,12 +657,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if workers > 1:
         clear_worker_state()
         start = time.perf_counter()
-        run_experiment_result(
+        profiled = run_experiment_result(
             args.experiment,
             params=params,
             options=resolved,
             jobs=workers,
             start_method=args.start_method,
+            timing=profiling,
         )
         parallel_seconds = time.perf_counter() - start
         speedup = serial_seconds / parallel_seconds if parallel_seconds > 0 else float("inf")
@@ -670,7 +688,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     )
     if profiling:
-        _emit_profile(serial_result.meta["profile"], profile_path)
+        _emit_profile(profiled.meta["profile"], profile_path)
     return 0
 
 

@@ -6,20 +6,33 @@ scheme, window, application, or interface count — see
 over a process pool and folds the results back in cell order, so
 
 * ``jobs=1`` runs every cell in-process, sharing one scenario corpus,
-  one trained pipeline per window, and one
-  :class:`~repro.analysis.batch.WindowCache` per scenario;
-* ``jobs=N`` runs cells in worker processes.  Each worker rebuilds the
-  scenario deterministically from :class:`ScenarioParams` (same seed ⇒
-  same corpus ⇒ same trained classifiers, since every stochastic
-  component draws from named RNG streams) and memoizes it per process,
-  so cells that land on the same worker reuse generated traces,
-  trained pipelines, and reshaped flows just like the serial path.
+  one trained pipeline per window (trained lazily by the first cell
+  that asks), and one :class:`~repro.analysis.batch.WindowCache` per
+  scenario;
+* ``jobs=N`` first runs a **training stage**, then the cells.  The
+  pool opens before the parent generates anything.  For every window a
+  spec declares (:attr:`~repro.experiments.registry.ExperimentSpec.pipeline_windows`),
+  the stage maps one task per training (app, session): the worker
+  generates that trace and returns only its training rows.  It then
+  fits the scaler in the parent and maps the candidate classifiers'
+  fits over the pool (:func:`~repro.analysis.classifiers.best_classifier`).
+  Every cell payload carries the trained pipelines, which the worker's
+  :func:`shared_runner` adopts, so no worker regenerates the training
+  corpus or retrains.  Each worker still rebuilds the scenario's
+  evaluation split deterministically from :class:`ScenarioParams`
+  (same seed ⇒ same corpus, since every stochastic component draws
+  from named RNG streams) and memoizes it per process, so cells that
+  land on the same worker reuse generated traces and reshaped flows
+  just like the serial path.
 
-Because cell results are deterministic functions of (cell params,
-seeds), the parallel path reproduces the serial path's numbers exactly
-— same seed ⇒ same report — which the integration tests assert.
-Speed-up scales with physical cores; on a single-core host ``jobs=N``
-degrades gracefully to roughly serial wall-clock plus pool overhead.
+Training is a pure function of the scenario: each trace's rows and each
+classifier fit depend only on their inputs and seeds, never on which
+process computes them.  Because cell results are deterministic
+functions of (cell params, seeds, trained pipelines), the parallel path
+reproduces the serial path's numbers exactly — same seed ⇒ same report
+— which the integration tests assert.  Speed-up scales with physical
+cores; on a single-core host ``jobs=N`` degrades gracefully to roughly
+serial wall-clock plus pool overhead.
 """
 
 from __future__ import annotations
@@ -31,9 +44,11 @@ from collections.abc import Callable, Mapping
 from dataclasses import replace
 
 from repro import obs
+from repro.analysis.attack import AttackPipeline
+from repro.analysis.windows import window_key
 from repro.experiments import registry
 from repro.experiments.registry import ExperimentCell, ScenarioParams
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, attack_pipeline
 from repro.experiments.scenarios import EvaluationScenario
 from repro.util.results import ExperimentResult
 
@@ -186,8 +201,25 @@ def _init_worker() -> None:
     import repro.experiments  # noqa: F401  (imports register all specs)
 
 
+def _check_executor(jobs: int, start_method: str | None) -> None:
+    """Reject a worker count or start method the executor cannot honor."""
+    if int(jobs) < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+    methods = multiprocessing.get_all_start_methods()
+    if start_method is not None and start_method not in methods:
+        raise ValueError(
+            f"start_method must be one of {', '.join(methods)}; "
+            f"got {start_method!r}"
+        )
+
+
+#: What a cell payload carries besides the cell: the scenario and the
+#: pipelines the training stage fitted for it (``None`` without a stage).
+Trained = tuple[ScenarioParams, tuple[AttackPipeline, ...]] | None
+
+
 def _execute_cell(
-    payload: tuple[str, ExperimentCell, str | None],
+    payload: tuple[str, ExperimentCell, str | None, Trained],
 ) -> tuple[object, "obs.CellProfile | None"]:
     """Run one cell inside a worker (or in-process for the serial path).
 
@@ -195,29 +227,131 @@ def _execute_cell(
     a deterministic capture, ``"timed"`` additionally attaches a
     :class:`~repro.obs.PerfCounterSink` so spans carry durations
     (``repro bench --profile`` — excluded from the bit-identity
-    contract by construction).
+    contract by construction).  Pipelines from the training stage are
+    adopted by the process's :func:`shared_runner` before the cell
+    runs.
 
     A failing cell re-raises as a :class:`RuntimeError` naming the
     experiment and the cell (the original error is its ``__cause__``);
     the message carries the original type and text, so the name
     survives the trip back from a worker process.
     """
-    name, cell, mode = payload
+    name, cell, mode, trained = payload
     spec = registry.get(name)
+
+    def run() -> object:
+        # Inside the cell's capture: building the shared runner may open
+        # a stored corpus, whose gauges a cell records on the serial path.
+        if trained is not None:
+            params, pipelines = trained
+            runner = shared_runner(params)
+            for pipeline in pipelines:
+                runner.adopt(pipeline)
+        return spec.run_cell(cell)
+
     try:
         if mode is None:
-            return spec.run_cell(cell), None
+            return run(), None
         sink = obs.PerfCounterSink() if mode == "timed" else None
         with obs.capture(sink) as cap:
             with obs.span(f"cell[{cell.name}]"):
                 obs.add("executor.cells_run")
-                result = spec.run_cell(cell)
+                result = run()
         return result, cap.cell_profile(cell.name)
     except Exception as error:
         raise RuntimeError(
             f"experiment {name!r} cell {cell.name!r} failed: "
             f"{type(error).__name__}: {error}"
         ) from error
+
+
+# ----------------------------------------------------------------------
+# Training stage
+# ----------------------------------------------------------------------
+
+
+def _captured_task(payload: tuple) -> tuple[object, "obs.Subprofile | None"]:
+    """Run one stage task in a worker, capturing its telemetry per ``mode``."""
+    fn, item, mode = payload
+    if mode is None:
+        return fn(item), None
+    sink = obs.PerfCounterSink() if mode == "timed" else None
+    return obs.captured(lambda: fn(item), sink)
+
+
+def _stage_map(pool, mode: str | None):
+    """A ``map`` over ``pool`` that replays each task's telemetry here.
+
+    Results come back in item order; every task's subprofile is
+    replayed under the parent's open span, so the stage's counters and
+    spans (with the seconds they took in the worker) land in the
+    parent's capture.
+    """
+
+    def stage_map(fn, items):
+        outcomes = pool.map(
+            _captured_task, [(fn, item, mode) for item in items], chunksize=1
+        )
+        for _, subprofile in outcomes:
+            obs.replay(subprofile)
+        return [value for value, _ in outcomes]
+
+    return stage_map
+
+
+def _training_rows(
+    task: tuple[ScenarioParams, object, int, tuple[AttackPipeline, ...]],
+) -> tuple:
+    """One training trace's rows for every pipeline; the trace stays here."""
+    params, app, session, pipelines = task
+    trace = shared_scenario(params).training_session(app, session)
+    return tuple(pipeline.training_rows(trace) for pipeline in pipelines)
+
+
+def _train_stage(
+    pool, spec, params: ScenarioParams, resolved: dict[str, object], mode: str | None
+) -> tuple[Trained, "obs.Subprofile | None"]:
+    """Train the spec's declared pipelines once, spread over ``pool``.
+
+    Returns the cell payloads' ``trained`` entry and the stage's
+    telemetry (``None`` unless profiling), which the run profile
+    reports in its ``process`` block.
+    """
+    if spec.pipeline_windows is None:
+        return None, None
+    windows = {
+        window_key(window): float(window)
+        for window in spec.pipeline_windows(params, resolved)
+    }
+    pipelines = tuple(attack_pipeline(window, params.seed) for window in windows.values())
+    stage_map = _stage_map(pool, mode)
+
+    def train() -> None:
+        # The parent only enumerates the split; building a scenario is
+        # lazy (or opens a stored corpus), so it generates nothing.
+        scenario = params.build()
+        keys = [
+            (app, session)
+            for app in scenario.apps
+            for session in range(scenario.train_sessions)
+        ]
+        label = ",".join(f"{window:g}" for window in windows.values())
+        with obs.span(f"stage.train[W={label}]"):
+            with obs.span("train.rows"):
+                rows = stage_map(
+                    _training_rows,
+                    [(params, app, session, pipelines) for app, session in keys],
+                )
+            for index, pipeline in enumerate(pipelines):
+                rows_by_label: dict[str, list] = {}
+                for (app, _), trace_rows in zip(keys, rows):
+                    rows_by_label.setdefault(app.value, []).append(trace_rows[index])
+                obs.add("pipeline.trained")
+                pipeline.fit_rows(rows_by_label, map=stage_map)
+
+    sink = obs.PerfCounterSink() if mode == "timed" else None
+    _, subprofile = obs.captured(train, sink)
+    return (params, pipelines), None if mode is None else subprofile
 
 
 def _run_resolved(
@@ -229,19 +363,31 @@ def _run_resolved(
     mode: str | None = None,
 ) -> tuple[object, "obs.RunProfile | None"]:
     """Execute a spec whose options are already validated/coerced."""
+    _check_executor(jobs, start_method)
     cells = spec.build_cells(params, resolved)
     if not cells:
         raise ValueError(f"experiment {spec.name!r} produced no cells")
-    payloads = [(spec.name, cell, mode) for cell in cells]
-    jobs = max(1, min(int(jobs), len(cells)))
+    jobs = min(int(jobs), len(cells))
+    stage = None
     if jobs == 1:
-        outcomes = [_execute_cell(payload) for payload in payloads]
+        outcomes = [_execute_cell((spec.name, cell, mode, None)) for cell in cells]
     else:
         context = multiprocessing.get_context(start_method)
         with context.Pool(processes=jobs, initializer=_init_worker) as pool:
-            # chunksize=1: cells are few and coarse (a full train +
-            # evaluate each); fine-grained dispatch balances the load.
-            outcomes = pool.map(_execute_cell, payloads, chunksize=1)
+            try:
+                trained, stage = _train_stage(pool, spec, params, resolved, mode)
+            except Exception as error:
+                raise RuntimeError(
+                    f"experiment {spec.name!r} training stage failed: "
+                    f"{type(error).__name__}: {error}"
+                ) from error
+            # chunksize=1: cells are few and coarse (a full evaluation
+            # each); fine-grained dispatch balances the load.
+            outcomes = pool.map(
+                _execute_cell,
+                [(spec.name, cell, mode, trained) for cell in cells],
+                chunksize=1,
+            )
     cell_results = [result for result, _ in outcomes]
     combined = spec.combine(params, resolved, cell_results)
     profile = None
@@ -249,7 +395,7 @@ def _run_resolved(
         # Fold in cell order (pool.map preserves it); the registry's
         # merge laws make the totals order-independent anyway.
         profile = obs.merge_profiles(
-            spec.name, [cell_profile for _, cell_profile in outcomes]
+            spec.name, [cell_profile for _, cell_profile in outcomes], stage
         )
     return combined, profile
 

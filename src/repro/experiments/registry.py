@@ -48,6 +48,8 @@ __all__ = [
     "register",
     "single_cell",
     "take_only",
+    "window_option",
+    "windows_option",
 ]
 
 
@@ -224,6 +226,20 @@ def single_cell(
     return (make_cell(experiment, name, cell_params, params.seed),)
 
 
+def window_option(
+    params: "ScenarioParams", options: dict[str, object]
+) -> tuple[float, ...]:
+    """``pipeline_windows`` of a spec whose cells use its ``window`` option."""
+    return (float(options["window"]),)
+
+
+def windows_option(
+    params: "ScenarioParams", options: dict[str, object]
+) -> tuple[float, ...]:
+    """``pipeline_windows`` of a spec whose cells use its ``windows`` list."""
+    return parse_number_list(options["windows"])
+
+
 def take_only(
     params: "ScenarioParams",
     options: dict[str, object],
@@ -260,6 +276,12 @@ class ExperimentSpec:
             measurement of this machine (wall-clock benchmarks); those
             are excluded from the serial/parallel equivalence
             guarantee.
+        pipeline_windows: ``(params, options) -> tuple[float, ...]`` —
+            the windows W whose ``shared_runner(params).pipeline(W)``
+            the cells request.  A parallel run trains those pipelines
+            once, in a stage spread over the pool, before the cells run
+            (see :mod:`repro.experiments.parallel`).  ``None``: the
+            cells train nothing through the shared runner.
     """
 
     name: str
@@ -271,6 +293,9 @@ class ExperimentSpec:
     to_result: Callable[[ScenarioParams, dict[str, object], object], ExperimentResult]
     options: Mapping[str, object] = field(default_factory=dict)
     deterministic: bool = True
+    pipeline_windows: (
+        Callable[[ScenarioParams, dict[str, object]], tuple[float, ...]] | None
+    ) = None
 
     def resolve_options(self, overrides: Mapping[str, object] | None = None) -> dict[str, object]:
         """Defaults merged with ``overrides``, coerced to default types.

@@ -30,12 +30,17 @@ from repro.schemes import Scheme, SchemeSpec, build_stack, canonical_stack
 from repro.traffic.apps import AppType
 from repro.traffic.trace import Trace
 
-__all__ = ["ExperimentRunner"]
+__all__ = ["ExperimentRunner", "attack_pipeline"]
 
 #: What the evaluation entry points accept as "a scheme": a registry
 #: spec / composition, an already-built Scheme, or None for the
 #: undefended original.
 SchemeLike = "Scheme | SchemeSpec | Sequence[SchemeSpec] | str | None"
+
+
+def attack_pipeline(window: float, seed: int) -> AttackPipeline:
+    """The untrained attacker every runner trains for ``window``."""
+    return AttackPipeline(window=window, seed=seed)
 
 
 @dataclass
@@ -60,14 +65,27 @@ class ExperimentRunner:
         obs.add("pipeline.requests")
         if key not in self._pipelines:
             # Training is memoized shared state: the serial path pays it
-            # once, each parallel worker once — so its telemetry goes to
-            # the proc.* namespace, not to whichever cell got here first.
+            # once per process, whichever cell asks first, so its
+            # telemetry goes to the proc.* namespace.  Parallel runs
+            # train the windows their spec declares in the executor's
+            # training stage and adopt() the result in every worker;
+            # only an undeclared window trains here, once per worker.
             with obs.unattributed():
                 obs.add("pipeline.trained")
-                pipeline = AttackPipeline(window=window, seed=self.scenario.seed)
+                pipeline = attack_pipeline(window, self.scenario.seed)
                 pipeline.train(self.scenario.training_traces())
             self._pipelines[key] = pipeline
         return self._pipelines[key]
+
+    def adopt(self, pipeline: AttackPipeline) -> None:
+        """Install a pipeline trained elsewhere for its window.
+
+        The executor's training stage builds :func:`attack_pipeline`
+        exactly as :meth:`pipeline` would and fits it on the same rows,
+        so adopting it changes nothing but where the training ran.  A
+        window this runner already holds keeps its pipeline.
+        """
+        self._pipelines.setdefault(window_key(pipeline.window), pipeline)
 
     def scheme(
         self, composition: SchemeSpec | Sequence[SchemeSpec] | str

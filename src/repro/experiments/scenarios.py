@@ -228,13 +228,28 @@ class EvaluationScenario:
                 # recorded inside lands in the proc.* namespace so the
                 # first cell to touch the corpus isn't charged for it.
                 with obs.unattributed():
-                    generator = self._generator()
-                    for app in self.apps:
-                        self._train[app] = [
-                            generator.generate(app, self.train_duration, session=s)
+                    self._train = {
+                        app: [
+                            self.training_session(app, s)
                             for s in range(self.train_sessions)
                         ]
+                        for app in self.apps
+                    }
             return {app: list(traces) for app, traces in self._train.items()}
+
+    def training_session(self, app: AppType, session: int) -> Trace:
+        """One training capture of ``app``, without caching the split.
+
+        The loaded split's trace when there is one (a hydrated corpus,
+        or after :meth:`training_by_app`); otherwise the capture is
+        generated, counted in ``train.traces``, and not kept — the
+        executor's training stage generates each one once, in whichever
+        worker featurizes it.
+        """
+        if self._train:
+            return self._train[app][session]
+        obs.add("train.traces")
+        return self._generator().generate(app, self.train_duration, session=session)
 
     def training_traces(self) -> dict[str, list[Trace]]:
         """Training captures keyed by class label (the classifier-facing view)."""

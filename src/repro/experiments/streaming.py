@@ -228,6 +228,7 @@ registry.register(
             "interfaces": DEFAULT_INTERFACES,
             "schemes": ",".join(SCHEME_NAMES),
         },
+        pipeline_windows=registry.window_option,
     )
 )
 
@@ -544,5 +545,6 @@ registry.register(
             "threshold": 0.85,
             "cooldown": 10.0,
         },
+        pipeline_windows=registry.window_option,
     )
 )

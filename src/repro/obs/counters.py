@@ -37,6 +37,7 @@ __all__ = [
     "MetricsRegistry",
     "active_metrics",
     "add",
+    "as_process",
     "bucket_label",
     "collecting",
     "gauge",
@@ -308,3 +309,17 @@ def replay_metrics(metrics: MetricsRegistry) -> None:
         mine = _ACTIVE.histograms.setdefault(_route(name), {})
         for label, count in buckets.items():
             mine[label] = mine.get(label, 0) + count
+
+
+def as_process(metrics: MetricsRegistry) -> MetricsRegistry:
+    """A copy of ``metrics`` routed into the ``proc.`` namespace.
+
+    How work the executor runs once per run, outside every cell (the
+    training stage), joins a run profile: the routing
+    :func:`unattributed` gives memoized builds, applied after the fact.
+    Gauges pass through unprefixed, as they do there.
+    """
+    routed = MetricsRegistry()
+    with collecting(routed), unattributed():
+        replay_metrics(metrics)
+    return routed

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from repro.obs.counters import (
     PROCESS_PREFIX,
     MetricsRegistry,
+    as_process,
     collecting,
     replay_metrics,
     suspend_unattributed,
@@ -84,12 +85,19 @@ class CellProfile:
 
 @dataclass(frozen=True)
 class RunProfile:
-    """A whole run: merged metrics/spans plus the per-cell profiles."""
+    """A whole run: merged metrics/spans plus the per-cell profiles.
+
+    ``process_spans`` holds the span tree of work the run did outside
+    every cell (the executor's training stage); like the ``proc.*``
+    counters it depends on process topology, so the payload reports it
+    in the ``process`` block.
+    """
 
     experiment: str
     metrics: MetricsRegistry
     spans: SpanNode
     cells: tuple[CellProfile, ...] = ()
+    process_spans: SpanNode | None = None
 
 
 class ProfileCapture:
@@ -130,15 +138,19 @@ def capture(sink: TimingSink | None = None) -> Iterator[ProfileCapture]:
         yield cap
 
 
-def captured(fn: Callable[[], object]) -> tuple[object, Subprofile]:
+def captured(
+    fn: Callable[[], object], sink: TimingSink | None = None
+) -> tuple[object, Subprofile]:
     """Run ``fn`` under a private capture; return its value + telemetry.
 
     The capture-and-replay half of cache-transparent counting: callers
     store the :class:`Subprofile` next to the memoized value and
     :func:`replay` it on every request, so counts follow logical
-    requests rather than physical execution.
+    requests rather than physical execution.  With a ``sink`` the
+    captured spans carry the seconds they took where ``fn`` ran (a
+    worker process, for the executor's training stage).
     """
-    cap = ProfileCapture()
+    cap = ProfileCapture(sink)
     # The subprofile holds logical names even when the caller is inside
     # an unattributed build: routing is decided at replay time, by the
     # context that *requests* the memoized value.
@@ -156,22 +168,33 @@ def replay(subprofile: Subprofile | None) -> None:
 
 
 def merge_profiles(
-    experiment: str, cells: Iterable[CellProfile | None]
+    experiment: str,
+    cells: Iterable[CellProfile | None],
+    process: Subprofile | None = None,
 ) -> RunProfile:
     """Fold per-cell profiles (in cell order) into one run profile.
 
     ``None`` entries (cells executed without capture) are skipped; the
     merge is associative/commutative per the registry's laws, so the
     fold order only affects cosmetic key insertion — the JSON payload
-    sorts keys anyway.
+    sorts keys anyway.  ``process`` is telemetry of work done once per
+    run outside the cells: its counters join the ``proc.*`` namespace,
+    its gauges max-merge as usual, and its spans become
+    :attr:`RunProfile.process_spans`.
     """
     kept = tuple(cell for cell in cells if cell is not None)
     metrics = MetricsRegistry.merged(cell.metrics for cell in kept)
     spans = SpanNode("run")
     for cell in kept:
         spans.merge_in(cell.spans)
+    if process is not None:
+        metrics.merge_in(as_process(process.metrics))
     return RunProfile(
-        experiment=experiment, metrics=metrics, spans=spans, cells=kept
+        experiment=experiment,
+        metrics=metrics,
+        spans=spans,
+        cells=kept,
+        process_spans=None if process is None else process.spans,
     )
 
 
@@ -220,7 +243,9 @@ def profile_to_json(profile: RunProfile) -> dict[str, object]:
     ``{"format": "repro-profile", "version": 1, "experiment": name,
     "counters"/"gauges"/"histograms": {...}, "process": {counters,
     histograms}, "spans": [tree...], "cells": [{cell, counters,
-    gauges, histograms, process, spans}, ...]}`` — consumed by the CI
+    gauges, histograms, process, spans}, ...]}`` — the run-level
+    ``process`` block also holds ``spans`` when the run did work
+    outside its cells — consumed by the CI
     artifact and the benchmark drivers; extend additively only.
     """
     payload: dict[str, object] = {
@@ -229,6 +254,8 @@ def profile_to_json(profile: RunProfile) -> dict[str, object]:
         "experiment": profile.experiment,
     }
     payload.update(_metrics_blocks(profile.metrics))
+    if profile.process_spans is not None and profile.process_spans.children:
+        payload["process"]["spans"] = _span_children(profile.process_spans)
     payload["spans"] = _span_children(profile.spans)
     payload["cells"] = [
         {"cell": cell.name}
@@ -312,6 +339,10 @@ def render_profile(payload: dict) -> str:
     _render_mapping("gauges", payload.get("gauges", {}), lines)
     _render_mapping("histograms", payload.get("histograms", {}), lines)
     process = payload.get("process", {})
+    if process.get("spans"):
+        lines.append("process spans:")
+        for node in process["spans"]:
+            _render_span_dict(node, "  ", lines)
     _render_mapping("process counters", process.get("counters", {}), lines)
     _render_mapping("process histograms", process.get("histograms", {}), lines)
     return "\n".join(lines)

@@ -83,8 +83,8 @@ class ConstantRateArrivals(ArrivalProcess):
     def sample(self, rng: np.random.Generator, duration: float) -> np.ndarray:
         require_positive(duration, "duration")
         expected = int(duration / self.interval * 1.25) + 16
-        gaps = rng.gamma(self.jitter_shape, self.interval / self.jitter_shape, expected)
-        times = np.cumsum(gaps)
+        times = rng.gamma(self.jitter_shape, self.interval / self.jitter_shape, expected)
+        np.cumsum(times, out=times)
         while times[-1] < duration:
             extra = rng.gamma(self.jitter_shape, self.interval / self.jitter_shape, expected)
             times = np.concatenate([times, times[-1] + np.cumsum(extra)])
@@ -111,8 +111,8 @@ class PoissonArrivals(ArrivalProcess):
     def sample(self, rng: np.random.Generator, duration: float) -> np.ndarray:
         require_positive(duration, "duration")
         expected = int(duration / self.interval * 1.5) + 16
-        gaps = rng.exponential(self.interval, expected)
-        times = np.cumsum(gaps)
+        times = rng.exponential(self.interval, expected)
+        np.cumsum(times, out=times)
         while times[-1] < duration:
             extra = rng.exponential(self.interval, expected)
             times = np.concatenate([times, times[-1] + np.cumsum(extra)])

@@ -9,7 +9,7 @@ import numpy as np
 from repro import obs
 from repro.traffic.apps import ALL_APPS, AppModel, AppType, app_model
 from repro.traffic.packet import DOWNLINK, UPLINK, Direction
-from repro.traffic.trace import Trace, merge_traces
+from repro.traffic.trace import Trace, merge_directions
 from repro.util.rng import RngFactory
 from repro.util.validation import require_positive
 
@@ -61,9 +61,9 @@ class TrafficGenerator:
         require_positive(duration, "duration")
         model = app_model(app)
         factory = RngFactory(self.seed).child("traffic", model.app.value, str(session))
-        down = self._direction_trace(model, DOWNLINK, duration, factory, channel)
-        up = self._direction_trace(model, UPLINK, duration, factory, channel)
-        trace = merge_traces([down, up], label=model.app.value)
+        down = self._direction_columns(model, DOWNLINK, duration, factory)
+        up = self._direction_columns(model, UPLINK, duration, factory)
+        trace = merge_directions(down, up, channel, label=model.app.value)
         trace.meta = {"app": model.app.value, "session": session, "duration": duration}
         obs.add("traffic.traces_generated")
         obs.add("traffic.packets_generated", len(trace))
@@ -81,14 +81,14 @@ class TrafficGenerator:
             for app in apps
         }
 
-    def _direction_trace(
+    def _direction_columns(
         self,
         model: AppModel,
         direction: Direction,
         duration: float,
         factory: RngFactory,
-        channel: int,
-    ) -> Trace:
+    ) -> list[np.ndarray]:
+        """One direction's ``[times, sizes]`` columns (sorted times)."""
         direction_model = model.direction(direction)
         name = "down" if direction is DOWNLINK else "up"
         arrivals = direction_model.arrivals
@@ -114,13 +114,7 @@ class TrafficGenerator:
                 times, duration, factory.get(name, "drift")
             )
         sizes = mixture.sample(factory.get(name, "sizes"), len(times))
-        return Trace.from_arrays(
-            times=times,
-            sizes=sizes,
-            directions=np.full(len(times), int(direction), dtype=np.int8),
-            channels=np.full(len(times), channel, dtype=np.int8),
-            label=model.app.value,
-        )
+        return [times, sizes]
 
     def _apply_rate_drift(
         self,
@@ -139,13 +133,19 @@ class TrafficGenerator:
             return times
         segment_count = int(np.ceil(duration / self.drift_segment)) + 1
         factors = np.exp(rng.normal(0.0, self.drift_sigma, size=segment_count))
+        # In place where the arithmetic allows: a downloading session
+        # runs to a million packets, and each temporary is one more
+        # column of the generating process's peak memory.
+        segment_of_gap = (times[1:] / self.drift_segment).astype(np.int64)
+        np.minimum(segment_of_gap, segment_count - 1, out=segment_of_gap)
         gaps = np.diff(times)
-        segment_of_gap = np.minimum(
-            (times[1:] / self.drift_segment).astype(np.int64), segment_count - 1
-        )
+        gaps *= factors[segment_of_gap]
+        del segment_of_gap
         warped = np.empty_like(times)
         warped[0] = times[0]
-        warped[1:] = times[0] + np.cumsum(gaps * factors[segment_of_gap])
+        np.cumsum(gaps, out=warped[1:])
+        del gaps
+        warped[1:] += times[0]
         return warped[warped < duration]
 
 

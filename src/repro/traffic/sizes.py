@@ -56,8 +56,9 @@ class SizeComponent:
         if self.std == 0:
             return np.full(count, int(round(self.mean)), dtype=np.int64)
         draws = rng.normal(self.mean, self.std, size=count)
-        clipped = np.clip(np.rint(draws), self.low, self.high)
-        return clipped.astype(np.int64)
+        np.rint(draws, out=draws)
+        np.clip(draws, self.low, self.high, out=draws)
+        return draws.astype(np.int64)
 
     @property
     def truncated_mean(self) -> float:

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.traffic.packet import DOWNLINK, Direction, Packet
+from repro.traffic.packet import DOWNLINK, UPLINK, Direction, Packet
 
-__all__ = ["Trace", "column_problem", "concat_traces", "merge_traces"]
+__all__ = ["Trace", "column_problem", "concat_traces", "merge_directions", "merge_traces"]
 
 _RSSI_UNSET = np.float32(np.nan)
 
@@ -411,6 +411,55 @@ def merge_traces(traces: Sequence[Trace], label: str | None = None) -> Trace:
         np.concatenate([t.ifaces for t in traces])[order],
         np.concatenate([t.channels for t in traces])[order],
         np.concatenate([t.rssi for t in traces])[order],
+        label,
+        {},
+    )
+
+
+def merge_directions(
+    down: list[np.ndarray],
+    up: list[np.ndarray],
+    channel: int = 1,
+    label: str | None = None,
+) -> Trace:
+    """One trace from a downlink's and an uplink's ``[times, sizes]`` columns.
+
+    Equal to :func:`merge_traces` of the two single-direction traces
+    :meth:`Trace.from_arrays` would build (downlink first on time ties,
+    interface 0, unset RSSI).  Both lists are emptied as their columns
+    are placed, so a caller that hands over its only references never
+    holds a source column and its merged copy at once: a generated
+    million-packet capture peaks near 1.3x its final size, not 3x.
+    """
+    for columns in (down, up):
+        problem = column_problem(*columns)
+        if problem is not None:
+            raise ValueError(problem)
+    first, second = down[0], up[0]
+    # The stable two-way merge of merge_traces, as scatter positions.
+    at_first = np.searchsorted(second, first, side="left")
+    at_first += np.arange(len(first))
+    at_second = np.searchsorted(first, second, side="right")
+    at_second += np.arange(len(second))
+    n = len(first) + len(second)
+    del first, second
+    columns = []
+    for dtype in (np.float64, np.int64):
+        merged = np.empty(n, dtype=dtype)
+        merged[at_first] = down.pop(0)
+        merged[at_second] = up.pop(0)
+        columns.append(merged)
+    directions = np.empty(n, dtype=np.int8)
+    directions[at_first] = int(DOWNLINK)
+    directions[at_second] = int(UPLINK)
+    del at_first, at_second
+    return Trace._trusted(
+        columns[0],
+        columns[1],
+        directions,
+        np.zeros(n, dtype=np.int16),
+        np.full(n, channel, dtype=np.int8),
+        np.full(n, _RSSI_UNSET, dtype=np.float32),
         label,
         {},
     )

@@ -299,6 +299,27 @@ class TestShardedCorpus:
         assert "overwrite" in capsys.readouterr().err
 
 
+class TestJobsFlag:
+    @pytest.mark.parametrize("command", [["run", "table1"], ["bench", "table1"]])
+    def test_negative_jobs_is_a_usage_error_naming_the_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, *TINY_FLAGS, "--jobs", "-2"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --jobs/-j: must be >= 0" in err
+
+    def test_corpus_run_rejects_negative_jobs(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["corpus", "run", "table1", str(tmp_path), "--jobs", "-1"])
+        assert excinfo.value.code == 2
+        assert "argument --jobs/-j" in capsys.readouterr().err
+
+    def test_non_integer_jobs_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "table1", *TINY_FLAGS, "--jobs", "two"])
+        assert "expected an integer, got 'two'" in capsys.readouterr().err
+
+
 class TestBench:
     def test_bench_serial_only_prints_timing(self, capsys):
         assert main(["bench", "fig4", *TINY_FLAGS, "--set", "duration=5"]) == 0
@@ -358,6 +379,17 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "profile: table1" in out
         assert " ms]" in out  # wall-clock sink attached on the serial leg
+
+    def test_parallel_bench_profile_shows_the_training_stage(self, capsys):
+        assert main(["bench", "table2", *TINY_FLAGS, "--jobs", "2",
+                     "--profile"]) == 0
+        out = capsys.readouterr().out
+        spans = out.split("process spans:")[1].split("process counters:")[0]
+        lines = [line.strip() for line in spans.strip().splitlines()]
+        assert lines[0].startswith("stage.train[W=5] ×1  [")
+        names = [line.split(" ×")[0] for line in lines[1:]]
+        assert names == ["train.rows", "fit[svm]", "fit[nn]", "select"]
+        assert all(line.endswith(" ms]") for line in lines)
 
     def test_corpus_info_profile_shows_store_gauges(
         self, capsys, tmp_path_factory

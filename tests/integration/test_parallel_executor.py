@@ -108,6 +108,12 @@ class TestEveryExperimentEquivalent:
         # bit-identical between serial and --jobs 2 (only the proc.*
         # block and per-cell gauges may differ with process topology).
         assert obs.profiles_equal_deterministic(fanned_profile, serial_profile)
+        if len(fanned_profile["cells"]) > 1:
+            # A fanned-out run trains every pipeline its cells request
+            # in the training stage: a spec that does not declare a
+            # window would retrain it in each worker.
+            for cell in fanned_profile["cells"]:
+                assert "proc.pipeline.trained" not in cell["process"]["counters"]
 
 
 class TestStartMethodStability:
@@ -168,3 +174,100 @@ class TestProfileOptIn:
         # One capture per cell, folded additively at run level.
         assert profile["counters"]["executor.cells_run"] == len(profile["cells"])
         assert profile["counters"]["scheme.apply_calls"] >= len(profile["cells"])
+
+
+class TestTrainingStage:
+    """At jobs=2 the declared pipelines train once, before the cells run.
+
+    One window (table2) and several (window_sweep): the run matches the
+    serial one under both start methods, the stage trains exactly the
+    declared windows, every training trace is generated once across all
+    processes, and no worker trains or regenerates the training split.
+    """
+
+    CASES = {"table2": None, "window_sweep": {"windows": "5,10"}}
+    TRAINING_TRACES = 7 * TINY.train_sessions  # apps x sessions
+
+    @staticmethod
+    def _run(name, options, jobs=1, start_method=None, **flags):
+        parallel.clear_worker_state()
+        result = parallel.run_experiment_result(
+            name, TINY, options=options, jobs=jobs, start_method=start_method,
+            profile=True, **flags,
+        )
+        payload = json.loads(result.to_json())
+        return payload, payload.pop("profile")
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_serial_fork_and_spawn_agree(self, name):
+        serial, serial_profile = self._run(name, self.CASES[name])
+        for start_method in ("fork", "spawn"):
+            fanned, fanned_profile = self._run(
+                name, self.CASES[name], jobs=2, start_method=start_method
+            )
+            assert fanned == serial, start_method
+            assert obs.deterministic_view(fanned_profile) == obs.deterministic_view(
+                serial_profile
+            ), start_method
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_training_runs_once_across_the_pool(self, name, start_method):
+        spec = registry.get(name)
+        windows = spec.pipeline_windows(TINY, spec.resolve_options(self.CASES[name]))
+        _, profile = self._run(name, self.CASES[name], jobs=2, start_method=start_method)
+        process = profile["process"]["counters"]
+        assert process["proc.pipeline.trained"] == len(windows)
+        assert process["proc.train.traces"] == self.TRAINING_TRACES
+        for cell in profile["cells"]:
+            assert "proc.pipeline.trained" not in cell["process"]["counters"]
+            assert "proc.train.traces" not in cell["process"]["counters"]
+        # The stage's telemetry is kept, in the process block.
+        (stage,) = profile["process"]["spans"]
+        label = ",".join(f"{window:g}" for window in windows)
+        assert stage["name"] == f"stage.train[W={label}]"
+        counts = {child["name"]: child["count"] for child in stage["children"]}
+        # Per window: a split fit and a full fit of each candidate.
+        assert counts == {
+            "train.rows": 1,
+            "fit[svm]": 2 * len(windows),
+            "fit[nn]": 2 * len(windows),
+            "select": len(windows),
+        }
+
+    def test_stored_corpus_stage_reads_the_stored_split(self, tmp_path):
+        path = str(tmp_path / "tiny.store")
+        TINY.build().save_corpus(path)
+        stored = ScenarioParams.for_corpus(path)
+        runs = []
+        for jobs in (1, 2):
+            parallel.clear_worker_state()
+            result = parallel.run_experiment_result(
+                "table2", stored, jobs=jobs, start_method="fork", profile=True
+            )
+            payload = json.loads(result.to_json())
+            runs.append((payload, payload.pop("profile")))
+        (serial, serial_profile), (fanned, fanned_profile) = runs
+        assert fanned == serial
+        assert obs.profiles_equal_deterministic(fanned_profile, serial_profile)
+        process = fanned_profile["process"]["counters"]
+        assert process["proc.pipeline.trained"] == 1
+        assert "proc.train.traces" not in process  # nothing generated
+
+    def test_serial_run_trains_in_its_cells_and_has_no_stage(self):
+        _, profile = self._run("table2", None)
+        assert "spans" not in profile["process"]
+        assert profile["process"]["counters"]["proc.pipeline.trained"] == 1
+        assert profile["process"]["counters"]["proc.train.traces"] == self.TRAINING_TRACES
+
+    def test_timed_stage_spans_carry_seconds(self):
+        _, profile = self._run("table2", None, jobs=2, start_method="fork", timing=True)
+        (stage,) = profile["process"]["spans"]
+        assert stage["seconds"] > 0
+        assert all(child["seconds"] > 0 for child in stage["children"])
+
+    def test_spec_without_declared_windows_runs_no_stage(self):
+        assert registry.get("table1").pipeline_windows is None
+        _, profile = self._run("table1", None, jobs=2, start_method="fork")
+        assert "spans" not in profile["process"]
+        assert "proc.pipeline.trained" not in profile["process"]["counters"]

@@ -52,6 +52,35 @@ class TestTraining:
             AttackPipeline(window=0.0)
 
 
+class TestTrainingPieces:
+    """train is training_rows per trace, then fit_rows on the lot."""
+
+    def test_rows_are_windows_then_their_one_sided_variants(self, tiny_corpus_module):
+        trace = tiny_corpus_module["browsing"][0]
+        plain = AttackPipeline(window=5.0, augment_directions=False)
+        windows = plain.training_rows(trace)
+        rows = AttackPipeline(window=5.0).training_rows(trace)
+        assert len(rows) > len(windows) > 0
+        np.testing.assert_array_equal(rows[: len(windows)], windows)
+
+    def test_fit_rows_through_a_map_equals_train(self, trained, tiny_corpus_module):
+        pipeline = AttackPipeline(window=5.0, seed=0)
+        rows = {
+            label: [pipeline.training_rows(trace) for trace in traces]
+            for label, traces in tiny_corpus_module.items()
+        }
+        pipeline.fit_rows(rows, map=map)
+        assert pipeline.classes == trained.classes
+        assert pipeline.validation_accuracy == trained.validation_accuracy
+        assert pipeline.classifier_name == trained.classifier_name
+        probe = np.concatenate(rows["gaming"])
+        assert pipeline.classify_matrix(probe) == trained.classify_matrix(probe)
+
+    def test_fit_rows_skips_empty_blocks_and_rejects_no_rows(self):
+        with pytest.raises(ValueError, match="no classifiable windows"):
+            AttackPipeline(window=5.0).fit_rows({"browsing": [np.empty((0, 12))]})
+
+
 class TestEvaluation:
     def test_undefended_accuracy_is_high(self, trained, tiny_corpus_module):
         from repro.traffic.generator import TrafficGenerator

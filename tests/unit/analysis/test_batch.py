@@ -7,9 +7,12 @@ covering single-packet windows, empty directions, duplicate timestamps
 and packets landing exactly on window edges.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.analysis import batch
 from repro.analysis.batch import (
     WindowCache,
     augment_direction_dropout,
@@ -119,6 +122,28 @@ class TestFlowFeatureMatrix:
     def test_rejects_bad_min_packets(self):
         with pytest.raises(ValueError):
             flow_feature_matrix(Trace.empty(), 5.0, min_packets=0)
+
+
+class TestBlockRuns:
+    """Reducing a direction in runs of windows changes no feature bit."""
+
+    @pytest.mark.parametrize("packets", [1, 2, 7, 64])
+    @pytest.mark.parametrize("window", [0.7, 5.0, 60.0])
+    def test_runs_match_one_pass(self, packets, window):
+        rng = np.random.default_rng(packets)
+        for _ in range(6):
+            trace = random_trace(rng, int(rng.integers(1, 400)), window)
+            whole = flow_feature_matrix(trace, window, 1)
+            with mock.patch.object(batch, "_BLOCK_PACKETS", packets):
+                runs = flow_feature_matrix(trace, window, 1)
+            assert np.array_equal(runs, whole)
+
+    def test_window_larger_than_a_run(self):
+        # One window holds more packets than a run: it is reduced whole.
+        trace = Trace.from_arrays(np.linspace(0.0, 4.9, 50), np.arange(1, 51))
+        whole = flow_feature_matrix(trace, 5.0, 1)
+        with mock.patch.object(batch, "_BLOCK_PACKETS", 8):
+            assert np.array_equal(flow_feature_matrix(trace, 5.0, 1), whole)
 
 
 class TestSeveralFlows:

@@ -73,6 +73,30 @@ class TestSerialPath:
         assert len(result.rows) == 7
 
 
+class TestExecutorArguments:
+    """Bad worker counts and start methods fail loudly, before any work."""
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    @pytest.mark.parametrize(
+        "run", [parallel.run_experiment, parallel.run_experiment_result]
+    )
+    def test_jobs_below_one_is_rejected(self, run, jobs):
+        with pytest.raises(ValueError, match=rf"jobs must be >= 1, got {jobs}"):
+            run("table1", TINY, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "run", [parallel.run_experiment, parallel.run_experiment_result]
+    )
+    def test_unknown_start_method_is_rejected_at_any_job_count(self, run, jobs):
+        with pytest.raises(ValueError, match=r"start_method must be one of .*'bogus'"):
+            run("table1", TINY, jobs=jobs, start_method="bogus")
+
+    def test_rejection_happens_before_any_cell_runs(self, exploding_experiment):
+        with pytest.raises(ValueError, match="jobs"):
+            parallel.run_experiment(exploding_experiment, TINY, jobs=0)
+
+
 def _explode_or_pass(cell):
     if cell.name == "explode":
         raise ValueError("boom")
@@ -112,6 +136,21 @@ class TestCellFailure:
             parallel.run_experiment(exploding_experiment, TINY)
         clone = pickle.loads(pickle.dumps(excinfo.value))
         assert str(clone) == str(excinfo.value)
+
+    def test_training_stage_failure_names_the_experiment(self, monkeypatch):
+        from repro.analysis.attack import AttackPipeline
+
+        def refuse(self, rows_by_label, map=None):
+            raise ValueError("no classifiable windows in the training traces")
+
+        monkeypatch.setattr(AttackPipeline, "fit_rows", refuse)
+        with pytest.raises(
+            RuntimeError,
+            match=r"experiment 'table2' training stage failed: ValueError: "
+            "no classifiable windows",
+        ) as excinfo:
+            parallel.run_experiment("table2", TINY, jobs=2, start_method="fork")
+        assert isinstance(excinfo.value.__cause__, ValueError)
 
     def test_forked_worker_failure_names_experiment_and_cell(
         self, exploding_experiment

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro import obs
 from repro.defenses.base import StageOverhead
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, attack_pipeline
 from repro.experiments.scenarios import EvaluationScenario
 from repro.schemes import SchemeSpec, build_scheme, legacy_scheme_spec
 
@@ -31,6 +32,20 @@ class TestPipelineCache:
 
     def test_distinct_windows_get_distinct_pipelines(self, runner):
         assert runner.pipeline(5.0) is not runner.pipeline(10.0)
+
+    def test_adopted_pipeline_is_served_without_training(self, runner):
+        fresh = ExperimentRunner(runner.scenario)
+        trained = runner.pipeline(5.0)
+        with obs.capture() as cap:
+            fresh.adopt(trained)
+            assert fresh.pipeline(5.0 + 1e-12) is trained
+        assert "proc.pipeline.trained" not in cap.metrics.counters
+        assert cap.metrics.counters["pipeline.requests"] == 1
+
+    def test_adopt_keeps_a_window_already_held(self, runner):
+        held = runner.pipeline(5.0)
+        runner.adopt(attack_pipeline(5.0, runner.scenario.seed))
+        assert runner.pipeline(5.0) is held
 
 
 class TestWindowCacheSharing:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.base import Reshaper
 from repro.experiments.scenarios import SCHEME_NAMES, EvaluationScenario
 from repro.schemes import build_raw, legacy_scheme_spec
@@ -36,6 +37,24 @@ class TestScenario:
         first = scenario.training_traces()
         second = scenario.training_traces()
         assert first["chatting"][0] is second["chatting"][0]
+
+    def test_training_session_generates_the_cached_trace_without_caching(self):
+        lazy = EvaluationScenario(
+            seed=5, train_duration=30.0, eval_duration=30.0, train_sessions=2,
+            eval_sessions=2,
+        )
+        with obs.capture() as cap:
+            single = lazy.training_session(AppType.GAMING, 1)
+        assert cap.metrics.counters == {
+            "train.traces": 1,
+            "traffic.traces_generated": 1,
+            "traffic.packets_generated": len(single),
+        }
+        assert not lazy._train
+        cached = lazy.training_by_app()[AppType.GAMING][1]
+        assert single.times.tobytes() == cached.times.tobytes()
+        assert single.sizes.tobytes() == cached.sizes.tobytes()
+        assert lazy.training_session(AppType.GAMING, 1) is cached
 
     def test_training_covers_all_apps(self, scenario):
         train = scenario.training_traces()

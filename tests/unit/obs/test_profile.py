@@ -10,6 +10,7 @@ from repro.obs import (
     MetricsRegistry,
     PerfCounterSink,
     SpanNode,
+    Subprofile,
     add,
     capture,
     captured,
@@ -116,6 +117,45 @@ class TestMergeAndSchema:
         assert cell["counters"] == {"work": 1}
         assert cell["process"]["counters"] == {"proc.build": 2}
         json.dumps(payload)  # JSON-serializable as-is
+
+    def test_process_subprofile_joins_the_process_block(self):
+        with capture() as stage:
+            with span("stage.train[W=5]"):
+                add("pipeline.trained")
+                observe("rows", 3)
+                gauge("peak", 9.0)
+        process = Subprofile(metrics=stage.metrics, spans=stage.spans)
+        profile = merge_profiles(
+            "exp", [_cell("a", {"work": 1}, {"cell[a]": 1})], process=process
+        )
+        payload = profile_to_json(profile)
+        assert payload["counters"] == {"work": 1}
+        assert payload["gauges"] == {"peak": 9.0}  # max-merged like any gauge
+        assert payload["process"]["counters"] == {"proc.pipeline.trained": 1}
+        assert payload["process"]["histograms"] == {"proc.rows": {"2-3": 1}}
+        [stage_span] = payload["process"]["spans"]
+        assert stage_span["name"] == "stage.train[W=5]"
+        assert [node["name"] for node in payload["spans"]] == ["cell[a]"]
+        # The process block is outside the bit-identity contract.
+        plain = profile_to_json(
+            merge_profiles("exp", [_cell("a", {"work": 1}, {"cell[a]": 1})])
+        )
+        assert "spans" not in plain["process"]
+        plain["gauges"] = payload["gauges"]
+        assert profiles_equal_deterministic(payload, plain)
+        assert "process spans:\n  stage.train[W=5] ×1" in render_profile(payload)
+
+    def test_captured_with_a_sink_times_its_spans(self):
+        def work():
+            with span("fit[nn]"):
+                add("fits")
+            return "done"
+
+        value, subprofile = captured(work, PerfCounterSink())
+        assert value == "done"
+        assert subprofile.spans.children["fit[nn]"].seconds >= 0.0
+        _, untimed = captured(work)
+        assert untimed.spans.children["fit[nn]"].seconds is None
 
     def test_deterministic_view_strips_exactly_the_excluded_fields(self):
         with capture(PerfCounterSink()) as cap:

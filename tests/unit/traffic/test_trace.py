@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.traffic.packet import DOWNLINK, UPLINK, Packet
-from repro.traffic.trace import Trace, concat_traces, merge_traces
+from repro.traffic.trace import Trace, concat_traces, merge_directions, merge_traces
 
 
 class TestConstruction:
@@ -157,6 +157,34 @@ class TestCombinators:
 
     def test_merge_empty_list(self):
         assert len(merge_traces([])) == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_merge_directions_equals_merge_traces(self, seed):
+        rng = np.random.default_rng(seed)
+        # Rounded times force ties between (and within) directions.
+        down_times = np.sort(np.round(rng.uniform(0, 10, 40), 1))
+        up_times = np.sort(np.round(rng.uniform(0, 10, int(rng.integers(0, 30))), 1))
+        down_sizes = rng.integers(1, 1577, len(down_times))
+        up_sizes = rng.integers(1, 1577, len(up_times))
+        expected = merge_traces(
+            [
+                Trace.from_arrays(down_times, down_sizes, directions=np.full(40, 0), channels=np.full(40, 6)),
+                Trace.from_arrays(up_times, up_sizes, directions=np.full(len(up_times), 1), channels=np.full(len(up_times), 6)),
+            ],
+            label="app",
+        )
+        down, up = [down_times, down_sizes], [up_times, up_sizes]
+        merged = merge_directions(down, up, channel=6, label="app")
+        assert down == [] and up == []
+        for column in ("times", "sizes", "directions", "ifaces", "channels", "rssi"):
+            got, want = getattr(merged, column), getattr(expected, column)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want, equal_nan=True)
+        assert merged.label == "app"
+
+    def test_merge_directions_validates_columns(self):
+        with pytest.raises(ValueError, match="sorted"):
+            merge_directions([np.array([1.0, 0.0]), np.array([5, 5])], [np.array([]), np.array([])])
 
     def test_concat_shifts_sequentially(self):
         a = Trace.from_arrays([0.0, 1.0], [1, 2])
