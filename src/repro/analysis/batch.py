@@ -25,13 +25,17 @@ paths agree element-for-element.
 Every batch entry point — :func:`flow_feature_matrix` and both branches
 of :func:`fused_feature_matrices` — lays the window grid, splits
 directions and applies the ``min_packets`` filter through one private
-kernel, ``_flow_matrix``, over ``_grid_block``.  The streaming engine
-(:class:`repro.stream.featurizer.StreamingFeaturizer`) calls
-``_grid_block`` too, on the run of grid windows a chunk of packets
-closes, which is what makes streaming output bit-identical to this
-module's matrices: a window's reductions see the same contiguous
-float64 values wherever its segment sits.  Changes to the kernel's
-arithmetic are parity-tested from both sides.
+kernel, ``_flow_matrix``, over ``_grid_block``.  The kernel core,
+``_direction_block``, reads each window's packet bounds and left edge,
+so ``_grid_block`` only locates a grid's bounds with ``searchsorted``.
+The streaming engine (:class:`repro.stream.featurizer.StreamingFeaturizer`)
+runs the same core through ``_window_block``, once per chunk, on every
+window the chunk closes for every station, stacked; a single window
+closed per packet goes through ``_grid_block``.  That is what makes
+streaming output bit-identical to this module's matrices: a window's
+reductions see the same contiguous float64 values wherever its segment
+sits.  Changes to the kernel's arithmetic are parity-tested from both
+sides.
 
 :class:`WindowCache` memoizes what the experiment drivers recompute
 most — feature matrices, fused plans and defended traffic — so the
@@ -73,19 +77,24 @@ _BLOCK_PACKETS = 1 << 16
 def _direction_block(
     dtimes: np.ndarray,
     dsizes: np.ndarray,
-    edges: np.ndarray,
+    bounds: np.ndarray,
+    lefts: np.ndarray,
     window: float,
     idle_cutoff: float,
     block: np.ndarray,
 ) -> None:
     """Per-window 6-feature block of one direction, for every window.
 
-    ``dtimes``/``dsizes`` are the (sorted) timestamps and the sizes of
-    the direction's packets, float64 or integer; ``edges`` is the full
-    window grid of the flow.  Results are written into ``block``, a
-    ``(n_windows, 6)`` column slice of the flow's feature matrix.
-    Windows where the direction is silent get the empty-direction
-    encoding (zero counts, interarrival pinned to the window length).
+    ``dtimes``/``dsizes`` are the timestamps and the sizes of the
+    direction's packets, float64 or integer, each window's packets in
+    time order.  Window ``i`` holds ``dtimes[bounds[i]:bounds[i + 1]]``
+    and has left edge ``lefts[i]``; ``bounds`` is non-decreasing, so
+    the windows partition the packets in order.  They may come from one
+    flow's grid or from several flows' stacked in turn.  Results are
+    written into ``block``, a ``(n_windows, 6)`` column slice of the
+    feature matrix.  Windows where the direction is silent get the
+    empty-direction encoding (zero counts, interarrival pinned to the
+    window length).
 
     The occupied windows are reduced in runs of about
     ``_BLOCK_PACKETS`` packets, each run's sizes in float64.  Runs end
@@ -93,15 +102,11 @@ def _direction_block(
     contiguous float64 values either way (int64 → float64 is exact per
     element).
     """
-    n_windows = len(edges) - 1
+    n_windows = len(lefts)
     block[:, :5] = 0.0
     block[:, 5] = np.log(window + _IAT_EPSILON)
-    if len(dtimes) == 0:
-        return
-
-    bounds = np.searchsorted(dtimes, edges)
     occupied = np.flatnonzero(bounds[1:] - bounds[:-1])
-    if len(occupied) == 0:  # unreachable: edges cover every packet
+    if len(occupied) == 0:
         return
     mean_iat = np.full(n_windows, float(window))
     ends = bounds[occupied + 1]
@@ -110,7 +115,7 @@ def _direction_block(
         limit = bounds[occupied[first]] + _BLOCK_PACKETS
         last = max(first + 1, int(np.searchsorted(ends, limit, side="right")))
         _window_run(
-            dtimes, dsizes, bounds, edges, occupied[first:last],
+            dtimes, dsizes, bounds, lefts, occupied[first:last],
             idle_cutoff, block, mean_iat,
         )
         first = last
@@ -121,7 +126,7 @@ def _window_run(
     dtimes: np.ndarray,
     dsizes: np.ndarray,
     bounds: np.ndarray,
-    edges: np.ndarray,
+    lefts: np.ndarray,
     occupied: np.ndarray,
     idle_cutoff: float,
     block: np.ndarray,
@@ -156,21 +161,51 @@ def _window_run(
     # Interarrival means over re-based timestamps.  Re-basing before the
     # diff mirrors the reference path's subtraction order so idle-gap
     # cutoff decisions land on identical float values.
-    window_of = np.repeat(occupied, seg_counts)
-    rebased = dtimes - np.repeat(edges[:-1][occupied], seg_counts)
+    rebased = dtimes - np.repeat(lefts[occupied], seg_counts)
     gaps = rebased[1:] - rebased[:-1]
     del rebased
-    keep = (window_of[1:] == window_of[:-1]) & (gaps <= idle_cutoff)
-    kept_gaps = gaps[keep]
+    # keep[i]: gap i (packet i to i + 1) stays inside a window and under
+    # the cutoff.  The gap from a window's last packet into the next
+    # window never counts; a trailing False closes the last window.
+    keep = np.zeros(len(dtimes), dtype=bool)
+    np.less_equal(gaps, idle_cutoff, out=keep[:-1])
+    keep[seg_starts[1:] - 1] = False
+    kept_gaps = gaps[keep[:-1]]
     if len(kept_gaps):
-        # Surviving gaps are grouped by (non-decreasing) window; sum each
-        # run with one segmented reduction.
-        kept_windows = window_of[1:][keep]
-        run_starts = np.searchsorted(kept_windows, occupied, side="left")
-        run_counts = np.searchsorted(kept_windows, occupied, side="right") - run_starts
+        # Surviving gaps are grouped by window; sum each window's run
+        # with one segmented reduction.
+        run_counts = np.add.reduceat(keep, seg_starts, dtype=np.int64)
         has_gaps = run_counts > 0
+        run_starts = np.cumsum(run_counts) - run_counts
         gap_sums = np.add.reduceat(kept_gaps, run_starts[has_gaps])
         mean_iat[occupied[has_gaps]] = gap_sums / run_counts[has_gaps]
+
+
+def _window_block(
+    lefts: np.ndarray,
+    by_direction: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    window: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows and packet totals of the windows with left edges ``lefts``.
+
+    ``by_direction`` yields the downlink's then the uplink's ``(times,
+    sizes, bounds)``, laid out as :func:`_direction_block` reads them.
+    This is the one kernel: a flow's grid (:func:`_grid_block`) and a
+    streaming chunk's windows of many flows at once both run it.
+    """
+    idle_cutoff = min(DEFAULT_IDLE_CUTOFF, window)
+    matrix = np.empty((len(lefts), _N_FEATURES), dtype=np.float64)
+    totals = np.zeros(len(lefts), dtype=np.int64)
+    column = 0
+    for dtimes, dsizes, bounds in by_direction:
+        totals += bounds[1:] - bounds[:-1]
+        _direction_block(
+            dtimes, dsizes, bounds, lefts, window, idle_cutoff,
+            matrix[:, column : column + 6],
+        )
+        del dtimes, dsizes  # a lazy split holds one direction at a time
+        column += 6
+    return matrix, totals
 
 
 def _grid_block(
@@ -184,19 +219,13 @@ def _grid_block(
     sizes)`` in time order; packets of any other direction are
     neither featurized nor counted.
     """
-    idle_cutoff = min(DEFAULT_IDLE_CUTOFF, window)
-    matrix = np.empty((len(edges) - 1, _N_FEATURES), dtype=np.float64)
-    totals = np.zeros(len(edges) - 1, dtype=np.int64)
-    column = 0
-    for dtimes, dsizes in by_direction:
-        totals += np.diff(np.searchsorted(dtimes, edges))
-        _direction_block(
-            dtimes, dsizes, edges, window, idle_cutoff,
-            matrix[:, column : column + 6],
-        )
-        del dtimes, dsizes  # a lazy split holds one direction at a time
-        column += 6
-    return matrix, totals
+
+    def located() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        for dtimes, dsizes in by_direction:
+            yield dtimes, dsizes, np.searchsorted(dtimes, edges)
+            del dtimes, dsizes
+
+    return _window_block(edges[:-1], located(), window)
 
 
 def _flow_matrix(

@@ -72,20 +72,28 @@ def window_index(time: float, start: float, window: float) -> int:
 def window_indices(times: np.ndarray, start: float, window: float) -> np.ndarray:
     """:func:`window_index` of every entry of ``times`` (all ``>= start``).
 
-    ``start`` may be an array, one grid anchor per entry.
+    ``start`` may be an array, one grid anchor per entry.  The index is
+    held as a whole float while the edges are checked: ``k * W`` is the
+    same product for ``k`` as a float or an int, and the int would be
+    cast on every multiply.
     """
-    index = ((times - start) / window).astype(np.int64)
+    index = np.floor((times - start) / window)
     while True:
-        over = start + index * window > times
+        over = index * window
+        over += start
+        over = over > times
         if not over.any():
             break
         index -= over
     while True:
-        under = start + (index + 1) * window <= times
+        under = index + 1
+        under *= window
+        under += start
+        under = under <= times
         if not under.any():
             break
         index += under
-    return index
+    return index.astype(np.int64)
 
 
 def grid_edges(start: float, first: int, stop: int, window: float) -> np.ndarray:

@@ -160,10 +160,15 @@ class MorphingMatrix:
         out = np.empty(len(sizes), dtype=np.int64)
         cumulative = np.cumsum(conditional, axis=1)
         draws = rng.random(len(sizes))
-        # Group packets by source-support row so each row's inverse-CDF
-        # sampling is one vectorized searchsorted.
-        for row in np.unique(indices):
-            members = indices == row
+        # Group packets by source-support row (one stable sort, bounds
+        # from the row counts) so each row's inverse-CDF sampling is one
+        # vectorized searchsorted.
+        order = np.argsort(indices, kind="stable")
+        counts = np.bincount(indices, minlength=len(self.source_support))
+        bounds = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=bounds[1:])
+        for row in np.flatnonzero(np.diff(bounds)).tolist():
+            members = order[bounds[row] : bounds[row + 1]]
             columns = np.searchsorted(cumulative[row], draws[members], side="right")
             columns = np.minimum(columns, len(self.target_support) - 1)
             out[members] = self.target_support[columns]

@@ -659,6 +659,8 @@ class TraceStore:
     def validate(self) -> None:
         """Scan every trace and re-check the Trace invariants.
 
+        Directions must also be 0 (downlink) or 1 (uplink).
+
         Not called on open (it touches every page of a possibly huge
         corpus); meant for tests and for auditing untrusted files.
         """
@@ -671,6 +673,15 @@ class TraceStore:
             )
             if problem is not None:
                 raise StoreFormatError(f"trace {entry.index}: {problem}")
+            # The featurizers skip other directions, so a corrupt byte
+            # would silently change features rather than fail.
+            directions = self._columns["directions"][lo:hi]
+            stray = np.flatnonzero((directions != 0) & (directions != 1))
+            if len(stray):
+                raise StoreFormatError(
+                    f"trace {entry.index}: packet {int(stray[0])} has direction "
+                    f"{int(directions[stray[0]])}, not 0 (downlink) or 1 (uplink)"
+                )
 
     def close(self) -> None:
         """Drop column maps and cached traces.

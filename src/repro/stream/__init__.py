@@ -9,7 +9,7 @@ the fact; this package evaluates them *as they happen*:
   one :class:`PacketEvent` at a time.
 * :mod:`repro.stream.featurizer` — :class:`StreamingFeaturizer`: open
   windows maintained incrementally, a chunk's closed windows featurized
-  by the batch kernel in one call per station, each 12-feature vector
+  by the batch kernel in one pass across all stations, each 12-feature vector
   bit-identical to the batch oracle
   (:func:`repro.analysis.batch.flow_feature_matrix`).
 * :mod:`repro.stream.attack` — :class:`OnlineAttack`: classify windows

@@ -12,9 +12,12 @@ all windowing and featurizing code:
   chunk (:class:`~repro.stream.source.PacketChunk`).  It groups the
   chunk by station with a stable sort, computes every packet's window
   index at once (:func:`repro.analysis.windows.window_indices`), and
-  closes every window that ends inside the chunk with one call to the
-  shared kernel per station.  Only each flow's open boundary window
-  carries over to the next chunk.  This is the route
+  closes every window that ends inside the chunk, for every station,
+  in one pass of the shared kernel: the windows are stacked station by
+  station, each with its packet bounds and left edge.  The bookkeeping
+  (cut points, close positions, labels, peak accounting) is array
+  operations over the station-sorted chunk.  Only each flow's open
+  boundary window carries over to the next chunk.  This is the route
   :meth:`~repro.stream.attack.OnlineAttack.consume` takes.
 * :meth:`StreamingFeaturizer.push` takes one packet, for loops that
   must react to every close (the adaptive defender).
@@ -30,10 +33,11 @@ hold exactly rather than approximately:
   ``[start + k*W, start + (k+1)*W)`` in the batch grid's own float
   arithmetic, never a rounded division;
 * closed windows are featurized by the batch kernel itself
-  (``repro.analysis.batch._grid_block``) on a grid of those windows'
-  edges.  A window's reductions see the same contiguous float64 values
-  whether its segment sits in a whole flow (batch), a chunk's run of
-  windows or one window's buffer, so the bits agree;
+  (``repro.analysis.batch._window_block`` for a chunk's stacked
+  windows, ``_grid_block`` for one window closed by :meth:`push`).  A
+  window's reductions see the same contiguous float64 values whether
+  its segment sits in a whole flow (batch), a chunk's stacked windows
+  or one window's buffer, so the bits agree;
 * like the batch path, only downlink/uplink packets are featurized and
   counted toward ``min_packets``.
 
@@ -54,12 +58,13 @@ running sum of +1 per buffered packet and -count at each close.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from repro import obs
-from repro.analysis.batch import _grid_block
+from repro.analysis.batch import _grid_block, _window_block
 from repro.analysis.windows import grid_edges, window_index, window_indices
 from repro.stream.source import PacketChunk
 from repro.util.validation import require, require_positive
@@ -261,7 +266,9 @@ class StreamingFeaturizer:
 
         Equivalent to :meth:`push_event` on each of the chunk's packets
         in order (the flow key is the station), concatenating what each
-        returns: the same windows, vectors, order and peaks.
+        returns: the same windows, vectors, order and peaks.  Every
+        window the chunk closes, for every station, is featurized in
+        one kernel pass.
         """
         obs.add("stream.chunks")
         n = len(chunk.times)
@@ -274,82 +281,140 @@ class StreamingFeaturizer:
         if len(chunk.station_names) <= np.iinfo(np.int16).max:
             key = key.astype(np.int16)
         order = np.argsort(key, kind="stable")
-        codes = chunk.stations[order]
-        starts = np.flatnonzero(np.diff(codes, prepend=-1))
-        bounds = np.append(starts, n).tolist()
+        counts = np.bincount(chunk.stations, minlength=len(chunk.station_names))
+        codes = np.flatnonzero(counts)
+        counts = counts[codes]
+        bounds = np.zeros(len(codes) + 1, dtype=np.int64)
+        np.cumsum(counts, out=bounds[1:])
         times = chunk.times[order]
         # Stations in first-seen order, so new flows open (and later
         # flush) in the order the per-packet route opens them.
-        visit = np.argsort(order[starts], kind="stable").tolist()
-        flows = [chunk.station_names[code] for code in codes[starts].tolist()]
+        visit = np.argsort(order[bounds[:-1]], kind="stable").tolist()
+        flows = [chunk.station_names[code] for code in codes.tolist()]
         states = [self._flows.get(flow) for flow in flows]
         for run in visit:
             if states[run] is None:
                 states[run] = self._open(flows[run], float(times[bounds[run]]))
-        self._check_order(flows, states, times, starts, bounds, visit)
-        index = window_indices(
-            times,
-            np.repeat([state.start for state in states], np.diff(bounds)),
-            self.window,
-        )
-        directions = chunk.directions[order]
-        sizes = chunk.sizes[order].astype(np.float64)
+        self._check_order(flows, states, times, bounds[:-1], bounds.tolist(), visit)
+        runs = len(states)
+        # Run numbers in the narrowest dtype the layout key below fits.
+        narrow = np.int16 if 5 * runs <= np.iinfo(np.int16).max else np.int64
+        run_of = np.repeat(np.arange(runs, dtype=narrow), counts)
+        anchors = np.array([state.start for state in states])
+        index = window_indices(times, anchors[run_of], self.window)
         labels = chunk.labels[order]
         labelled = np.array([name is not None for name in chunk.label_names])[labels]
 
+        # Shift each run's window indices past the previous run's, so one
+        # non-decreasing key orders (station, window) across the chunk:
+        # run r's open window has key ``base[r]``, its last ``base[r] +
+        # last[r] - opened[r]``.  Packets of a run's last window stay
+        # open (``tail``); every window before it closes here, at the
+        # run's first packet beyond it.
+        opened = np.array([state.index for state in states], dtype=np.int64)
+        last = index[bounds[1:] - 1]
+        span = last - opened + 1
+        base = np.cumsum(span) - span
+        shift = base - opened
+        wkey = index + shift[run_of]
+        tail = wkey >= (last + shift)[run_of]
+        closing = np.flatnonzero(last != opened)
+
         # +1 per buffered packet; each close subtracts its window's count
         # at the chunk position of the packet that closed it.
-        delta = ((chunk.directions == 0) | (chunk.directions == 1)).astype(np.int64)
+        valid = (chunk.directions == 0) | (chunk.directions == 1)
+        delta = valid.astype(np.int64)
+
+        # Lay the packets out with one stable radix sort on (group, run).
+        # Groups 0 and 1 hold the downlink and uplink packets of closing
+        # windows, each closing run's carried window ahead of its chunk
+        # packets; groups 2 and 3 those of each run's last window, which
+        # stays open; group 4 the other directions.  So every (group,
+        # run) slice is in time order, as the kernel and the carry read it.
+        carried = [states[run].buffered(d) for run in closing.tolist() for d in (0, 1)]
+        held = [len(t) for t, _ in carried]
+        group = tail.astype(narrow)
+        group *= 2
+        group += chunk.directions[order]
+        group[~valid[order]] = 4
+        group *= runs
+        group += run_of
+        held_group = np.tile([0, runs], len(closing)) + np.repeat(closing, 2)
+        key = np.concatenate((np.repeat(held_group.astype(narrow), held), group))
+        lay = np.argsort(key, kind="stable")
+        cuts = np.zeros(5 * runs + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=5 * runs), out=cuts[1:])
+        cuts = cuts.tolist()
+        laid_times = np.concatenate([t for t, _ in carried] + [times])[lay]
+        laid_sizes = np.concatenate(
+            [z for _, z in carried] + [chunk.sizes[order]], dtype=np.float64
+        )[lay]
+
         closed: list[ClosedWindow] = []
-        positions: list[np.ndarray] = []
-        for run in visit:
-            lo, hi = bounds[run], bounds[run + 1]
-            state = states[run]
-            last = int(index[hi - 1])
-            if last != state.index:
-                # Every window before ``last`` closes inside the chunk;
-                # window w closes at the flow's first packet beyond it.
-                cut = lo + int(np.searchsorted(index[lo:hi], last))
-                first = state.index
-                window_labels = {first: state.label}
-                marked = lo + np.flatnonzero(labelled[lo:cut])
-                if len(marked):
-                    final = marked[np.append(np.diff(index[marked]) != 0, True)]
-                    for k, code in zip(index[final].tolist(), labels[final].tolist()):
-                        window_labels[k] = chunk.label_names[code]
-                by_direction = []
-                for d in (0, 1):
-                    mask = directions[lo:cut] == d
-                    carried_times, carried_sizes = state.buffered(d)
-                    by_direction.append(
-                        (
-                            np.concatenate((carried_times, times[lo:cut][mask])),
-                            np.concatenate((carried_sizes, sizes[lo:cut][mask])),
-                        )
-                    )
-                windows, totals = self._emit(
-                    flows[run], state, first, last, by_direction, window_labels
-                )
-                occupied = np.flatnonzero(totals)
-                close_at = order[
-                    lo + np.searchsorted(index[lo:hi], first + occupied, side="right")
-                ]
-                delta[close_at] -= totals[occupied]
-                closed.extend(windows)
-                positions.append(close_at[totals[occupied] >= self.min_packets])
-                state.clear_window()
-                state.index = last
-                lo = cut
-            for d in (0, 1):
-                mask = directions[lo:hi] == d
-                count = int(np.count_nonzero(mask))
-                if count:
-                    state.carry(d, times[lo:hi][mask], sizes[lo:hi][mask])
-                    state.count += count
-            marked = np.flatnonzero(labelled[lo:hi])
-            if len(marked):
-                state.label = chunk.label_names[labels[lo + marked[-1]]]
-            state.last_time = float(times[hi - 1])
+        if cuts[2 * runs]:
+            laid_keys = np.concatenate(
+                (np.repeat(np.repeat(base[closing], 2), held), wkey)
+            )[lay[: cuts[2 * runs]]]
+            stacked = [
+                (laid_times[lo:hi], laid_sizes[lo:hi], laid_keys[lo:hi])
+                for lo, hi in ((0, cuts[runs]), (cuts[runs], cuts[2 * runs]))
+            ]
+            # The closed windows that hold a packet, in key order.
+            window_keys = np.union1d(*(k[_run_ends(k)] for _, _, k in stacked))
+            limits = np.append(window_keys, window_keys[-1] + 1)
+            window_run = np.searchsorted(base, window_keys, side="right") - 1
+            window_index = window_keys - shift[window_run]
+            lefts = anchors[window_run] + window_index * self.window
+            rows, totals = _window_block(
+                lefts,
+                [(t, z, np.searchsorted(k, limits)) for t, z, k in stacked],
+                self.window,
+            )
+            close_at = order[np.searchsorted(wkey, window_keys, side="right")]
+            delta[close_at] -= totals
+
+            # A window's label is its last labelled chunk packet's (any
+            # direction), else the carried window's label, else None.
+            window_labels = np.full(len(window_keys), None, dtype=object)
+            at = _positions(window_keys, base[closing])
+            window_labels[at[at >= 0]] = [
+                states[run].label for run in closing[at >= 0].tolist()
+            ]
+            marked = np.flatnonzero(labelled & ~tail)
+            final = marked[_run_ends(wkey[marked])]
+            at = _positions(window_keys, wkey[final])
+            window_labels[at[at >= 0]] = np.array(chunk.label_names, dtype=object)[
+                labels[final[at >= 0]]
+            ]
+
+            sequence = np.argsort(close_at)
+            closed = self._emit(
+                rows[sequence],
+                totals[sequence],
+                [flows[run] for run in window_run[sequence].tolist()],
+                window_index[sequence],
+                lefts[sequence],
+                window_labels[sequence].tolist(),
+            )
+        last_index = last.tolist()
+        for run in closing.tolist():
+            states[run].clear_window()
+            states[run].index = last_index[run]
+
+        # Each run's last window stays open into the next chunk.  Copies:
+        # a view would pin the whole laid-out chunk.
+        for d in (0, 1):
+            for run, state in enumerate(states):
+                lo, hi = cuts[(2 + d) * runs + run], cuts[(2 + d) * runs + run + 1]
+                if hi > lo:
+                    state.carry(d, laid_times[lo:hi].copy(), laid_sizes[lo:hi].copy())
+                    state.count += hi - lo
+        marked = np.flatnonzero(labelled & tail)
+        final = marked[_run_ends(run_of[marked])]
+        for run, code in zip(run_of[final].tolist(), labels[final].tolist()):
+            states[run].label = chunk.label_names[code]
+        for state, time in zip(states, times[bounds[1:] - 1].tolist()):
+            state.last_time = time
 
         running = np.cumsum(delta)
         self.peak_open_packets = max(
@@ -357,9 +422,6 @@ class StreamingFeaturizer:
         )
         self._open_packets += int(running[-1])
         self._record_peaks()
-        if len(closed) > 1:
-            by_position = np.argsort(np.concatenate(positions))
-            closed = [closed[i] for i in by_position.tolist()]
         return closed
 
     def flush(self, flow: object | None = None) -> list[ClosedWindow]:
@@ -401,9 +463,10 @@ class StreamingFeaturizer:
             state.clear_window()
             return []
         by_direction = [state.buffered(d) for d in (0, 1)]
-        windows, _ = self._emit(
-            flow, state, state.index, state.index + 1, by_direction,
-            {state.index: state.label},
+        edges = grid_edges(state.start, state.index, state.index + 1, self.window)
+        rows, totals = _grid_block(edges, by_direction, self.window)
+        windows = self._emit(
+            rows, totals, [flow], np.array([state.index]), edges[:-1], [state.label]
         )
         self._open_packets -= state.count
         state.clear_window()
@@ -412,43 +475,55 @@ class StreamingFeaturizer:
 
     def _emit(
         self,
-        flow: object,
-        state: _FlowState,
-        first: int,
-        stop: int,
-        by_direction: list[tuple[np.ndarray, np.ndarray]],
-        labels: dict[int, str | None],
-    ) -> tuple[list[ClosedWindow], np.ndarray]:
-        """Featurize grid windows ``first .. stop - 1`` of a flow in one kernel call.
+        rows: np.ndarray,
+        totals: np.ndarray,
+        flows: list[object],
+        indices: np.ndarray,
+        starts: np.ndarray,
+        labels: list[str | None],
+    ) -> list[ClosedWindow]:
+        """The kernel's windows that meet ``min_packets``, in row order.
 
-        ``labels`` maps a window index to its ground truth (None when
-        absent).  Returns the windows that meet ``min_packets`` and every
-        window's packet count; counts the emitted and dropped windows.
+        ``flows``, ``indices`` (grid index), ``starts`` (left edge) and
+        ``labels`` describe each row's window, ``totals`` its packet
+        count.  Counts the emitted and dropped windows.
         """
-        rows, totals = _grid_block(
-            grid_edges(state.start, first, stop, self.window), by_direction, self.window
-        )
         kept = np.flatnonzero(totals >= self.min_packets)
         dropped = np.count_nonzero(totals) - len(kept)
         if dropped:
             obs.add("stream.windows_dropped", dropped)
         if not len(kept):
-            return [], totals
-        window = self.window
-        windows = [
-            ClosedWindow(
-                flow=flow,
-                index=k,
-                start=state.start + k * window,
-                label=labels.get(k),
-                count=count,
-                features=row,
+            return []
+        # tuple.__new__ is what ClosedWindow._make runs, minus a Python
+        # frame per window.
+        windows = list(
+            map(
+                tuple.__new__,
+                repeat(ClosedWindow),
+                zip(
+                    map(flows.__getitem__, kept.tolist()),
+                    indices[kept].tolist(),
+                    starts[kept].tolist(),
+                    map(labels.__getitem__, kept.tolist()),
+                    totals[kept].tolist(),
+                    rows[kept],
+                ),
             )
-            for k, count, row in zip(
-                (first + kept).tolist(), totals[kept].tolist(), rows[kept]
-            )
-        ]
+        )
         self.windows_emitted += len(windows)
         obs.add("stream.windows_closed", len(windows))
         obs.add("stream.packets_windowed", int(totals[kept].sum()))
-        return windows, totals
+        return windows
+
+
+def _positions(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Where each of ``wanted`` sits in the sorted ``keys``; -1 if absent."""
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return np.where(keys[at] == wanted, at, -1)
+
+
+def _run_ends(values: np.ndarray) -> np.ndarray:
+    """Mask of the last entry of each run of equal ``values``."""
+    ends = np.ones(len(values), dtype=bool)
+    ends[:-1] = values[1:] != values[:-1]
+    return ends

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.analysis.attack import AttackPipeline
+from repro.analysis.batch import flow_feature_matrix
 from repro.analysis.classifiers import GaussianNaiveBayes
 from repro.stream import OnlineAttack, PacketEvent, PacketStream, StreamingFeaturizer
 from repro.stream import source as stream_source
@@ -195,6 +196,54 @@ def test_chunks_counter_is_deterministic():
     with chunk_size(3):
         _, _, metrics = chunk_route(PacketStream.replay(trace, station="f"), 1.0, 1)
     assert metrics.counters["stream.chunks"] == 4
+
+
+def many_stations(stations=72, seed=9):
+    """``stations`` concurrent stations, one phase each, deterministic.
+
+    Rates, start times and lattice steps vary per station, so windows
+    close on many stations in every chunk and ties across stations are
+    common; directions include values outside {0, 1}.
+    """
+    rng = np.random.default_rng(seed)
+    capture = []
+    for station in range(stations):
+        n = int(rng.integers(0, 400))
+        lattice = float(rng.choice([0.01, 0.05, 0.25]))
+        start = lattice * int(rng.integers(0, 400))
+        ticks = np.cumsum(rng.integers(0, int(rng.integers(2, 60)), n))
+        trace = Trace.from_arrays(
+            start + lattice * ticks.astype(np.float64),
+            rng.integers(1, 1577, n),
+            rng.choice([0, 0, 1, 1, 1, 2], n),
+        )
+        label = [None, "a", "b"][station % 3]
+        capture.append([(trace, f"s{station}", label, 0.0)])
+    return capture
+
+
+@pytest.mark.parametrize("size", [64, stream_source._CHUNK_EVENTS])
+@pytest.mark.parametrize("window, min_packets", [(5.0, 2), (0.30000000000000004, 1)])
+def test_many_stations_chunk_route_equals_per_event_and_batch(
+    size, window, min_packets
+):
+    capture = many_stations()
+    with chunk_size(size):
+        ours, closed, metrics = chunk_route(stream_of(capture), window, min_packets)
+    reference, expected, reference_metrics = event_route(
+        heap_order(capture), window, min_packets
+    )
+    assert len({w.flow for w in closed}) >= 64
+    assert_same_windows(closed, expected)
+    assert_same_telemetry(metrics, reference_metrics)
+    assert ours.peak_open_packets == reference.peak_open_packets
+    assert ours.peak_open_flows == reference.peak_open_flows
+    assert ours.windows_emitted == reference.windows_emitted == len(closed)
+    for ((trace, station, label, _),) in capture:
+        mine = [w for w in closed if w.flow == station]
+        assert all(w.label == label for w in mine)
+        rows = np.array([w.features for w in mine]).reshape(len(mine), 12)
+        assert np.array_equal(rows, flow_feature_matrix(trace, window, min_packets))
 
 
 # -- the attacker ------------------------------------------------------------

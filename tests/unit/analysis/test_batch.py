@@ -23,7 +23,7 @@ from repro.analysis.features import (
     direction_dropout_variants,
     features_from_windows,
 )
-from repro.analysis.windows import sliding_windows, window_traces
+from repro.analysis.windows import grid_edges, sliding_windows, window_traces
 from repro.traffic.trace import Trace
 
 
@@ -144,6 +144,119 @@ class TestBlockRuns:
         whole = flow_feature_matrix(trace, 5.0, 1)
         with mock.patch.object(batch, "_BLOCK_PACKETS", 8):
             assert np.array_equal(flow_feature_matrix(trace, 5.0, 1), whole)
+
+
+def stacked_inputs(jobs):
+    """One stacked kernel call's inputs from ``(edges, by_direction)`` jobs.
+
+    Each job's windows follow the previous job's; per direction, its
+    packets follow the previous job's packets and its bounds are shifted
+    by their count.  Every packet lies on its job's grid.
+    """
+    lefts = np.concatenate([edges[:-1] for edges, _ in jobs])
+    by_direction = []
+    for d in (0, 1):
+        bounds, offset = [0], 0
+        for edges, directions in jobs:
+            located = np.searchsorted(directions[d][0], edges)
+            assert located[0] == 0 and located[-1] == len(directions[d][0])
+            bounds.extend((located[1:] + offset).tolist())
+            offset += len(directions[d][0])
+        by_direction.append(
+            (
+                np.concatenate([directions[d][0] for _, directions in jobs]),
+                np.concatenate([directions[d][1] for _, directions in jobs]),
+                np.array(bounds),
+            )
+        )
+    return lefts, by_direction
+
+
+def grid_job(rng, window, first, stop, n, on_edges=False, silent=(), directions=(0, 1)):
+    """A job on windows ``first .. stop - 1`` of a random anchor's grid."""
+    edges = grid_edges(float(rng.uniform(0.0, 100.0)), first, stop, window)
+    k = rng.integers(first, stop, n)
+    k = k[~np.isin(k, silent)]
+    times = edges[k - first] + rng.uniform(0.0, window, len(k))
+    if on_edges:
+        times[: len(times) // 3] = edges[k[: len(times) // 3] - first]
+    times = np.minimum(times, np.nextafter(edges[k - first + 1], -np.inf))
+    times = np.sort(times)
+    chosen = rng.choice(directions, len(times))
+    sizes = rng.integers(1, 1577, len(times))
+    return edges, [(times[chosen == d], sizes[chosen == d]) for d in (0, 1)]
+
+
+class TestStackedKernel:
+    """One stacked kernel call equals one ``_grid_block`` call per job."""
+
+    def assert_stacked_equals_per_job(self, jobs, window):
+        lefts, by_direction = stacked_inputs(jobs)
+        rows, totals = batch._window_block(lefts, by_direction, window)
+        per_job = [batch._grid_block(edges, dirs, window) for edges, dirs in jobs]
+        assert np.array_equal(rows, np.concatenate([r for r, _ in per_job]))
+        assert np.array_equal(totals, np.concatenate([t for _, t in per_job]))
+
+    @pytest.mark.parametrize("window", [0.7, 5.0, 60.0])
+    def test_random_jobs(self, window):
+        rng = np.random.default_rng(int(window * 10))
+        for _ in range(5):
+            jobs = []
+            for _ in range(int(rng.integers(1, 12))):
+                first = int(rng.integers(0, 50))
+                stop = first + int(rng.integers(1, 8))
+                n = int(rng.integers(1, 300))
+                jobs.append(grid_job(rng, window, first, stop, n))
+            self.assert_stacked_equals_per_job(jobs, window)
+
+    def test_an_empty_direction(self):
+        rng = np.random.default_rng(1)
+        jobs = [
+            grid_job(rng, 5.0, 0, 4, 80, directions=(0,)),
+            grid_job(rng, 5.0, 3, 6, 80),
+            grid_job(rng, 5.0, 7, 9, 80, directions=(1,)),
+        ]
+        self.assert_stacked_equals_per_job(jobs, 5.0)
+        # No job has uplink packets at all.
+        downlink_only = [
+            grid_job(rng, 5.0, 0, 3, 50, directions=(0,)) for _ in range(3)
+        ]
+        self.assert_stacked_equals_per_job(downlink_only, 5.0)
+
+    def test_silent_windows(self):
+        rng = np.random.default_rng(2)
+        jobs = [
+            grid_job(rng, 5.0, 0, 6, 120, silent=(1, 2, 4)),
+            grid_job(rng, 5.0, 10, 13, 60, silent=(11,)),
+            grid_job(rng, 5.0, 0, 2, 0),  # both windows silent
+            grid_job(rng, 5.0, 2, 5, 60, silent=(2,)),
+        ]
+        self.assert_stacked_equals_per_job(jobs, 5.0)
+
+    def test_single_window_jobs(self):
+        rng = np.random.default_rng(3)
+        jobs = [
+            grid_job(rng, 2.5, k, k + 1, int(rng.integers(1, 40))) for k in range(20)
+        ]
+        self.assert_stacked_equals_per_job(jobs, 2.5)
+
+    def test_packets_exactly_on_edges(self):
+        rng = np.random.default_rng(4)
+        window = 0.30000000000000004
+        jobs = [grid_job(rng, window, 0, 9, 200, on_edges=True) for _ in range(4)]
+        assert any(
+            np.isin(edges, dirs[0][0]).any() or np.isin(edges, dirs[1][0]).any()
+            for edges, dirs in jobs
+        )
+        self.assert_stacked_equals_per_job(jobs, window)
+
+    @pytest.mark.parametrize("packets", [1, 3, 16])
+    def test_stacked_packets_beyond_a_block(self, packets):
+        rng = np.random.default_rng(packets)
+        jobs = [grid_job(rng, 5.0, 0, 5, 100) for _ in range(6)]
+        with mock.patch.object(batch, "_BLOCK_PACKETS", packets):
+            assert sum(len(t) for t, _, _ in stacked_inputs(jobs)[1]) > packets
+            self.assert_stacked_equals_per_job(jobs, 5.0)
 
 
 class TestSeveralFlows:

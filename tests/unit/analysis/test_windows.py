@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.analysis.windows import (
+    grid_edges,
     sliding_windows,
     window_edges,
+    window_index,
+    window_indices,
     window_key,
     window_traces,
 )
@@ -100,6 +103,35 @@ class TestWindowEdges:
             trace = Trace.from_arrays(times, [10, 20, 30, 40])
             windows = sliding_windows(trace, 5.0, min_packets=1)
             assert sum(len(w) for w in windows) == 4
+
+
+class TestWindowIndices:
+    """The column rule places every entry where the scalar rule does."""
+
+    @pytest.mark.parametrize("window", [5.0, 0.30000000000000004, 0.7, 1e-3])
+    def test_matches_window_index_on_and_off_edges(self, window):
+        rng = np.random.default_rng(17)
+        anchors = np.repeat(rng.uniform(0.0, 1e4, 40), 50)
+        k = rng.integers(0, 3000, len(anchors))
+        on_edge = anchors + k * window
+        times = np.where(
+            rng.random(len(anchors)) < 0.5,
+            on_edge,
+            np.nextafter(on_edge, rng.choice([-np.inf, np.inf], len(anchors))),
+        )
+        times = np.maximum(times, anchors)
+        expected = [
+            window_index(float(t), float(a), window) for t, a in zip(times, anchors)
+        ]
+        assert window_indices(times, anchors, window).tolist() == expected
+        # A scalar anchor works the same.
+        scalar = window_indices(times[:50], float(anchors[0]), window)
+        assert scalar.tolist() == expected[:50]
+
+    def test_edges_open_their_window(self):
+        window = 0.30000000000000004
+        edges = grid_edges(3.7, 0, 6, window)
+        assert window_indices(edges, 3.7, window).tolist() == list(range(7))
 
 
 class TestWindowKey:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import morphing as morphing_oracle
 from repro.defenses.morphing import (
+    MorphingMatrix,
     TrafficMorphing,
     monotone_coupling,
     morphing_matrix_lp,
@@ -47,6 +49,62 @@ class TestMonotoneCoupling:
         out = coupling.sample_targets(np.full(2000, 100), rng)
         assert set(out.tolist()) == {300, 700}
         assert abs((out == 300).mean() - 0.5) < 0.05
+
+
+class _Draws:
+    """A generator stand-in whose ``random`` returns fixed draws."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=np.float64)
+
+    def random(self, size):
+        assert size == len(self.draws)
+        return self.draws.copy()
+
+
+class TestSampleTargetsOracle:
+    """The sort-grouped sampler draws exactly what the per-row loop draws."""
+
+    def same(self, coupling, sizes, seed=0):
+        ours = coupling.sample_targets(sizes, np.random.default_rng(seed))
+        reference = morphing_oracle.sample_targets(
+            coupling, sizes, np.random.default_rng(seed)
+        )
+        assert ours.dtype == reference.dtype
+        assert np.array_equal(ours, reference)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_supports(self, seed):
+        rng = np.random.default_rng(seed)
+        source = rng.integers(40, 1577, int(rng.integers(1, 3000)))
+        target = rng.integers(40, 1577, int(rng.integers(1, 3000)))
+        coupling = monotone_coupling(source, target)
+        self.same(coupling, rng.permutation(source), seed)
+
+    def test_sizes_outside_the_support_clip(self):
+        coupling = monotone_coupling(np.array([100, 500, 900]), np.array([200, 800]))
+        sizes = np.array([1, 99, 100, 101, 500, 901, 5000, 100, 1])
+        self.same(coupling, sizes)
+
+    def test_one_row(self):
+        coupling = monotone_coupling(np.array([300] * 10), np.array([200, 400, 600]))
+        self.same(coupling, np.full(50, 300))
+        self.same(coupling, np.array([], dtype=np.int64))
+
+    def test_draw_on_a_cumulative_plateau(self):
+        # Row 0's conditional has a zero column, so its cumulative sum
+        # holds 0.5 twice: a draw of exactly 0.5 lands past the plateau.
+        matrix = MorphingMatrix(
+            source_support=np.array([100, 200]),
+            target_support=np.array([300, 400, 500]),
+            plan=np.array([[0.25, 0.0, 0.25], [0.0, 0.5, 0.0]]),
+        )
+        sizes = np.array([100, 200, 100, 100, 200])
+        draws = [0.5, 0.5, 0.0, 0.9999, 0.25]
+        ours = matrix.sample_targets(sizes, _Draws(draws))
+        reference = morphing_oracle.sample_targets(matrix, sizes, _Draws(draws))
+        assert np.array_equal(ours, reference)
+        assert ours.tolist() == [500, 400, 300, 500, 400]
 
 
 class TestMorphingLp:

@@ -140,6 +140,24 @@ class TestRoundTrip:
         with pytest.raises(StoreFormatError, match="trace 1: .*finite"):
             TraceStore.open(store_path).validate()
 
+    @pytest.mark.parametrize("value", [2, -1, 127])
+    def test_validate_rejects_a_corrupt_direction(self, app_traces, store_path, value):
+        store = write_traces(store_path, app_traces)
+        entry = store.entries()[1]
+        store.close()
+        directions = np.memmap(
+            os.path.join(store_path, "directions.bin"),
+            dtype=COLUMN_DTYPES["directions"],
+            mode="r+",
+        )
+        directions[entry.offset + 3] = value
+        directions.flush()
+        del directions
+        with pytest.raises(
+            StoreFormatError, match=rf"trace 1: packet 3 has direction {value}, not 0"
+        ):
+            TraceStore.open(store_path).validate()
+
 
 class TestZeroCopy:
     def test_traces_are_memmap_views(self, app_traces, store_path):

@@ -1,10 +1,14 @@
 """Tests for the streaming featurizer: parity, lifecycle, memory bounds."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.analysis import batch
 from repro.analysis.batch import flow_feature_matrix
 from repro.stream import PacketEvent, PacketStream, StreamingFeaturizer
+from repro.stream import featurizer as featurizer_module
 from repro.stream.source import event_chunks
 from repro.traffic.apps import AppType
 from repro.traffic.generator import TrafficGenerator
@@ -194,6 +198,49 @@ class TestConcurrentFlows:
         featurizer.push("b", 0.0, 10, 0)
         featurizer.push("a", 0.1, 10, 0)
         assert [w.flow for w in featurizer.flush()] == ["b", "a"]
+
+
+class TestOneKernelPass:
+    """A chunk's closes, for every station, go through one kernel call."""
+
+    def test_many_stations_close_in_one_kernel_call(self):
+        stations = 60
+        rng = np.random.default_rng(5)
+        events = sorted(
+            (
+                PacketEvent(float(t), int(z), int(d), f"sta{s}", "app")
+                for s in range(stations)
+                for t, z, d in zip(
+                    np.sort(rng.uniform(0.0, 30.0, 40)),
+                    rng.integers(40, 1500, 40),
+                    rng.choice([0, 1], 40),
+                )
+            ),
+            key=lambda event: event.time,
+        )
+        (chunk,) = event_chunks(events)
+        featurizer = StreamingFeaturizer(5.0, min_packets=1)
+        with mock.patch.object(
+            featurizer_module, "_window_block", wraps=batch._window_block
+        ) as stacked, mock.patch.object(
+            batch, "_direction_block", wraps=batch._direction_block
+        ) as core, mock.patch.object(
+            featurizer_module, "_grid_block", wraps=batch._grid_block
+        ) as per_window:
+            closed = featurizer.push_chunk(chunk)
+        assert len({window.flow for window in closed}) == stations
+        assert stacked.call_count == 1
+        assert core.call_count == 2  # downlink, uplink
+        assert per_window.call_count == 0
+        closed += featurizer.flush()
+        for s in range(stations):
+            trace = Trace.from_arrays(
+                [e.time for e in events if e.station == f"sta{s}"],
+                [e.size for e in events if e.station == f"sta{s}"],
+                [e.direction for e in events if e.station == f"sta{s}"],
+            )
+            ours = np.vstack([w.features for w in closed if w.flow == f"sta{s}"])
+            assert np.array_equal(ours, flow_feature_matrix(trace, 5.0, 1))
 
 
 class TestMemoryBounds:
