@@ -8,8 +8,7 @@ and Sec. IV-D implement it directly:
 * :class:`TrafficMorphing` — reshape one application's packet-size
   distribution into another's (Wright et al., NDSS 2009), via a
   monotone optimal-transport coupling with fragmentation for
-  shrink cases; an LP-based morphing matrix is provided for small
-  alphabets.
+  shrink cases.
 * :class:`PseudonymDefense` — periodically change the MAC address
   (Gruteser/Grunwald, Jiang et al.); partitions the trace at a coarse
   granularity only.
@@ -27,7 +26,6 @@ from repro.defenses.morphing import (
     MorphingMatrix,
     TrafficMorphing,
     monotone_coupling,
-    morphing_matrix_lp,
 )
 from repro.defenses.pseudonym import PseudonymDefense
 from repro.defenses.overhead import byte_overhead, overhead_percent
@@ -43,6 +41,5 @@ __all__ = [
     "TrafficMorphing",
     "byte_overhead",
     "monotone_coupling",
-    "morphing_matrix_lp",
     "overhead_percent",
 ]

@@ -1,19 +1,13 @@
 """Traffic morphing (Wright et al., NDSS 2009), as used in Sec. IV-D.
 
 Morphing rewrites each packet's size so that the flow's size
-distribution matches a *target application's* distribution.  Two
-implementations are provided:
-
-* :func:`monotone_coupling` — the comonotone (inverse-CDF) optimal
-  transport plan between source and target size distributions.  On the
-  real line with convex transport cost this coupling is the minimum-
-  cost plan, so it is the natural stand-in for Wright's
-  overhead-minimizing morphing matrix while scaling to byte-granular
-  alphabets.
-* :func:`morphing_matrix_lp` — the explicit linear-program morphing
-  matrix (minimize expected byte distance subject to producing the
-  target distribution), tractable for small alphabets and used in tests
-  to confirm the coupling's optimality.
+distribution matches a *target application's* distribution.  The
+morphing matrix is :func:`monotone_coupling`, the comonotone
+(inverse-CDF) optimal transport plan between the source and target size
+distributions.  On the real line with convex transport cost this
+coupling is the minimum-cost plan, so it stands in for Wright's
+overhead-minimizing morphing matrix (a linear program over the two
+alphabets) while scaling to byte-granular alphabets.
 
 When the sampled target size is *smaller* than the packet, the packet
 is fragmented into ceil(size / target)-sized chunks, each carrying its
@@ -26,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.defenses.base import DefendedTraffic, Scheme
 from repro.mac.frames import FRAME_HEADER_BYTES
@@ -36,7 +29,6 @@ from repro.util.rng import derive_rng
 
 __all__ = [
     "monotone_coupling",
-    "morphing_matrix_lp",
     "MorphingMatrix",
     "TrafficMorphing",
 ]
@@ -83,43 +75,6 @@ def monotone_coupling(
                 break
             remaining_q = q[j]
     return MorphingMatrix(source_support, target_support, plan)
-
-
-def morphing_matrix_lp(
-    p: np.ndarray,
-    q: np.ndarray,
-    source_support: np.ndarray,
-    target_support: np.ndarray,
-) -> np.ndarray:
-    """Solve Wright et al.'s morphing LP exactly.
-
-    minimize Σᵢⱼ |tⱼ − sᵢ| πᵢⱼ  subject to  Σⱼ πᵢⱼ = pᵢ, Σᵢ πᵢⱼ = qⱼ.
-
-    Returns the joint plan π with shape (len(source), len(target)).
-    Intended for small alphabets (the LP has |S|·|T| variables).
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    source_support = np.asarray(source_support, dtype=float)
-    target_support = np.asarray(target_support, dtype=float)
-    n_s, n_t = len(source_support), len(target_support)
-    if p.shape != (n_s,) or q.shape != (n_t,):
-        raise ValueError("distribution shapes do not match supports")
-    if not (np.isclose(p.sum(), 1.0) and np.isclose(q.sum(), 1.0)):
-        raise ValueError("p and q must be probability vectors")
-
-    cost = np.abs(target_support[None, :] - source_support[:, None]).ravel()
-    # Row-sum constraints then column-sum constraints.
-    a_eq = np.zeros((n_s + n_t, n_s * n_t))
-    for i in range(n_s):
-        a_eq[i, i * n_t : (i + 1) * n_t] = 1.0
-    for j in range(n_t):
-        a_eq[n_s + j, j::n_t] = 1.0
-    b_eq = np.concatenate([p, q])
-    result = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not result.success:
-        raise RuntimeError(f"morphing LP failed: {result.message}")
-    return result.x.reshape(n_s, n_t)
 
 
 @dataclass(frozen=True)
@@ -217,14 +172,10 @@ class TrafficMorphing(Scheme):
         if not mask.any() or len(target_sizes) == 0:
             return DefendedTraffic(original=trace, flows={0: trace}, extra_bytes=0)
 
-        coupling = monotone_coupling(trace.sizes[mask], target_sizes)
-        rng = derive_rng(self._seed, "morphing", trace.label or "?")
-        morphed_sizes = coupling.sample_targets(trace.sizes[mask], rng)
-
-        source_times = trace.times[mask]
         source_sizes = trace.sizes[mask]
-        source_channels = trace.channels[mask]
-        source_directions = trace.directions[mask]
+        coupling = monotone_coupling(source_sizes, target_sizes)
+        rng = derive_rng(self._seed, "morphing", trace.label or "?")
+        morphed_sizes = coupling.sample_targets(source_sizes, rng)
 
         # Pad-up packets emit one frame; shrink packets fragment into
         # ceil(size / (morphed - header)) frames of the morphed size,
@@ -235,25 +186,37 @@ class TrafficMorphing(Scheme):
             1,
             -(-source_sizes // payload_capacity),
         ).astype(np.int64)
-        out_times = np.repeat(source_times, fragments)
-        out_sizes = np.repeat(morphed_sizes, fragments)
-        out_channels = np.repeat(source_channels, fragments)
-        out_directions = np.repeat(source_directions, fragments)
         extra = int((fragments * morphed_sizes - source_sizes).sum())
 
-        other = trace.select(~mask)
-        morphed_part = Trace.from_arrays(
-            times=out_times,
-            sizes=out_sizes,
-            directions=out_directions,
-            channels=out_channels,
-            label=trace.label,
-            sort=True,
-        )
-        from repro.traffic.trace import merge_traces
+        # One source index over the whole trace: each morphed packet
+        # repeated once per fragment, every other packet once.  Within a
+        # run of equal times morphed packets precede the others, each
+        # group in source order; without ties that is source order.
+        times = trace.times
+        if (times[1:] == times[:-1]).any():
+            order = np.lexsort((~mask, times))
+        else:
+            order = np.arange(len(times))
+        copies = np.ones(len(times), dtype=np.int64)
+        copies[mask] = fragments
+        source = np.repeat(order, copies[order])
 
-        defended = merge_traces([morphed_part, other], label=trace.label)
-        return DefendedTraffic(original=trace, flows={0: defended}, extra_bytes=int(extra))
+        sizes = trace.sizes.copy()
+        sizes[mask] = morphed_sizes
+        # Morphed fragments go out on interface 0 with no RSSI.
+        ifaces = np.where(mask, np.int16(0), trace.ifaces)
+        rssi = np.where(mask, np.float32(np.nan), trace.rssi)
+        defended = Trace(
+            times[source],
+            sizes[source],
+            trace.directions[source],
+            ifaces[source],
+            trace.channels[source],
+            rssi[source],
+            trace.label,
+            {},
+        )
+        return DefendedTraffic(original=trace, flows={0: defended}, extra_bytes=extra)
 
     @staticmethod
     def paper_morph_pairs() -> dict[str, str]:

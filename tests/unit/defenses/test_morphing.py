@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from oracles import morphing as morphing_oracle
+from oracles.morphing import morphing_matrix_lp
 from repro.defenses.morphing import (
     MorphingMatrix,
     TrafficMorphing,
     monotone_coupling,
-    morphing_matrix_lp,
 )
 from repro.traffic.apps import AppType
 from repro.traffic.generator import TrafficGenerator
-from repro.traffic.packet import DOWNLINK
+from repro.traffic.packet import DOWNLINK, UPLINK
 from repro.traffic.trace import Trace
 
 
@@ -193,3 +193,121 @@ class TestTrafficMorphing:
         assert pairs["video"] == "downloading"
         assert "downloading" not in pairs
         assert "uploading" not in pairs
+
+
+def _columns(trace):
+    return [trace.times, trace.sizes, trace.directions, trace.ifaces, trace.channels, trace.rssi]
+
+
+class TestTransformOracle:
+    """The one-gather transform equals the select → sort → merge oracle."""
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        generator = TrafficGenerator(seed=5)
+        return {
+            app.value: generator.generate(app, 40.0)
+            for app in (
+                AppType.CHATTING,
+                AppType.GAMING,
+                AppType.BROWSING,
+                AppType.VIDEO,
+                AppType.UPLOADING,
+            )
+        }
+
+    def same(self, morpher, trace):
+        ours = morpher.transform(trace)
+        reference = morphing_oracle.transform(morpher, trace)
+        assert ours.extra_bytes == reference.extra_bytes
+        assert list(ours.flows) == list(reference.flows) == [0]
+        flow, expected = ours.flows[0], reference.flows[0]
+        assert flow.label == expected.label
+        assert flow.meta == expected.meta
+        for column, want in zip(_columns(flow), _columns(expected)):
+            assert column.dtype == want.dtype
+            assert np.array_equal(column, want, equal_nan=True)
+        return flow
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [
+            ("chatting", "gaming"),
+            ("gaming", "chatting"),
+            ("browsing", "video"),
+            ("video", "uploading"),
+            ("uploading", "browsing"),
+        ],
+    )
+    def test_generated_traces(self, traces, source, target):
+        morpher = TrafficMorphing(target_trace=traces[target], seed=3)
+        self.same(morpher, traces[source])
+
+    @staticmethod
+    def tied(trace):
+        """``trace`` on a 1 s clock, with interfaces and RSSI set."""
+        rng = np.random.default_rng(0)
+        n = len(trace)
+        return Trace.from_arrays(
+            np.floor(trace.times),
+            trace.sizes,
+            trace.directions,
+            rng.integers(0, 4, n),
+            trace.channels,
+            rng.uniform(-90, -30, n),
+            label=trace.label,
+            meta={"source": "tied"},
+        )
+
+    def test_forced_ties(self, traces):
+        trace = self.tied(traces["gaming"])
+        tie = np.diff(trace.times) == 0
+        assert tie.sum() > len(trace) // 2
+        # Some uplink packet precedes a downlink packet of equal time, so
+        # source order is not the merged order.
+        assert (tie & (trace.directions[:-1] == UPLINK) & (trace.directions[1:] == DOWNLINK)).any()
+        morpher = TrafficMorphing(target_trace=traces["chatting"], seed=1)
+        flow = self.same(morpher, trace)
+        assert flow.meta == {}
+        morphed = flow.directions == DOWNLINK
+        assert (flow.ifaces[morphed] == 0).all()
+        assert np.isnan(flow.rssi[morphed]).all()
+        assert not np.isnan(flow.rssi[~morphed]).any()
+
+    def test_hand_built_ties(self):
+        # Uplink packets first in source order, then the tied downlink
+        # packets: morphed fragments must come first within each time.
+        trace = Trace.from_arrays(
+            [0.0, 1.0, 1.0, 1.0, 1.0, 2.0],
+            [100, 80, 1500, 90, 1400, 60],
+            [UPLINK, UPLINK, DOWNLINK, UPLINK, DOWNLINK, UPLINK],
+            ifaces=[1, 2, 3, 2, 1, 3],
+            rssi=[-40.0, -41.0, -42.0, -43.0, -44.0, -45.0],
+            label="downloading",
+        )
+        target = Trace.from_arrays([0.0, 1.0], [400, 400], label="chatting")
+        morpher = TrafficMorphing(target_trace=target, seed=0)
+        flow = self.same(morpher, trace)
+        # 1500 B and 1400 B shrink to 400 B frames of 364 B payload: 5 + 4.
+        assert flow.times.tolist() == [0.0] + [1.0] * 11 + [2.0]
+        assert flow.sizes.tolist() == [100] + [400] * 9 + [80, 90, 60]
+        assert flow.ifaces.tolist() == [1] + [0] * 9 + [2, 2, 3]
+
+    @pytest.mark.parametrize("tie", [False, True])
+    def test_morph_all_packets(self, traces, tie):
+        trace = self.tied(traces["browsing"]) if tie else traces["browsing"]
+        morpher = TrafficMorphing(
+            target_trace=traces["video"], morph_all_packets=True, seed=2
+        )
+        self.same(morpher, trace)
+
+    def test_no_data_packets(self, traces):
+        uplink = traces["chatting"].direction_view(UPLINK)
+        morpher = TrafficMorphing(target_trace=traces["gaming"], seed=0)
+        flow = self.same(morpher, uplink)
+        assert flow is uplink
+
+    def test_empty_target(self, traces):
+        morpher = TrafficMorphing(target_trace=Trace.empty("gaming"), seed=0)
+        flow = self.same(morpher, traces["chatting"])
+        assert flow is traces["chatting"]
