@@ -1,34 +1,30 @@
-"""FEATURIZATION: legacy per-window path vs. the vectorized batch engine.
+"""FEATURIZATION: the per-window oracle vs. the vectorized batch engine.
 
-The batch engine (``repro.analysis.batch``) must match the legacy
-``sliding_windows`` → ``extract_features`` oracle element-for-element
-while removing the per-window Python loop.  This bench times both paths
-over the same generated flows and records the speedup so the perf
-trajectory of the attack hot path is tracked release over release.
+The batch engine (``repro.analysis.batch``) must match the per-window
+``sliding_windows`` → ``extract_features`` oracle
+(``tests/oracles/windows.py``) element-for-element while removing the
+per-window Python loop.  This bench times both paths over the same
+generated flows and records the speedup so the perf trajectory of the
+attack hot path is tracked release over release.
 """
 
+import os
+import sys
 import time
 
 import numpy as np
 
 from repro.analysis.batch import flow_feature_matrix
-from repro.analysis.features import features_from_windows
-from repro.analysis.windows import sliding_windows
 from repro.traffic.apps import AppType
 from repro.traffic.generator import TrafficGenerator
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
+from oracles.windows import window_feature_matrix
 
 #: Apps spanning the packet-rate extremes (sparse chatting, ~435 pkt/s
 #: downloading) so the bench exercises both tiny and huge window counts.
 BENCH_APPS = (AppType.CHATTING, AppType.DOWNLOADING, AppType.BITTORRENT)
 WINDOW = 5.0
-MIN_PACKETS = 2
-
-
-def _legacy(flow):
-    features = features_from_windows(
-        sliding_windows(flow, WINDOW, MIN_PACKETS), WINDOW
-    )
-    return np.array([f.vector for f in features]).reshape(len(features), 12)
 
 
 def _timed(fn, *args, repeats=3):
@@ -50,8 +46,8 @@ def test_featurization_speedup(benchmark, save_table):
     total_batch = 0.0
     speedups = {}
     for app, flow in flows.items():
-        reference, legacy_s = _timed(_legacy, flow)
-        matrix, batch_s = _timed(flow_feature_matrix, flow, WINDOW, MIN_PACKETS)
+        reference, legacy_s = _timed(window_feature_matrix, flow, WINDOW)
+        matrix, batch_s = _timed(flow_feature_matrix, flow, WINDOW)
         # The engines must agree before their times are comparable.
         assert matrix.shape == reference.shape
         np.testing.assert_allclose(matrix, reference, rtol=1e-12, atol=1e-12)
@@ -87,7 +83,7 @@ def test_featurization_speedup(benchmark, save_table):
 
     # Timed under pytest-benchmark as well so the perf history tracks it.
     benchmark.pedantic(
-        lambda: [flow_feature_matrix(f, WINDOW, MIN_PACKETS) for f in flows.values()],
+        lambda: [flow_feature_matrix(f, WINDOW) for f in flows.values()],
         rounds=3,
         iterations=1,
     )

@@ -6,7 +6,9 @@ seconds; each window yields MAC-layer features ("number of packets,
 max/min/average/standard deviation of packet size, and packet
 interarrival time in downlink and uplink"); SVM and NN classifiers are
 trained on labeled windows of undefended traffic and evaluated on the
-observable flows a defense produces.
+observable flows a defense produces.  One vectorized kernel
+(:mod:`repro.analysis.batch`) featurizes every window; the per-window
+reference it is tested against lives in ``tests/oracles/windows.py``.
 """
 
 from repro.analysis.aggregation import AggregationAttack, AggregationOutcome
@@ -30,12 +32,7 @@ from repro.analysis.classifiers import (
     best_classifier,
 )
 from repro.analysis.dataset import Dataset, train_test_split
-from repro.analysis.features import (
-    FEATURE_NAMES,
-    WindowFeatures,
-    extract_features,
-    features_from_windows,
-)
+from repro.analysis.features import FEATURE_NAMES
 from repro.analysis.linking import RssiLinker, linking_accuracy
 from repro.analysis.metrics import (
     ConfusionMatrix,
@@ -44,7 +41,7 @@ from repro.analysis.metrics import (
     mean_accuracy,
 )
 from repro.analysis.scaler import StandardScaler
-from repro.analysis.windows import sliding_windows, window_edges, window_key, window_traces
+from repro.analysis.windows import window_edges, window_key
 
 __all__ = [
     "AggregationAttack",
@@ -62,22 +59,17 @@ __all__ = [
     "RssiLinker",
     "StandardScaler",
     "WindowCache",
-    "WindowFeatures",
     "accuracy_by_class",
     "attribution_entropy_bits",
     "augment_direction_dropout",
     "best_classifier",
     "effective_anonymity_set",
     "wlan_privacy_entropy_bits",
-    "extract_features",
     "false_positive_rates",
-    "features_from_windows",
     "flow_feature_matrix",
     "linking_accuracy",
     "mean_accuracy",
-    "sliding_windows",
     "train_test_split",
     "window_edges",
     "window_key",
-    "window_traces",
 ]

@@ -73,10 +73,7 @@ class AggregationAttack:
         pipeline = self._pipeline
         return pipeline.evaluate_matrices(
             {
-                label: [
-                    flow_feature_matrix(flow, pipeline.window, pipeline.min_packets)
-                    for flow in flows
-                ]
+                label: [flow_feature_matrix(flow, pipeline.window) for flow in flows]
                 for label, flows in flows_by_label.items()
             }
         )

@@ -24,9 +24,11 @@ from repro.analysis.metrics import (
     mean_accuracy,
 )
 from repro.analysis.scaler import StandardScaler
+from repro.analysis.windows import MIN_WINDOW_PACKETS
 from repro.obs import add as obs_add
 from repro.obs import span as obs_span
 from repro.traffic.trace import Trace
+from repro.util.validation import require_positive
 
 __all__ = ["AttackPipeline", "AttackReport"]
 
@@ -64,9 +66,12 @@ class AttackReport:
 class AttackPipeline:
     """Trains on undefended traces, evaluates defenses.
 
+    Every training window also contributes its one-sided
+    (downlink-only / uplink-only) variants — see
+    :func:`repro.analysis.batch.augment_direction_dropout`.
+
     Args:
         window: the eavesdropping duration W in seconds.
-        min_packets: minimum packets per classifiable window.
         attackers: candidate classifiers (defaults to SVM + NN, the
             paper's attacker set).
         seed: classifier-selection randomness.
@@ -74,28 +79,24 @@ class AttackPipeline:
             uses (see :data:`repro.analysis.features.FEATURE_NAMES`).
             The Table VI timing attack, for example, keeps only the
             packet-count and interarrival columns.
-        augment_directions: when True (default), every training window
-            also contributes its one-sided (downlink-only / uplink-only)
-            variants — see
-            :func:`repro.analysis.features.direction_dropout_variants`.
     """
+
+    #: Fewest packets per classifiable window (the batch kernel's filter).
+    min_packets = MIN_WINDOW_PACKETS
+    #: Training always adds the one-sided variants of every window.
+    augment_directions = True
 
     def __init__(
         self,
         window: float,
-        min_packets: int = 2,
         attackers: list[Classifier] | None = None,
         seed: int = 0,
         feature_indices: tuple[int, ...] | None = None,
-        augment_directions: bool = True,
     ):
-        if window <= 0:
-            raise ValueError("window must be positive")
+        require_positive(window, "window")
         self.window = float(window)
-        self.min_packets = int(min_packets)
         self.seed = int(seed)
         self.feature_indices = tuple(feature_indices) if feature_indices else None
-        self.augment_directions = bool(augment_directions)
         self._attackers = attackers
         self._scaler = StandardScaler()
         self._classifier: Classifier | None = None
@@ -127,13 +128,12 @@ class AttackPipeline:
     def training_rows(self, trace: Trace) -> np.ndarray:
         """One training trace's rows: its windows, then their variants.
 
-        The trace's feature matrix (vectorized batch engine,
-        :func:`repro.analysis.batch.flow_feature_matrix`) followed, when
-        augmenting, by every window's one-sided variants — the row
-        order of the legacy per-window path.
+        The trace's feature matrix
+        (:func:`repro.analysis.batch.flow_feature_matrix`) followed by
+        every window's one-sided variants.
         """
-        matrix = flow_feature_matrix(trace, self.window, self.min_packets)
-        if self.augment_directions and len(matrix):
+        matrix = flow_feature_matrix(trace, self.window)
+        if len(matrix):
             variants = augment_direction_dropout(matrix, self.window)
             if len(variants):
                 matrix = np.concatenate([matrix, variants], axis=0)
@@ -244,10 +244,7 @@ class AttackPipeline:
         """
         return self.evaluate_matrices(
             {
-                label: [
-                    flow_feature_matrix(flow, self.window, self.min_packets)
-                    for flow in flows
-                ]
+                label: [flow_feature_matrix(flow, self.window) for flow in flows]
                 for label, flows in flows_by_label.items()
             }
         )

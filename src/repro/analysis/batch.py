@@ -2,13 +2,10 @@
 
 The attacker loop of Sec. IV (train on undefended windows, classify
 every window of every observable flow) is the hot path behind every
-table and figure.  The reference implementation
-(:func:`~repro.analysis.windows.sliding_windows` →
-:func:`~repro.analysis.features.extract_features`) materializes one
-:class:`~repro.traffic.trace.Trace` per window and runs a Python loop
-per window and per direction.  This module computes the full
-``(n_windows, 12)`` feature matrix of a flow in a handful of numpy
-passes instead:
+table and figure.  This module is the one featurizer: it computes the
+full ``(n_windows, 12)`` feature matrix of a flow (the features of
+:mod:`repro.analysis.features`) in a handful of numpy passes, with no
+per-window ``Trace`` and no per-window Python loop:
 
 * one :func:`numpy.searchsorted` against the shared window grid
   (:func:`~repro.analysis.windows.window_edges`) locates every window
@@ -18,14 +15,15 @@ passes instead:
 * interarrival means come from one :func:`numpy.diff` over re-based
   timestamps with idle gaps masked and summed via ``bincount``.
 
-No per-window ``Trace`` is materialized.  The legacy per-window path
-is kept as the reference oracle; the property tests assert the two
-paths agree element-for-element.
+The per-window reference it is held to element for element lives on
+the test side (``tests/oracles/windows.py``).
 
 Every batch entry point — :func:`flow_feature_matrix` and both branches
 of :func:`fused_feature_matrices` — lays the window grid, splits
-directions and applies the ``min_packets`` filter through one private
-kernel, ``_flow_matrix``, over ``_grid_block``.  The kernel core,
+directions and drops windows under
+:data:`~repro.analysis.windows.MIN_WINDOW_PACKETS` through one private
+kernel, ``_flow_matrix``, over ``_grid_block``; the first two share
+their whole body, ``_one_flow_matrix``.  The kernel core,
 ``_direction_block``, reads each window's packet bounds and left edge,
 so ``_grid_block`` only locates a grid's bounds with ``searchsorted``.
 The streaming engine (:class:`repro.stream.featurizer.StreamingFeaturizer`)
@@ -50,12 +48,12 @@ import numpy as np
 
 from repro import obs
 from repro.analysis.features import _IAT_EPSILON, FEATURE_NAMES
-from repro.analysis.windows import window_edges, window_key
-from repro.defenses.base import DefendedTraffic, FusedPlan
+from repro.analysis.windows import MIN_WINDOW_PACKETS, window_edges, window_key
+from repro.defenses.base import DefendedTraffic, FusedPlan, SizeTransform
 from repro.traffic.packet import DOWNLINK, UPLINK
 from repro.traffic.stats import DEFAULT_IDLE_CUTOFF
 from repro.traffic.trace import Trace
-from repro.util.validation import require, require_positive
+from repro.util.validation import require_positive
 
 __all__ = [
     "WindowCache",
@@ -233,18 +231,18 @@ def _flow_matrix(
     last: float,
     by_direction: Iterable[tuple[np.ndarray, np.ndarray]],
     window: float,
-    min_packets: int,
 ) -> np.ndarray:
     """The one windowing kernel behind every featurization entry point.
 
     ``first``/``last`` are the flow's extreme timestamps (all
     :func:`window_edges` reads); ``by_direction`` is as for
-    :func:`_grid_block`.  Keeps windows of ``min_packets`` or more.
+    :func:`_grid_block`.  Keeps windows of ``MIN_WINDOW_PACKETS`` or
+    more.
     """
     matrix, totals = _grid_block(
         window_edges(np.array([first, last]), window), by_direction, window
     )
-    return matrix[totals >= min_packets]
+    return matrix[totals >= MIN_WINDOW_PACKETS]
 
 
 def _split_directions(
@@ -261,31 +259,43 @@ def _split_directions(
         yield times[mask], sizes[mask]
 
 
-def flow_feature_matrix(
-    trace: Trace,
+def _one_flow_matrix(
+    times: np.ndarray,
+    sizes: np.ndarray,
+    directions: np.ndarray,
     window: float,
-    min_packets: int = 2,
-) -> np.ndarray:
+    transform: SizeTransform | None = None,
+) -> tuple[np.ndarray, int]:
+    """The feature matrix of one flow's time-ordered columns, read in place.
+
+    ``transform`` rewrites the sizes first (a fused plan's size
+    transform).  Also returns the bytes the split and the transform
+    gather: every packet lands in exactly one direction, so that is
+    one time and one size per packet, plus the rewritten sizes.
+    """
+    if len(times) == 0:
+        return np.empty((0, _N_FEATURES), dtype=np.float64), 0
+    materialized = len(times) * (times.itemsize + 8)
+    if transform is not None:
+        sizes = transform(sizes, directions)
+        materialized += sizes.nbytes
+    matrix = _flow_matrix(
+        times[0], times[-1], _split_directions(times, sizes, directions), window
+    )
+    return matrix, materialized
+
+
+def flow_feature_matrix(trace: Trace, window: float) -> np.ndarray:
     """The ``(n_windows, 12)`` feature matrix of one observable flow.
 
-    Equivalent to ``sliding_windows`` followed by per-window
-    ``extract_features`` — same window grid, same ``min_packets``
-    filter, same feature encoding — but computed in whole-flow numpy
-    passes.  Row ``k`` corresponds to the ``k``-th surviving window in
-    time order.
+    Row ``k`` is the ``k``-th window of the flow's grid, in time order,
+    that holds at least ``MIN_WINDOW_PACKETS`` packets.
     """
     require_positive(window, "window")
-    require(min_packets >= 1, "min_packets must be >= 1")
-    times = trace.times
-    if len(times) == 0:
-        return np.empty((0, _N_FEATURES), dtype=np.float64)
-    return _flow_matrix(
-        times[0],
-        times[-1],
-        _split_directions(times, trace.sizes, trace.directions),
-        float(window),
-        min_packets,
+    matrix, _ = _one_flow_matrix(
+        trace.times, trace.sizes, trace.directions, float(window)
     )
+    return matrix
 
 
 def fused_feature_matrices(
@@ -294,7 +304,6 @@ def fused_feature_matrices(
     directions: np.ndarray,
     plan: FusedPlan,
     window: float,
-    min_packets: int = 2,
 ) -> list[np.ndarray]:
     """Per-flow feature matrices of a defended trace, straight off columns.
 
@@ -317,7 +326,6 @@ def fused_feature_matrices(
     float views) — O(one flow), never O(trace × flows).
     """
     require_positive(window, "window")
-    require(min_packets >= 1, "min_packets must be >= 1")
     window = float(window)
     transform = plan.size_transform
     times = np.asarray(times)
@@ -330,24 +338,11 @@ def fused_feature_matrices(
         # padding): the gather would be the identity permutation — read
         # the source columns in place instead of copying them.
         obs.add("batch.fused_flows")
-        if len(times) == 0:
-            obs.gauge("batch.bytes_materialized", 0)
-            return [np.empty((0, _N_FEATURES), dtype=np.float64)]
-        fsizes = sizes
-        # The per-direction times and sizes the split gathers:
-        # every packet lands in exactly one direction.
-        materialized = len(times) * (times.itemsize + 8)
-        if transform is not None:
-            fsizes = transform(fsizes, directions)
-            materialized += fsizes.nbytes
-        kept = _flow_matrix(
-            times[0],
-            times[-1],
-            _split_directions(times, fsizes, directions),
-            window,
-            min_packets,
+        kept, materialized = _one_flow_matrix(
+            times, sizes, directions, window, transform
         )
-        obs.add("batch.fused_windows", len(kept))
+        if len(times):
+            obs.add("batch.fused_windows", len(kept))
         obs.gauge("batch.bytes_materialized", materialized)
         return [kept]
 
@@ -404,7 +399,6 @@ def fused_feature_matrices(
             max(dtimes[-1] for dtimes, _ in by_direction if len(dtimes)),
             by_direction,
             window,
-            min_packets,
         )
         matrices.append(kept)
         obs.add("batch.fused_windows", len(kept))
@@ -416,7 +410,6 @@ def fused_flow_matrices(
     trace: Trace,
     plan: FusedPlan,
     window: float,
-    min_packets: int = 2,
 ) -> list[np.ndarray]:
     """:func:`fused_feature_matrices` over a trace's columns.
 
@@ -425,18 +418,22 @@ def fused_flow_matrices(
     gathers per-flow index views out of them.
     """
     return fused_feature_matrices(
-        trace.times, trace.sizes, trace.directions, plan, window, min_packets
+        trace.times, trace.sizes, trace.directions, plan, window
     )
 
 
 def augment_direction_dropout(matrix: np.ndarray, window: float) -> np.ndarray:
-    """Batched capture-asymmetry augmentation of a feature matrix.
+    """Capture-asymmetry augmentation: every window heard one-sided.
 
-    Vectorized counterpart of
-    :func:`repro.analysis.features.direction_dropout_variants`: for each
-    input row emits its downlink-only then uplink-only variant, skipping
-    variants whose kept direction is empty.  Row order matches iterating
-    the reference function over the matrix rows.
+    An eavesdropper's vantage point often yields only one link direction
+    (weak uplink from a distant client, or vice versa) — and reshaping
+    itself concentrates a size range's traffic on whichever direction
+    carries those sizes.  Training on one-sided variants of every window
+    teaches the classifier that a missing direction is a property of the
+    capture, not of the application.
+
+    For each input row emits its downlink-only then uplink-only variant,
+    skipping variants whose kept direction is empty.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     empty_iat = np.log(window + _IAT_EPSILON)
@@ -457,13 +454,13 @@ class WindowCache:
 
     Four layers share one memo, each counted as
     ``proc.window_cache.<layer>_hits`` / ``_misses``: ``feature``
-    (per-flow matrices by flow, normalized window and ``min_packets``),
-    ``flow`` (a non-fusable scheme's :class:`DefendedTraffic` — flows
-    and byte accounting — by scheme and trace), ``plan`` (fused plans,
-    declined ``None`` included, by scheme and trace) and ``fused``
-    (per-flow matrix lists by scheme, trace, window and
-    ``min_packets``).  Keys use object identity; cached keys pin their
-    sources so ``id()`` reuse after garbage collection cannot alias.
+    (per-flow matrices by flow and normalized window), ``flow`` (a
+    non-fusable scheme's :class:`DefendedTraffic` — flows and byte
+    accounting — by scheme and trace), ``plan`` (fused plans, declined
+    ``None`` included, by scheme and trace) and ``fused`` (per-flow
+    matrix lists by scheme, trace and window).  Keys use object
+    identity; cached keys pin their sources so ``id()`` reuse after
+    garbage collection cannot alias.
 
     The ``flow``/``plan``/``fused`` builds return ``(value,
     subprofile)`` — the telemetry the work recorded while it physically
@@ -501,18 +498,13 @@ class WindowCache:
         value = self._entries[key] = build()
         return value
 
-    def feature_matrix(
-        self,
-        flow: Trace,
-        window: float,
-        min_packets: int = 2,
-    ) -> np.ndarray:
+    def feature_matrix(self, flow: Trace, window: float) -> np.ndarray:
         """The (cached) feature matrix of ``flow`` at ``window``."""
         return self._memo(
             "feature",
             (flow,),
-            (window_key(window), int(min_packets)),
-            lambda: flow_feature_matrix(flow, window, min_packets),
+            (window_key(window),),
+            lambda: flow_feature_matrix(flow, window),
         )
 
     def defended_flows(
@@ -542,16 +534,10 @@ class WindowCache:
         scheme: object,
         trace: Trace,
         window: float,
-        min_packets: int,
         build: Callable[[], tuple[list[np.ndarray], "obs.Subprofile | None"]],
     ) -> tuple[list[np.ndarray], "obs.Subprofile | None"]:
         """The (cached) fused per-flow matrices of one (scheme, trace, window)."""
-        return self._memo(
-            "fused",
-            (scheme, trace),
-            (window_key(window), int(min_packets)),
-            build,
-        )
+        return self._memo("fused", (scheme, trace), (window_key(window),), build)
 
     def clear(self) -> None:
         """Drop every cached artifact (and the object pins)."""

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.features import WindowFeatures
 from repro.util.rng import derive_rng
 
 __all__ = ["Dataset", "train_test_split"]
@@ -45,19 +44,6 @@ class Dataset:
         unknown = {label for label in self.y if label is not None} - set(self.classes)
         if unknown:
             raise ValueError(f"labels {unknown} missing from class list")
-
-    @classmethod
-    def from_features(
-        cls,
-        features: list[WindowFeatures],
-        classes: tuple[str, ...] | None = None,
-    ) -> "Dataset":
-        """Assemble a dataset from (possibly unlabeled) feature vectors."""
-        if not features:
-            raise ValueError("cannot build a dataset from zero windows")
-        labels = [f.label for f in features]
-        matrix = np.vstack([f.vector for f in features])
-        return cls.from_matrix(matrix, labels, classes)
 
     @classmethod
     def from_matrix(

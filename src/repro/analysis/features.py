@@ -1,4 +1,4 @@
-"""Per-window feature extraction.
+"""The per-window feature set.
 
 Sec. IV-C: "Features we employed in the classification are number of
 packets, max/min/average/standard deviation of packet size, and packet
@@ -18,25 +18,14 @@ standardization and drown the size features the paper identifies as the
 main signal ("the main feature, 'average packet size'", Sec. IV-C).
 Size features stay in raw bytes.
 
-This module is the *reference* per-window path: it processes one window
-``Trace`` at a time and defines the feature semantics.  The production
-hot path is the vectorized batch engine in :mod:`repro.analysis.batch`,
-which computes whole-flow feature matrices in a few numpy passes and is
-property-tested to match :func:`features_from_windows`
-element-for-element.
+This module names the features and their encoding constants; the one
+featurizer that computes them is the vectorized kernel in
+:mod:`repro.analysis.batch`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.traffic.packet import DOWNLINK, UPLINK, Direction
-from repro.traffic.stats import DEFAULT_IDLE_CUTOFF, interarrival_times
-from repro.traffic.trace import Trace
-
-__all__ = ["FEATURE_NAMES", "WindowFeatures", "extract_features", "features_from_windows"]
+__all__ = ["FEATURE_NAMES"]
 
 FEATURE_NAMES: tuple[str, ...] = tuple(
     f"{direction}_{name}"
@@ -44,105 +33,5 @@ FEATURE_NAMES: tuple[str, ...] = tuple(
     for name in ("count", "max_size", "min_size", "mean_size", "std_size", "mean_iat")
 )
 
-_FEATURES_PER_DIRECTION = 6
-
-
-@dataclass(frozen=True)
-class WindowFeatures:
-    """One labeled feature vector."""
-
-    vector: np.ndarray
-    label: str | None
-
-    def __post_init__(self) -> None:
-        vector = np.asarray(self.vector, dtype=np.float64)
-        if vector.shape != (len(FEATURE_NAMES),):
-            raise ValueError(
-                f"feature vector must have {len(FEATURE_NAMES)} entries, "
-                f"got {vector.shape}"
-            )
-        object.__setattr__(self, "vector", vector)
-
-
 #: Additive guard inside the interarrival log (1 ms).
 _IAT_EPSILON = 1e-3
-
-
-def _direction_features(trace: Trace, direction: Direction, window: float) -> np.ndarray:
-    view = trace.direction_view(direction)
-    if len(view) == 0:
-        return np.array(
-            [0.0, 0.0, 0.0, 0.0, 0.0, np.log(window + _IAT_EPSILON)],
-            dtype=np.float64,
-        )
-    sizes = view.sizes.astype(np.float64)
-    gaps = interarrival_times(view.times, idle_cutoff=min(DEFAULT_IDLE_CUTOFF, window))
-    mean_iat = float(gaps.mean()) if len(gaps) else window
-    return np.array(
-        [
-            float(np.log1p(len(view))),
-            float(sizes.max()),
-            float(sizes.min()),
-            float(sizes.mean()),
-            float(sizes.std()),
-            float(np.log(mean_iat + _IAT_EPSILON)),
-        ],
-        dtype=np.float64,
-    )
-
-
-def extract_features(window_trace: Trace, window: float, label: str | None = None) -> WindowFeatures:
-    """Extract the 12-feature vector of one eavesdropping window."""
-    if window <= 0:
-        raise ValueError("window must be positive")
-    vector = np.concatenate(
-        [
-            _direction_features(window_trace, DOWNLINK, window),
-            _direction_features(window_trace, UPLINK, window),
-        ]
-    )
-    return WindowFeatures(vector=vector, label=label if label is not None else window_trace.label)
-
-
-def features_from_windows(
-    windows: list[Trace],
-    window: float,
-    label: str | None = None,
-) -> list[WindowFeatures]:
-    """Extract features for a batch of windows, inheriting labels."""
-    return [extract_features(piece, window, label) for piece in windows]
-
-
-def empty_direction_vector(window: float) -> np.ndarray:
-    """The 6-entry encoding of a direction with no captured packets."""
-    return np.array(
-        [0.0, 0.0, 0.0, 0.0, 0.0, np.log(window + _IAT_EPSILON)],
-        dtype=np.float64,
-    )
-
-
-def direction_dropout_variants(features: WindowFeatures, window: float) -> list[WindowFeatures]:
-    """Capture-asymmetry augmentation: the same window heard one-sided.
-
-    An eavesdropper's vantage point often yields only one link direction
-    (weak uplink from a distant client, or vice versa) — and reshaping
-    itself concentrates a size range's traffic on whichever direction
-    carries those sizes.  Training on one-sided variants of every window
-    teaches the classifier that a missing direction is a property of the
-    capture, not of the application.
-
-    Returns the down-only and up-only variants (skipping variants whose
-    kept direction is itself empty).
-    """
-    empty = empty_direction_vector(window)
-    variants: list[WindowFeatures] = []
-    down, up = features.vector[:6], features.vector[6:]
-    if down[0] > 0:
-        variants.append(
-            WindowFeatures(np.concatenate([down, empty]), features.label)
-        )
-    if up[0] > 0:
-        variants.append(
-            WindowFeatures(np.concatenate([empty, up]), features.label)
-        )
-    return variants

@@ -3,39 +3,35 @@
 "The eavesdropping duration (denoted as W) is used to represent the
 shortest time duration of traffic for classification each time"
 (Sec. IV-A).  A flow is chopped into consecutive W-second windows;
-windows with fewer than a minimum number of packets are dropped (an
-eavesdropper cannot classify silence).
+windows with fewer than :data:`MIN_WINDOW_PACKETS` packets are dropped
+(an eavesdropper cannot classify silence).
 
-:func:`window_edges` defines the canonical window grid of a flow; it is
-shared by the per-window slicer below and by the vectorized batch
-featurizer (:mod:`repro.analysis.batch`), so both paths agree on window
-boundaries by construction.  The grid rule itself — packet ``t`` lies
-in window ``k`` iff ``start + k*W <= t < start + (k+1)*W``, evaluated
-in that exact float arithmetic — lives in :func:`window_index` (one
-timestamp) and :func:`window_indices` (a column), which the streaming
-featurizer (:mod:`repro.stream.featurizer`) uses to place packets on
-the same grid.  :func:`sliding_windows` remains the reference
-per-window path: it materializes one re-based sub-``Trace`` per window
-(columns other than time are views into the parent flow, not copies)
-and is what the batch engine is tested against.
+:func:`window_edges` defines the canonical window grid of a flow, which
+the batch featurizer (:mod:`repro.analysis.batch`) lays.  The grid rule
+itself — packet ``t`` lies in window ``k`` iff ``start + k*W <= t <
+start + (k+1)*W``, evaluated in that exact float arithmetic — lives in
+:func:`window_index` (one timestamp) and :func:`window_indices` (a
+column), which the streaming featurizer (:mod:`repro.stream.featurizer`)
+uses to place packets on the same grid.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.traffic.trace import Trace
-from repro.util.validation import require, require_positive
+from repro.util.validation import require_positive
 
 __all__ = [
+    "MIN_WINDOW_PACKETS",
     "grid_edges",
-    "sliding_windows",
     "window_edges",
     "window_index",
     "window_indices",
     "window_key",
-    "window_traces",
 ]
+
+#: Fewest downlink + uplink packets a classifiable window holds.
+MIN_WINDOW_PACKETS = 2
 
 #: Decimal places used to normalize eavesdropping-window cache keys.
 _WINDOW_KEY_DECIMALS = 9
@@ -114,57 +110,3 @@ def window_edges(times: np.ndarray, window: float) -> np.ndarray:
         raise ValueError("window_edges requires at least one timestamp")
     start = float(times[0])
     return grid_edges(start, 0, window_index(float(times[-1]), start, window) + 1, window)
-
-
-def sliding_windows(
-    trace: Trace,
-    window: float,
-    min_packets: int = 2,
-) -> list[Trace]:
-    """Chop ``trace`` into consecutive ``window``-second slices.
-
-    Args:
-        trace: the flow to slice (timestamps need not start at 0).
-        window: W in seconds.
-        min_packets: windows with fewer packets are dropped.
-
-    Returns sub-traces whose timestamps are re-based to the window start
-    so features never depend on absolute time.  The non-time columns of
-    each slice are views into ``trace`` — treat them as read-only.
-    """
-    require_positive(window, "window")
-    require(min_packets >= 1, "min_packets must be >= 1")
-    if len(trace) == 0:
-        return []
-    edges = window_edges(trace.times, window)
-    indices = np.searchsorted(trace.times, edges)
-    slices: list[Trace] = []
-    for k in range(len(edges) - 1):
-        lo, hi = int(indices[k]), int(indices[k + 1])
-        if hi - lo < min_packets:
-            continue
-        slices.append(
-            Trace._trusted(
-                trace.times[lo:hi] - float(edges[k]),
-                trace.sizes[lo:hi],
-                trace.directions[lo:hi],
-                trace.ifaces[lo:hi],
-                trace.channels[lo:hi],
-                trace.rssi[lo:hi],
-                trace.label,
-                {},
-            )
-        )
-    return slices
-
-
-def window_traces(
-    flows: list[Trace],
-    window: float,
-    min_packets: int = 2,
-) -> list[Trace]:
-    """Windows across several observable flows, concatenated."""
-    out: list[Trace] = []
-    for flow in flows:
-        out.extend(sliding_windows(flow, window, min_packets))
-    return out

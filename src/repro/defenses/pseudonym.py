@@ -37,9 +37,22 @@ class PseudonymDefense(Scheme):
         self.epoch = float(epoch)
 
     def _epochs(self, times: np.ndarray) -> np.ndarray:
-        """The pseudonym epoch of each packet time (the first opens epoch 0)."""
+        """The pseudonym epoch of each packet time (the first opens epoch 0).
+
+        Epoch ids become int16 interface ids, so a trace may span at
+        most 32,768 epochs; beyond that ids would wrap around and merge
+        epochs far apart into one flow.
+        """
         start = float(times[0]) if len(times) else 0.0
-        return np.floor((times - start) / self.epoch).astype(np.int16)
+        epochs = np.floor((times - start) / self.epoch)
+        limit = int(np.iinfo(np.int16).max) + 1
+        if len(epochs) and epochs[-1] >= limit:
+            raise ValueError(
+                f"pseudonym epoch {self.epoch:g} s splits the trace into "
+                f"{int(epochs[-1]) + 1} epochs; at most {limit} fit the "
+                "int16 interface ids"
+            )
+        return epochs.astype(np.int16)
 
     def transform(self, trace: Trace) -> DefendedTraffic:
         """Assign each packet to the pseudonym active at its timestamp."""

@@ -21,14 +21,12 @@ from collections.abc import Iterator
 from repro.devtools.lint import FileContext, Rule, register_rule
 
 #: Modules whose transforms provably preserve Trace invariants:
-#: trace.py (the class itself + its slicing/merge helpers), windows.py
-#: (column views of an already-valid trace), store.py (zero-copy
-#: rebuilds of columns that were validated chunk-by-chunk at write
-#: time).  Grow this list only with a transform whose output invariants
-#: follow from its input's.
+#: trace.py (the class itself + its slicing/merge helpers) and store.py
+#: (zero-copy rebuilds of columns that were validated chunk-by-chunk at
+#: write time).  Grow this list only with a transform whose output
+#: invariants follow from its input's.
 ALLOWED_MODULES = (
     "repro/traffic/trace.py",
-    "repro/analysis/windows.py",
     "repro/storage/store.py",
 )
 

@@ -286,9 +286,7 @@ def _run_cell(cell: ExperimentCell) -> GridCell:
         matrices_by_label[label] = []
         for trace in traces:
             matrices_by_label[label].extend(
-                runner.flow_feature_matrices(
-                    stack, trace, pipeline.window, pipeline.min_packets
-                )
+                runner.flow_feature_matrices(stack, trace, pipeline.window)
             )
             stages = runner.stage_overhead(stack, trace)
             original_bytes += trace.total_bytes

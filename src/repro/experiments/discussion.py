@@ -107,14 +107,10 @@ def _run_combined_cell(cell: ExperimentCell) -> CombinedDefenseResult:
         for trace in traces:
             original_bytes += trace.total_bytes
             or_matrices[label].extend(
-                runner.flow_feature_matrices(
-                    orthogonal, trace, window, pipeline.min_packets
-                )
+                runner.flow_feature_matrices(orthogonal, trace, window)
             )
             combined_matrices[label].extend(
-                runner.flow_feature_matrices(
-                    combined, trace, window, pipeline.min_packets
-                )
+                runner.flow_feature_matrices(combined, trace, window)
             )
             extra_bytes += sum(
                 stage.extra_bytes for stage in runner.stage_overhead(combined, trace)

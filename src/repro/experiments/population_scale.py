@@ -264,9 +264,7 @@ def _run_cell(cell: ExperimentCell) -> PopulationShardResult:
                         params.seed, "population", "defense", station
                     ),
                 )
-                matrices = runner.flow_feature_matrices(
-                    stack, trace, window, pipeline.min_packets
-                )
+                matrices = runner.flow_feature_matrices(stack, trace, window)
                 stages = runner.stage_overhead(stack, trace)
                 # Out of core: nothing cached may outlive its station.
                 runner.window_cache.clear()

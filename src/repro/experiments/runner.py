@@ -33,9 +33,9 @@ from repro.traffic.trace import Trace
 __all__ = ["ExperimentRunner", "attack_pipeline"]
 
 #: What the evaluation entry points accept as "a scheme": a registry
-#: spec / composition, an already-built Scheme, or None for the
-#: undefended original.
-SchemeLike = "Scheme | SchemeSpec | Sequence[SchemeSpec] | str | None"
+#: spec / composition (the undefended original is ``"original"``) or an
+#: already-built Scheme.
+SchemeLike = "Scheme | SchemeSpec | Sequence[SchemeSpec] | str"
 
 
 def attack_pipeline(window: float, seed: int) -> AttackPipeline:
@@ -108,9 +108,9 @@ class ExperimentRunner:
                 self._built[key] = build_stack(key, self.scenario.seed)
         return self._built[key]
 
-    def _resolve(self, scheme: "SchemeLike") -> Scheme | None:
-        """The identity-stable Scheme behind ``scheme`` (``None``: undefended)."""
-        if scheme is None or isinstance(scheme, Scheme):
+    def _resolve(self, scheme: "SchemeLike") -> Scheme:
+        """The identity-stable Scheme behind ``scheme``."""
+        if isinstance(scheme, Scheme):
             return scheme
         return self.scheme(scheme)
 
@@ -144,10 +144,7 @@ class ExperimentRunner:
         it.  A cell therefore observes identical ``scheme.*`` counts
         whether it shares a warm serial cache or a cold per-worker one.
         """
-        applied = self._resolve(scheme)
-        if applied is None:
-            return [trace]
-        defended, subprofile = self._defended(applied, trace)
+        defended, subprofile = self._defended(self._resolve(scheme), trace)
         obs.replay(subprofile)
         return defended.observable_flows
 
@@ -156,7 +153,6 @@ class ExperimentRunner:
         scheme: "SchemeLike",
         trace: Trace,
         window: float,
-        min_packets: int = 2,
     ) -> list[np.ndarray]:
         """Per-observable-flow feature matrices of ``trace`` under ``scheme``.
 
@@ -172,25 +168,17 @@ class ExperimentRunner:
         the materializing oracle element-for-element.
         """
         applied = self._resolve(scheme)
-        if applied is None:
-            return [self._cache.feature_matrix(trace, window, min_packets)]
         plan, plan_subprofile = self._plan(applied, trace)
         if plan is None:
             flows = self.observable_flows(applied, trace)
             obs.add("batch.fallback_flows", len(flows))
-            return [
-                self._cache.feature_matrix(flow, window, min_packets)
-                for flow in flows
-            ]
+            return [self._cache.feature_matrix(flow, window) for flow in flows]
         obs.replay(plan_subprofile)
         matrices, subprofile = self._cache.fused_matrices(
             applied,
             trace,
             window,
-            min_packets,
-            lambda: obs.captured(
-                lambda: fused_flow_matrices(trace, plan, window, min_packets)
-            ),
+            lambda: obs.captured(lambda: fused_flow_matrices(trace, plan, window)),
         )
         obs.replay(subprofile)
         return matrices
@@ -206,11 +194,9 @@ class ExperimentRunner:
         accounting never costs a second ``apply``.  The totals are the
         sums over stages; the last stage's ``flows`` is the observable
         flow count.  Records no scheme telemetry (the featurization
-        request replays it); the undefended original has no stages.
+        request replays it).
         """
         applied = self._resolve(scheme)
-        if applied is None:
-            return ()
         plan, _ = self._plan(applied, trace)
         if plan is not None:
             return plan.stages
@@ -233,11 +219,7 @@ class ExperimentRunner:
         for label, traces in self.scenario.evaluation_by_label().items():
             matrices: list[np.ndarray] = []
             for trace in traces:
-                matrices.extend(
-                    self.flow_feature_matrices(
-                        scheme, trace, window, pipeline.min_packets
-                    )
-                )
+                matrices.extend(self.flow_feature_matrices(scheme, trace, window))
             matrices_by_label[label] = matrices
         return pipeline.evaluate_matrices(matrices_by_label)
 

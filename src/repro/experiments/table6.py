@@ -127,9 +127,7 @@ def _app_row(
     matrices: list[np.ndarray] = []
     for session_index, trace in enumerate(scenario.evaluation_by_app()[app]):
         matrices.extend(
-            runner.flow_feature_matrices(
-                padding, trace, pipeline.window, pipeline.min_packets
-            )
+            runner.flow_feature_matrices(padding, trace, pipeline.window)
         )
         extra = sum(stage.extra_bytes for stage in runner.stage_overhead(padding, trace))
         pad_overheads.append(

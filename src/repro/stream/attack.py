@@ -91,7 +91,6 @@ class OnlineAttack:
         classes: label per class index.
         scaler: fitted scaler standardizing raw feature rows (ignored
             when ``transform`` is given).
-        min_packets: minimum packets per classifiable window.
         feature_indices: optional feature-column subset (mirrors
             :class:`~repro.analysis.attack.AttackPipeline`; ignored when
             ``transform`` is given).
@@ -109,7 +108,6 @@ class OnlineAttack:
         classifier: Classifier,
         classes: tuple[str, ...],
         scaler=None,
-        min_packets: int = 2,
         feature_indices: tuple[int, ...] | None = None,
         learn: bool = False,
         transform: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -131,7 +129,7 @@ class OnlineAttack:
                     matrix = matrix[:, list(select)]
                 return scaler.transform(matrix)
 
-        self.featurizer = StreamingFeaturizer(window, min_packets)
+        self.featurizer = StreamingFeaturizer(window)
         self._classifier = classifier
         self._classes = tuple(classes)
         self._class_index = {label: i for i, label in enumerate(self._classes)}
@@ -160,7 +158,6 @@ class OnlineAttack:
             window=pipeline.window,
             classifier=pipeline.classifier,
             classes=pipeline.classes,
-            min_packets=pipeline.min_packets,
             learn=learn,
             transform=pipeline.transform_matrix,
         )

@@ -39,7 +39,7 @@ hold exactly rather than approximately:
   its segment sits in a whole flow (batch), a chunk's stacked windows
   or one window's buffer, so the bits agree;
 * like the batch path, only downlink/uplink packets are featurized and
-  counted toward ``min_packets``.
+  counted toward ``MIN_WINDOW_PACKETS``.
 
 Memory is O(open windows): per flow, only the current window's packets
 are buffered, so a multi-million-packet capture streams in bounded
@@ -65,9 +65,14 @@ import numpy as np
 
 from repro import obs
 from repro.analysis.batch import _grid_block, _window_block
-from repro.analysis.windows import grid_edges, window_index, window_indices
+from repro.analysis.windows import (
+    MIN_WINDOW_PACKETS,
+    grid_edges,
+    window_index,
+    window_indices,
+)
 from repro.stream.source import PacketChunk
-from repro.util.validation import require, require_positive
+from repro.util.validation import require_positive
 
 __all__ = ["ClosedWindow", "StreamingFeaturizer"]
 
@@ -161,8 +166,9 @@ class StreamingFeaturizer:
 
     Args:
         window: the eavesdropping duration W in seconds.
-        min_packets: windows with fewer downlink + uplink packets are
-            dropped (matching the batch path's filter).
+
+    Windows with fewer than ``MIN_WINDOW_PACKETS`` downlink + uplink
+    packets are dropped, as on the batch path.
 
     Feed it with :meth:`push_chunk`, or packet by packet with
     :meth:`push` (or :meth:`push_event`), in per-flow time order;
@@ -170,11 +176,9 @@ class StreamingFeaturizer:
     when the capture ends to close the windows still open.
     """
 
-    def __init__(self, window: float, min_packets: int = 2):
+    def __init__(self, window: float):
         require_positive(window, "window")
-        require(min_packets >= 1, "min_packets must be >= 1")
         self.window = float(window)
-        self.min_packets = int(min_packets)
         self._flows: dict[object, _FlowState] = {}
         self._open_packets = 0
         self.windows_emitted = 0
@@ -482,13 +486,13 @@ class StreamingFeaturizer:
         starts: np.ndarray,
         labels: list[str | None],
     ) -> list[ClosedWindow]:
-        """The kernel's windows that meet ``min_packets``, in row order.
+        """The kernel's windows that meet ``MIN_WINDOW_PACKETS``, in row order.
 
         ``flows``, ``indices`` (grid index), ``starts`` (left edge) and
         ``labels`` describe each row's window, ``totals`` its packet
         count.  Counts the emitted and dropped windows.
         """
-        kept = np.flatnonzero(totals >= self.min_packets)
+        kept = np.flatnonzero(totals >= MIN_WINDOW_PACKETS)
         dropped = np.count_nonzero(totals) - len(kept)
         if dropped:
             obs.add("stream.windows_dropped", dropped)

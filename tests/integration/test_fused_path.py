@@ -42,10 +42,10 @@ def scenario():
 
 
 def legacy_report(runner, spec, window):
-    """The materializing oracle's report for ``spec`` (None: undefended)."""
+    """The materializing oracle's report for ``spec``."""
     return materializing.evaluate_scheme(
         runner.pipeline(window),
-        None if spec is None else runner.scheme(spec),
+        runner.scheme(spec),
         runner.scenario.evaluation_by_label(),
     )
 
@@ -58,9 +58,7 @@ def assert_reports_equal(fused, reference):
 
 
 class TestRunnerParity:
-    @pytest.mark.parametrize(
-        "spec", [canonical for _, canonical in LEGACY_SCHEME_SPECS] + [None]
-    )
+    @pytest.mark.parametrize("spec", [canonical for _, canonical in LEGACY_SCHEME_SPECS])
     def test_reports_match_materializing_loop(self, scenario, spec):
         fused_runner = ExperimentRunner(scenario)
         legacy_runner = ExperimentRunner(scenario)

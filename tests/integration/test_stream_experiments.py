@@ -87,7 +87,7 @@ class TestStreamingParity:
                         PacketStream.replay(flow, station="f", label=label)
                     )
                     expected = pipeline.classify_matrix(
-                        flow_feature_matrix(flow, 5.0, 2)
+                        flow_feature_matrix(flow, 5.0)
                     )
                     assert [p.predicted for p in attacker.predictions] == expected
 

@@ -43,25 +43,19 @@ __all__ = [
 
 
 def defended_matrices(
-    scheme: Scheme | None,
+    scheme: Scheme,
     trace: Trace,
     window: float,
-    min_packets: int = 2,
-) -> tuple[list[np.ndarray], DefendedTraffic | None]:
+) -> tuple[list[np.ndarray], DefendedTraffic]:
     """Per-flow matrices of ``trace`` under ``scheme`` via a real ``apply``."""
-    if scheme is None:
-        return [flow_feature_matrix(trace, window, min_packets)], None
     defended = scheme.apply(trace)
-    matrices = [
-        flow_feature_matrix(flow, window, min_packets)
-        for flow in defended.observable_flows
-    ]
+    matrices = [flow_feature_matrix(flow, window) for flow in defended.observable_flows]
     return matrices, defended
 
 
 def evaluate_scheme(
     pipeline: AttackPipeline,
-    scheme: Scheme | None,
+    scheme: Scheme,
     traces_by_label: dict[str, list[Trace]],
 ) -> AttackReport:
     """The materializing counterpart of ``ExperimentRunner.evaluate_scheme``."""
@@ -69,9 +63,7 @@ def evaluate_scheme(
         label: [
             matrix
             for trace in traces
-            for matrix in defended_matrices(
-                scheme, trace, pipeline.window, pipeline.min_packets
-            )[0]
+            for matrix in defended_matrices(scheme, trace, pipeline.window)[0]
         ]
         for label, traces in traces_by_label.items()
     }

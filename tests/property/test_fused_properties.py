@@ -59,19 +59,19 @@ def compositions(draw):
     )
 
 
-def oracle_matrices(scheme, trace, window, min_packets):
-    """The legacy path: materialize flows, featurize each."""
+def oracle_matrices(scheme, trace, window):
+    """The materializing path: apply the scheme, featurize each flow."""
     return [
-        flow_feature_matrix(flow, window, min_packets)
+        flow_feature_matrix(flow, window)
         for flow in scheme.apply(trace).observable_flows
     ]
 
 
-def assert_fused_matches_oracle(scheme, trace, window, min_packets=2):
+def assert_fused_matches_oracle(scheme, trace, window):
     plan = scheme.fused_plan(trace)
     assert plan is not None
-    fused = fused_flow_matrices(trace, plan, window, min_packets)
-    reference = oracle_matrices(scheme, trace, window, min_packets)
+    fused = fused_flow_matrices(trace, plan, window)
+    reference = oracle_matrices(scheme, trace, window)
     assert len(fused) == len(reference)
     for ours, oracle in zip(fused, reference):
         np.testing.assert_array_equal(ours, oracle)
@@ -95,15 +95,11 @@ class TestFusedParity:
     def test_every_fusable_stack_matches(self, composition, trace, seed):
         assert_fused_matches_oracle(build_stack(composition, seed), trace, window=5.0)
 
-    @given(
-        trace=traces(),
-        min_packets=st.integers(min_value=1, max_value=6),
-        window=st.floats(min_value=0.5, max_value=30.0),
-    )
+    @given(trace=traces(), window=st.floats(min_value=0.5, max_value=30.0))
     @settings(max_examples=40, deadline=None)
-    def test_min_packets_and_window_filtering(self, trace, min_packets, window):
+    def test_min_packets_and_window_filtering(self, trace, window):
         scheme = build_stack("padding+or", seed=3)
-        assert_fused_matches_oracle(scheme, trace, window, min_packets)
+        assert_fused_matches_oracle(scheme, trace, window)
 
     @given(trace=traces())
     @settings(max_examples=30, deadline=None)
@@ -147,7 +143,7 @@ class TestMemmappedSources:
                 stored = store.trace(index)
                 plan = scheme.fused_plan(stored)
                 fused = fused_flow_matrices(stored, plan, window=5.0)
-                reference = oracle_matrices(scheme, original, 5.0, 2)
+                reference = oracle_matrices(scheme, original, 5.0)
                 assert len(fused) == len(reference)
                 for ours, oracle in zip(fused, reference):
                     np.testing.assert_array_equal(ours, oracle)
@@ -169,7 +165,7 @@ class TestMemmappedSources:
                 original = by_packets[len(stored)]
                 plan = scheme.fused_plan(stored)
                 fused = fused_flow_matrices(stored, plan, window=5.0)
-                reference = oracle_matrices(scheme, original, 5.0, 2)
+                reference = oracle_matrices(scheme, original, 5.0)
                 for ours, oracle in zip(fused, reference):
                     np.testing.assert_array_equal(ours, oracle)
         finally:

@@ -107,16 +107,16 @@ def heap_order(capture) -> list[PacketEvent]:
     return [event for _, event in sorted(keyed, key=lambda pair: pair[0])]
 
 
-def chunk_route(stream, window, min_packets):
-    featurizer = StreamingFeaturizer(window, min_packets)
+def chunk_route(stream, window):
+    featurizer = StreamingFeaturizer(window)
     with obs.capture() as capture:
         closed = [w for chunk in stream.chunks() for w in featurizer.push_chunk(chunk)]
         closed += featurizer.flush()
     return featurizer, closed, capture.metrics
 
 
-def event_route(events, window, min_packets):
-    featurizer = StreamingFeaturizer(window, min_packets)
+def event_route(events, window):
+    featurizer = StreamingFeaturizer(window)
     with obs.capture() as capture:
         closed = [w for event in events for w in featurizer.push_event(event)]
         closed += featurizer.flush()
@@ -148,20 +148,13 @@ def test_merge_emits_heap_merge_order(capture, size):
         assert list(stream_of(capture)) == heap_order(capture)
 
 
-@given(
-    capture=captures(),
-    size=CHUNK_SIZES,
-    window=windows,
-    min_packets=st.integers(1, 3),
-)
+@given(capture=captures(), size=CHUNK_SIZES, window=windows)
 @settings(max_examples=150, deadline=None)
-def test_chunk_route_equals_per_event_push(capture, size, window, min_packets):
+def test_chunk_route_equals_per_event_push(capture, size, window):
     stream = stream_of(capture)
     with chunk_size(size):
-        ours, closed, metrics = chunk_route(stream, window, min_packets)
-    reference, expected, reference_metrics = event_route(
-        heap_order(capture), window, min_packets
-    )
+        ours, closed, metrics = chunk_route(stream, window)
+    reference, expected, reference_metrics = event_route(heap_order(capture), window)
     assert_same_windows(closed, expected)
     assert_same_telemetry(metrics, reference_metrics)
     assert ours.peak_open_packets == reference.peak_open_packets
@@ -185,7 +178,7 @@ def test_event_batching_adapter_equals_per_event_push(capture, size, window):
                 for w in featurizer.push_chunk(chunk)
             ]
             closed += featurizer.flush()
-    reference, expected, reference_metrics = event_route(events, window, 2)
+    reference, expected, reference_metrics = event_route(events, window)
     assert_same_windows(closed, expected)
     assert_same_telemetry(capture_metrics.metrics, reference_metrics)
     assert featurizer.peak_open_packets == reference.peak_open_packets
@@ -194,7 +187,7 @@ def test_event_batching_adapter_equals_per_event_push(capture, size, window):
 def test_chunks_counter_is_deterministic():
     trace = Trace.from_arrays(np.arange(10) * 0.5, [100] * 10)
     with chunk_size(3):
-        _, _, metrics = chunk_route(PacketStream.replay(trace, station="f"), 1.0, 1)
+        _, _, metrics = chunk_route(PacketStream.replay(trace, station="f"), 1.0)
     assert metrics.counters["stream.chunks"] == 4
 
 
@@ -223,16 +216,12 @@ def many_stations(stations=72, seed=9):
 
 
 @pytest.mark.parametrize("size", [64, stream_source._CHUNK_EVENTS])
-@pytest.mark.parametrize("window, min_packets", [(5.0, 2), (0.30000000000000004, 1)])
-def test_many_stations_chunk_route_equals_per_event_and_batch(
-    size, window, min_packets
-):
+@pytest.mark.parametrize("window", [5.0, 0.30000000000000004])
+def test_many_stations_chunk_route_equals_per_event_and_batch(size, window):
     capture = many_stations()
     with chunk_size(size):
-        ours, closed, metrics = chunk_route(stream_of(capture), window, min_packets)
-    reference, expected, reference_metrics = event_route(
-        heap_order(capture), window, min_packets
-    )
+        ours, closed, metrics = chunk_route(stream_of(capture), window)
+    reference, expected, reference_metrics = event_route(heap_order(capture), window)
     assert len({w.flow for w in closed}) >= 64
     assert_same_windows(closed, expected)
     assert_same_telemetry(metrics, reference_metrics)
@@ -243,7 +232,7 @@ def test_many_stations_chunk_route_equals_per_event_and_batch(
         mine = [w for w in closed if w.flow == station]
         assert all(w.label == label for w in mine)
         rows = np.array([w.features for w in mine]).reshape(len(mine), 12)
-        assert np.array_equal(rows, flow_feature_matrix(trace, window, min_packets))
+        assert np.array_equal(rows, flow_feature_matrix(trace, window))
 
 
 # -- the attacker ------------------------------------------------------------
@@ -361,9 +350,9 @@ def test_from_store_equals_in_memory_replay(tiny_corpus, tmp_path):
         [(trace, f"sta{index}", trace.label, 0.0)] for index, trace in enumerate(traces)
     ]
     with chunk_size(500):
-        _, off_disk, disk_metrics = chunk_route(PacketStream.from_store(store), 5.0, 2)
-        _, from_ram, ram_metrics = chunk_route(stream_of(in_memory), 5.0, 2)
-    _, expected, _ = event_route(heap_order(in_memory), 5.0, 2)
+        _, off_disk, disk_metrics = chunk_route(PacketStream.from_store(store), 5.0)
+        _, from_ram, ram_metrics = chunk_route(stream_of(in_memory), 5.0)
+    _, expected, _ = event_route(heap_order(in_memory), 5.0)
     assert len(off_disk) > 100
     assert_same_windows(off_disk, from_ram)
     assert_same_windows(off_disk, expected)

@@ -51,8 +51,8 @@ windows = st.one_of(
 )
 
 
-def _stream_rows(trace, window, min_packets, flow="f"):
-    featurizer = StreamingFeaturizer(window, min_packets)
+def _stream_rows(trace, window, flow="f"):
+    featurizer = StreamingFeaturizer(window)
     closed = []
     for event in PacketStream.replay(trace, station=flow):
         closed.extend(featurizer.push_event(event))
@@ -62,11 +62,11 @@ def _stream_rows(trace, window, min_packets, flow="f"):
     return np.vstack([w.features for w in closed])
 
 
-@given(trace=flows(), window=windows, min_packets=st.integers(1, 4))
+@given(trace=flows(), window=windows)
 @settings(max_examples=120, deadline=None)
-def test_streaming_matches_batch_bit_for_bit(trace, window, min_packets):
-    reference = flow_feature_matrix(trace, window, min_packets)
-    ours = _stream_rows(trace, window, min_packets)
+def test_streaming_matches_batch_bit_for_bit(trace, window):
+    reference = flow_feature_matrix(trace, window)
+    ours = _stream_rows(trace, window)
     assert ours.shape == reference.shape
     assert np.array_equal(ours, reference)
 
@@ -82,13 +82,13 @@ def test_merged_stations_featurize_independently(traces, window):
         PacketStream.replay(trace, station=f"s{index}")
         for index, trace in enumerate(traces)
     ]
-    featurizer = StreamingFeaturizer(window, min_packets=2)
+    featurizer = StreamingFeaturizer(window)
     closed = []
     for event in PacketStream.merge(streams):
         closed.extend(featurizer.push_event(event))
     closed.extend(featurizer.flush())
     for index, trace in enumerate(traces):
-        reference = flow_feature_matrix(trace, window, 2)
+        reference = flow_feature_matrix(trace, window)
         rows = [w.features for w in closed if w.flow == f"s{index}"]
         ours = (
             np.vstack(rows) if rows else np.empty((0, 12), dtype=np.float64)
@@ -100,7 +100,7 @@ def test_merged_stations_featurize_independently(traces, window):
 @settings(max_examples=60, deadline=None)
 def test_memory_stays_bounded_by_the_densest_window(trace, window):
     """Buffered packets never exceed one window's occupancy per flow."""
-    featurizer = StreamingFeaturizer(window, min_packets=2)
+    featurizer = StreamingFeaturizer(window)
     for event in PacketStream.replay(trace, station="f"):
         featurizer.push_event(event)
     from repro.analysis.windows import window_edges

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.windows import sliding_windows
+from oracles.windows import sliding_windows
 from repro.traffic.trace import Trace, concat_traces, merge_traces
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.attack import AttackPipeline
+from repro.analysis.batch import augment_direction_dropout, flow_feature_matrix
 from repro.core.base import ReshaperScheme
 from repro.core.schedulers import OrthogonalReshaper
 from repro.defenses.padding import PacketPadding
@@ -51,17 +52,24 @@ class TestTraining:
         with pytest.raises(ValueError):
             AttackPipeline(window=0.0)
 
+    @pytest.mark.parametrize("window", [float("nan"), float("inf")])
+    def test_rejects_non_finite_window(self, window):
+        with pytest.raises(ValueError, match="window must be"):
+            AttackPipeline(window=window)
+
 
 class TestTrainingPieces:
     """train is training_rows per trace, then fit_rows on the lot."""
 
     def test_rows_are_windows_then_their_one_sided_variants(self, tiny_corpus_module):
         trace = tiny_corpus_module["browsing"][0]
-        plain = AttackPipeline(window=5.0, augment_directions=False)
-        windows = plain.training_rows(trace)
+        windows = flow_feature_matrix(trace, 5.0)
         rows = AttackPipeline(window=5.0).training_rows(trace)
         assert len(rows) > len(windows) > 0
         np.testing.assert_array_equal(rows[: len(windows)], windows)
+        np.testing.assert_array_equal(
+            rows[len(windows) :], augment_direction_dropout(windows, 5.0)
+        )
 
     def test_fit_rows_through_a_map_equals_train(self, trained, tiny_corpus_module):
         pipeline = AttackPipeline(window=5.0, seed=0)
@@ -104,9 +112,7 @@ class TestEvaluation:
         assert report.accuracy_by_class["bittorrent"] < 60.0
 
     def test_per_window_features_classify_like_matrix_path(self, trained):
-        from repro.analysis.batch import flow_feature_matrix
-        from repro.analysis.features import extract_features
-        from repro.analysis.windows import sliding_windows
+        from oracles.windows import extract_features, sliding_windows
         from repro.traffic.generator import TrafficGenerator
 
         generator = TrafficGenerator(seed=782)
@@ -117,9 +123,7 @@ class TestEvaluation:
                 [extract_features(w, trained.window, label=None).vector for w in windows]
             )
         )
-        batched = trained.classify_matrix(
-            flow_feature_matrix(flow, trained.window, trained.min_packets)
-        )
+        batched = trained.classify_matrix(flow_feature_matrix(flow, trained.window))
         assert per_window == batched
 
     def test_classify_matrix_empty(self, trained):

@@ -1,10 +1,11 @@
 """Tests for the vectorized batch featurization engine.
 
-The batch engine must reproduce the legacy per-window path
-(``sliding_windows`` → ``extract_features``) element-for-element; the
-property tests below sweep randomized traces through both paths,
-covering single-packet windows, empty directions, duplicate timestamps
-and packets landing exactly on window edges.
+The batch engine must reproduce the per-window oracle
+(``tests/oracles/windows.py``: ``sliding_windows`` →
+``extract_features``) element-for-element; the tests below sweep
+randomized traces through both paths, covering single-packet
+directions, empty directions, duplicate timestamps and packets landing
+exactly on window edges.
 """
 
 from unittest import mock
@@ -18,26 +19,21 @@ from repro.analysis.batch import (
     augment_direction_dropout,
     flow_feature_matrix,
 )
-from repro.defenses.base import DefendedTraffic
-from repro.analysis.features import (
+from oracles.windows import (
     direction_dropout_variants,
     features_from_windows,
+    sliding_windows,
+    window_feature_matrix,
+    window_traces,
 )
-from repro.analysis.windows import grid_edges, sliding_windows, window_traces
+from repro.analysis.windows import grid_edges
+from repro.defenses.base import DefendedTraffic
 from repro.traffic.trace import Trace
 
 
-def legacy_matrix(trace: Trace, window: float, min_packets: int) -> np.ndarray:
-    """The reference oracle: per-window featurization, stacked."""
-    features = features_from_windows(
-        sliding_windows(trace, window, min_packets), window
-    )
-    return np.array([f.vector for f in features]).reshape(len(features), 12)
-
-
-def assert_matches_legacy(trace: Trace, window: float, min_packets: int) -> None:
-    reference = legacy_matrix(trace, window, min_packets)
-    batch = flow_feature_matrix(trace, window, min_packets)
+def assert_matches_legacy(trace: Trace, window: float) -> None:
+    reference = window_feature_matrix(trace, window)
+    batch = flow_feature_matrix(trace, window)
     assert batch.shape == reference.shape
     if len(reference):
         # Count/max/min features involve no accumulation and must match
@@ -68,46 +64,57 @@ class TestFlowFeatureMatrix:
         rng = np.random.default_rng(seed)
         for _ in range(8):
             n = int(rng.integers(1, 300))
-            min_packets = int(rng.integers(1, 4))
-            assert_matches_legacy(random_trace(rng, n, window), window, min_packets)
+            assert_matches_legacy(random_trace(rng, n, window), window)
 
-    def test_single_packet_windows(self):
-        trace = Trace.from_arrays([0.0, 7.0, 14.0], [100, 200, 300], directions=[0, 1, 0])
-        assert_matches_legacy(trace, 5.0, 1)
+    def test_single_packet_directions(self):
+        # One packet per direction per window: no interarrival gap at
+        # all; the lone packet at 20 s falls under the filter.
+        trace = Trace.from_arrays(
+            [0.0, 1.0, 7.0, 8.0, 14.0, 14.5, 20.0],
+            [100, 200, 300, 400, 500, 600, 700],
+            directions=[0, 1, 1, 0, 0, 1, 0],
+        )
+        assert_matches_legacy(trace, 5.0)
+        assert len(flow_feature_matrix(trace, 5.0)) == 3
 
     def test_empty_direction(self):
         trace = Trace.from_arrays(np.arange(20) * 0.5, np.full(20, 64), directions=np.zeros(20))
-        assert_matches_legacy(trace, 5.0, 2)
-        matrix = flow_feature_matrix(trace, 5.0, 2)
+        assert_matches_legacy(trace, 5.0)
+        matrix = flow_feature_matrix(trace, 5.0)
         # Uplink block carries the empty-direction encoding everywhere.
         assert np.all(matrix[:, 6:11] == 0.0)
         assert np.allclose(matrix[:, 11], np.log(5.0 + 1e-3))
 
     def test_packets_exactly_on_edges(self):
-        # Every packet sits on a window boundary, including the final one.
-        trace = Trace.from_arrays(np.arange(7) * 5.0, np.full(7, 700), directions=[0, 1] * 3 + [0])
-        assert_matches_legacy(trace, 5.0, 1)
+        # Every packet sits on a window boundary, including the final two.
+        trace = Trace.from_arrays(
+            np.repeat(np.arange(7) * 5.0, 2), np.full(14, 700), directions=[0, 1] * 7
+        )
+        assert_matches_legacy(trace, 5.0)
+        assert len(flow_feature_matrix(trace, 5.0)) == 7
 
     def test_duplicate_timestamps(self):
         times = np.repeat([0.0, 2.0, 5.0, 5.0, 9.5], 3)
         trace = Trace.from_arrays(times, np.arange(1, 16), directions=[0, 1, 0] * 5)
-        assert_matches_legacy(trace, 5.0, 1)
+        assert_matches_legacy(trace, 5.0)
 
     def test_idle_gaps_beyond_cutoff(self):
         # W = 60 s > the 5 s idle cutoff: in-window gaps longer than 5 s
         # must be excluded from the interarrival mean.
         times = [0.0, 1.0, 20.0, 21.0, 55.0]
         trace = Trace.from_arrays(times, [10] * 5, directions=np.zeros(5))
-        assert_matches_legacy(trace, 60.0, 1)
+        assert_matches_legacy(trace, 60.0)
 
     def test_empty_trace(self):
         assert flow_feature_matrix(Trace.empty(), 5.0).shape == (0, 12)
 
     def test_min_packets_filter_matches_window_count(self):
-        rng = np.random.default_rng(11)
-        trace = random_trace(rng, 200, 5.0)
-        windows = sliding_windows(trace, 5.0, min_packets=3)
-        assert len(flow_feature_matrix(trace, 5.0, min_packets=3)) == len(windows)
+        # Windows 1 and 4 hold one packet each and are dropped.
+        trace = Trace.from_arrays(
+            [0.0, 1.0, 7.0, 12.0, 13.0, 21.0], np.full(6, 100), directions=[0, 1] * 3
+        )
+        assert_matches_legacy(trace, 5.0)
+        assert len(flow_feature_matrix(trace, 5.0)) == len(sliding_windows(trace, 5.0)) == 2
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
@@ -119,10 +126,6 @@ class TestFlowFeatureMatrix:
         with pytest.raises(ValueError, match="window must be finite, got inf"):
             flow_feature_matrix(trace, float("inf"))
 
-    def test_rejects_bad_min_packets(self):
-        with pytest.raises(ValueError):
-            flow_feature_matrix(Trace.empty(), 5.0, min_packets=0)
-
 
 class TestBlockRuns:
     """Reducing a direction in runs of windows changes no feature bit."""
@@ -133,17 +136,17 @@ class TestBlockRuns:
         rng = np.random.default_rng(packets)
         for _ in range(6):
             trace = random_trace(rng, int(rng.integers(1, 400)), window)
-            whole = flow_feature_matrix(trace, window, 1)
+            whole = flow_feature_matrix(trace, window)
             with mock.patch.object(batch, "_BLOCK_PACKETS", packets):
-                runs = flow_feature_matrix(trace, window, 1)
+                runs = flow_feature_matrix(trace, window)
             assert np.array_equal(runs, whole)
 
     def test_window_larger_than_a_run(self):
         # One window holds more packets than a run: it is reduced whole.
         trace = Trace.from_arrays(np.linspace(0.0, 4.9, 50), np.arange(1, 51))
-        whole = flow_feature_matrix(trace, 5.0, 1)
+        whole = flow_feature_matrix(trace, 5.0)
         with mock.patch.object(batch, "_BLOCK_PACKETS", 8):
-            assert np.array_equal(flow_feature_matrix(trace, 5.0, 1), whole)
+            assert np.array_equal(flow_feature_matrix(trace, 5.0), whole)
 
 
 def stacked_inputs(jobs):
@@ -263,18 +266,18 @@ class TestSeveralFlows:
     def test_rows_match_window_traces_in_flow_order(self):
         rng = np.random.default_rng(21)
         flows = [random_trace(rng, 120, 5.0) for _ in range(3)]
-        stacked = np.concatenate([flow_feature_matrix(f, 5.0, 2) for f in flows])
-        reference = np.concatenate([legacy_matrix(f, 5.0, 2) for f in flows])
+        stacked = np.concatenate([flow_feature_matrix(f, 5.0) for f in flows])
+        reference = np.concatenate([window_feature_matrix(f, 5.0) for f in flows])
         np.testing.assert_allclose(stacked, reference, rtol=1e-12, atol=1e-12)
-        assert len(stacked) == len(window_traces(flows, 5.0, 2))
+        assert len(stacked) == len(window_traces(flows, 5.0))
 
 
 class TestAugmentDirectionDropout:
     def test_matches_reference_variants(self):
         rng = np.random.default_rng(31)
         trace = random_trace(rng, 250, 5.0)
-        matrix = flow_feature_matrix(trace, 5.0, 2)
-        features = features_from_windows(sliding_windows(trace, 5.0, 2), 5.0)
+        matrix = flow_feature_matrix(trace, 5.0)
+        features = features_from_windows(sliding_windows(trace, 5.0), 5.0)
         reference = []
         for item in features:
             reference.extend(v.vector for v in direction_dropout_variants(item, 5.0))
@@ -292,19 +295,19 @@ class TestWindowCache:
         rng = np.random.default_rng(41)
         cache = WindowCache()
         flow = random_trace(rng, 100, 5.0)
-        first = cache.feature_matrix(flow, 5.0, 2)
-        second = cache.feature_matrix(flow, 5.0, 2)
+        first = cache.feature_matrix(flow, 5.0)
+        second = cache.feature_matrix(flow, 5.0)
         assert first is second
         assert (cache.hits, cache.misses) == (1, 1)
-        cache.feature_matrix(flow, 60.0, 2)  # different window -> miss
+        cache.feature_matrix(flow, 60.0)  # different window -> miss
         assert cache.misses == 2
 
     def test_window_key_normalizes_float_jitter(self):
         rng = np.random.default_rng(42)
         cache = WindowCache()
         flow = random_trace(rng, 100, 5.0)
-        cache.feature_matrix(flow, 0.3, 2)
-        assert cache.feature_matrix(flow, 0.1 + 0.2, 2) is cache.feature_matrix(flow, 0.3, 2)
+        cache.feature_matrix(flow, 0.3)
+        assert cache.feature_matrix(flow, 0.1 + 0.2) is cache.feature_matrix(flow, 0.3)
         assert cache.misses == 1
 
     def test_defended_flows_builds_once(self):
@@ -329,8 +332,8 @@ class TestWindowCache:
     def test_clear(self):
         cache = WindowCache()
         trace = Trace.from_arrays([0.0, 1.0], [10, 20])
-        cache.feature_matrix(trace, 5.0, 2)
+        cache.feature_matrix(trace, 5.0)
         cache.clear()
         assert (cache.hits, cache.misses) == (0, 0)
-        cache.feature_matrix(trace, 5.0, 2)
+        cache.feature_matrix(trace, 5.0)
         assert cache.misses == 1

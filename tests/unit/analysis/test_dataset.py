@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles.windows import WindowFeatures, dataset_from_features
 from repro.analysis.dataset import Dataset, train_test_split
-from repro.analysis.features import WindowFeatures
 
 
 def _features(label: str, count: int) -> list[WindowFeatures]:
@@ -14,35 +14,35 @@ def _features(label: str, count: int) -> list[WindowFeatures]:
 
 class TestDataset:
     def test_from_features(self):
-        dataset = Dataset.from_features(_features("a", 3) + _features("b", 2))
+        dataset = dataset_from_features(_features("a", 3) + _features("b", 2))
         assert len(dataset) == 5
         assert dataset.classes == ("a", "b")
 
     def test_label_indices_stable(self):
-        dataset = Dataset.from_features(_features("b", 1) + _features("a", 1))
+        dataset = dataset_from_features(_features("b", 1) + _features("a", 1))
         indices = dataset.label_indices()
         assert list(indices) == [1, 0]  # classes sorted alphabetically
 
     def test_explicit_class_list(self):
-        dataset = Dataset.from_features(_features("a", 2), classes=("a", "b", "c"))
+        dataset = dataset_from_features(_features("a", 2), classes=("a", "b", "c"))
         assert dataset.classes == ("a", "b", "c")
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
-            Dataset.from_features(_features("z", 1), classes=("a",))
+            dataset_from_features(_features("z", 1), classes=("a",))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            Dataset.from_features([])
+            dataset_from_features([])
 
     def test_subset_preserves_classes(self):
-        dataset = Dataset.from_features(_features("a", 3) + _features("b", 3))
+        dataset = dataset_from_features(_features("a", 3) + _features("b", 3))
         subset = dataset.subset(np.array([True, False, True, False, True, False]))
         assert len(subset) == 3
         assert subset.classes == dataset.classes
 
     def test_class_counts(self):
-        dataset = Dataset.from_features(_features("a", 3) + _features("b", 1))
+        dataset = dataset_from_features(_features("a", 3) + _features("b", 1))
         assert dataset.class_counts() == {"a": 3, "b": 1}
 
     def test_from_matrix(self):
@@ -55,13 +55,13 @@ class TestDataset:
 class TestUnlabeledRows:
     def test_label_none_accepted_without_sentinel(self):
         features = [WindowFeatures(np.zeros(12), None) for _ in range(2)]
-        dataset = Dataset.from_features(features, classes=("a", "b"))
+        dataset = dataset_from_features(features, classes=("a", "b"))
         assert dataset.y == [None, None]
         assert dataset.classes == ("a", "b")
 
     def test_none_excluded_from_inferred_classes(self):
         features = _features("a", 1) + [WindowFeatures(np.zeros(12), None)]
-        dataset = Dataset.from_features(features)
+        dataset = dataset_from_features(features)
         assert dataset.classes == ("a",)
 
     def test_label_indices_rejects_unlabeled(self):
@@ -76,25 +76,25 @@ class TestUnlabeledRows:
 
 class TestTrainTestSplit:
     def test_stratified(self):
-        dataset = Dataset.from_features(_features("a", 20) + _features("b", 10))
+        dataset = dataset_from_features(_features("a", 20) + _features("b", 10))
         train, test = train_test_split(dataset, test_fraction=0.3, seed=0)
         assert len(train) + len(test) == 30
         assert test.class_counts()["a"] == 6
         assert test.class_counts()["b"] == 3
 
     def test_every_class_keeps_training_rows(self):
-        dataset = Dataset.from_features(_features("a", 2) + _features("b", 2))
+        dataset = dataset_from_features(_features("a", 2) + _features("b", 2))
         train, test = train_test_split(dataset, test_fraction=0.5, seed=0)
         assert train.class_counts()["a"] >= 1
         assert train.class_counts()["b"] >= 1
 
     def test_deterministic(self):
-        dataset = Dataset.from_features(_features("a", 10) + _features("b", 10))
+        dataset = dataset_from_features(_features("a", 10) + _features("b", 10))
         split_a = train_test_split(dataset, seed=3)[1].y
         split_b = train_test_split(dataset, seed=3)[1].y
         assert split_a == split_b
 
     def test_rejects_bad_fraction(self):
-        dataset = Dataset.from_features(_features("a", 4))
+        dataset = dataset_from_features(_features("a", 4))
         with pytest.raises(ValueError):
             train_test_split(dataset, test_fraction=1.5)

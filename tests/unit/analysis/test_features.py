@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.analysis.features import (
-    FEATURE_NAMES,
+from oracles.windows import (
     WindowFeatures,
     direction_dropout_variants,
     empty_direction_vector,
     extract_features,
 )
+from repro.analysis.features import FEATURE_NAMES
 from repro.traffic.trace import Trace
 
 

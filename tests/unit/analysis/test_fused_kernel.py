@@ -44,9 +44,7 @@ class TestFusedKernel:
         flows = scheme.apply(trace).observable_flows
         assert len(fused) == len(flows)
         for matrix, flow in zip(fused, flows):
-            np.testing.assert_array_equal(
-                matrix, flow_feature_matrix(flow, 5.0, 2)
-            )
+            np.testing.assert_array_equal(matrix, flow_feature_matrix(flow, 5.0))
 
     def test_empty_flows_yield_empty_matrices(self):
         trace = make_trace(n=0)
@@ -89,13 +87,12 @@ class TestFusedKernel:
         for ours, other in zip(via_trace, via_columns):
             np.testing.assert_array_equal(ours, other)
 
-    def test_rejects_bad_window_and_min_packets(self):
+    @pytest.mark.parametrize("window", [0.0, float("nan"), float("inf")])
+    def test_rejects_bad_window(self, window):
         trace = make_trace(n=10)
         plan = build_stack("original", seed=3).fused_plan(trace)
-        with pytest.raises(ValueError):
-            fused_flow_matrices(trace, plan, window=0.0)
-        with pytest.raises(ValueError):
-            fused_flow_matrices(trace, plan, window=5.0, min_packets=0)
+        with pytest.raises(ValueError, match="window must be"):
+            fused_flow_matrices(trace, plan, window=window)
 
 
 class TestOneKernel:
@@ -106,29 +103,28 @@ class TestOneKernel:
     """
 
     @staticmethod
-    def _three_sites(trace, min_packets):
+    def _three_sites(trace):
         columns = (trace.times, trace.sizes, trace.directions)
         n = len(trace)
         single = FusedPlan.from_assignments(np.zeros(n, dtype=np.int64), n_flows=1)
         # Every packet in flow 0 of two: forces the multi-flow gather.
         multi = FusedPlan.from_assignments(np.zeros(n, dtype=np.int64), n_flows=2)
-        (via_single,) = fused_feature_matrices(*columns, single, 5.0, min_packets)
-        via_multi, empty = fused_feature_matrices(*columns, multi, 5.0, min_packets)
+        (via_single,) = fused_feature_matrices(*columns, single, 5.0)
+        via_multi, empty = fused_feature_matrices(*columns, multi, 5.0)
         assert empty.shape == (0, 12)
-        return flow_feature_matrix(trace, 5.0, min_packets), via_single, via_multi
+        return flow_feature_matrix(trace, 5.0), via_single, via_multi
 
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("min_packets", [1, 2, 5])
-    def test_sites_agree(self, seed, min_packets):
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sites_agree(self, seed):
         n = int(np.random.default_rng(seed).integers(1, 400))
         reference, via_single, via_multi = self._three_sites(
-            make_trace(n=n, seed=seed + 50), min_packets
+            make_trace(n=n, seed=seed + 50)
         )
         np.testing.assert_array_equal(via_single, reference)
         np.testing.assert_array_equal(via_multi, reference)
 
     def test_empty_flow(self):
-        for matrix in self._three_sites(make_trace(n=0), 2):
+        for matrix in self._three_sites(make_trace(n=0)):
             assert matrix.shape == (0, 12)
 
 
@@ -166,29 +162,26 @@ class TestWindowCacheFusedMemoization:
         assert plan1 is None and plan2 is None
         assert len(calls) == 1
 
-    def test_fused_matrices_keyed_per_window_and_min_packets(self):
+    def test_fused_matrices_keyed_per_window(self):
         cache = WindowCache()
         trace = make_trace()
         scheme = build_stack("or", seed=3)
         plan = scheme.fused_plan(trace)
         calls = []
 
-        def build(window, min_packets):
+        def build(window):
             def run():
-                calls.append((window, min_packets))
-                return obs.captured(
-                    lambda: fused_flow_matrices(trace, plan, window, min_packets)
-                )
+                calls.append(window)
+                return obs.captured(lambda: fused_flow_matrices(trace, plan, window))
 
             return run
 
-        first, _ = cache.fused_matrices(scheme, trace, 5.0, 2, build(5.0, 2))
-        again, _ = cache.fused_matrices(scheme, trace, 5.0, 2, build(5.0, 2))
-        other_window, _ = cache.fused_matrices(scheme, trace, 7.0, 2, build(7.0, 2))
-        other_min, _ = cache.fused_matrices(scheme, trace, 5.0, 3, build(5.0, 3))
-        assert calls == [(5.0, 2), (7.0, 2), (5.0, 3)]
+        first, _ = cache.fused_matrices(scheme, trace, 5.0, build(5.0))
+        again, _ = cache.fused_matrices(scheme, trace, 5.0, build(5.0))
+        other_window, _ = cache.fused_matrices(scheme, trace, 7.0, build(7.0))
+        assert calls == [5.0, 7.0]
         assert first is again
-        assert other_window is not first and other_min is not first
+        assert other_window is not first
 
     def test_hit_miss_counters(self):
         cache = WindowCache()

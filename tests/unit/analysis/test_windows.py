@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
+from oracles.windows import sliding_windows, window_traces
 from repro.analysis.windows import (
     grid_edges,
-    sliding_windows,
     window_edges,
     window_index,
     window_indices,
     window_key,
-    window_traces,
 )
 from repro.traffic.trace import Trace
 

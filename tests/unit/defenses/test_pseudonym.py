@@ -35,3 +35,18 @@ class TestPseudonymDefense:
     def test_rejects_bad_epoch(self):
         with pytest.raises(ValueError):
             PseudonymDefense(epoch=0.0)
+
+    def test_too_many_epochs_raise_instead_of_wrapping(self):
+        # 65,536 epochs apart: int16 epoch ids would wrap around and merge
+        # the two packets into one flow.
+        trace = Trace.from_arrays([0.0005, 65.5365], [100, 100])
+        defense = PseudonymDefense(epoch=0.001)
+        for route in (defense.apply, defense.fused_plan):
+            with pytest.raises(ValueError, match=r"epoch 0\.001 s .* 65537 epochs"):
+                route(trace)
+
+    def test_last_int16_epoch_still_splits(self):
+        trace = Trace.from_arrays([0.0, 32767.5], [100, 100])
+        defended = PseudonymDefense(epoch=1.0).apply(trace)
+        assert [len(flow) for flow in defended.observable_flows] == [1, 1]
+        assert PseudonymDefense(epoch=1.0).fused_plan(trace).n_flows == 2

@@ -63,16 +63,17 @@ class TestWindowCacheSharing:
         second = runner.observable_flows(scheme, trace)
         assert all(a is b for a, b in zip(first, second))
 
-    def test_original_flows_bypass_cache(self, runner):
+    def test_original_flows_are_the_trace(self, runner):
         trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
-        assert runner.observable_flows(None, trace) == [trace]
+        (flow,) = runner.observable_flows("original", trace)
+        assert flow is trace
 
     def test_evaluation_populates_feature_cache(self, runner):
         runner.window_cache.clear()
-        runner.evaluate_scheme(None, 5.0)
+        runner.evaluate_scheme("original", 5.0)
         misses = runner.window_cache.misses
         assert misses > 0
-        report = runner.evaluate_scheme(None, 5.0)
+        report = runner.evaluate_scheme("original", 5.0)
         assert runner.window_cache.misses == misses  # second pass all hits
         assert runner.window_cache.hits >= misses
         assert report.confusion.total > 0
@@ -96,6 +97,8 @@ class TestStageOverhead:
         runner.stage_overhead("morphing", trace)  # plan + flow hits, no apply
         assert runner.window_cache.hits == hits + 2
 
-    def test_undefended_original_has_no_stages(self, runner):
+    def test_undefended_original_books_no_overhead(self, runner):
         trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
-        assert runner.stage_overhead(None, trace) == ()
+        assert runner.stage_overhead("original", trace) == (
+            StageOverhead("original", 0, 0, (1,)),
+        )

@@ -15,9 +15,9 @@ from repro.traffic.generator import TrafficGenerator
 from repro.traffic.trace import Trace
 
 
-def _stream_matrix(trace, window, min_packets=2):
+def _stream_matrix(trace, window):
     """Push a whole trace through the featurizer; rows of emitted windows."""
-    featurizer = StreamingFeaturizer(window, min_packets)
+    featurizer = StreamingFeaturizer(window)
     closed = []
     for event in PacketStream.replay(trace, station="flow"):
         closed.extend(featurizer.push_event(event))
@@ -33,7 +33,7 @@ class TestBatchParity:
     def test_bit_identical_to_batch_oracle(self, app, window):
         trace = TrafficGenerator(seed=11).generate(app, duration=90.0)
         ours, _, _ = _stream_matrix(trace, window)
-        assert np.array_equal(ours, flow_feature_matrix(trace, window, 2))
+        assert np.array_equal(ours, flow_feature_matrix(trace, window))
 
     def test_window_indices_follow_the_grid(self):
         trace = Trace.from_arrays([0.0, 1.0, 12.0, 13.0], [10, 20, 30, 40])
@@ -43,10 +43,11 @@ class TestBatchParity:
         assert [w.count for w in closed] == [2, 2]
 
     def test_grid_anchors_at_first_packet(self):
-        base = Trace.from_arrays([0.0, 1.0, 6.0], [10, 20, 30])
+        base = Trace.from_arrays([0.0, 1.0, 6.0, 6.5], [10, 20, 30, 40])
         shifted = base.shifted(3.7)
-        ours, closed, _ = _stream_matrix(shifted, 5.0, min_packets=1)
-        assert np.array_equal(ours, flow_feature_matrix(shifted, 5.0, 1))
+        ours, closed, _ = _stream_matrix(shifted, 5.0)
+        assert len(closed) == 2
+        assert np.array_equal(ours, flow_feature_matrix(shifted, 5.0))
         assert closed[0].start == pytest.approx(3.7)
 
     def test_packet_on_the_edge_opens_the_next_window(self):
@@ -55,23 +56,21 @@ class TestBatchParity:
         assert [w.index for w in closed] == [0, 1]
         assert np.array_equal(
             np.vstack([w.features for w in closed]),
-            flow_feature_matrix(trace, 5.0, 2),
+            flow_feature_matrix(trace, 5.0),
         )
 
 
 class TestLifecycle:
     def test_below_min_packets_windows_are_dropped(self):
         trace = Trace.from_arrays([0.0, 7.0, 8.0], [10, 20, 30])
-        _, closed, _ = _stream_matrix(trace, 5.0, min_packets=2)
+        _, closed, _ = _stream_matrix(trace, 5.0)
         assert [w.index for w in closed] == [1]
 
     def test_single_packet_flow(self):
         trace = Trace.from_arrays([0.5], [100])
-        ours, closed, _ = _stream_matrix(trace, 5.0, min_packets=2)
+        ours, closed, _ = _stream_matrix(trace, 5.0)
         assert len(closed) == 0 and ours.shape == (0, 12)
-        ours, closed, _ = _stream_matrix(trace, 5.0, min_packets=1)
-        assert len(closed) == 1
-        assert np.array_equal(ours, flow_feature_matrix(trace, 5.0, 1))
+        assert flow_feature_matrix(trace, 5.0).shape == (0, 12)
 
     def test_no_events_no_windows(self):
         featurizer = StreamingFeaturizer(5.0)
@@ -79,12 +78,13 @@ class TestLifecycle:
         assert featurizer.open_flows == 0
 
     def test_flush_forgets_the_flow(self):
-        featurizer = StreamingFeaturizer(5.0, min_packets=1)
+        featurizer = StreamingFeaturizer(5.0)
         featurizer.push("f", 0.0, 10, 0)
+        featurizer.push("f", 0.5, 10, 0)
         featurizer.flush("f")
         assert featurizer.open_flows == 0
         # A later packet on the same key starts a fresh grid at its time.
-        closed = featurizer.push("f", 100.0, 10, 0)
+        closed = featurizer.push("f", 100.0, 10, 0) + featurizer.push("f", 100.5, 10, 0)
         assert closed == []
         (window,) = featurizer.flush("f")
         assert window.start == 100.0 and window.index == 0
@@ -96,7 +96,7 @@ class TestLifecycle:
             featurizer.push("f", 0.5, 10, 0)
 
     def test_label_tracks_most_recent_packet(self):
-        featurizer = StreamingFeaturizer(5.0, min_packets=1)
+        featurizer = StreamingFeaturizer(5.0)
         featurizer.push("f", 0.0, 10, 0, label="browsing")
         featurizer.push("f", 1.0, 10, 0, label="gaming")
         (window,) = featurizer.flush()
@@ -104,10 +104,12 @@ class TestLifecycle:
 
     def test_label_never_leaks_into_the_next_window(self):
         """An all-unlabeled window reports None even after a labeled one."""
-        featurizer = StreamingFeaturizer(5.0, min_packets=1)
+        featurizer = StreamingFeaturizer(5.0)
         featurizer.push("f", 0.0, 10, 0, label="browsing")
+        featurizer.push("f", 0.5, 10, 0, label="browsing")
         (labeled,) = featurizer.push("f", 6.0, 10, 0, label=None)
         assert labeled.label == "browsing"
+        featurizer.push("f", 6.5, 10, 0, label=None)
         (unlabeled,) = featurizer.flush()
         assert unlabeled.label is None
 
@@ -157,24 +159,24 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             StreamingFeaturizer(0.0)
         with pytest.raises(ValueError):
-            StreamingFeaturizer(5.0, min_packets=0)
+            StreamingFeaturizer(float("nan"))
 
 
 class TestDirections:
-    """Stream and batch count exactly the same packets toward min_packets."""
+    """Stream and batch count exactly the same packets toward the minimum."""
 
     def test_out_of_range_directions_are_not_counted(self):
         trace = Trace.from_arrays([0, 1, 2], [100] * 3, [0, 2, 2])
-        ours, closed, featurizer = _stream_matrix(trace, 5.0, min_packets=3)
+        ours, closed, featurizer = _stream_matrix(trace, 5.0)
         assert closed == [] and ours.shape == (0, 12)
-        assert flow_feature_matrix(trace, 5.0, 3).shape == (0, 12)
+        assert flow_feature_matrix(trace, 5.0).shape == (0, 12)
         assert featurizer.peak_open_packets == 1
 
     def test_window_counts_only_downlink_and_uplink(self):
         trace = Trace.from_arrays([0, 1, 2, 3], [100] * 4, [0, 2, 1, -1])
-        ours, closed, _ = _stream_matrix(trace, 5.0, min_packets=1)
+        ours, closed, _ = _stream_matrix(trace, 5.0)
         assert [w.count for w in closed] == [2]
-        assert np.array_equal(ours, flow_feature_matrix(trace, 5.0, 1))
+        assert np.array_equal(ours, flow_feature_matrix(trace, 5.0))
 
 
 class TestConcurrentFlows:
@@ -191,12 +193,14 @@ class TestConcurrentFlows:
         closed.extend(featurizer.flush())
         for flow, trace in (("a", a), ("b", b)):
             ours = np.vstack([w.features for w in closed if w.flow == flow])
-            assert np.array_equal(ours, flow_feature_matrix(trace, 5.0, 2))
+            assert np.array_equal(ours, flow_feature_matrix(trace, 5.0))
 
     def test_flush_order_is_first_seen(self):
-        featurizer = StreamingFeaturizer(5.0, min_packets=1)
+        featurizer = StreamingFeaturizer(5.0)
         featurizer.push("b", 0.0, 10, 0)
         featurizer.push("a", 0.1, 10, 0)
+        featurizer.push("b", 0.2, 10, 0)
+        featurizer.push("a", 0.3, 10, 0)
         assert [w.flow for w in featurizer.flush()] == ["b", "a"]
 
 
@@ -219,7 +223,7 @@ class TestOneKernelPass:
             key=lambda event: event.time,
         )
         (chunk,) = event_chunks(events)
-        featurizer = StreamingFeaturizer(5.0, min_packets=1)
+        featurizer = StreamingFeaturizer(5.0)
         with mock.patch.object(
             featurizer_module, "_window_block", wraps=batch._window_block
         ) as stacked, mock.patch.object(
@@ -240,7 +244,7 @@ class TestOneKernelPass:
                 [e.direction for e in events if e.station == f"sta{s}"],
             )
             ours = np.vstack([w.features for w in closed if w.flow == f"sta{s}"])
-            assert np.array_equal(ours, flow_feature_matrix(trace, 5.0, 1))
+            assert np.array_equal(ours, flow_feature_matrix(trace, 5.0))
 
 
 class TestMemoryBounds:

@@ -45,7 +45,7 @@ class TestOnlineAttack:
         attacker.consume(PacketStream.replay(trace, station="f", label=label))
         from repro.analysis.batch import flow_feature_matrix
 
-        matrix = flow_feature_matrix(trace, 5.0, 2)
+        matrix = flow_feature_matrix(trace, 5.0)
         expected = trained_pipeline.classify_matrix(matrix)
         assert [p.predicted for p in attacker.predictions] == expected
 
@@ -70,7 +70,7 @@ class TestOnlineAttack:
         scaler = StandardScaler().fit(
             np.vstack(
                 [
-                    flow_feature_matrix(traces[0], 5.0, 2)
+                    flow_feature_matrix(traces[0], 5.0)
                     for traces in tiny_corpus.values()
                 ]
             )
