@@ -37,7 +37,6 @@ from repro.traffic.apps import AppType
 from repro.traffic.generator import TrafficGenerator
 
 WINDOW = 5.0
-MIN_PACKETS = 2
 
 #: Per-app capture length — heavy apps dominate, the corpus lands in
 #: the low millions of packets.
@@ -57,7 +56,7 @@ def _legacy(scheme, traces):
     matrices = []
     for trace in traces:
         for flow in scheme.apply(trace).observable_flows:
-            matrices.append(flow_feature_matrix(flow, WINDOW, MIN_PACKETS))
+            matrices.append(flow_feature_matrix(flow, WINDOW))
     return matrices
 
 
@@ -66,7 +65,7 @@ def _fused(scheme, traces):
     for trace in traces:
         plan = scheme.fused_plan(trace)
         assert plan is not None, f"{scheme.name} must be fusable"
-        matrices.extend(fused_flow_matrices(trace, plan, WINDOW, MIN_PACKETS))
+        matrices.extend(fused_flow_matrices(trace, plan, WINDOW))
     return matrices
 
 

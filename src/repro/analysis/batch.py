@@ -49,7 +49,7 @@ import numpy as np
 from repro import obs
 from repro.analysis.features import _IAT_EPSILON, FEATURE_NAMES
 from repro.analysis.windows import MIN_WINDOW_PACKETS, window_edges, window_key
-from repro.defenses.base import DefendedTraffic, FusedPlan, SizeTransform
+from repro.defenses.base import DefendedTraffic, FusedPlan
 from repro.traffic.packet import DOWNLINK, UPLINK
 from repro.traffic.stats import DEFAULT_IDLE_CUTOFF
 from repro.traffic.trace import Trace
@@ -260,29 +260,14 @@ def _split_directions(
 
 
 def _one_flow_matrix(
-    times: np.ndarray,
-    sizes: np.ndarray,
-    directions: np.ndarray,
-    window: float,
-    transform: SizeTransform | None = None,
-) -> tuple[np.ndarray, int]:
-    """The feature matrix of one flow's time-ordered columns, read in place.
-
-    ``transform`` rewrites the sizes first (a fused plan's size
-    transform).  Also returns the bytes the split and the transform
-    gather: every packet lands in exactly one direction, so that is
-    one time and one size per packet, plus the rewritten sizes.
-    """
+    times: np.ndarray, sizes: np.ndarray, directions: np.ndarray, window: float
+) -> np.ndarray:
+    """The feature matrix of one flow's time-ordered columns, read in place."""
     if len(times) == 0:
-        return np.empty((0, _N_FEATURES), dtype=np.float64), 0
-    materialized = len(times) * (times.itemsize + 8)
-    if transform is not None:
-        sizes = transform(sizes, directions)
-        materialized += sizes.nbytes
-    matrix = _flow_matrix(
+        return np.empty((0, _N_FEATURES), dtype=np.float64)
+    return _flow_matrix(
         times[0], times[-1], _split_directions(times, sizes, directions), window
     )
-    return matrix, materialized
 
 
 def flow_feature_matrix(trace: Trace, window: float) -> np.ndarray:
@@ -292,10 +277,7 @@ def flow_feature_matrix(trace: Trace, window: float) -> np.ndarray:
     that holds at least ``MIN_WINDOW_PACKETS`` packets.
     """
     require_positive(window, "window")
-    matrix, _ = _one_flow_matrix(
-        trace.times, trace.sizes, trace.directions, float(window)
-    )
-    return matrix
+    return _one_flow_matrix(trace.times, trace.sizes, trace.directions, float(window))
 
 
 def fused_feature_matrices(
@@ -338,9 +320,13 @@ def fused_feature_matrices(
         # padding): the gather would be the identity permutation — read
         # the source columns in place instead of copying them.
         obs.add("batch.fused_flows")
-        kept, materialized = _one_flow_matrix(
-            times, sizes, directions, window, transform
-        )
+        # The split gathers one time and one size per packet: every
+        # packet lands in exactly one direction.
+        materialized = len(times) * (times.itemsize + 8)
+        if transform is not None:
+            sizes = transform(sizes, directions)
+            materialized += sizes.nbytes
+        kept = _one_flow_matrix(times, sizes, directions, window)
         if len(times):
             obs.add("batch.fused_windows", len(kept))
         obs.gauge("batch.bytes_materialized", materialized)

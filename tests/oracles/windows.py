@@ -167,9 +167,9 @@ def features_from_windows(
     return [extract_features(piece, window, label) for piece in windows]
 
 
-def window_feature_matrix(trace: Trace, window: float, min_packets: int = 2) -> np.ndarray:
+def window_feature_matrix(trace: Trace, window: float) -> np.ndarray:
     """The oracle's ``(n_windows, 12)`` matrix of one flow, row per window."""
-    features = features_from_windows(sliding_windows(trace, window, min_packets), window)
+    features = features_from_windows(sliding_windows(trace, window), window)
     return np.array([f.vector for f in features]).reshape(len(features), len(FEATURE_NAMES))
 
 
