@@ -435,6 +435,10 @@ def augment_direction_dropout(matrix: np.ndarray, window: float) -> np.ndarray:
     return variants[kept]
 
 
+#: The per-packet columns of a :class:`~repro.traffic.trace.Trace`.
+_TRACE_COLUMNS = ("times", "sizes", "directions", "ifaces", "channels", "rssi")
+
+
 class WindowCache:
     """Memoizes windowing work shared across schemes and window sweeps.
 
@@ -453,6 +457,11 @@ class WindowCache:
     ran (:func:`repro.obs.captured`) — and every request, hit or miss,
     gets the subprofile back to :func:`repro.obs.replay`, so a cell
     counts the same whether its cache was warm or cold.
+
+    :attr:`pinned_bytes` is what the cached values hold: a plan's
+    :attr:`~repro.defenses.base.FusedPlan.plan_bytes`, the ``nbytes``
+    of matrices and of materialized flows' columns.  Each miss records
+    it as the ``proc.window_cache.pinned_bytes`` gauge.
     """
 
     def __init__(self) -> None:
@@ -460,6 +469,7 @@ class WindowCache:
         self._pinned: dict[int, object] = {}
         self.hits: int = 0
         self.misses: int = 0
+        self.pinned_bytes: int = 0
 
     def _memo(
         self,
@@ -467,8 +477,12 @@ class WindowCache:
         sources: tuple[object, ...],
         params: tuple[object, ...],
         build: Callable[[], object],
+        nbytes: Callable[[object], int],
     ) -> object:
-        """The cached ``build()`` for (``layer``, source identities, params)."""
+        """The cached ``build()`` for (``layer``, source identities, params).
+
+        ``nbytes(value)`` is what the new entry adds to :attr:`pinned_bytes`.
+        """
         # repro-lint: allow[nondeterminism]: cache is strictly process-local (never pickled) and pins sources against id() reuse
         key = (layer, *(id(source) for source in sources), *params)
         if key in self._entries:
@@ -482,6 +496,8 @@ class WindowCache:
                 # repro-lint: allow[nondeterminism]: pin keeps the id() key alive; cache never crosses a process boundary
                 self._pinned[id(source)] = source
         value = self._entries[key] = build()
+        self.pinned_bytes += nbytes(value)
+        obs.gauge("proc.window_cache.pinned_bytes", self.pinned_bytes)
         return value
 
     def feature_matrix(self, flow: Trace, window: float) -> np.ndarray:
@@ -491,6 +507,7 @@ class WindowCache:
             (flow,),
             (window_key(window),),
             lambda: flow_feature_matrix(flow, window),
+            lambda matrix: matrix.nbytes,
         )
 
     def defended_flows(
@@ -504,7 +521,17 @@ class WindowCache:
         ``build`` must be deterministic in (scheme, trace); the flows
         keep their identity across hits, so their matrices memoize too.
         """
-        return self._memo("flow", (scheme, trace), (), build)
+        return self._memo(
+            "flow",
+            (scheme, trace),
+            (),
+            build,
+            lambda built: sum(
+                getattr(flow, column).nbytes
+                for flow in built[0].flows.values()
+                for column in _TRACE_COLUMNS
+            ),
+        )
 
     def fused_plan(
         self,
@@ -513,7 +540,13 @@ class WindowCache:
         build: Callable[[], tuple["FusedPlan | None", "obs.Subprofile | None"]],
     ) -> tuple["FusedPlan | None", "obs.Subprofile | None"]:
         """The (cached) fused plan — ``None`` when the scheme declines."""
-        return self._memo("plan", (scheme, trace), (), build)
+        return self._memo(
+            "plan",
+            (scheme, trace),
+            (),
+            build,
+            lambda built: 0 if built[0] is None else built[0].plan_bytes,
+        )
 
     def fused_matrices(
         self,
@@ -523,7 +556,13 @@ class WindowCache:
         build: Callable[[], tuple[list[np.ndarray], "obs.Subprofile | None"]],
     ) -> tuple[list[np.ndarray], "obs.Subprofile | None"]:
         """The (cached) fused per-flow matrices of one (scheme, trace, window)."""
-        return self._memo("fused", (scheme, trace), (window_key(window),), build)
+        return self._memo(
+            "fused",
+            (scheme, trace),
+            (window_key(window),),
+            build,
+            lambda built: sum(matrix.nbytes for matrix in built[0]),
+        )
 
     def clear(self) -> None:
         """Drop every cached artifact (and the object pins)."""
@@ -531,3 +570,4 @@ class WindowCache:
         self._pinned.clear()
         self.hits = 0
         self.misses = 0
+        self.pinned_bytes = 0

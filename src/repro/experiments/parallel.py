@@ -5,25 +5,30 @@ scheme, window, application, or interface count — see
 :mod:`repro.experiments.registry`); this module fans those cells out
 over a process pool and folds the results back in cell order, so
 
-* ``jobs=1`` runs every cell in-process, sharing one scenario corpus,
-  one trained pipeline per window (trained lazily by the first cell
-  that asks), and one :class:`~repro.analysis.batch.WindowCache` per
-  scenario;
-* ``jobs=N`` first runs a **training stage**, then the cells.  The
-  pool opens before the parent generates anything.  For every window a
-  spec declares (:attr:`~repro.experiments.registry.ExperimentSpec.pipeline_windows`),
-  the stage maps one task per training (app, session): the worker
-  generates that trace and returns only its training rows.  It then
-  fits the scaler in the parent and maps the candidate classifiers'
-  fits over the pool (:func:`~repro.analysis.classifiers.best_classifier`).
-  Every cell payload carries the trained pipelines, which the worker's
-  :func:`shared_runner` adopts, so no worker regenerates the training
-  corpus or retrains.  Each worker still rebuilds the scenario's
-  evaluation split deterministically from :class:`ScenarioParams`
-  (same seed ⇒ same corpus, since every stochastic component draws
-  from named RNG streams) and memoizes it per process, so cells that
-  land on the same worker reuse generated traces and reshaped flows
-  just like the serial path.
+* every run first runs a **training stage**, then the cells.  For
+  every window a spec declares
+  (:attr:`~repro.experiments.registry.ExperimentSpec.pipeline_windows`),
+  the stage maps one task per training (app, session): the task takes
+  that trace from :meth:`~EvaluationScenario.training_session`, returns
+  only its training rows and drops the trace.  The scaler is then fit
+  on the rows and :func:`~repro.analysis.classifiers.best_classifier`
+  picks the classifier.  Every cell payload carries the trained
+  pipelines, which the process's :func:`shared_runner` adopts.
+* ``jobs=1`` maps the stage's tasks in order, in-process, and fits the
+  candidates one after another (``fit_rows(map=None)``); it skips a
+  window the process's :func:`shared_runner` already holds, so a
+  session that runs several experiments trains each window once.  The
+  cells then run in-process, sharing one scenario's evaluation split
+  and one :class:`~repro.analysis.batch.WindowCache`.  No trace of the
+  training split outlives its task.
+* ``jobs=N`` opens the pool before the parent generates anything and
+  maps the stage's tasks, and the candidates' fits, over it, so no
+  worker regenerates the training corpus or retrains.  Each worker
+  still rebuilds the scenario's evaluation split deterministically
+  from :class:`ScenarioParams` (same seed ⇒ same corpus, since every
+  stochastic component draws from named RNG streams) and memoizes it
+  per process, so cells that land on the same worker reuse generated
+  traces and plans just like the serial path.
 
 Training is a pure function of the scenario: each trace's rows and each
 classifier fit depend only on their inputs and seeds, never on which
@@ -285,13 +290,16 @@ def _stage_map(pool, mode: str | None):
     Results come back in item order; every task's subprofile is
     replayed under the parent's open span, so the stage's counters and
     spans (with the seconds they took in the worker) land in the
-    parent's capture.
+    parent's capture.  Without a pool the tasks run here, in order,
+    through the same capture and replay.
     """
 
     def stage_map(fn, items):
-        outcomes = pool.map(
-            _captured_task, [(fn, item, mode) for item in items], chunksize=1
-        )
+        tasks = [(fn, item, mode) for item in items]
+        if pool is None:
+            outcomes = list(map(_captured_task, tasks))
+        else:
+            outcomes = pool.map(_captured_task, tasks, chunksize=1)
         for _, subprofile in outcomes:
             obs.replay(subprofile)
         return [value for value, _ in outcomes]
@@ -313,9 +321,11 @@ def _train_stage(
 ) -> tuple[Trained, "obs.Subprofile | None"]:
     """Train the spec's declared pipelines once, spread over ``pool``.
 
-    Returns the cell payloads' ``trained`` entry and the stage's
-    telemetry (``None`` unless profiling), which the run profile
-    reports in its ``process`` block.
+    ``pool=None`` (``jobs=1``) trains in this process and leaves out
+    the windows its :func:`shared_runner` already holds.  Returns the
+    cell payloads' ``trained`` entry (``None`` when nothing trained)
+    and the stage's telemetry (``None`` unless profiling), which the
+    run profile reports in its ``process`` block.
     """
     if spec.pipeline_windows is None:
         return None, None
@@ -323,6 +333,17 @@ def _train_stage(
         window_key(window): float(window)
         for window in spec.pipeline_windows(params, resolved)
     }
+    # Peek rather than shared_runner(params): building the runner (and
+    # opening a stored corpus) stays with the capture that first needs it.
+    runner = _WORKER_STATE.get(("runner", params)) if pool is None else None
+    if runner is not None:
+        windows = {
+            key: window
+            for key, window in windows.items()
+            if not runner.has_pipeline(window)
+        }
+        if not windows:
+            return None, None
     pipelines = tuple(attack_pipeline(window, params.seed) for window in windows.values())
     stage_map = _stage_map(pool, mode)
 
@@ -347,7 +368,9 @@ def _train_stage(
                 for (app, _), trace_rows in zip(keys, rows):
                     rows_by_label.setdefault(app.value, []).append(trace_rows[index])
                 obs.add("pipeline.trained")
-                pipeline.fit_rows(rows_by_label, map=stage_map)
+                pipeline.fit_rows(
+                    rows_by_label, map=None if pool is None else stage_map
+                )
 
     sink = obs.PerfCounterSink() if mode == "timed" else None
     _, subprofile = obs.captured(train, sink)
@@ -368,19 +391,23 @@ def _run_resolved(
     if not cells:
         raise ValueError(f"experiment {spec.name!r} produced no cells")
     jobs = min(int(jobs), len(cells))
-    stage = None
+
+    def train(pool) -> tuple[Trained, "obs.Subprofile | None"]:
+        try:
+            return _train_stage(pool, spec, params, resolved, mode)
+        except Exception as error:
+            raise RuntimeError(
+                f"experiment {spec.name!r} training stage failed: "
+                f"{type(error).__name__}: {error}"
+            ) from error
+
     if jobs == 1:
-        outcomes = [_execute_cell((spec.name, cell, mode, None)) for cell in cells]
+        trained, stage = train(None)
+        outcomes = [_execute_cell((spec.name, cell, mode, trained)) for cell in cells]
     else:
         context = multiprocessing.get_context(start_method)
         with context.Pool(processes=jobs, initializer=_init_worker) as pool:
-            try:
-                trained, stage = _train_stage(pool, spec, params, resolved, mode)
-            except Exception as error:
-                raise RuntimeError(
-                    f"experiment {spec.name!r} training stage failed: "
-                    f"{type(error).__name__}: {error}"
-                ) from error
+            trained, stage = train(pool)
             # chunksize=1: cells are few and coarse (a full evaluation
             # each); fine-grained dispatch balances the load.
             outcomes = pool.map(

@@ -64,18 +64,21 @@ class ExperimentRunner:
         key = window_key(window)
         obs.add("pipeline.requests")
         if key not in self._pipelines:
-            # Training is memoized shared state: the serial path pays it
-            # once per process, whichever cell asks first, so its
-            # telemetry goes to the proc.* namespace.  Parallel runs
-            # train the windows their spec declares in the executor's
-            # training stage and adopt() the result in every worker;
-            # only an undeclared window trains here, once per worker.
+            # The executor's training stage trains every window a spec
+            # declares, at any --jobs, and the cells adopt() it; only an
+            # undeclared window trains here, once per process.  That is
+            # memoized shared state, so its telemetry goes to the proc.*
+            # namespace.
             with obs.unattributed():
                 obs.add("pipeline.trained")
                 pipeline = attack_pipeline(window, self.scenario.seed)
                 pipeline.train(self.scenario.training_traces())
             self._pipelines[key] = pipeline
         return self._pipelines[key]
+
+    def has_pipeline(self, window: float) -> bool:
+        """Whether this runner already holds a pipeline for ``window``."""
+        return window_key(window) in self._pipelines
 
     def adopt(self, pipeline: AttackPipeline) -> None:
         """Install a pipeline trained elsewhere for its window.
@@ -130,6 +133,19 @@ class ExperimentRunner:
             scheme, trace, lambda: obs.captured(lambda: scheme.apply(trace))
         )
 
+    def fused_plan(self, scheme: "SchemeLike", trace: Trace) -> FusedPlan | None:
+        """The cached plan of ``trace`` under ``scheme``; ``None`` if it declines.
+
+        The plan :meth:`flow_feature_matrices` featurizes, and the one
+        the streaming replay replays
+        (:meth:`~repro.stream.PacketStream.replay_plan`).  Like every
+        cached request, it replays the telemetry the planning recorded.
+        """
+        plan, subprofile = self._plan(self._resolve(scheme), trace)
+        if plan is not None:
+            obs.replay(subprofile)
+        return plan
+
     def observable_flows(
         self,
         scheme: "SchemeLike",
@@ -137,12 +153,16 @@ class ExperimentRunner:
     ) -> list[Trace]:
         """What the eavesdropper captures when ``trace`` runs under ``scheme``.
 
-        Always materializes (the streaming replay needs real flows).
-        Telemetry is cache-transparent: the scheme application records
-        its counters/spans into a captured subprofile stored next to
-        the memoized traffic, and every request — hit or miss — replays
-        it.  A cell therefore observes identical ``scheme.*`` counts
-        whether it shares a warm serial cache or a cold per-worker one.
+        Materializes every flow through ``apply`` and pins them in the
+        window cache, so it is only the route of a scheme without a
+        plan (:meth:`fused_plan` returns ``None``, e.g. morphing) —
+        the evaluation and the streaming replay read a fusable scheme's
+        plan instead.  Telemetry is cache-transparent: the scheme
+        application records its counters/spans into a captured
+        subprofile stored next to the memoized traffic, and every
+        request — hit or miss — replays it.  A cell therefore observes
+        identical ``scheme.*`` counts whether it shares a warm serial
+        cache or a cold per-worker one.
         """
         defended, subprofile = self._defended(self._resolve(scheme), trace)
         obs.replay(subprofile)
@@ -168,12 +188,11 @@ class ExperimentRunner:
         the materializing oracle element-for-element.
         """
         applied = self._resolve(scheme)
-        plan, plan_subprofile = self._plan(applied, trace)
+        plan = self.fused_plan(applied, trace)
         if plan is None:
             flows = self.observable_flows(applied, trace)
             obs.add("batch.fallback_flows", len(flows))
             return [self._cache.feature_matrix(flow, window) for flow in flows]
-        obs.replay(plan_subprofile)
         matrices, subprofile = self._cache.fused_matrices(
             applied,
             trace,

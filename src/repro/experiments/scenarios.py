@@ -244,7 +244,7 @@ class EvaluationScenario:
         or after :meth:`training_by_app`); otherwise the capture is
         generated, counted in ``train.traces``, and not kept — the
         executor's training stage generates each one once, in whichever
-        worker featurizes it.
+        process featurizes it, serial runs included.
         """
         if self._train:
             return self._train[app][session]

@@ -93,10 +93,10 @@ def _replay_schemes(options: dict[str, object]) -> tuple[str, ...]:
 
     Accepts any registered *single* scheme in any spelling (``OR``,
     ``or``, ``padding``...) — the streaming replay works for byte-level
-    defenses too, since it consumes the same observable flows the
-    batch path evaluates.  Names normalize to the legacy display
-    spelling where one exists, so default cell names (and the golden
-    snapshot) are unchanged.
+    defenses too, since it replays the same plan (size transform
+    included) the batch path evaluates.  Names normalize to the legacy
+    display spelling where one exists, so default cell names (and the
+    golden snapshot) are unchanged.
     """
     parts = tuple(
         part.strip() for part in str(options["schemes"]).split(",") if part.strip()
@@ -140,9 +140,11 @@ def _replay_cells(
 def _replay_run_cell(cell: ExperimentCell) -> dict[str, object]:
     runner = parallel.shared_runner(cell.params["scenario"])
     window = float(cell.params["window"])
-    # The streaming attacker consumes the very same Scheme object (and
-    # therefore the same cached observable flows) the batch path
-    # evaluates — parity is structural, not coincidental.
+    # The streaming attacker replays the very same cached plan the batch
+    # path featurizes (the same Scheme object, so the same WindowCache
+    # entry): each evaluation trace is one column source whose stations
+    # are the plan's flows.  Only a scheme that declines to plan
+    # (morphing) replays materialized observable flows, one per source.
     scheme = runner.scheme(cell.params["spec"])
     pipeline = runner.pipeline(window)
 
@@ -150,13 +152,19 @@ def _replay_run_cell(cell: ExperimentCell) -> dict[str, object]:
     for label, traces in runner.scenario.evaluation_by_label().items():
         flow_index = 0
         for trace in traces:
-            for flow in runner.observable_flows(scheme, trace):
-                streams.append(
-                    PacketStream.replay(
-                        flow, station=f"{label}/f{flow_index}", label=label
+            plan = runner.fused_plan(scheme, trace)
+            if plan is None:
+                for flow in runner.observable_flows(scheme, trace):
+                    streams.append(
+                        PacketStream.replay(
+                            flow, station=f"{label}/f{flow_index}", label=label
+                        )
                     )
-                )
-                flow_index += 1
+                    flow_index += 1
+                continue
+            stations = [f"{label}/f{flow_index + f}" for f in range(plan.n_flows)]
+            streams.append(PacketStream.replay_plan(trace, plan, stations, label=label))
+            flow_index += plan.n_flows
     attacker = OnlineAttack.from_pipeline(pipeline)
     attacker.consume(PacketStream.merge(streams))
 

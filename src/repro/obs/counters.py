@@ -14,10 +14,11 @@ one.  Three instrument kinds, three merge laws:
   that maps the same :class:`~repro.storage.TraceStore` records the
   same ``store.bytes_mapped``, and the max is the serial value.
 * **``proc.*``-prefixed names** are *process topology dependent* —
-  cache hit/miss splits, memoized corpus builds, store opens.  They are
-  still additive, but they measure physical work that the serial path
-  shares across cells while each parallel worker repeats it, so they
-  are reported in the profile's ``process`` block and excluded from the
+  cache hit/miss splits, memoized corpus builds, store opens, the
+  window cache's pinned bytes.  They still merge by their kind's law,
+  but they measure physical work or state that the serial path shares
+  across cells while each parallel worker repeats it, so they are
+  reported in the profile's ``process`` block and excluded from the
   bit-identity contract.
 
 The routing between the last two groups is automatic: code that

@@ -13,7 +13,8 @@ tests): with no timing sink attached, everything except the
 ``process`` blocks and per-cell ``gauges`` is bit-identical between
 serial and ``--jobs N`` execution, under any start method.
 ``process`` holds the ``proc.*`` namespace (cache hit/miss splits,
-memoized builds — see :mod:`repro.obs.counters`); per-cell gauges may
+memoized builds, the window cache's pinned-bytes gauge — see
+:mod:`repro.obs.counters`); per-cell gauges may
 attach to whichever cell first triggered a shared build, but their
 max-merge at run level is deterministic.  :func:`deterministic_view`
 strips exactly the excluded fields, so tests and downstream tooling
@@ -222,12 +223,17 @@ def _split_process(mapping: dict) -> tuple[dict, dict]:
 def _metrics_blocks(metrics: MetricsRegistry) -> dict[str, object]:
     view = metrics.as_dict()
     counters, proc_counters = _split_process(view["counters"])
+    gauges, proc_gauges = _split_process(view["gauges"])
     histograms, proc_histograms = _split_process(view["histograms"])
     return {
         "counters": counters,
-        "gauges": view["gauges"],
+        "gauges": gauges,
         "histograms": histograms,
-        "process": {"counters": proc_counters, "histograms": proc_histograms},
+        "process": {
+            "counters": proc_counters,
+            "gauges": proc_gauges,
+            "histograms": proc_histograms,
+        },
     }
 
 
@@ -242,7 +248,7 @@ def profile_to_json(profile: RunProfile) -> dict[str, object]:
 
     ``{"format": "repro-profile", "version": 1, "experiment": name,
     "counters"/"gauges"/"histograms": {...}, "process": {counters,
-    histograms}, "spans": [tree...], "cells": [{cell, counters,
+    gauges, histograms}, "spans": [tree...], "cells": [{cell, counters,
     gauges, histograms, process, spans}, ...]}`` — the run-level
     ``process`` block also holds ``spans`` when the run did work
     outside its cells — consumed by the CI
@@ -344,6 +350,7 @@ def render_profile(payload: dict) -> str:
         for node in process["spans"]:
             _render_span_dict(node, "  ", lines)
     _render_mapping("process counters", process.get("counters", {}), lines)
+    _render_mapping("process gauges", process.get("gauges", {}), lines)
     _render_mapping("process histograms", process.get("histograms", {}), lines)
     return "\n".join(lines)
 

@@ -18,6 +18,11 @@ Constructors:
 * :meth:`PacketStream.replay` turns one :class:`~repro.traffic.trace.Trace`
   into a column source: the trace's own columns (or memmap slices),
   plus station, label and time offset.  Nothing is copied up front.
+* :meth:`PacketStream.replay_plan` turns one trace and a
+  :class:`~repro.defenses.base.FusedPlan` into one column source that
+  emits every observable flow the plan describes: each packet's station
+  is its flow, each size goes through the plan's size transform.  No
+  flow is materialized.
 * :meth:`PacketStream.from_store` replays a persisted
   :class:`~repro.storage.TraceStore` corpus the same way, straight off
   its memory-mapped columns.
@@ -26,10 +31,12 @@ Constructors:
   (a nested merge flattens into one source list): each chunk takes
   every packet up to a cutoff time from every source with
   ``searchsorted(..., "right")`` and stable-argsorts the concatenation,
-  which orders equal timestamps by source position exactly as a heap
-  merge keyed on (time, stream index) would.  Memory is one chunk plus
-  a bounded look-ahead per source, never O(trace length), and a merged
-  replay is reproducible bit-for-bit.
+  which orders equal timestamps by source, then by position within the
+  source, exactly as a heap merge keyed on (time, source index,
+  position) would.  Inside a plan source that is capture order, across
+  its flows; each station's own packets keep their order either way.
+  Memory is one chunk plus a bounded look-ahead per source, never
+  O(trace length), and a merged replay is reproducible bit-for-bit.
 
 Every route validates as it goes: a non-finite or decreasing timestamp
 raises a :class:`ValueError` naming the station and the time instead
@@ -39,16 +46,19 @@ of silently producing windows that disagree with the batch oracle.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import islice, repeat
 from operator import itemgetter
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro import obs
 from repro.traffic.trace import Trace
 from repro.util.validation import require
+
+if TYPE_CHECKING:
+    from repro.defenses.base import FusedPlan
 
 __all__ = ["PacketChunk", "PacketEvent", "PacketStream", "event_chunks"]
 
@@ -144,39 +154,64 @@ def event_chunks(events: Iterable[PacketEvent]) -> Iterator[PacketChunk]:
 
 
 class _Source(NamedTuple):
-    """One replayed trace: its columns plus what each event is stamped with."""
+    """One replayed trace: its columns plus what each packet is stamped with.
+
+    ``stations`` holds each packet's code into ``station_names``: a
+    zero-stride view for a one-station replay, a plan's flow
+    assignments for a replay through a fused plan.  ``size_transform``
+    (elementwise, or ``None``) rewrites sizes as they are read.
+    """
 
     times: np.ndarray
     sizes: np.ndarray
     directions: np.ndarray
-    station: object
+    stations: np.ndarray
+    station_names: tuple
     label: str | None
     offset: float
+    size_transform: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+
+    def station_at(self, index: int) -> object:
+        """The station packet ``index`` is stamped with."""
+        return self.station_names[int(self.stations[index])]
 
 
-def _check_times(times: np.ndarray, previous: float, station: object) -> None:
-    """Raise unless ``times`` are finite and non-decreasing after ``previous``."""
+def _check_times(
+    times: np.ndarray, previous: float, source: _Source, start: int
+) -> None:
+    """Raise unless ``times`` are finite and non-decreasing after ``previous``.
+
+    ``times`` are ``source``'s packets from ``start`` on; an error names
+    the station of the offending packet.
+    """
     finite = np.isfinite(times)
     if not finite.all():
-        bad = times[np.argmin(finite)]
-        raise ValueError(f"station {station!r} has a non-finite packet time: {bad}")
+        at = int(np.argmin(finite))
+        raise ValueError(
+            f"station {source.station_at(start + at)!r} has a non-finite "
+            f"packet time: {times[at]}"
+        )
     steps = np.diff(times, prepend=previous)
     if (steps < 0).any():
         at = int(np.argmax(steps < 0))
         before = times[at - 1] if at else previous
         raise ValueError(
-            f"station {station!r} went backwards in time: {times[at]} after {before}"
+            f"station {source.station_at(start + at)!r} went backwards in time: "
+            f"{times[at]} after {before}"
         )
 
 
 class _Cursor:
-    """Read position and look-ahead window of one column source."""
+    """Read position and look-ahead window of one column source.
 
-    __slots__ = ("source", "code", "label", "position", "end", "last", "ahead")
+    ``codes`` maps the source's station codes to the merged capture's.
+    """
 
-    def __init__(self, source: _Source, code: int, label: int):
+    __slots__ = ("source", "codes", "label", "position", "end", "last", "ahead")
+
+    def __init__(self, source: _Source, codes: np.ndarray, label: int):
         self.source = source
-        self.code = code
+        self.codes = codes
         self.label = label
         self.position = 0
         self.end = len(source.times)
@@ -186,12 +221,13 @@ class _Cursor:
     def look_ahead(self, count: int) -> np.ndarray:
         """The next ``count`` (or fewer) times, offset applied and validated."""
         stop = min(self.position + count, self.end)
-        if stop > self.position + len(self.ahead):
-            times = self.source.times[self.position + len(self.ahead) : stop]
+        start = self.position + len(self.ahead)
+        if stop > start:
+            times = self.source.times[start:stop]
             if self.source.offset:
                 times = times + self.source.offset
             previous = self.ahead[-1] if len(self.ahead) else self.last
-            _check_times(times, previous, self.source.station)
+            _check_times(times, previous, self.source, start)
             self.ahead = np.concatenate((self.ahead, times)) if len(self.ahead) else times
         return self.ahead
 
@@ -203,6 +239,15 @@ class _Cursor:
             ahead = self.look_ahead(len(ahead) + step)
             count = int(np.searchsorted(ahead, cutoff, "right"))
         return count
+
+    def columns(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sizes (transformed), directions and station codes of the next ``count``."""
+        source = self.source
+        at = slice(self.position, self.position + count)
+        sizes, directions = source.sizes[at], source.directions[at]
+        if source.size_transform is not None:
+            sizes = source.size_transform(sizes, directions)
+        return sizes, directions, self.codes[source.stations[at]]
 
     def advance(self, count: int) -> None:
         if count:
@@ -223,10 +268,13 @@ def _column_chunks(sources: Sequence[_Source]) -> Iterator[PacketChunk]:
     holds at most twice the target.
     """
     target = _CHUNK_EVENTS
-    station_codes, station_names = _codes([source.station for source in sources])
+    station_codes, station_names = _codes(
+        [name for source in sources for name in source.station_names]
+    )
+    bounds = np.cumsum([0] + [len(source.station_names) for source in sources])
     label_codes, label_names = _codes([source.label for source in sources])
     live = [
-        _Cursor(source, int(station_codes[i]), int(label_codes[i]))
+        _Cursor(source, station_codes[bounds[i] : bounds[i + 1]], int(label_codes[i]))
         for i, source in enumerate(sources)
         if len(source.times)
     ]
@@ -250,31 +298,24 @@ def _column_chunks(sources: Sequence[_Source]) -> Iterator[PacketChunk]:
         parts = [(cursor, count) for cursor, count in zip(live, counts) if count]
         times = np.concatenate([cursor.ahead[:count] for cursor, count in parts])
         columns = [
-            np.concatenate(
-                [
-                    getattr(cursor.source, name)[cursor.position : cursor.position + count]
-                    for cursor, count in parts
-                ]
-            )
-            for name in ("sizes", "directions")
+            np.concatenate(column)
+            for column in zip(*(cursor.columns(count) for cursor, count in parts))
         ]
-        codes = [
-            np.repeat([getattr(cursor, name) for cursor, _ in parts], [n for _, n in parts])
-            for name in ("code", "label")
-        ]
+        columns.append(
+            np.repeat([cursor.label for cursor, _ in parts], [n for _, n in parts])
+        )
         if len(parts) > 1:
             # Concatenation is in source order, so a stable sort on time
             # breaks ties by source, then by position within the source.
             order = np.argsort(times, kind="stable")
             times = times[order]
             columns = [column[order] for column in columns]
-            codes = [column[order] for column in codes]
         for cursor, count in parts:
             cursor.advance(count)
         live = [cursor for cursor in live if cursor.position < cursor.end]
         if total < target // 2:
             step = min(2 * step, target)
-        yield PacketChunk(times, *columns, *codes, station_names, label_names)
+        yield PacketChunk(times, *columns, station_names, label_names)
 
 
 class PacketStream:
@@ -350,7 +391,48 @@ class PacketStream:
             [
                 _Source(
                     trace.times, trace.sizes, trace.directions,
-                    station, label, float(offset),
+                    np.broadcast_to(np.int64(0), (len(trace),)), (station,),
+                    label, float(offset),
+                )
+            ]
+        )
+
+    @classmethod
+    def replay_plan(
+        cls,
+        trace: Trace,
+        plan: "FusedPlan",
+        stations: Sequence[object],
+        label: str | None = None,
+    ) -> "PacketStream":
+        """Replay ``trace`` as the observable flows ``plan`` describes.
+
+        Packet ``k`` is emitted by ``stations[plan.assignments[k]]``,
+        its size rewritten by ``plan.size_transform``: per station, the
+        same packets as :meth:`replay` of the materialized flow, read
+        straight off the trace's columns as one source.  Equal
+        timestamps of different flows keep capture order.
+
+        Args:
+            trace: the source trace the plan was built for.
+            plan: its :class:`~repro.defenses.base.FusedPlan`.
+            stations: one identity per plan flow, in flow order.
+            label: ground-truth label; defaults to ``trace.label``.
+        """
+        stations = tuple(stations)
+        require(
+            len(stations) == plan.n_flows,
+            f"need one station per plan flow ({plan.n_flows}), got {len(stations)}",
+        )
+        if label is None:
+            label = trace.label
+        obs.add("stream.traces_replayed")
+        obs.add("stream.packets_replayed", len(trace))
+        return cls._of(
+            [
+                _Source(
+                    trace.times, trace.sizes, trace.directions,
+                    plan.assignments, stations, label, 0.0, plan.size_transform,
                 )
             ]
         )
@@ -406,9 +488,10 @@ class PacketStream:
 
         Equal timestamps order by stream position (earlier stream wins),
         matching the stable tie-break of
-        :func:`repro.traffic.trace.merge_traces`.  The streams' column
-        sources join one flat source list, so a merge of merges reads
-        exactly like one merge of every source.
+        :func:`repro.traffic.trace.merge_traces`, and within one column
+        source by capture position.  The streams' column sources join
+        one flat source list, so a merge of merges reads exactly like
+        one merge of every source.
         """
         require(len(streams) >= 1, "merge needs at least one stream")
         if any(stream._sources is None for stream in streams):

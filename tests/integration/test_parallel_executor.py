@@ -254,11 +254,27 @@ class TestTrainingStage:
         assert process["proc.pipeline.trained"] == 1
         assert "proc.train.traces" not in process  # nothing generated
 
-    def test_serial_run_trains_in_its_cells_and_has_no_stage(self):
-        _, profile = self._run("table2", None)
-        assert "spans" not in profile["process"]
-        assert profile["process"]["counters"]["proc.pipeline.trained"] == 1
-        assert profile["process"]["counters"]["proc.train.traces"] == self.TRAINING_TRACES
+    @pytest.mark.parametrize("name", ["table2", "stream_replay"])
+    def test_serial_run_trains_in_its_stage_once_per_process(self, name):
+        _, profile = self._run(name, None)
+        process = profile["process"]["counters"]
+        assert process["proc.pipeline.trained"] == 1
+        assert process["proc.train.traces"] == self.TRAINING_TRACES
+        (stage,) = profile["process"]["spans"]
+        assert stage["name"] == "stage.train[W=5]"
+        counts = {child["name"]: child["count"] for child in stage["children"]}
+        # Serial selection: a split fit of each candidate, then one
+        # refit of the winner.
+        assert counts == {"train.rows": 1, "fit[svm]": 1, "fit[nn]": 2, "select": 1}
+        for cell in profile["cells"]:
+            assert "proc.pipeline.trained" not in cell["process"]["counters"]
+        # The training traces were dropped once featurized.
+        assert not parallel.shared_scenario(TINY)._train
+        # A second run in the same process reuses the window's pipeline.
+        again = parallel.run_experiment_result(name, TINY, profile=True)
+        process = again.meta["profile"]["process"]
+        assert "proc.pipeline.trained" not in process["counters"]
+        assert "spans" not in process
 
     def test_timed_stage_spans_carry_seconds(self):
         _, profile = self._run("table2", None, jobs=2, start_method="fork", timing=True)

@@ -98,6 +98,25 @@ class TestStreamReplayExperiment:
         for scheme in result.schemes:
             assert result.identical(scheme), f"{scheme} diverged from batch"
 
+    def test_serial_replay_streams_plans_and_materializes_no_flow(self):
+        """The five default schemes all plan: the replay reads their
+        cached plans, so no flow is materialized or pinned."""
+        result = parallel.run_experiment_result("stream_replay", TINY, profile=True)
+        profile = result.meta["profile"]
+        assert len(result.rows) == 5
+        assert "proc.window_cache.flow_misses" not in profile["process"]["counters"]
+        assert profile["process"]["gauges"]["proc.window_cache.pinned_bytes"] > 0
+        # One plan source per evaluation trace, per scheme.
+        traces = 7 * TINY.eval_sessions
+        assert profile["counters"]["stream.traces_replayed"] == 5 * traces
+
+        def names(nodes):
+            for node in nodes:
+                yield node["name"]
+                yield from names(node["children"])
+
+        assert not [n for n in names(profile["spans"]) if n.startswith("scheme.apply[")]
+
     def test_serial_matches_jobs2(self):
         serial = parallel.run_experiment_result("stream_replay", TINY)
         parallel.clear_worker_state()

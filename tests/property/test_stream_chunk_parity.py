@@ -27,6 +27,7 @@ from repro import obs
 from repro.analysis.attack import AttackPipeline
 from repro.analysis.batch import flow_feature_matrix
 from repro.analysis.classifiers import GaussianNaiveBayes
+from repro.schemes import SchemeSpec, build_stack
 from repro.stream import OnlineAttack, PacketEvent, PacketStream, StreamingFeaturizer
 from repro.stream import source as stream_source
 from repro.traffic.trace import Trace
@@ -358,3 +359,143 @@ def test_from_store_equals_in_memory_replay(tiny_corpus, tmp_path):
     assert_same_windows(off_disk, expected)
     assert disk_metrics.counters == ram_metrics.counters
     assert disk_metrics.gauges == ram_metrics.gauges
+
+
+# -- plan sources ------------------------------------------------------------
+
+#: Every fusable single scheme the streaming replay evaluates, with a
+#: short pseudonym epoch so generated traces span several pseudonyms.
+PLAN_SCHEMES = {
+    "fh": SchemeSpec("fh"),
+    "ra": SchemeSpec("ra"),
+    "rr": SchemeSpec("rr"),
+    "or": SchemeSpec("or"),
+    "padding": SchemeSpec("padding"),
+    "pseudonym": SchemeSpec("pseudonym", (("epoch", 2.0),)),
+}
+
+
+@st.composite
+def evaluation_traces(draw):
+    """One to three labelled traces on a quarter-second lattice.
+
+    Several packets share each timestamp, so equal times routinely land
+    in different flows of one plan.
+    """
+    traces = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 60))
+        ticks = np.cumsum(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        traces.append(
+            Trace.from_arrays(
+                0.25 * (draw(st.integers(0, 8)) + ticks.astype(np.float64)),
+                draw(st.lists(st.integers(1, 1576), min_size=n, max_size=n)),
+                draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)),
+                label=draw(st.sampled_from(["uploading", "downloading", "browsing"])),
+            )
+        )
+    return traces
+
+
+def plan_sources(scheme, traces):
+    """One plan source per trace, its flows numbered across traces."""
+    streams, flow_index = [], 0
+    for trace in traces:
+        plan = scheme.fused_plan(trace)
+        stations = [f"f{flow_index + f}" for f in range(plan.n_flows)]
+        streams.append(PacketStream.replay_plan(trace, plan, stations))
+        flow_index += plan.n_flows
+    return PacketStream.merge(streams)
+
+
+def flow_sources(scheme, traces):
+    """The reference: one replay per materialized observable flow."""
+    streams, flow_index = [], 0
+    for trace in traces:
+        for flow in scheme.apply(trace).observable_flows:
+            streams.append(
+                PacketStream.replay(flow, station=f"f{flow_index}", label=trace.label)
+            )
+            flow_index += 1
+    # Partitioning schemes emit no flow for an empty trace.
+    return PacketStream.merge(streams) if streams else PacketStream(())
+
+
+def per_station(closed):
+    grouped = {}
+    for window in closed:
+        grouped.setdefault(window.flow, []).append(window)
+    return grouped
+
+
+@given(
+    traces=evaluation_traces(),
+    scheme=st.sampled_from(sorted(PLAN_SCHEMES)),
+    size=CHUNK_SIZES,
+    window=windows,
+)
+@settings(max_examples=120, deadline=None)
+def test_plan_sources_close_the_windows_of_materialized_flows(
+    traces, scheme, size, window
+):
+    built = build_stack([PLAN_SCHEMES[scheme]], seed=7)
+    with chunk_size(size):
+        _, ours, _ = chunk_route(plan_sources(built, traces), window)
+        _, expected, _ = chunk_route(flow_sources(built, traces), window)
+    ours, expected = per_station(ours), per_station(expected)
+    assert ours.keys() == expected.keys()
+    for station in expected:
+        assert_same_windows(ours[station], expected[station])
+
+
+@pytest.mark.parametrize("scheme", sorted(PLAN_SCHEMES))
+def test_plan_source_ties_keep_capture_order_and_per_station_order(scheme):
+    """Packets come in pairs with equal times and unequal sizes, so a
+    size- or turn-based scheduler splits each pair across flows."""
+    rng = np.random.default_rng(3)
+    n = 400
+    times = np.repeat(np.cumsum(rng.integers(1, 4, n // 2)) * 0.05, 2)
+    sizes = np.where(np.arange(n) % 2, 1500, rng.integers(40, 200, n))
+    trace = Trace.from_arrays(
+        times, sizes, rng.choice([0, 1], n), label="uploading"
+    )
+    built = build_stack([PLAN_SCHEMES[scheme]], seed=7)
+    plan = built.fused_plan(trace)
+    if scheme in ("or", "rr"):
+        ties = (np.diff(trace.times) == 0) & (np.diff(plan.assignments) != 0)
+        assert ties.any()
+    with chunk_size(64):
+        ours = list(plan_sources(built, [trace]))
+        reference = list(flow_sources(built, [trace]))
+    # Capture order: the plan source emits the trace's packets in place.
+    assert [event.time for event in ours] == trace.times.tolist()
+    for station in {event.station for event in reference}:
+        assert [e for e in ours if e.station == station] == [
+            e for e in reference if e.station == station
+        ]
+    _, closed, _ = chunk_route(plan_sources(built, [trace]), 1.0)
+    _, expected, _ = chunk_route(flow_sources(built, [trace]), 1.0)
+    ours, expected = per_station(closed), per_station(expected)
+    assert ours.keys() == expected.keys()
+    for station in expected:
+        assert_same_windows(ours[station], expected[station])
+
+
+def test_plan_source_needs_one_station_per_flow():
+    trace = Trace.from_arrays(np.arange(6) * 0.5, [100, 1500] * 3)
+    plan = build_stack("or", seed=7).fused_plan(trace)
+    with pytest.raises(ValueError, match="one station per plan flow"):
+        PacketStream.replay_plan(trace, plan, ["only"] * (plan.n_flows + 1))
+
+
+def test_plan_source_error_names_the_flow_of_a_bad_time():
+    times = np.array([0.0, 0.5, 1.0, 1.5])
+    trace = Trace.from_arrays(times, [100, 1500, 100, 1500])
+    plan = build_stack("or", seed=7).fused_plan(trace)
+    stations = [f"f{f}" for f in range(plan.n_flows)]
+    stream = PacketStream.replay_plan(trace, plan, stations)
+    # Corrupt the source column after validation (as a stale memmap
+    # could): the merge names the station of the offending packet.
+    stream._sources[0].times[2] = np.nan
+    with pytest.raises(ValueError, match=rf"station 'f{plan.assignments[2]}'"):
+        list(stream)

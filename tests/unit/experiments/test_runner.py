@@ -42,6 +42,13 @@ class TestPipelineCache:
         assert "proc.pipeline.trained" not in cap.metrics.counters
         assert cap.metrics.counters["pipeline.requests"] == 1
 
+    def test_has_pipeline_follows_the_window_key(self, runner):
+        fresh = ExperimentRunner(runner.scenario)
+        assert not fresh.has_pipeline(5.0)
+        fresh.adopt(runner.pipeline(5.0))
+        assert fresh.has_pipeline(5.0 + 1e-12)
+        assert not fresh.has_pipeline(10.0)
+
     def test_adopt_keeps_a_window_already_held(self, runner):
         held = runner.pipeline(5.0)
         runner.adopt(attack_pipeline(5.0, runner.scenario.seed))
@@ -77,6 +84,50 @@ class TestWindowCacheSharing:
         assert runner.window_cache.misses == misses  # second pass all hits
         assert runner.window_cache.hits >= misses
         assert report.confusion.total > 0
+
+
+class TestFusedPlanAccessor:
+    def test_returns_the_cached_plan_and_replays_its_telemetry(self, runner):
+        trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
+        counts = []
+        for _ in range(2):
+            with obs.capture() as cap:
+                plan = runner.fused_plan("or", trace)
+            counts.append(cap.metrics.counters["scheme.apply_calls"])
+        assert plan is runner.fused_plan(runner.scheme("or"), trace)
+        assert plan.n_flows == len(runner.scheme("or").apply(trace).flows)
+        assert counts == [1, 1]  # hit or miss, the request counts the same
+
+    def test_declined_plan_is_none(self, runner):
+        trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
+        assert runner.fused_plan("morphing", trace) is None
+
+
+class TestPinnedBytes:
+    def test_entries_count_what_they_hold(self):
+        scenario = EvaluationScenario(
+            seed=5, train_duration=20.0, eval_duration=20.0,
+            train_sessions=1, eval_sessions=1,
+        )
+        runner = ExperimentRunner(scenario)
+        cache = runner.window_cache
+        trace = scenario.evaluation_by_app()[runner.app_order()[0]][0]
+        with obs.capture() as cap:
+            matrices = runner.flow_feature_matrices("or", trace, 5.0)
+        plan = runner.fused_plan("or", trace)
+        expected = plan.plan_bytes + sum(matrix.nbytes for matrix in matrices)
+        assert cache.pinned_bytes == expected
+        assert cap.metrics.gauges["proc.window_cache.pinned_bytes"] == expected
+        flows = runner.observable_flows("morphing", trace)
+        (matrix,) = runner.flow_feature_matrices("morphing", trace, 5.0)
+        columns = ("times", "sizes", "directions", "ifaces", "channels", "rssi")
+        expected += sum(getattr(flow, c).nbytes for flow in flows for c in columns)
+        expected += matrix.nbytes  # the declined plan itself pins nothing
+        assert cache.pinned_bytes == expected
+        runner.flow_feature_matrices("or", trace, 5.0)  # all hits
+        assert cache.pinned_bytes == expected
+        cache.clear()
+        assert cache.pinned_bytes == 0
 
 
 class TestStageOverhead:
