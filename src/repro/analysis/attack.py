@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.analysis.batch import augment_direction_dropout, flow_feature_matrix
 from repro.analysis.classifiers import Classifier, best_classifier, default_attackers
-from repro.analysis.classifiers.selection import TaskMap
+from repro.analysis.classifiers.selection import CLASSIFIERS, DEFAULT_ATTACKERS, TaskMap
 from repro.analysis.dataset import Dataset
 from repro.analysis.metrics import (
     ConfusionMatrix,
@@ -24,13 +24,13 @@ from repro.analysis.metrics import (
     mean_accuracy,
 )
 from repro.analysis.scaler import StandardScaler
-from repro.analysis.windows import MIN_WINDOW_PACKETS
+from repro.analysis.windows import MIN_WINDOW_PACKETS, window_key
 from repro.obs import add as obs_add
 from repro.obs import span as obs_span
 from repro.traffic.trace import Trace
 from repro.util.validation import require_positive
 
-__all__ = ["AttackPipeline", "AttackReport"]
+__all__ = ["AttackPipeline", "AttackReport", "PipelineKey", "training_rows"]
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,22 @@ class AttackReport:
         if not values:
             return float("nan")
         return float(sum(values) / len(values))
+
+
+def training_rows(trace: Trace, window: float) -> np.ndarray:
+    """One training trace's rows: its windows, then their variants.
+
+    The trace's feature matrix
+    (:func:`repro.analysis.batch.flow_feature_matrix`) followed by every
+    window's one-sided variants.  Attackers and feature subsets act at
+    fit time, so every pipeline of one window fits these same rows.
+    """
+    matrix = flow_feature_matrix(trace, window)
+    if len(matrix):
+        variants = augment_direction_dropout(matrix, window)
+        if len(variants):
+            matrix = np.concatenate([matrix, variants], axis=0)
+    return matrix
 
 
 class AttackPipeline:
@@ -114,30 +130,16 @@ class AttackPipeline:
         """Profile applications from undefended training traces.
 
         The composition of the two pure training pieces: every trace's
-        :meth:`training_rows`, then :meth:`fit_rows` on them.  The
+        :func:`training_rows`, then :meth:`fit_rows` on them.  The
         executor's training stage runs the same pieces spread over a
         process pool.
         """
         with obs_span("train.rows"):
             rows_by_label = {
-                label: [self.training_rows(trace) for trace in traces]
+                label: [training_rows(trace, self.window) for trace in traces]
                 for label, traces in traces_by_app.items()
             }
         return self.fit_rows(rows_by_label)
-
-    def training_rows(self, trace: Trace) -> np.ndarray:
-        """One training trace's rows: its windows, then their variants.
-
-        The trace's feature matrix
-        (:func:`repro.analysis.batch.flow_feature_matrix`) followed by
-        every window's one-sided variants.
-        """
-        matrix = flow_feature_matrix(trace, self.window)
-        if len(matrix):
-            variants = augment_direction_dropout(matrix, self.window)
-            if len(variants):
-                matrix = np.concatenate([matrix, variants], axis=0)
-        return matrix
 
     def fit_rows(
         self,
@@ -147,7 +149,7 @@ class AttackPipeline:
         """Fit the scaler and select the classifier on training rows.
 
         ``rows_by_label`` maps each application to its traces'
-        :meth:`training_rows`, in trace order.  ``map`` runs the
+        :func:`training_rows`, in trace order.  ``map`` runs the
         classifier fits as parallel tasks (see :func:`best_classifier`);
         the fitted pipeline is the same either way.
         """
@@ -281,3 +283,30 @@ class AttackPipeline:
             true_labels, predicted, self._classes
         )
         return AttackReport(confusion=confusion)
+
+
+@dataclass(frozen=True)
+class PipelineKey:
+    """Names one trained attacker: window, candidate names, feature subset.
+
+    ``attackers`` index :data:`~repro.analysis.classifiers.CLASSIFIERS`;
+    ``features=None`` keeps all twelve columns.  ``window`` is
+    normalized by :func:`~repro.analysis.windows.window_key`, so float
+    jitter names the same key.
+    """
+
+    window: float
+    attackers: tuple[str, ...] = DEFAULT_ATTACKERS
+    features: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "window", window_key(self.window))
+
+    def build(self, seed: int) -> AttackPipeline:
+        """The untrained pipeline this key names."""
+        return AttackPipeline(
+            window=self.window,
+            attackers=[CLASSIFIERS[name](seed) for name in self.attackers],
+            seed=seed,
+            feature_indices=self.features,
+        )

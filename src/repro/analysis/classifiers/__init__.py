@@ -14,9 +14,14 @@ from repro.analysis.classifiers.svm import LinearSvm
 from repro.analysis.classifiers.nn import MlpClassifier
 from repro.analysis.classifiers.bayes import GaussianNaiveBayes
 from repro.analysis.classifiers.knn import KNearestNeighbors
-from repro.analysis.classifiers.selection import best_classifier, default_attackers
+from repro.analysis.classifiers.selection import (
+    CLASSIFIERS,
+    best_classifier,
+    default_attackers,
+)
 
 __all__ = [
+    "CLASSIFIERS",
     "Classifier",
     "GaussianNaiveBayes",
     "KNearestNeighbors",

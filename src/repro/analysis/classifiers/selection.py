@@ -16,20 +16,34 @@ import numpy as np
 
 from repro import obs
 from repro.analysis.classifiers.base import Classifier
+from repro.analysis.classifiers.bayes import GaussianNaiveBayes
+from repro.analysis.classifiers.knn import KNearestNeighbors
 from repro.analysis.classifiers.nn import MlpClassifier
 from repro.analysis.classifiers.svm import LinearSvm
 from repro.util.rng import derive_rng
 
-__all__ = ["default_attackers", "best_classifier"]
+__all__ = ["CLASSIFIERS", "DEFAULT_ATTACKERS", "default_attackers", "best_classifier"]
 
 #: ``map(fn, items) -> iterable of results``, in item order: the builtin
 #: or an executor's pool map.
 TaskMap = Callable[[Callable[[object], object], Iterable[object]], Iterable[object]]
 
 
+#: Every attacker by name, built from a seed (bayes and knn ignore it).
+CLASSIFIERS: dict[str, Callable[[int], Classifier]] = {
+    "svm": lambda seed: LinearSvm(seed=seed),
+    "nn": lambda seed: MlpClassifier(seed=seed),
+    "bayes": lambda seed: GaussianNaiveBayes(),
+    "knn": lambda seed: KNearestNeighbors(),
+}
+
+#: The paper's attacker set: one SVM and one NN.
+DEFAULT_ATTACKERS = ("svm", "nn")
+
+
 def default_attackers(seed: int = 0) -> list[Classifier]:
-    """The paper's attacker set: one SVM and one NN."""
-    return [LinearSvm(seed=seed), MlpClassifier(seed=seed)]
+    """The paper's attacker set, built from ``seed``."""
+    return [CLASSIFIERS[name](seed) for name in DEFAULT_ATTACKERS]
 
 
 def _fit(candidate: Classifier, x: np.ndarray, y: np.ndarray, n_classes: int) -> None:

@@ -15,9 +15,11 @@ grid of attacking classifiers and reports, per cell:
 
 Cells are (composition × classifier) and fully independent: each builds
 its stack from a seed derived from the composition alone (so every
-classifier column attacks the same defended traffic) and trains (or
-reuses a process-cached) single-classifier pipeline, so ``--jobs N``
-reproduces the serial numbers exactly — the acceptance bar
+classifier column attacks the same defended traffic) and reads its
+single-classifier pipeline from the shared runner (the spec declares one
+:class:`~repro.analysis.attack.PipelineKey` per classifier, and the
+training stage fits them all on one featurization of the split).  So
+``--jobs N`` reproduces the serial numbers exactly — the acceptance bar
 ``repro run combined_grid --scheme padding+or --jobs 2`` == serial.
 """
 
@@ -27,14 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.attack import AttackPipeline
-from repro.analysis.classifiers import (
-    GaussianNaiveBayes,
-    KNearestNeighbors,
-    LinearSvm,
-    MlpClassifier,
-)
-from repro.analysis.windows import window_key
+from repro.analysis.attack import PipelineKey
+from repro.analysis.classifiers import CLASSIFIERS
 from repro.experiments import parallel, registry
 from repro.experiments.registry import (
     ExperimentCell,
@@ -67,14 +63,6 @@ DEFAULT_COMPOSITIONS = (
     "padding+or+fh",
     "padding+pseudonym+or",
 )
-
-_CLASSIFIERS = {
-    "svm": lambda seed: LinearSvm(seed=seed),
-    "nn": lambda seed: MlpClassifier(seed=seed),
-    "bayes": lambda seed: GaussianNaiveBayes(),
-    "knn": lambda seed: KNearestNeighbors(),
-}
-
 
 @dataclass(frozen=True)
 class GridCell:
@@ -174,9 +162,9 @@ def _classifiers(options: dict[str, object]) -> tuple[str, ...]:
     names = tuple(
         part.strip() for part in str(options["classifiers"]).split(",") if part.strip()
     )
-    unknown = set(names) - set(_CLASSIFIERS)
+    unknown = set(names) - set(CLASSIFIERS)
     if not names or unknown:
-        known = ", ".join(sorted(_CLASSIFIERS))
+        known = ", ".join(sorted(CLASSIFIERS))
         raise ValueError(
             f"classifiers must be a comma-separated subset of {{{known}}}, "
             f"got {options['classifiers']!r}"
@@ -229,23 +217,12 @@ def _cells(
     return tuple(cells)
 
 
-def _grid_pipeline(
-    params: ScenarioParams, classifier: str, window: float
-) -> AttackPipeline:
-    """Process-local single-classifier pipeline (trained once per worker)."""
-
-    def build() -> AttackPipeline:
-        scenario = parallel.shared_scenario(params)
-        pipeline = AttackPipeline(
-            window=window,
-            seed=scenario.seed,
-            attackers=[_CLASSIFIERS[classifier](scenario.seed)],
-        )
-        return pipeline.train(scenario.training_traces())
-
-    return parallel.worker_cached(
-        ("combined_grid-pipeline", params, classifier, window_key(window)), build
-    )
+def _pipelines(
+    params: ScenarioParams, options: dict[str, object]
+) -> tuple[PipelineKey, ...]:
+    """One single-classifier pipeline per classifier column."""
+    window = float(options["window"])
+    return tuple(PipelineKey(window, (name,)) for name in _classifiers(options))
 
 
 def _grid_stack(
@@ -275,10 +252,10 @@ def _run_cell(cell: ExperimentCell) -> GridCell:
     params = cell.params["scenario"]
     composition = str(cell.params["composition"])
     stack = _grid_stack(params, composition, cell.params["specs"])
-    pipeline = _grid_pipeline(
-        params, str(cell.params["classifier"]), float(cell.params["window"])
-    )
     runner = parallel.shared_runner(params)
+    pipeline = runner.pipeline(
+        PipelineKey(float(cell.params["window"]), (str(cell.params["classifier"]),))
+    )
     matrices_by_label: dict[str, list[np.ndarray]] = {}
     original_bytes = extra_bytes = handshake_bytes = flow_count = 0
     per_stage: dict[str, int] = {}
@@ -374,5 +351,6 @@ registry.register(
             "classifiers": "svm,bayes",
             "scheme_params": "",
         },
+        pipelines=_pipelines,
     )
 )

@@ -157,7 +157,7 @@ registry.register(
         combine=take_only,
         to_result=_combined_to_result,
         options={"window": 5.0},
-        pipeline_windows=registry.window_option,
+        pipelines=registry.window_option,
     )
 )
 

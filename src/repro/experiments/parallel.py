@@ -6,20 +6,20 @@ scheme, window, application, or interface count — see
 over a process pool and folds the results back in cell order, so
 
 * every run first runs a **training stage**, then the cells.  For
-  every window a spec declares
-  (:attr:`~repro.experiments.registry.ExperimentSpec.pipeline_windows`),
-  the stage maps one task per training (app, session): the task takes
-  that trace from :meth:`~EvaluationScenario.training_session`, returns
-  only its training rows and drops the trace.  The scaler is then fit
-  on the rows and :func:`~repro.analysis.classifiers.best_classifier`
-  picks the classifier.  Every cell payload carries the trained
+  every :class:`~repro.analysis.attack.PipelineKey` a spec declares
+  (:attr:`~repro.experiments.registry.ExperimentSpec.pipelines`), the
+  stage maps one task per training (app, session): the task takes that
+  trace from :meth:`~EvaluationScenario.training_session`, returns
+  only its training rows per declared window and drops the trace.
+  :func:`~repro.experiments.runner.train_pipelines` then fits every
+  key on its window's rows.  Every cell payload carries the trained
   pipelines, which the process's :func:`shared_runner` adopts.
 * ``jobs=1`` maps the stage's tasks in order, in-process, and fits the
   candidates one after another (``fit_rows(map=None)``); it skips a
-  window the process's :func:`shared_runner` already holds, so a
-  session that runs several experiments trains each window once.  The
-  cells then run in-process, sharing one scenario's evaluation split
-  and one :class:`~repro.analysis.batch.WindowCache`.  No trace of the
+  key the process's :func:`shared_runner` already holds, so a session
+  that runs several experiments trains each key once.  The cells then
+  run in-process, sharing one scenario's evaluation split and one
+  :class:`~repro.analysis.batch.WindowCache`.  No trace of the
   training split outlives its task.
 * ``jobs=N`` opens the pool before the parent generates anything and
   maps the stage's tasks, and the candidates' fits, over it, so no
@@ -49,11 +49,10 @@ from collections.abc import Callable, Mapping
 from dataclasses import replace
 
 from repro import obs
-from repro.analysis.attack import AttackPipeline
-from repro.analysis.windows import window_key
+from repro.analysis.attack import AttackPipeline, PipelineKey, training_rows
 from repro.experiments import registry
 from repro.experiments.registry import ExperimentCell, ScenarioParams
-from repro.experiments.runner import ExperimentRunner, attack_pipeline
+from repro.experiments.runner import ExperimentRunner, train_pipelines
 from repro.experiments.scenarios import EvaluationScenario
 from repro.util.results import ExperimentResult
 
@@ -74,11 +73,10 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 #: Process-local memo: scenario corpora, experiment runners, and
-#: arbitrary per-experiment caches (e.g. Table VI's timing pipeline),
-#: keyed by picklable descriptors.  The serial path shares it across
-#: every cell of a run (and across runs); in workers it amortizes
-#: corpus generation and classifier training across the cells each
-#: worker executes.
+#: per-experiment caches (e.g. combined_grid's scheme stacks), keyed by
+#: picklable descriptors.  The serial path shares it across every cell
+#: of a run (and across runs); in workers it amortizes corpus
+#: generation across the cells each worker executes.
 _WORKER_STATE: dict[object, object] = {}
 
 
@@ -219,8 +217,8 @@ def _check_executor(jobs: int, start_method: str | None) -> None:
 
 
 #: What a cell payload carries besides the cell: the scenario and the
-#: pipelines the training stage fitted for it (``None`` without a stage).
-Trained = tuple[ScenarioParams, tuple[AttackPipeline, ...]] | None
+#: pipelines the training stage fitted, by key (``None`` without a stage).
+Trained = tuple[ScenarioParams, dict[PipelineKey, AttackPipeline]] | None
 
 
 def _execute_cell(
@@ -250,8 +248,8 @@ def _execute_cell(
         if trained is not None:
             params, pipelines = trained
             runner = shared_runner(params)
-            for pipeline in pipelines:
-                runner.adopt(pipeline)
+            for key, pipeline in pipelines.items():
+                runner.adopt(key, pipeline)
         return spec.run_cell(cell)
 
     try:
@@ -308,12 +306,12 @@ def _stage_map(pool, mode: str | None):
 
 
 def _training_rows(
-    task: tuple[ScenarioParams, object, int, tuple[AttackPipeline, ...]],
+    task: tuple[ScenarioParams, object, int, tuple[float, ...]],
 ) -> tuple:
-    """One training trace's rows for every pipeline; the trace stays here."""
-    params, app, session, pipelines = task
+    """One training trace's rows for every window; the trace stays here."""
+    params, app, session, windows = task
     trace = shared_scenario(params).training_session(app, session)
-    return tuple(pipeline.training_rows(trace) for pipeline in pipelines)
+    return tuple(training_rows(trace, window) for window in windows)
 
 
 def _train_stage(
@@ -322,58 +320,39 @@ def _train_stage(
     """Train the spec's declared pipelines once, spread over ``pool``.
 
     ``pool=None`` (``jobs=1``) trains in this process and leaves out
-    the windows its :func:`shared_runner` already holds.  Returns the
+    the keys its :func:`shared_runner` already holds.  Returns the
     cell payloads' ``trained`` entry (``None`` when nothing trained)
     and the stage's telemetry (``None`` unless profiling), which the
     run profile reports in its ``process`` block.
     """
-    if spec.pipeline_windows is None:
+    if spec.pipelines is None:
         return None, None
-    windows = {
-        window_key(window): float(window)
-        for window in spec.pipeline_windows(params, resolved)
-    }
+    keys = tuple(dict.fromkeys(spec.pipelines(params, resolved)))
     # Peek rather than shared_runner(params): building the runner (and
     # opening a stored corpus) stays with the capture that first needs it.
     runner = _WORKER_STATE.get(("runner", params)) if pool is None else None
     if runner is not None:
-        windows = {
-            key: window
-            for key, window in windows.items()
-            if not runner.has_pipeline(window)
-        }
-        if not windows:
-            return None, None
-    pipelines = tuple(attack_pipeline(window, params.seed) for window in windows.values())
+        keys = tuple(key for key in keys if not runner.has_pipeline(key))
+    if not keys:
+        return None, None
     stage_map = _stage_map(pool, mode)
 
-    def train() -> None:
+    def rows(sessions, windows):
+        tasks = [(params, app, session, windows) for app, session in sessions]
+        return stage_map(_training_rows, tasks)
+
+    def train() -> dict[PipelineKey, AttackPipeline]:
         # The parent only enumerates the split; building a scenario is
         # lazy (or opens a stored corpus), so it generates nothing.
         scenario = params.build()
-        keys = [
-            (app, session)
-            for app in scenario.apps
-            for session in range(scenario.train_sessions)
-        ]
-        label = ",".join(f"{window:g}" for window in windows.values())
+        label = ",".join(f"{w:g}" for w in dict.fromkeys(key.window for key in keys))
         with obs.span(f"stage.train[W={label}]"):
-            with obs.span("train.rows"):
-                rows = stage_map(
-                    _training_rows,
-                    [(params, app, session, pipelines) for app, session in keys],
-                )
-            for index, pipeline in enumerate(pipelines):
-                rows_by_label: dict[str, list] = {}
-                for (app, _), trace_rows in zip(keys, rows):
-                    rows_by_label.setdefault(app.value, []).append(trace_rows[index])
-                obs.add("pipeline.trained")
-                pipeline.fit_rows(
-                    rows_by_label, map=None if pool is None else stage_map
-                )
+            return train_pipelines(
+                keys, scenario, rows, map=None if pool is None else stage_map
+            )
 
     sink = obs.PerfCounterSink() if mode == "timed" else None
-    _, subprofile = obs.captured(train, sink)
+    pipelines, subprofile = obs.captured(train, sink)
     return (params, pipelines), None if mode is None else subprofile
 
 

@@ -46,13 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.analysis.attack import AttackPipeline
+from repro.analysis.attack import PipelineKey
+from repro.analysis.classifiers import CLASSIFIERS
 from repro.analysis.metrics import ConfusionMatrix, mean_accuracy
 from repro.experiments import parallel, registry
-
-# combined_grid's classifier catalog is reused so the --set classifier
-# spellings match across experiments.
-from repro.experiments.combined_grid import _CLASSIFIERS
 from repro.experiments.registry import (
     ExperimentCell,
     ExperimentSpec,
@@ -142,6 +139,20 @@ class PopulationScaleResult:
     shard_packets: tuple[tuple[str, int], ...]
 
 
+def _pipeline(options: dict[str, object]) -> PipelineKey:
+    """The attacker, profiled offline (Sec. IV) on the training split.
+
+    The population's synthetic stations are traffic it has never seen.
+    """
+    classifier = str(options["classifier"])
+    if classifier not in CLASSIFIERS:
+        known = ", ".join(sorted(CLASSIFIERS))
+        raise ValueError(
+            f"classifier must be one of {{{known}}}, got {classifier!r}"
+        )
+    return PipelineKey(float(options["window"]), (classifier,))
+
+
 def _cells(
     params: ScenarioParams, options: dict[str, object]
 ) -> tuple[ExperimentCell, ...]:
@@ -149,12 +160,7 @@ def _cells(
     if any(n < 1 for n in populations):
         raise ValueError(f"populations must be >= 1, got {populations!r}")
     specs = canonical_stack(str(options["scheme"]))
-    classifier = str(options["classifier"])
-    if classifier not in _CLASSIFIERS:
-        known = ", ".join(sorted(_CLASSIFIERS))
-        raise ValueError(
-            f"classifier must be one of {{{known}}}, got {classifier!r}"
-        )
+    classifier = _pipeline(options).attackers[0]
     grid = [
         (
             f"pop={population}",
@@ -170,30 +176,6 @@ def _cells(
     ]
     return parallel.shard_grid_cells(
         "population_scale", params, grid, int(options["shards"])
-    )
-
-
-def _population_pipeline(
-    params: ScenarioParams, classifier: str, window: float
-) -> AttackPipeline:
-    """Process-local attacker, trained once per worker on the scenario corpus.
-
-    The attacker profiles applications offline (Sec. IV) from the
-    scenario's training split — the population's synthetic stations are
-    evaluation-only traffic it has never seen.
-    """
-
-    def build() -> AttackPipeline:
-        scenario = parallel.shared_scenario(params)
-        pipeline = AttackPipeline(
-            window=window,
-            seed=scenario.seed,
-            attackers=[_CLASSIFIERS[classifier](scenario.seed)],
-        )
-        return pipeline.train(scenario.training_traces())
-
-    return parallel.worker_cached(
-        ("population-pipeline", params, classifier, window), build
     )
 
 
@@ -235,9 +217,7 @@ def _run_cell(cell: ExperimentCell) -> PopulationShardResult:
     duration = float(cell.params["station_duration"])
     window = float(cell.params["window"])
     specs = cell.params["specs"]
-    pipeline = _population_pipeline(
-        params, str(cell.params["classifier"]), window
-    )
+    pipeline = parallel.shared_runner(params).pipeline(_pipeline(cell.params))
     # A private runner: its cache is cleared per station, never shared.
     runner = ExperimentRunner(parallel.shared_scenario(params))
     classes = pipeline.classes
@@ -412,5 +392,6 @@ registry.register(
             "classifier": "svm",
             "window": 5.0,
         },
+        pipelines=lambda params, options: (_pipeline(options),),
     )
 )

@@ -32,6 +32,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields
 
+from repro.analysis.attack import PipelineKey
 from repro.experiments.scenarios import EvaluationScenario, recipe_scalars
 from repro.schemes.spec import SchemeSpec, specs_from_json
 from repro.util.results import ExperimentResult
@@ -228,16 +229,16 @@ def single_cell(
 
 def window_option(
     params: "ScenarioParams", options: dict[str, object]
-) -> tuple[float, ...]:
-    """``pipeline_windows`` of a spec whose cells use its ``window`` option."""
-    return (float(options["window"]),)
+) -> tuple[PipelineKey, ...]:
+    """``pipelines`` of a spec whose cells use its ``window`` option."""
+    return (PipelineKey(float(options["window"])),)
 
 
 def windows_option(
     params: "ScenarioParams", options: dict[str, object]
-) -> tuple[float, ...]:
-    """``pipeline_windows`` of a spec whose cells use its ``windows`` list."""
-    return parse_number_list(options["windows"])
+) -> tuple[PipelineKey, ...]:
+    """``pipelines`` of a spec whose cells use its ``windows`` list."""
+    return tuple(PipelineKey(window) for window in parse_number_list(options["windows"]))
 
 
 def take_only(
@@ -276,12 +277,12 @@ class ExperimentSpec:
             measurement of this machine (wall-clock benchmarks); those
             are excluded from the serial/parallel equivalence
             guarantee.
-        pipeline_windows: ``(params, options) -> tuple[float, ...]`` —
-            the windows W whose ``shared_runner(params).pipeline(W)``
-            the cells request.  A parallel run trains those pipelines
-            once, in a stage spread over the pool, before the cells run
-            (see :mod:`repro.experiments.parallel`).  ``None``: the
-            cells train nothing through the shared runner.
+        pipelines: ``(params, options) -> tuple[PipelineKey, ...]`` —
+            the keys whose ``shared_runner(params).pipeline(key)`` the
+            cells request.  A run trains those pipelines once, in a
+            stage before the cells (see
+            :mod:`repro.experiments.parallel`).  ``None``: the cells
+            use no trained attacker.
     """
 
     name: str
@@ -293,8 +294,8 @@ class ExperimentSpec:
     to_result: Callable[[ScenarioParams, dict[str, object], object], ExperimentResult]
     options: Mapping[str, object] = field(default_factory=dict)
     deterministic: bool = True
-    pipeline_windows: (
-        Callable[[ScenarioParams, dict[str, object]], tuple[float, ...]] | None
+    pipelines: (
+        Callable[[ScenarioParams, dict[str, object]], tuple[PipelineKey, ...]] | None
     ) = None
 
     def resolve_options(self, overrides: Mapping[str, object] | None = None) -> dict[str, object]:

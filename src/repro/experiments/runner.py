@@ -1,9 +1,10 @@
 """Experiment orchestration: train once, evaluate every scheme.
 
 The runner owns a trained :class:`~repro.analysis.attack.AttackPipeline`
-per eavesdropping window W (keyed by
-:func:`~repro.analysis.windows.window_key`, so float jitter cannot
-retrain a duplicate) and is every experiment's one evaluation path:
+per :class:`~repro.analysis.attack.PipelineKey` (window, attackers,
+features; the window normalized, so float jitter cannot retrain a
+duplicate), all fitted by :func:`train_pipelines`, and is every
+experiment's one evaluation path:
 :meth:`ExperimentRunner.flow_feature_matrices` plans a scheme when it
 can fuse and applies it when it declines, and
 :meth:`ExperimentRunner.stage_overhead` reports the byte accounting of
@@ -15,22 +16,22 @@ shared :class:`~repro.analysis.batch.WindowCache`.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import obs
-from repro.analysis.attack import AttackPipeline, AttackReport
+from repro.analysis.attack import AttackPipeline, AttackReport, PipelineKey, training_rows
 from repro.analysis.batch import WindowCache, fused_flow_matrices
-from repro.analysis.windows import window_key
+from repro.analysis.classifiers.selection import TaskMap
 from repro.defenses.base import DefendedTraffic, FusedPlan, StageOverhead
 from repro.experiments.scenarios import EvaluationScenario
 from repro.schemes import Scheme, SchemeSpec, build_stack, canonical_stack
 from repro.traffic.apps import AppType
 from repro.traffic.trace import Trace
 
-__all__ = ["ExperimentRunner", "attack_pipeline"]
+__all__ = ["ExperimentRunner", "train_pipelines"]
 
 #: What the evaluation entry points accept as "a scheme": a registry
 #: spec / composition (the undefended original is ``"original"``) or an
@@ -38,9 +39,52 @@ __all__ = ["ExperimentRunner", "attack_pipeline"]
 SchemeLike = "Scheme | SchemeSpec | Sequence[SchemeSpec] | str"
 
 
-def attack_pipeline(window: float, seed: int) -> AttackPipeline:
-    """The untrained attacker every runner trains for ``window``."""
-    return AttackPipeline(window=window, seed=seed)
+def _as_key(key: PipelineKey | float) -> PipelineKey:
+    """``key``, or the default key of a bare window."""
+    return key if isinstance(key, PipelineKey) else PipelineKey(key)
+
+
+def train_pipelines(
+    keys: Sequence[PipelineKey],
+    scenario: EvaluationScenario,
+    rows: Callable[[list, tuple], Sequence[tuple]] | None = None,
+    map: TaskMap | None = None,
+) -> dict[PipelineKey, AttackPipeline]:
+    """Fit every key's pipeline on ``scenario``'s training split.
+
+    The one training path.  ``rows(sessions, windows)`` gives, per
+    training ``(app, session)``, its
+    :func:`~repro.analysis.attack.training_rows` per distinct window
+    (by default computed here, one ``training_session`` at a time; the
+    executor's stage maps it over a pool), then each key is fit on its
+    window's rows with ``map``.  No training trace is kept.
+    """
+    windows = tuple(dict.fromkeys(key.window for key in keys))
+    sessions = [
+        (app, session)
+        for app in scenario.apps
+        for session in range(scenario.train_sessions)
+    ]
+    with obs.span("train.rows"):
+        if rows is None:
+            trace_rows = [
+                tuple(
+                    training_rows(scenario.training_session(app, session), window)
+                    for window in windows
+                )
+                for app, session in sessions
+            ]
+        else:
+            trace_rows = rows(sessions, windows)
+    trained: dict[PipelineKey, AttackPipeline] = {}
+    for key in keys:
+        column = windows.index(key.window)
+        rows_by_label: dict[str, list[np.ndarray]] = {}
+        for (app, _), by_window in zip(sessions, trace_rows):
+            rows_by_label.setdefault(app.value, []).append(by_window[column])
+        obs.add("pipeline.trained")
+        trained[key] = key.build(scenario.seed).fit_rows(rows_by_label, map=map)
+    return trained
 
 
 @dataclass
@@ -48,7 +92,9 @@ class ExperimentRunner:
     """Shared machinery for the table experiments."""
 
     scenario: EvaluationScenario
-    _pipelines: dict[float, AttackPipeline] = field(default_factory=dict, repr=False)
+    _pipelines: dict[PipelineKey, AttackPipeline] = field(
+        default_factory=dict, repr=False
+    )
     _built: dict[tuple[SchemeSpec, ...], Scheme] = field(
         default_factory=dict, repr=False
     )
@@ -59,36 +105,33 @@ class ExperimentRunner:
         """The runner's shared windowing/featurization cache."""
         return self._cache
 
-    def pipeline(self, window: float) -> AttackPipeline:
-        """The trained attack pipeline for eavesdropping duration ``window``."""
-        key = window_key(window)
+    def pipeline(self, key: PipelineKey | float) -> AttackPipeline:
+        """The trained pipeline ``key`` (a bare window: its default key) names."""
+        key = _as_key(key)
         obs.add("pipeline.requests")
         if key not in self._pipelines:
-            # The executor's training stage trains every window a spec
+            # The executor's training stage trains every key a spec
             # declares, at any --jobs, and the cells adopt() it; only an
-            # undeclared window trains here, once per process.  That is
+            # undeclared key trains here, once per process.  That is
             # memoized shared state, so its telemetry goes to the proc.*
             # namespace.
             with obs.unattributed():
-                obs.add("pipeline.trained")
-                pipeline = attack_pipeline(window, self.scenario.seed)
-                pipeline.train(self.scenario.training_traces())
-            self._pipelines[key] = pipeline
+                self._pipelines.update(train_pipelines((key,), self.scenario))
         return self._pipelines[key]
 
-    def has_pipeline(self, window: float) -> bool:
-        """Whether this runner already holds a pipeline for ``window``."""
-        return window_key(window) in self._pipelines
+    def has_pipeline(self, key: PipelineKey | float) -> bool:
+        """Whether this runner already holds the pipeline ``key`` names."""
+        return _as_key(key) in self._pipelines
 
-    def adopt(self, pipeline: AttackPipeline) -> None:
-        """Install a pipeline trained elsewhere for its window.
+    def adopt(self, key: PipelineKey | float, pipeline: AttackPipeline) -> None:
+        """Install a pipeline trained elsewhere under ``key``.
 
-        The executor's training stage builds :func:`attack_pipeline`
-        exactly as :meth:`pipeline` would and fits it on the same rows,
-        so adopting it changes nothing but where the training ran.  A
-        window this runner already holds keeps its pipeline.
+        The executor's training stage fits exactly what :meth:`pipeline`
+        would, through the same :func:`train_pipelines`, so adopting it
+        changes nothing but where the training ran.  A key this runner
+        already holds keeps its pipeline.
         """
-        self._pipelines.setdefault(window_key(pipeline.window), pipeline)
+        self._pipelines.setdefault(_as_key(key), pipeline)
 
     def scheme(
         self, composition: SchemeSpec | Sequence[SchemeSpec] | str

@@ -103,10 +103,10 @@ class EvaluationScenario:
     ):
         """Persist both splits to a :class:`~repro.storage.TraceStore`.
 
-        Traces are written in the deterministic order the accessors
-        produce them (apps in scenario order, sessions ascending, the
-        training split first), so hydration rebuilds identical
-        ``training_by_app`` / ``evaluation_by_app`` mappings.
+        Traces are written in a deterministic order (apps in scenario
+        order, sessions ascending, the training split first), so
+        hydration serves identical :meth:`training_session` and
+        :meth:`evaluation_by_app` traces.
         ``schemes`` optionally attaches a defense-scheme recipe (a
         sequence of :class:`~repro.schemes.SchemeSpec`) to the manifest
         as provenance; the stored traces stay undefended — the recipe
@@ -145,18 +145,19 @@ class EvaluationScenario:
                 overwrite=overwrite,
             )
         with writer_cm as writer:
-            for app, traces in self.training_by_app().items():
-                for trace in traces:
-                    if shards is None:
-                        writer.add(trace, role="train")
-                    else:
-                        writer.add(trace, role="train", key=app.value)
+
+            def add(trace: Trace, role: str, app: AppType) -> None:
+                if shards is None:
+                    writer.add(trace, role=role)
+                else:
+                    writer.add(trace, role=role, key=app.value)
+
+            for app in self.apps:
+                for session in range(self.train_sessions):
+                    add(self.training_session(app, session), "train", app)
             for app, traces in self.evaluation_by_app().items():
                 for trace in traces:
-                    if shards is None:
-                        writer.add(trace, role="eval")
-                    else:
-                        writer.add(trace, role="eval", key=app.value)
+                    add(trace, "eval", app)
         return open_corpus(path)
 
     @classmethod
@@ -212,48 +213,23 @@ class EvaluationScenario:
         scenario._eval = {app: splits["eval"][app] for app in scenario.apps}
         return scenario
 
-    # Both splits expose an AppType-keyed accessor (``*_by_app``) and a
-    # label-keyed accessor (``*_traces`` / ``*_by_label``) so callers
-    # never mix key types.  Every accessor returns a fresh dict of
-    # fresh lists: mutating a returned mapping cannot corrupt the
-    # scenario's corpus.  The Trace objects themselves are shared (they
-    # are treated as immutable and cached by identity downstream, e.g.
-    # by :class:`~repro.analysis.batch.WindowCache`).
-
-    def training_by_app(self) -> dict[AppType, list[Trace]]:
-        """Per-app undefended training captures (generated lazily, cached)."""
-        with obs.span("scenario.generate"):
-            if not self._train:
-                # Lazy generation is memoized shared state — telemetry
-                # recorded inside lands in the proc.* namespace so the
-                # first cell to touch the corpus isn't charged for it.
-                with obs.unattributed():
-                    self._train = {
-                        app: [
-                            self.training_session(app, s)
-                            for s in range(self.train_sessions)
-                        ]
-                        for app in self.apps
-                    }
-            return {app: list(traces) for app, traces in self._train.items()}
+    # The evaluation split exposes an AppType-keyed and a label-keyed
+    # accessor; each returns a fresh dict of fresh lists, so mutating a
+    # returned mapping cannot corrupt the corpus.  The Trace objects are
+    # shared (treated as immutable and cached by identity downstream).
 
     def training_session(self, app: AppType, session: int) -> Trace:
         """One training capture of ``app``, without caching the split.
 
-        The loaded split's trace when there is one (a hydrated corpus,
-        or after :meth:`training_by_app`); otherwise the capture is
-        generated, counted in ``train.traces``, and not kept — the
-        executor's training stage generates each one once, in whichever
-        process featurizes it, serial runs included.
+        The loaded split's trace when there is one (a hydrated corpus);
+        otherwise the capture is generated, counted in ``train.traces``,
+        and not kept — the executor's training stage generates each one
+        once, in whichever process featurizes it, serial runs included.
         """
         if self._train:
             return self._train[app][session]
         obs.add("train.traces")
         return self._generator().generate(app, self.train_duration, session=session)
-
-    def training_traces(self) -> dict[str, list[Trace]]:
-        """Training captures keyed by class label (the classifier-facing view)."""
-        return {app.value: traces for app, traces in self.training_by_app().items()}
 
     def evaluation_trace(self, app: AppType, session: int = 0) -> Trace:
         """One held-out evaluation capture of ``app``."""

@@ -24,10 +24,10 @@ inherit the registry's serial/parallel equivalence guarantee.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
-from repro.analysis.attack import AttackPipeline, AttackReport
-from repro.analysis.classifiers import GaussianNaiveBayes, LinearSvm
+from repro.analysis.attack import AttackReport, PipelineKey
 from repro.experiments import parallel, registry
 from repro.experiments.registry import (
     ExperimentCell,
@@ -236,7 +236,7 @@ registry.register(
             "interfaces": DEFAULT_INTERFACES,
             "schemes": ",".join(SCHEME_NAMES),
         },
-        pipeline_windows=registry.window_option,
+        pipelines=registry.window_option,
     )
 )
 
@@ -260,19 +260,22 @@ class DriftResult:
     trained: dict[str, int]
 
 
-def _drift_learner(options: dict[str, object], seed: int):
+#: The classifiers with ``partial_fit``, the only ones drift can update.
+_DRIFT_LEARNERS = ("svm", "bayes")
+
+
+def _drift_learner(options: dict[str, object]) -> PipelineKey:
+    """Both modes' batch-trained attacker: one learner on every feature."""
     learner = str(options["learner"])
-    if learner == "svm":
-        return LinearSvm(seed=seed)
-    if learner == "bayes":
-        return GaussianNaiveBayes()
-    raise ValueError(f"learner must be 'svm' or 'bayes', got {learner!r}")
+    if learner not in _DRIFT_LEARNERS:
+        raise ValueError(f"learner must be 'svm' or 'bayes', got {learner!r}")
+    return PipelineKey(float(options["window"]), (learner,))
 
 
 def _drift_cells(
     params: ScenarioParams, options: dict[str, object]
 ) -> tuple[ExperimentCell, ...]:
-    _drift_learner(options, params.seed)  # surface bad values at build time
+    _drift_learner(options)  # surface bad values at build time
     return tuple(
         make_cell(
             "drift",
@@ -285,20 +288,17 @@ def _drift_cells(
 
 
 def _drift_run_cell(cell: ExperimentCell) -> dict[str, object]:
-    scenario = parallel.shared_scenario(cell.params["scenario"])
+    runner = parallel.shared_runner(cell.params["scenario"])
+    scenario = runner.scenario
     mode = str(cell.params["mode"])
-    window = float(cell.params["window"])
     phase_duration = float(cell.params["phase_duration"])
 
-    # Each cell trains its own pipeline: the online mode mutates the
-    # classifier via partial_fit, which must never leak into state other
-    # cells (or the batch experiments) share.
-    pipeline = AttackPipeline(
-        window=window,
-        seed=scenario.seed,
-        attackers=[_drift_learner(cell.params, scenario.seed)],
-    )
-    pipeline.train(scenario.training_traces())
+    pipeline = runner.pipeline(_drift_learner(cell.params))
+    if mode == "online":
+        # partial_fit mutates the classifier in place, which must never
+        # reach the pipeline other cells (or combined_grid and
+        # population_scale, under the same key) share.
+        pipeline = copy.deepcopy(pipeline)
     attacker = OnlineAttack.from_pipeline(pipeline, learn=(mode == "online"))
 
     # The drifting capture: station i runs app i, then switches to the
@@ -414,6 +414,7 @@ registry.register(
         combine=_drift_combine,
         to_result=_drift_to_result,
         options={"window": 5.0, "phase_duration": 120.0, "learner": "svm"},
+        pipelines=lambda params, options: (_drift_learner(options),),
     )
 )
 
@@ -553,6 +554,6 @@ registry.register(
             "threshold": 0.85,
             "cooldown": 10.0,
         },
-        pipeline_windows=registry.window_option,
+        pipelines=registry.window_option,
     )
 )

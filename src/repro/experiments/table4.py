@@ -135,6 +135,6 @@ registry.register(
         combine=_combine,
         to_result=_to_result,
         options={"windows": "5,60", "interfaces": DEFAULT_INTERFACES},
-        pipeline_windows=registry.windows_option,
+        pipelines=registry.windows_option,
     )
 )

@@ -130,6 +130,6 @@ registry.register(
             "window": 5.0,
             "interfaces": ",".join(str(c) for c in PAPER_INTERFACE_COUNTS),
         },
-        pipeline_windows=registry.window_option,
+        pipelines=registry.window_option,
     )
 )

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.attack import AttackPipeline
-from repro.analysis.windows import window_key
+from repro.analysis.attack import AttackPipeline, PipelineKey
 from repro.defenses.morphing import TrafficMorphing
 from repro.defenses.overhead import overhead_percent
 from repro.experiments import parallel, registry
@@ -31,7 +30,6 @@ from repro.experiments.registry import (
     make_cell,
 )
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.scenarios import EvaluationScenario
 from repro.schemes import SchemeSpec
 from repro.traffic.apps import AppType
 from repro.util.results import ExperimentResult
@@ -151,16 +149,6 @@ def _app_row(
     )
 
 
-def _timing_attack(scenario: EvaluationScenario, window: float) -> AttackPipeline:
-    """The size-blind attacker, trained on the scenario's training split."""
-    pipeline = AttackPipeline(
-        window=window,
-        seed=scenario.seed,
-        feature_indices=_TIMING_FEATURES,
-    )
-    return pipeline.train(scenario.training_traces())
-
-
 def _table(rows: list[tuple[float, float, float]]) -> Table6Result:
     """Per-app ``(accuracy, padding %, morphing %)`` rows, in AppType order."""
     apps = [app.value for app in AppType]
@@ -175,12 +163,9 @@ def _table(rows: list[tuple[float, float, float]]) -> Table6Result:
 # ----------------------------------------------------------------------
 
 
-def _timing_pipeline(params: ScenarioParams, window: float) -> AttackPipeline:
-    """Process-local timing-attack pipeline (trained once per worker)."""
-    return parallel.worker_cached(
-        ("table6-pipeline", params, window_key(window)),
-        lambda: _timing_attack(parallel.shared_scenario(params), window),
-    )
+def _timing_key(window: float) -> PipelineKey:
+    """The size-blind attacker: the default candidates on timing columns."""
+    return PipelineKey(window, features=_TIMING_FEATURES)
 
 
 def _cells(
@@ -202,10 +187,10 @@ def _cells(
 
 
 def _run_cell(cell: ExperimentCell) -> tuple[float, float, float]:
-    params = cell.params["scenario"]
+    runner = parallel.shared_runner(cell.params["scenario"])
     return _app_row(
-        parallel.shared_runner(params),
-        _timing_pipeline(params, float(cell.params["window"])),
+        runner,
+        runner.pipeline(_timing_key(float(cell.params["window"]))),
         AppType(cell.params["app"]),
     )
 
@@ -245,5 +230,6 @@ registry.register(
         combine=_combine,
         to_result=_to_result,
         options={"window": 5.0},
+        pipelines=lambda params, options: (_timing_key(float(options["window"])),),
     )
 )

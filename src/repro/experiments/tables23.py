@@ -139,6 +139,6 @@ for _name, _window, _title in (
             combine=_combine_accuracy,
             to_result=partial(_accuracy_result, experiment=_name, title=_title),
             options={"window": _window, "interfaces": DEFAULT_INTERFACES},
-            pipeline_windows=registry.window_option,
+            pipelines=registry.window_option,
         )
     )

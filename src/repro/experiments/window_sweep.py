@@ -146,6 +146,6 @@ registry.register(
         combine=_combine,
         to_result=_to_result,
         options={"windows": "5,15,30,60"},
-        pipeline_windows=registry.windows_option,
+        pipelines=registry.windows_option,
     )
 )

@@ -110,10 +110,35 @@ class TestEveryExperimentEquivalent:
         assert obs.profiles_equal_deterministic(fanned_profile, serial_profile)
         if len(fanned_profile["cells"]) > 1:
             # A fanned-out run trains every pipeline its cells request
-            # in the training stage: a spec that does not declare a
-            # window would retrain it in each worker.
+            # in the training stage: a spec that does not declare a key
+            # would retrain it, and regenerate the split, in each worker.
             for cell in fanned_profile["cells"]:
                 assert "proc.pipeline.trained" not in cell["process"]["counters"]
+                assert "proc.train.traces" not in cell["process"]["counters"]
+
+
+class TestNoTrainingSplitOutlivesARun:
+    """A serial run trains exactly its declared keys, in its stage, and
+    keeps none of the training traces it featurized."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [spec.name for spec in registry.all_specs() if spec.deterministic],
+    )
+    def test_serial_run_keeps_no_training_split(self, name):
+        spec = registry.get(name)
+        options = TestEveryExperimentEquivalent.QUICK_OPTIONS.get(name)
+        result = parallel.run_experiment_result(name, TINY, options=options, profile=True)
+        assert not parallel.shared_scenario(TINY)._train
+        profile = result.meta["profile"]
+        keys = () if spec.pipelines is None else spec.pipelines(
+            TINY, spec.resolve_options(options)
+        )
+        trained = profile["process"]["counters"].get("proc.pipeline.trained", 0)
+        assert trained == len(set(keys))
+        for cell in profile["cells"]:
+            assert "proc.pipeline.trained" not in cell["process"]["counters"]
+            assert "proc.train.traces" not in cell["process"]["counters"]
 
 
 class TestStartMethodStability:
@@ -214,10 +239,11 @@ class TestTrainingStage:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_training_runs_once_across_the_pool(self, name, start_method):
         spec = registry.get(name)
-        windows = spec.pipeline_windows(TINY, spec.resolve_options(self.CASES[name]))
+        keys = spec.pipelines(TINY, spec.resolve_options(self.CASES[name]))
+        windows = [key.window for key in keys]
         _, profile = self._run(name, self.CASES[name], jobs=2, start_method=start_method)
         process = profile["process"]["counters"]
-        assert process["proc.pipeline.trained"] == len(windows)
+        assert process["proc.pipeline.trained"] == len(keys)
         assert process["proc.train.traces"] == self.TRAINING_TRACES
         for cell in profile["cells"]:
             assert "proc.pipeline.trained" not in cell["process"]["counters"]
@@ -282,8 +308,62 @@ class TestTrainingStage:
         assert stage["seconds"] > 0
         assert all(child["seconds"] > 0 for child in stage["children"])
 
-    def test_spec_without_declared_windows_runs_no_stage(self):
-        assert registry.get("table1").pipeline_windows is None
+    def test_spec_without_declared_keys_runs_no_stage(self):
+        assert registry.get("table1").pipelines is None
         _, profile = self._run("table1", None, jobs=2, start_method="fork")
         assert "spans" not in profile["process"]
         assert "proc.pipeline.trained" not in profile["process"]["counters"]
+
+
+class TestDeclaredKeys:
+    """Custom pipelines are declared keys the stage trains, too."""
+
+    TRAINING_TRACES = 7 * TINY.train_sessions
+
+    @staticmethod
+    def _stage_counts(profile):
+        (stage,) = profile["process"]["spans"]
+        return stage["name"], {
+            child["name"]: child["count"] for child in stage["children"]
+        }
+
+    def test_combined_grid_featurizes_once_for_every_classifier(self):
+        result = parallel.run_experiment_result(
+            "combined_grid", TINY,
+            options={"schemes": "or", "classifiers": "svm,bayes"}, profile=True,
+        )
+        profile = result.meta["profile"]
+        process = profile["process"]["counters"]
+        assert process["proc.pipeline.trained"] == 2
+        assert process["proc.train.traces"] == self.TRAINING_TRACES
+        name, counts = self._stage_counts(profile)
+        assert name == "stage.train[W=5]"
+        # Serial selection of one candidate: a split fit, then the refit.
+        assert counts == {"train.rows": 1, "fit[svm]": 2, "fit[bayes]": 2, "select": 2}
+
+    def test_drift_modes_share_one_pipeline_and_online_learns_on_a_copy(self):
+        from repro.analysis.attack import PipelineKey
+        from repro.experiments.runner import ExperimentRunner
+
+        result = parallel.run_experiment_result(
+            "drift", TINY, options={"phase_duration": 15.0}, profile=True
+        )
+        profile = result.meta["profile"]
+        assert profile["process"]["counters"]["proc.pipeline.trained"] == 1
+        _, counts = self._stage_counts(profile)
+        assert counts["fit[svm]"] == 2
+        key = PipelineKey(5.0, ("svm",))
+        shared = parallel.shared_runner(TINY).pipeline(key).classifier
+        reference = ExperimentRunner(TINY.build()).pipeline(key).classifier
+        assert result.rows[1][-1] > 0  # the online cell did partial_fit
+        np.testing.assert_array_equal(shared.weights_, reference.weights_)
+        np.testing.assert_array_equal(shared.bias_, reference.bias_)
+
+    def test_table6_after_table2_trains_only_its_own_key(self):
+        parallel.run_experiment("table2", TINY)
+        result = parallel.run_experiment_result("table6", TINY, profile=True)
+        profile = result.meta["profile"]
+        assert profile["process"]["counters"]["proc.pipeline.trained"] == 1
+        name, counts = self._stage_counts(profile)
+        assert name == "stage.train[W=5]"
+        assert counts == {"train.rows": 1, "fit[svm]": 1, "fit[nn]": 2, "select": 1}

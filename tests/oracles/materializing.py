@@ -24,8 +24,10 @@ from repro.defenses.base import DefendedTraffic
 from repro.defenses.morphing import TrafficMorphing
 from repro.defenses.overhead import overhead_percent
 from repro.defenses.padding import PacketPadding
-from repro.experiments.combined_grid import _CLASSIFIERS, _parse_compositions
+from repro.analysis.classifiers import CLASSIFIERS
+from repro.experiments.combined_grid import _parse_compositions
 from repro.experiments.registry import ScenarioParams
+from repro.experiments.scenarios import EvaluationScenario
 from repro.schemes import Scheme, build_raw, build_scheme, build_stack, legacy_scheme_spec
 from repro.traffic.apps import AppType
 from repro.traffic.generator import TrafficGenerator
@@ -39,7 +41,19 @@ __all__ = [
     "evaluate_scheme",
     "population_oracle",
     "table6_oracle",
+    "training_split",
 ]
+
+
+def training_split(scenario: EvaluationScenario) -> dict[str, list[Trace]]:
+    """The whole training split, by label, read one session at a time."""
+    return {
+        app.value: [
+            scenario.training_session(app, session)
+            for session in range(scenario.train_sessions)
+        ]
+        for app in scenario.apps
+    }
 
 
 def defended_matrices(
@@ -83,12 +97,13 @@ def combined_grid_oracle(
     classifiers = [
         name.strip() for name in str(options["classifiers"]).split(",") if name.strip()
     ]
+    training = training_split(scenario)
     pipelines = {
         name: AttackPipeline(
             window=window,
             seed=scenario.seed,
-            attackers=[_CLASSIFIERS[name](scenario.seed)],
-        ).train(scenario.training_traces())
+            attackers=[CLASSIFIERS[name](scenario.seed)],
+        ).train(training)
         for name in classifiers
     }
     rows: list[tuple] = []
@@ -139,7 +154,7 @@ def table6_oracle(params: ScenarioParams, window: float = 5.0) -> list[list[obje
     scenario = params.build()
     pipeline = AttackPipeline(
         window=window, seed=scenario.seed, feature_indices=_TIMING_FEATURES
-    ).train(scenario.training_traces())
+    ).train(training_split(scenario))
     morph_pairs = TrafficMorphing.paper_morph_pairs()
     padding = PacketPadding()
     accuracy, padding_overhead, morphing_overhead = {}, {}, {}
@@ -171,7 +186,7 @@ def combined_oracle(
     """The ``combined`` rows and overhead, with a fresh defense per trace."""
     scenario = params.build()
     pipeline = AttackPipeline(window=window, seed=scenario.seed).train(
-        scenario.training_traces()
+        training_split(scenario)
     )
     orthogonal = build_scheme(legacy_scheme_spec("or"), scenario.seed)
     targets = {
@@ -220,8 +235,8 @@ def population_oracle(
     pipeline = AttackPipeline(
         window=window,
         seed=scenario.seed,
-        attackers=[_CLASSIFIERS[classifier](scenario.seed)],
-    ).train(scenario.training_traces())
+        attackers=[CLASSIFIERS[classifier](scenario.seed)],
+    ).train(training_split(scenario))
     index = {label: i for i, label in enumerate(pipeline.classes)}
     rows = []
     for population in populations:

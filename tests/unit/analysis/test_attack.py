@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.attack import AttackPipeline
+from repro.analysis.attack import AttackPipeline, training_rows
 from repro.analysis.batch import augment_direction_dropout, flow_feature_matrix
 from repro.core.base import ReshaperScheme
 from repro.core.schedulers import OrthogonalReshaper
@@ -64,7 +64,7 @@ class TestTrainingPieces:
     def test_rows_are_windows_then_their_one_sided_variants(self, tiny_corpus_module):
         trace = tiny_corpus_module["browsing"][0]
         windows = flow_feature_matrix(trace, 5.0)
-        rows = AttackPipeline(window=5.0).training_rows(trace)
+        rows = training_rows(trace, 5.0)
         assert len(rows) > len(windows) > 0
         np.testing.assert_array_equal(rows[: len(windows)], windows)
         np.testing.assert_array_equal(
@@ -74,7 +74,7 @@ class TestTrainingPieces:
     def test_fit_rows_through_a_map_equals_train(self, trained, tiny_corpus_module):
         pipeline = AttackPipeline(window=5.0, seed=0)
         rows = {
-            label: [pipeline.training_rows(trace) for trace in traces]
+            label: [training_rows(trace, 5.0) for trace in traces]
             for label, traces in tiny_corpus_module.items()
         }
         pipeline.fit_rows(rows, map=map)

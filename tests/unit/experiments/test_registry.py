@@ -9,6 +9,7 @@ from repro.experiments.registry import (
     make_cell,
     parse_number_list,
 )
+from repro.traffic.apps import AppType
 from repro.util.rng import derive_seed
 
 EXPECTED_NAMES = {
@@ -164,8 +165,8 @@ class TestScenarioParamsCorpus:
             seed=5, train_duration=30.0, eval_duration=20.0,
             train_sessions=1, eval_sessions=1,
         ).build()
-        left = hydrated.training_traces()["gaming"][0]
-        right = generated.training_traces()["gaming"][0]
+        left = hydrated.training_session(AppType.GAMING, 0)
+        right = generated.training_session(AppType.GAMING, 0)
         assert np.array_equal(left.times, right.times)
 
     def test_build_rejects_mismatched_params(self, corpus_path):

@@ -3,8 +3,9 @@
 import pytest
 
 from repro import obs
+from repro.analysis.attack import PipelineKey
 from repro.defenses.base import StageOverhead
-from repro.experiments.runner import ExperimentRunner, attack_pipeline
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import EvaluationScenario
 from repro.schemes import SchemeSpec, build_scheme, legacy_scheme_spec
 
@@ -37,7 +38,7 @@ class TestPipelineCache:
         fresh = ExperimentRunner(runner.scenario)
         trained = runner.pipeline(5.0)
         with obs.capture() as cap:
-            fresh.adopt(trained)
+            fresh.adopt(5.0, trained)
             assert fresh.pipeline(5.0 + 1e-12) is trained
         assert "proc.pipeline.trained" not in cap.metrics.counters
         assert cap.metrics.counters["pipeline.requests"] == 1
@@ -45,14 +46,55 @@ class TestPipelineCache:
     def test_has_pipeline_follows_the_window_key(self, runner):
         fresh = ExperimentRunner(runner.scenario)
         assert not fresh.has_pipeline(5.0)
-        fresh.adopt(runner.pipeline(5.0))
+        fresh.adopt(5.0, runner.pipeline(5.0))
         assert fresh.has_pipeline(5.0 + 1e-12)
+        assert fresh.has_pipeline(PipelineKey(5.0, ("svm", "nn")))
         assert not fresh.has_pipeline(10.0)
+        assert not fresh.has_pipeline(PipelineKey(5.0, ("svm",)))
 
-    def test_adopt_keeps_a_window_already_held(self, runner):
+    def test_adopt_keeps_a_key_already_held(self, runner):
         held = runner.pipeline(5.0)
-        runner.adopt(attack_pipeline(5.0, runner.scenario.seed))
+        runner.adopt(PipelineKey(5.0), PipelineKey(5.0).build(runner.scenario.seed))
         assert runner.pipeline(5.0) is held
+
+    def test_a_bare_window_is_its_default_key(self, runner):
+        assert runner.pipeline(PipelineKey(5.0)) is runner.pipeline(5.0)
+
+    def test_attackers_and_features_name_distinct_pipelines(self, runner):
+        svm = runner.pipeline(PipelineKey(5.0, ("svm",)))
+        timing = runner.pipeline(PipelineKey(5.0, features=(0, 5, 6, 11)))
+        assert svm.classifier_name == "svm"
+        assert timing.feature_indices == (0, 5, 6, 11)
+        assert len({id(svm), id(timing), id(runner.pipeline(5.0))}) == 3
+
+    def test_a_miss_trains_once_and_keeps_no_training_split(self, runner):
+        fresh = ExperimentRunner(runner.scenario)
+        key = PipelineKey(5.0, ("bayes",))
+        with obs.capture() as cap:
+            fresh.pipeline(key)
+            fresh.pipeline(key)
+        counters = cap.metrics.counters
+        assert counters["proc.pipeline.trained"] == 1
+        assert counters["proc.train.traces"] == 7 * runner.scenario.train_sessions
+        assert not runner.scenario._train
+
+
+class TestPipelineKey:
+    def test_window_is_normalized(self):
+        assert PipelineKey(0.1 + 0.2) == PipelineKey(0.3)
+        assert hash(PipelineKey(0.1 + 0.2)) == hash(PipelineKey(0.3))
+
+    def test_build_resolves_attacker_names(self):
+        pipeline = PipelineKey(5.0, ("bayes",), (0, 5)).build(seed=3)
+        assert [attacker.name for attacker in pipeline._attackers] == ["bayes"]
+        assert pipeline.feature_indices == (0, 5)
+        assert pipeline.seed == 3
+        assert not pipeline.is_trained
+
+    def test_default_key_builds_the_papers_attackers(self):
+        pipeline = PipelineKey(5.0).build(seed=3)
+        assert [attacker.name for attacker in pipeline._attackers] == ["svm", "nn"]
+        assert pipeline.feature_indices is None
 
 
 class TestWindowCacheSharing:

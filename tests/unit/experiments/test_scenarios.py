@@ -33,12 +33,7 @@ class TestTableSchemes:
 
 
 class TestScenario:
-    def test_training_traces_cached(self, scenario):
-        first = scenario.training_traces()
-        second = scenario.training_traces()
-        assert first["chatting"][0] is second["chatting"][0]
-
-    def test_training_session_generates_the_cached_trace_without_caching(self):
+    def test_training_session_generates_without_caching(self):
         lazy = EvaluationScenario(
             seed=5, train_duration=30.0, eval_duration=30.0, train_sessions=2,
             eval_sessions=2,
@@ -51,22 +46,23 @@ class TestScenario:
             "traffic.packets_generated": len(single),
         }
         assert not lazy._train
-        cached = lazy.training_by_app()[AppType.GAMING][1]
-        assert single.times.tobytes() == cached.times.tobytes()
-        assert single.sizes.tobytes() == cached.sizes.tobytes()
-        assert lazy.training_session(AppType.GAMING, 1) is cached
+        again = lazy.training_session(AppType.GAMING, 1)
+        assert again is not single
+        assert single.times.tobytes() == again.times.tobytes()
+        assert single.sizes.tobytes() == again.sizes.tobytes()
+        assert not lazy._train
 
     def test_training_covers_all_apps(self, scenario):
-        train = scenario.training_traces()
-        assert set(train) == {app.value for app in AppType}
-        assert all(len(traces) == 2 for traces in train.values())
+        for app in AppType:
+            for session in range(scenario.train_sessions):
+                assert scenario.training_session(app, session).label == app.value
 
     def test_evaluation_sessions_count(self, scenario):
         evaluation = scenario.evaluation_by_app()
         assert all(len(traces) == 2 for traces in evaluation.values())
 
     def test_evaluation_disjoint_from_training(self, scenario):
-        train = scenario.training_traces()["video"][0]
+        train = scenario.training_session(AppType.VIDEO, 0)
         held_out = scenario.evaluation_trace(AppType.VIDEO, 0)
         assert not np.array_equal(train.times, held_out.times)
 
@@ -81,8 +77,8 @@ class TestScenario:
                                eval_duration=20.0, eval_sessions=1)
         b = EvaluationScenario(seed=9, train_duration=20.0, train_sessions=1,
                                eval_duration=20.0, eval_sessions=1)
-        ta = a.training_traces()["gaming"][0]
-        tb = b.training_traces()["gaming"][0]
+        ta = a.training_session(AppType.GAMING, 0)
+        tb = b.training_session(AppType.GAMING, 0)
         assert np.array_equal(ta.times, tb.times)
 
 
@@ -97,12 +93,6 @@ class TestAccessorHygiene:
         assert len(again[AppType.VIDEO]) == 2
         assert all(not isinstance(t, str) for t in again[AppType.VIDEO])
 
-    def test_mutating_training_lists_does_not_corrupt_corpus(self, scenario):
-        scenario.training_traces()["video"].clear()
-        assert len(scenario.training_traces()["video"]) == 2
-        scenario.training_by_app()[AppType.VIDEO].clear()
-        assert len(scenario.training_by_app()[AppType.VIDEO]) == 2
-
     def test_trace_objects_still_shared_for_identity_caching(self, scenario):
         # Downstream caches (WindowCache) key flows by id(); copies are
         # of the *containers* only, never of the traces.
@@ -110,12 +100,11 @@ class TestAccessorHygiene:
         second = scenario.evaluation_by_app()[AppType.VIDEO][0]
         assert first is second
 
-    def test_key_types_aligned_across_splits(self, scenario):
-        assert all(isinstance(k, AppType) for k in scenario.training_by_app())
+    def test_key_types_aligned_across_accessors(self, scenario):
         assert all(isinstance(k, AppType) for k in scenario.evaluation_by_app())
-        assert all(isinstance(k, str) for k in scenario.training_traces())
-        assert all(isinstance(k, str) for k in scenario.evaluation_by_label())
-        assert set(scenario.evaluation_by_label()) == set(scenario.training_traces())
+        assert list(scenario.evaluation_by_label()) == [
+            app.value for app in scenario.evaluation_by_app()
+        ]
 
 
 
@@ -132,25 +121,32 @@ class TestCorpusRoundTrip:
         _, store = stored
         assert store.scenario == scenario.corpus_recipe()
 
+    def test_saving_keeps_no_training_split(self, scenario, stored):
+        assert not scenario._train
+
     def test_hydrated_scenario_matches_generated(self, scenario, stored):
         path, _ = stored
         hydrated = EvaluationScenario.from_store(path)
         assert hydrated.seed == scenario.seed
         assert hydrated.apps == scenario.apps
-        for split in ("training_by_app", "evaluation_by_app"):
-            generated = getattr(scenario, split)()
-            loaded = getattr(hydrated, split)()
-            assert list(loaded) == list(generated)
-            for app in generated:
-                for a, b in zip(generated[app], loaded[app]):
-                    assert a.times.tobytes() == b.times.tobytes()
-                    assert a.sizes.tobytes() == b.sizes.tobytes()
-                    assert a.label == b.label
+        pairs = [
+            (scenario.training_session(app, s), hydrated.training_session(app, s))
+            for app in scenario.apps
+            for s in range(scenario.train_sessions)
+        ]
+        generated, loaded = scenario.evaluation_by_app(), hydrated.evaluation_by_app()
+        assert list(loaded) == list(generated)
+        for app in generated:
+            pairs.extend(zip(generated[app], loaded[app]))
+        for a, b in pairs:
+            assert a.times.tobytes() == b.times.tobytes()
+            assert a.sizes.tobytes() == b.sizes.tobytes()
+            assert a.label == b.label
 
     def test_hydration_is_zero_copy_and_lazy(self, stored):
         path, _ = stored
         hydrated = EvaluationScenario.from_store(path)
-        trace = hydrated.training_by_app()[AppType.VIDEO][0]
+        trace = hydrated.training_session(AppType.VIDEO, 0)
         assert isinstance(np.asarray(trace.times).base, np.memmap) or isinstance(
             trace.times, np.memmap
         )
@@ -158,7 +154,7 @@ class TestCorpusRoundTrip:
     def test_from_store_rejects_recipeless_store(self, tmp_path, scenario):
         from repro.storage import write_traces
 
-        trace = scenario.training_by_app()[AppType.VIDEO][0]
+        trace = scenario.training_session(AppType.VIDEO, 0)
         path = str(tmp_path / "raw.store")
         write_traces(path, [trace])
         with pytest.raises(ValueError, match="no scenario recipe"):
@@ -169,8 +165,6 @@ class TestCorpusRoundTrip:
 
         path = str(tmp_path / "partial.store")
         with TraceStore.create(path, scenario=scenario.corpus_recipe()) as writer:
-            writer.add(
-                scenario.training_by_app()[AppType.VIDEO][0], role="train"
-            )
+            writer.add(scenario.training_session(AppType.VIDEO, 0), role="train")
         with pytest.raises(ValueError, match="does not match its own recipe"):
             EvaluationScenario.from_store(path)
