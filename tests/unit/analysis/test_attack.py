@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.attack import AttackPipeline, training_rows
+from repro.analysis.attack import AttackPipeline, PipelineKey, training_rows
 from repro.analysis.batch import augment_direction_dropout, flow_feature_matrix
 from repro.core.base import ReshaperScheme
 from repro.core.schedulers import OrthogonalReshaper
@@ -56,6 +56,24 @@ class TestTraining:
     def test_rejects_non_finite_window(self, window):
         with pytest.raises(ValueError, match="window must be"):
             AttackPipeline(window=window)
+
+
+class TestPipelineKey:
+    def test_window_is_normalized(self):
+        assert PipelineKey(0.1 + 0.2) == PipelineKey(0.3)
+        assert hash(PipelineKey(0.1 + 0.2)) == hash(PipelineKey(0.3))
+
+    def test_build_resolves_attacker_names(self):
+        pipeline = PipelineKey(5.0, ("bayes",), (0, 5)).build(seed=3)
+        assert [attacker.name for attacker in pipeline._attackers] == ["bayes"]
+        assert pipeline.feature_indices == (0, 5)
+        assert pipeline.seed == 3
+        assert not pipeline.is_trained
+
+    def test_default_key_builds_the_papers_attackers(self):
+        pipeline = PipelineKey(5.0).build(seed=3)
+        assert [attacker.name for attacker in pipeline._attackers] == ["svm", "nn"]
+        assert pipeline.feature_indices is None
 
 
 class TestTrainingPieces:

@@ -79,24 +79,6 @@ class TestPipelineCache:
         assert not runner.scenario._train
 
 
-class TestPipelineKey:
-    def test_window_is_normalized(self):
-        assert PipelineKey(0.1 + 0.2) == PipelineKey(0.3)
-        assert hash(PipelineKey(0.1 + 0.2)) == hash(PipelineKey(0.3))
-
-    def test_build_resolves_attacker_names(self):
-        pipeline = PipelineKey(5.0, ("bayes",), (0, 5)).build(seed=3)
-        assert [attacker.name for attacker in pipeline._attackers] == ["bayes"]
-        assert pipeline.feature_indices == (0, 5)
-        assert pipeline.seed == 3
-        assert not pipeline.is_trained
-
-    def test_default_key_builds_the_papers_attackers(self):
-        pipeline = PipelineKey(5.0).build(seed=3)
-        assert [attacker.name for attacker in pipeline._attackers] == ["svm", "nn"]
-        assert pipeline.feature_indices is None
-
-
 class TestWindowCacheSharing:
     def test_scheme_objects_stable_across_calls(self, runner):
         # Scheme identity keys the window cache, so the runner must not
