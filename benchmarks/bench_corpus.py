@@ -14,8 +14,9 @@ Hard assertions:
   (``np.array_equal``) to the in-memory replay of the same traces, in
   the same order;
 * the chunked replay (the route ``OnlineAttack.consume`` takes) emits
-  the same windows and peak gauges as per-event push on the same
-  stored capture, and is at least 5x faster (the one wall-clock
+  the same windows and peak gauges as per-event push (the oracle in
+  ``tests/oracles/stream.py``, through ``bench_stream.replay``) on the
+  same stored capture, and is at least 5x faster (the one wall-clock
   assertion; the measured ratio is recorded);
 * replay memory stays within the O(open windows) bound — peak buffered
   packets never exceed the densest window x stations, asserted from

@@ -3,12 +3,14 @@
 The streaming engine's pitch is evaluating arbitrarily long captures in
 bounded space: per flow, only the *open* window's packets are resident.
 This bench drives multi-hundred-thousand-packet replays (single flow
-and a merged multi-station capture) through
-:class:`~repro.stream.featurizer.StreamingFeaturizer` twice on the same
-capture: as column chunks (:meth:`~StreamingFeaturizer.push_chunk`,
-the route :meth:`~repro.stream.attack.OnlineAttack.consume` takes) and
-one event at a time (:meth:`~StreamingFeaturizer.push_event`, the
-route the adaptive defender takes).  It asserts:
+and a merged multi-station capture) twice on the same capture: as
+column chunks through
+:class:`~repro.stream.featurizer.StreamingFeaturizer`
+(:meth:`~StreamingFeaturizer.push_chunk`, the route
+:meth:`~repro.stream.attack.OnlineAttack.consume` and the arms race
+take) and one event at a time through the per-packet oracle
+(``EventFeaturizer.push_event`` in ``tests/oracles/stream.py``).  It
+asserts:
 
 * both routes emit identical windows — order, flow, index, start,
   label, count and feature bits — and identical peak gauges;
@@ -25,6 +27,8 @@ Results persist to ``results/stream.txt`` + ``results/stream.json`` via
 ``results/stream.profile.json`` via ``save_profile``.
 """
 
+import os
+import sys
 import time
 
 import numpy as np
@@ -34,6 +38,9 @@ from repro.analysis.windows import window_edges
 from repro.stream import PacketStream, StreamingFeaturizer
 from repro.traffic.apps import AppType
 from repro.traffic.generator import TrafficGenerator
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
+from oracles.stream import EventFeaturizer
 
 WINDOW = 5.0
 
@@ -65,7 +72,7 @@ def _densest_window(traces):
 
 def replay(stream, chunked):
     """Featurize ``stream`` by one route; (featurizer, windows, seconds)."""
-    featurizer = StreamingFeaturizer(WINDOW)
+    featurizer = StreamingFeaturizer(WINDOW) if chunked else EventFeaturizer(WINDOW)
     windows = []
     start = time.perf_counter()
     if chunked:

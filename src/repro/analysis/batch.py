@@ -29,7 +29,7 @@ so ``_grid_block`` only locates a grid's bounds with ``searchsorted``.
 The streaming engine (:class:`repro.stream.featurizer.StreamingFeaturizer`)
 runs the same core through ``_window_block``, once per chunk, on every
 window the chunk closes for every station, stacked; a single window
-closed per packet goes through ``_grid_block``.  That is what makes
+closed by a flush goes through ``_grid_block``.  That is what makes
 streaming output bit-identical to this module's matrices: a window's
 reductions see the same contiguous float64 values wherever its segment
 sits.  Changes to the kernel's arithmetic are parity-tested from both

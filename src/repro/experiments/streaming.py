@@ -43,11 +43,12 @@ from repro.schemes import (
     get_scheme,
     legacy_scheme_spec,
 )
-from repro.stream.adaptive import ArmsRaceOutcome, run_arms_race
+from repro.stream.adaptive import AdaptiveReshaper, ArmsRaceOutcome, run_arms_race
 from repro.stream.attack import OnlineAttack
 from repro.stream.source import PacketStream
 from repro.traffic.generator import TrafficGenerator
 from repro.util.results import ExperimentResult
+from repro.util.validation import require_positive
 
 __all__ = [
     "ArmsRaceResult",
@@ -275,7 +276,9 @@ def _drift_learner(options: dict[str, object]) -> PipelineKey:
 def _drift_cells(
     params: ScenarioParams, options: dict[str, object]
 ) -> tuple[ExperimentCell, ...]:
-    _drift_learner(options)  # surface bad values at build time
+    # Bad values fail here, before the training stage, as generation would.
+    _drift_learner(options)
+    require_positive(float(options["phase_duration"]), "duration")
     return tuple(
         make_cell(
             "drift",
@@ -439,7 +442,8 @@ def _arms_base_factory(scheme: str, interfaces: int, seed: int):
 
     The defender's scheduler comes from the same scheme catalog the
     batch path evaluates; FH and the identity are excluded because the
-    adaptive loop needs a per-packet interface scheduler.
+    adaptive loop re-addresses virtual interfaces, which FH's channel
+    slots and the identity do not have.
     """
     try:
         canonical = get_scheme(scheme).name
@@ -454,7 +458,12 @@ def _arms_base_factory(scheme: str, interfaces: int, seed: int):
 def _arms_cells(
     params: ScenarioParams, options: dict[str, object]
 ) -> tuple[ExperimentCell, ...]:
-    _arms_base_factory(str(options["scheme"]), int(options["interfaces"]), params.seed)
+    # One defender built here fails on bad options before the training
+    # stage, with the messages the cells would raise.
+    base = _arms_base_factory(
+        str(options["scheme"]), int(options["interfaces"]), params.seed
+    )()
+    AdaptiveReshaper(base, float(options["threshold"]), float(options["cooldown"]))
     return tuple(
         make_cell(
             "arms_race",

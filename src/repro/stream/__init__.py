@@ -5,8 +5,8 @@ the fact; this package evaluates them *as they happen*:
 
 * :mod:`repro.stream.source` — :class:`PacketStream`: trace and corpus
   replay as time-ordered column chunks (:class:`PacketChunk`) through a
-  bounded-memory vectorized k-way merge of concurrent stations, or as
-  one :class:`PacketEvent` at a time.
+  bounded-memory vectorized k-way merge of concurrent stations (or as
+  :class:`PacketEvent` s, for ``perfbench``'s event-counting tracer).
 * :mod:`repro.stream.featurizer` — :class:`StreamingFeaturizer`: open
   windows maintained incrementally, a chunk's closed windows featurized
   by the batch kernel in one pass across all stations, each 12-feature vector
@@ -17,7 +17,11 @@ the fact; this package evaluates them *as they happen*:
   :class:`~repro.analysis.classifiers.base.OnlineClassifier` protocol.
 * :mod:`repro.stream.adaptive` — :class:`AdaptiveReshaper` and
   :func:`run_arms_race`: the defender reacting to a simulated attacker
-  by re-allocating virtual MAC interfaces mid-capture.
+  by re-allocating virtual MAC interfaces mid-capture, run on column
+  segments that end where the defender may react.
+
+The per-packet route the chunks are held to is a test oracle
+(``tests/oracles/stream.py``).
 
 The registered experiments ``stream_replay``, ``drift`` and
 ``arms_race`` (:mod:`repro.experiments.streaming`) drive these pieces

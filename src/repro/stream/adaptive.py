@@ -13,23 +13,29 @@ moving all traffic to brand-new observable identities.  The real
 eavesdropper then sees the old flows go silent and unknown flows
 appear: its open windows fragment and its per-flow evidence resets.
 
-:func:`run_arms_race` drives the full loop packet by packet and is the
-engine behind the registered ``arms_race`` experiment.  Everything is
-deterministic in (scenario seed, options): fresh addresses come from a
-named RNG stream, and events process in capture order — so serial and
-``--jobs N`` execution of the experiment agree bit-for-bit.
+:func:`run_arms_race` drives the full loop and is the engine behind the
+registered ``arms_race`` experiment.  Everything is deterministic in
+(scenario seed, options): fresh addresses come from a named RNG stream,
+and packets process in capture order — so serial and ``--jobs N``
+execution of the experiment agree bit-for-bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro import obs
 from repro.analysis.attack import AttackPipeline, AttackReport
+from repro.analysis.windows import MIN_WINDOW_PACKETS, window_indices
 from repro.core.base import CONFIG_MESSAGE_BYTES, Reshaper
 from repro.mac.addresses import MacAddress, random_mac
 from repro.mac.virtual_iface import VirtualInterfaceSet
+from repro.stream import source
 from repro.stream.attack import OnlineAttack, WindowPrediction
-from repro.stream.source import PacketStream
+from repro.stream.source import PacketChunk
 from repro.traffic.trace import Trace
 from repro.util.rng import derive_rng
 from repro.util.validation import require
@@ -67,8 +73,9 @@ class AdaptiveReshaper:
         require(cooldown >= 0.0, "cooldown must be >= 0")
         if not isinstance(base, Reshaper):
             # Accept the unified Scheme interface: the adaptive loop
-            # schedules packet by packet, so it drives the *same*
-            # scheduler object the batch path evaluates, unwrapped.
+            # needs the packet→interface scheduler itself, so it drives
+            # the *same* scheduler object the batch path evaluates,
+            # unwrapped.
             from repro.schemes import Scheme
 
             if isinstance(base, Scheme):
@@ -87,7 +94,6 @@ class AdaptiveReshaper:
         self._base = base
         self.confidence_threshold = float(confidence_threshold)
         self.cooldown = float(cooldown)
-        self._seed = int(seed)
         self._rng = derive_rng(seed, "stream", "adaptive-macs")
         self._physical = random_mac(self._rng)
         self.epoch = 0
@@ -121,30 +127,9 @@ class AdaptiveReshaper:
         """Bytes spent on configuration handshakes (initial + reallocations)."""
         return (1 + self.reallocations) * 2 * CONFIG_MESSAGE_BYTES
 
-    def reset(self) -> None:
-        """Fresh association: restart the scheduler, epoch and addresses."""
-        self._base.reset()
-        self._rng = derive_rng(self._seed, "stream", "adaptive-macs")
-        self._physical = random_mac(self._rng)
-        self.epoch = 0
-        self.reallocations = 0
-        self._last_reallocation = float("-inf")
-        self._vaps = self._allocate()
-
-    def assign(self, time: float, size: int, direction: int) -> tuple[int, int]:
-        """Schedule one packet; returns ``(epoch, interface index)``.
-
-        The pair names the observable flow: the eavesdropper sees the
-        epoch's virtual MAC for that interface, and a new epoch means a
-        brand-new address it cannot link to the old one.
-        """
-        iface = self._base.assign_packet(time, size, direction)
-        self._vaps.activate(iface)
-        return self.epoch, iface
-
-    def flow_key(self, station: str, epoch: int, iface: int) -> str:
-        """The eavesdropper-visible identity of one (station, epoch, VAP)."""
-        return f"{station}/e{epoch}/i{iface}"
+    def flow_keys(self, station: str, epoch: int) -> tuple[str, ...]:
+        """The eavesdropper-visible identities of ``station``'s VAPs in ``epoch``."""
+        return tuple(f"{station}/e{epoch}/i{iface}" for iface in range(self.interfaces))
 
     def notify(self, prediction: WindowPrediction) -> bool:
         """Defender's reaction to one simulated-attacker verdict.
@@ -167,6 +152,10 @@ class AdaptiveReshaper:
         self._last_reallocation = now
         self._vaps = self._allocate()
         return True
+
+    def cooled(self, starts: np.ndarray) -> np.ndarray:
+        """:meth:`notify`'s cooldown test on many window left edges."""
+        return ~(starts - self._last_reallocation < self.cooldown)
 
 
 @dataclass(frozen=True)
@@ -215,17 +204,22 @@ def run_arms_race(
             :class:`AdaptiveReshaper`.
         seed: address-allocation randomness (derived per trace).
 
-    The loop is event-driven and single-pass: each packet is scheduled
-    by the defender, observed by the attacker under the flow identity
-    the defender chose, and every window the attacker closes feeds the
-    defender's trigger before the next packet is processed.  When a
-    reallocation retires an epoch, the retired flows' open windows are
-    flushed immediately (their addresses will never transmit again), so
-    the attacker's resident state stays bounded by *live* flows no
-    matter how often the defender churns — and the emitted windows are
-    the ones an end-of-capture flush would have produced anyway.
-    Retirement-flush predictions are scored but do not feed the trigger:
-    they describe the regime the defender just abandoned.
+    The loop is single-pass and in capture order: each packet is
+    scheduled by the defender, observed by the attacker under the flow
+    identity the defender chose, and every window the attacker closes
+    feeds the defender's trigger before the next packet is observed.
+    A reallocation changes only the epoch (the flow keys' prefix) and
+    the virtual MACs, never the base scheduler, so each trace is one
+    ``assign_columns`` interface column, observed in chunks that end
+    where the trigger may fire.  When a reallocation retires an epoch,
+    the retired flows' open windows are flushed immediately (their
+    addresses will never transmit again), so the attacker's resident
+    state stays bounded by *live* flows no matter how often the
+    defender churns — and the emitted windows are the ones an
+    end-of-capture flush would have produced anyway.  Retirement-flush
+    predictions are scored but do not feed the trigger: they describe
+    the regime the defender just abandoned.  The per-packet form of
+    the loop is the test oracle (``tests/oracles/stream.py``).
     """
     attacker = OnlineAttack.from_pipeline(pipeline)
     reallocations = 0
@@ -240,16 +234,7 @@ def run_arms_race(
                 cooldown=cooldown,
                 seed=int(derive_rng(seed, "arms-race", station).integers(1 << 31)),
             )
-            for event in PacketStream.replay(trace, station=station, label=label):
-                epoch, iface = defender.assign(event.time, event.size, event.direction)
-                flow = defender.flow_key(station, epoch, iface)
-                for prediction in attacker.observe_event(event, flow=flow):
-                    if adaptive and defender.notify(prediction):
-                        retired = defender.epoch - 1
-                        for index in range(defender.interfaces):
-                            attacker.finish_flow(
-                                defender.flow_key(station, retired, index)
-                            )
+            _race_trace(attacker, defender, trace, station, label, adaptive)
             reallocations += defender.reallocations
             overhead += defender.config_overhead_bytes
             trace_index += 1
@@ -262,3 +247,78 @@ def run_arms_race(
         windows=len(attacker.predictions),
         flows_observed=len(flows),
     )
+
+
+def _race_trace(attacker, defender, trace, station, label, adaptive) -> None:
+    """Observe one trace (one association) in chunks of its interface column.
+
+    A chunk's station names are the current epoch's flow keys; it ends
+    at the next packet that may fire the trigger (:func:`_trigger_closes`)
+    or after ``_CHUNK_EVENTS`` packets.
+    """
+    obs.add("stream.traces_replayed")
+    obs.add("stream.packets_replayed", len(trace))
+    label = trace.label if label is None else label
+    adaptive = adaptive and label is not None  # unlabelled windows never fire
+    times, sizes, directions = trace.times, trace.sizes, trace.directions
+    ifaces = defender.base.assign_columns(times, sizes, directions).astype(np.int64)
+    labels = np.broadcast_to(np.int64(0), ifaces.shape)
+    pending = iter(())
+    if adaptive:
+        pending = _trigger_closes(trace, ifaces, 0, attacker, defender)
+    end = len(ifaces)
+    target = next(pending, end - 1) + 1
+    position = 0
+    while position < end:
+        stop = min(target, position + source._CHUNK_EVENTS)
+        at = slice(position, stop)
+        flows = defender.flow_keys(station, defender.epoch)
+        chunk = PacketChunk(
+            times[at], sizes[at], directions[at], ifaces[at], labels[at],
+            flows, (label,),
+        )
+        for prediction in attacker.observe_chunk(chunk):
+            if adaptive and defender.notify(prediction):
+                for flow in defender.flow_keys(station, defender.epoch - 1):
+                    attacker.finish_flow(flow)
+                pending = _trigger_closes(trace, ifaces, stop, attacker, defender)
+        position = stop
+        if position == target:
+            target = next(pending, end - 1) + 1
+
+
+def _trigger_closes(trace, ifaces, begin, attacker, defender) -> Iterator[int]:
+    """Positions, in order, of the packets that may fire the trigger.
+
+    The epoch starting at packet ``begin`` has fresh flows, one per
+    interface, anchored at its first packet.  A packet that lands beyond
+    its flow's open window closes it; that window may fire the trigger
+    if it is emitted (``MIN_WINDOW_PACKETS`` downlink + uplink packets)
+    and starts past the cooldown.  The look-ahead doubles from
+    ``_CHUNK_EVENTS`` packets, so a short epoch costs its own packets.
+    """
+    window = attacker.featurizer.window
+    end = len(ifaces)
+    span = source._CHUNK_EVENTS
+    done = begin
+    while done < end:
+        stop = min(end, begin + span)
+        found = [np.empty(0, dtype=np.int64)]
+        for iface in range(defender.interfaces):
+            at = begin + np.flatnonzero(ifaces[begin:stop] == iface)
+            if len(at) < 2:
+                continue
+            times, directions = trace.times[at], trace.directions[at]
+            index = window_indices(times, times[0], window)
+            # Flow packet ``last + 1`` closes the window ending at ``last``.
+            last = np.flatnonzero(index[1:] != index[:-1])
+            counted = (directions == 0) | (directions == 1)
+            runs = np.concatenate(([0], last + 1))
+            counts = np.add.reduceat(counted, runs, dtype=np.int64)[:-1]
+            lefts = times[0] + index[last] * window
+            fires = (counts >= MIN_WINDOW_PACKETS) & defender.cooled(lefts)
+            found.append(at[last[fires] + 1])
+        positions = np.sort(np.concatenate(found))
+        yield from positions[positions >= done].tolist()
+        done = stop
+        span *= 2

@@ -2,11 +2,14 @@
 
 Wraps a :class:`~repro.stream.featurizer.StreamingFeaturizer` around a
 scaler + classifier pair and turns a packet stream into a stream of
-:class:`WindowPrediction`.  :meth:`OnlineAttack.consume` drains a
-capture as column chunks (any event iterable is batched into chunks
-first); :meth:`OnlineAttack.observe` / :meth:`~OnlineAttack.observe_event`
-take one packet at a time, for loops that react to every close.  Two
-operating modes:
+:class:`WindowPrediction`.  It ingests column chunks
+(:meth:`OnlineAttack.observe_chunk`): :meth:`OnlineAttack.consume`
+drains a whole capture through it, and the arms-race loop
+(:mod:`repro.stream.adaptive`) feeds it trace segments that end where
+the defender may react.  ``consume`` also batches any iterable of
+:class:`~repro.stream.source.PacketEvent` into chunks, for callers
+that wrap a capture in an event iterator (``perfbench``'s tracer
+counts events that way).  Two operating modes:
 
 * **frozen** (:meth:`OnlineAttack.from_pipeline`) — reuse a batch-trained
   :class:`~repro.analysis.attack.AttackPipeline`'s scaler, feature
@@ -38,7 +41,7 @@ from repro.analysis.attack import AttackPipeline, AttackReport
 from repro.analysis.classifiers import Classifier, OnlineClassifier
 from repro.analysis.metrics import ConfusionMatrix
 from repro.stream.featurizer import ClosedWindow, StreamingFeaturizer
-from repro.stream.source import PacketStream, event_chunks
+from repro.stream.source import PacketChunk, PacketStream, event_chunks
 
 __all__ = ["OnlineAttack", "WindowPrediction"]
 
@@ -169,31 +172,24 @@ class OnlineAttack:
         """The labels the attacker can emit."""
         return self._classes
 
-    def observe(
-        self,
-        flow: object,
-        time: float,
-        size: int,
-        direction: int,
-        label: str | None = None,
-    ) -> list[WindowPrediction]:
-        """Ingest one packet; return predictions for windows it closed."""
-        return self._handle(self.featurizer.push(flow, time, size, direction, label))
+    def observe_chunk(self, chunk: PacketChunk) -> list[WindowPrediction]:
+        """Predictions for the windows ``chunk`` closed, in close order.
 
-    def observe_event(self, event, flow: object | None = None) -> list[WindowPrediction]:
-        """Ingest one :class:`~repro.stream.source.PacketEvent`."""
-        return self._handle(self.featurizer.push_event(event, flow))
+        Frozen, they are classified in one pass; learning, one at a time,
+        so the prequential trajectory does not depend on the chunking.
+        """
+        closed = self.featurizer.push_chunk(chunk)
+        if not self._learn:
+            return self._handle(closed)
+        return [p for window in closed for p in self._handle([window])]
 
     def consume(self, stream) -> list[WindowPrediction]:
-        """Drain an entire capture, then flush.
+        """Drain an entire capture through :meth:`observe_chunk`, then flush.
 
         For non-adaptive replays.  A :class:`~repro.stream.source.PacketStream`
         is read as column chunks; any other iterable of
         :class:`~repro.stream.source.PacketEvent` is batched into chunks
-        first.  Frozen, each chunk's closed windows are classified in one
-        pass; learning, they are handled one close at a time in close
-        order, exactly as per-event :meth:`observe_event` calls would.
-        Returns every prediction made (also accumulated on
+        first.  Returns every prediction made (also accumulated on
         :attr:`predictions`).
         """
         if isinstance(stream, PacketStream):
@@ -202,12 +198,7 @@ class OnlineAttack:
             chunks = event_chunks(stream)
         emitted: list[WindowPrediction] = []
         for chunk in chunks:
-            closed = self.featurizer.push_chunk(chunk)
-            if self._learn:
-                for window in closed:
-                    emitted.extend(self._handle([window]))
-            else:
-                emitted.extend(self._handle(closed))
+            emitted.extend(self.observe_chunk(chunk))
         emitted.extend(self.finish())
         return emitted
 

@@ -5,28 +5,27 @@ featurizes a whole flow after the fact; a live eavesdropper cannot.
 :class:`StreamingFeaturizer` maintains one *open window* per flow,
 buffers only the packets of that window, and emits the 12-feature
 vector the moment the window closes (the first packet beyond its edge
-arrives, or the stream ends).  It ingests packets two ways that share
-all windowing and featurizing code:
+arrives, or the stream ends).
 
-* :meth:`StreamingFeaturizer.push_chunk` takes a time-ordered column
-  chunk (:class:`~repro.stream.source.PacketChunk`).  It groups the
-  chunk by station with a stable sort, computes every packet's window
-  index at once (:func:`repro.analysis.windows.window_indices`), and
-  closes every window that ends inside the chunk, for every station,
-  in one pass of the shared kernel: the windows are stacked station by
-  station, each with its packet bounds and left edge.  The bookkeeping
-  (cut points, close positions, labels, peak accounting) is array
-  operations over the station-sorted chunk.  Only each flow's open
-  boundary window carries over to the next chunk.  This is the route
-  :meth:`~repro.stream.attack.OnlineAttack.consume` takes.
-* :meth:`StreamingFeaturizer.push` takes one packet, for loops that
-  must react to every close (the adaptive defender).
+It ingests time-ordered column chunks through
+:meth:`StreamingFeaturizer.push_chunk`: a chunk is grouped by station
+with a stable sort, every packet's window index is computed at once,
+and every window that ends inside the chunk, for every station, closes
+in one pass of the shared kernel.  The bookkeeping (cut points, close
+positions, labels, peak accounting) is array operations over the
+station-sorted chunk; only each flow's open window carries over.
+:meth:`~repro.stream.attack.OnlineAttack.consume` and the arms race
+(:func:`repro.stream.adaptive.run_arms_race`) both run on it;
+:meth:`StreamingFeaturizer.flush` closes what is still open, for one
+retired flow or for all.
 
 Parity contract — the acceptance bar of the streaming subsystem: for
 any flow, the sequence of emitted vectors is **bit-identical** to the
-rows of ``flow_feature_matrix`` on the same packets, and both routes
-emit the same windows in the same order.  Three decisions make that
-hold exactly rather than approximately:
+rows of ``flow_feature_matrix`` on the same packets, and a capture
+emits the same windows, in the same order, whatever its chunk sizes —
+the windows the per-packet reference in ``tests/oracles/stream.py``
+emits.  Three decisions make that hold exactly rather than
+approximately:
 
 * window membership follows the one grid rule of
   :mod:`repro.analysis.windows` — window k is
@@ -34,7 +33,7 @@ hold exactly rather than approximately:
   arithmetic, never a rounded division;
 * closed windows are featurized by the batch kernel itself
   (``repro.analysis.batch._window_block`` for a chunk's stacked
-  windows, ``_grid_block`` for one window closed by :meth:`push`).  A
+  windows, ``_grid_block`` for one window closed by :meth:`flush`).  A
   window's reductions see the same contiguous float64 values whether
   its segment sits in a whole flow (batch), a chunk's stacked windows
   or one window's buffer, so the bits agree;
@@ -48,11 +47,11 @@ space — the property ``benchmarks/bench_stream.py`` asserts.
 Telemetry goes to the process's active :mod:`repro.obs` capture only:
 the ``stream.*`` counters (flows opened, windows closed and dropped,
 packets windowed, chunks ingested) and the ``stream.peak_open_packets``
-/ ``stream.peak_open_flows`` high-water gauges, recorded at each close
-or chunk and at :meth:`~StreamingFeaturizer.flush`.  The hot paths keep
+/ ``stream.peak_open_flows`` high-water gauges, recorded at each chunk
+and close and at :meth:`~StreamingFeaturizer.flush`.  The hot paths keep
 plain ``int`` accumulators (also readable as :attr:`peak_open_packets`
-and :attr:`windows_emitted`); the peak is exact on both routes, a
-running sum of +1 per buffered packet and -count at each close.
+and :attr:`windows_emitted`); the peak is exact whatever the chunking,
+a running sum of +1 per buffered packet and -count at each close.
 """
 
 from __future__ import annotations
@@ -65,12 +64,7 @@ import numpy as np
 
 from repro import obs
 from repro.analysis.batch import _grid_block, _window_block
-from repro.analysis.windows import (
-    MIN_WINDOW_PACKETS,
-    grid_edges,
-    window_index,
-    window_indices,
-)
+from repro.analysis.windows import MIN_WINDOW_PACKETS, grid_edges, window_indices
 from repro.stream.source import PacketChunk
 from repro.util.validation import require_positive
 
@@ -103,14 +97,11 @@ class _FlowState:
     """Open-window bookkeeping of one flow.
 
     Per direction, the open window's packets are buffered as the
-    ``(times, float64 sizes)`` blocks a chunk carried over (``blocks``),
-    followed by the packets pushed one at a time since (``times`` /
-    ``sizes`` lists).
+    ``(times, float64 sizes)`` blocks the chunks carried over
+    (``blocks``), in time order.
     """
 
-    __slots__ = (
-        "start", "index", "count", "label", "last_time", "times", "sizes", "blocks"
-    )
+    __slots__ = ("start", "index", "count", "label", "last_time", "blocks")
 
     def __init__(self, start: float):
         self.start = start  # grid anchor: the flow's first packet time
@@ -121,18 +112,14 @@ class _FlowState:
     def clear_window(self) -> None:
         self.count = 0
         self.label: str | None = None  # ground truth is per-window, never inherited
-        self.times: tuple[list[float], list[float]] = ([], [])
-        self.sizes: tuple[list[float], list[float]] = ([], [])
         self.blocks: tuple[list, list] = ([], [])
 
     def carry(self, direction: int, times: np.ndarray, sizes: np.ndarray) -> None:
         """Buffer a block of packets after those already buffered."""
-        self._settle(direction)
         self.blocks[direction].append((times, sizes))
 
     def buffered(self, direction: int) -> tuple[np.ndarray, np.ndarray]:
         """The direction's buffered ``(times, float64 sizes)``, in time order."""
-        self._settle(direction)
         blocks = self.blocks[direction]
         if len(blocks) == 1:
             return blocks[0]
@@ -142,17 +129,6 @@ class _FlowState:
             np.concatenate([times for times, _ in blocks]),
             np.concatenate([sizes for _, sizes in blocks]),
         )
-
-    def _settle(self, direction: int) -> None:
-        if self.times[direction]:
-            self.blocks[direction].append(
-                (
-                    np.array(self.times[direction], dtype=np.float64),
-                    np.array(self.sizes[direction], dtype=np.float64),
-                )
-            )
-            self.times[direction].clear()
-            self.sizes[direction].clear()
 
 
 def _time_error(flow: object, time: float, previous: float) -> ValueError:
@@ -170,10 +146,9 @@ class StreamingFeaturizer:
     Windows with fewer than ``MIN_WINDOW_PACKETS`` downlink + uplink
     packets are dropped, as on the batch path.
 
-    Feed it with :meth:`push_chunk`, or packet by packet with
-    :meth:`push` (or :meth:`push_event`), in per-flow time order;
-    closed windows are returned as they happen.  Call :meth:`flush`
-    when the capture ends to close the windows still open.
+    Feed it with :meth:`push_chunk`, in per-flow time order; closed
+    windows are returned as they happen.  Call :meth:`flush` when the
+    capture ends to close the windows still open.
     """
 
     def __init__(self, window: float):
@@ -211,68 +186,16 @@ class StreamingFeaturizer:
 
     # -- ingestion ---------------------------------------------------------
 
-    def push(
-        self,
-        flow: object,
-        time: float,
-        size: int,
-        direction: int,
-        label: str | None = None,
-    ) -> list[ClosedWindow]:
-        """Ingest one packet; return any window this packet closed.
-
-        Packets of one flow must arrive in non-decreasing time order
-        (a merged multi-station stream satisfies this per station by
-        construction); a regression or a non-finite time raises instead
-        of corrupting the window grid.
-        """
-        time = float(time)
-        state = self._flows.get(flow)
-        closed: list[ClosedWindow] = []
-        if state is None:
-            state = self._open(flow, time)
-        else:
-            if not state.last_time <= time < math.inf:
-                raise _time_error(flow, time, state.last_time)
-            index = window_index(time, state.start, self.window)
-            if index != state.index:
-                closed = self._close(flow, state)
-                state.index = index
-        state.last_time = time
-        if label is not None:
-            state.label = label
-        d = int(direction)
-        if d == 0 or d == 1:
-            state.times[d].append(time)
-            state.sizes[d].append(float(size))
-            state.count += 1
-            self._open_packets += 1
-            if self._open_packets > self.peak_open_packets:
-                self.peak_open_packets = self._open_packets
-        return closed
-
-    def push_event(self, event, flow: object | None = None) -> list[ClosedWindow]:
-        """Ingest a :class:`~repro.stream.source.PacketEvent`.
-
-        The flow key defaults to the event's station — the eavesdropper
-        groups windows by observed identity.
-        """
-        return self.push(
-            flow if flow is not None else event.station,
-            event.time,
-            event.size,
-            event.direction,
-            event.label,
-        )
-
     def push_chunk(self, chunk: PacketChunk) -> list[ClosedWindow]:
         """Ingest a chunk; return the windows it closed, in close order.
 
-        Equivalent to :meth:`push_event` on each of the chunk's packets
-        in order (the flow key is the station), concatenating what each
-        returns: the same windows, vectors, order and peaks.  Every
-        window the chunk closes, for every station, is featurized in
-        one kernel pass.
+        The flow key is the station.  Packets of one flow must be in
+        non-decreasing time order, within the chunk and after the
+        flow's earlier chunks; a regression or a non-finite time raises
+        instead of corrupting the window grid.  Splitting a capture
+        into chunks differently changes nothing observable: the same
+        windows, vectors, order and peaks.  Every window the chunk
+        closes, for every station, is featurized in one kernel pass.
         """
         obs.add("stream.chunks")
         n = len(chunk.times)
@@ -292,7 +215,7 @@ class StreamingFeaturizer:
         np.cumsum(counts, out=bounds[1:])
         times = chunk.times[order]
         # Stations in first-seen order, so new flows open (and later
-        # flush) in the order the per-packet route opens them.
+        # flush) in the order their first packets arrive.
         visit = np.argsort(order[bounds[:-1]], kind="stable").tolist()
         flows = [chunk.station_names[code] for code in codes.tolist()]
         states = [self._flows.get(flow) for flow in flows]

@@ -10,8 +10,10 @@ non-decreasing time order, readable two ways —
   column blocks of about 64k packets, what
   :meth:`~repro.stream.attack.OnlineAttack.consume` runs on;
 * as :class:`PacketEvent` s (iteration), one packet at a time, built
-  from those chunks, for loops that react to every packet (the
-  adaptive defender of :mod:`repro.stream.adaptive`).
+  from those chunks.  No experiment reads a stream this way; the
+  consumer that keeps it is ``perfbench/tracer.py``, whose ``--trace 1``
+  wrapper hands ``consume`` a counting event iterator, which
+  :func:`event_chunks` batches back into chunks.
 
 Constructors:
 
@@ -130,9 +132,9 @@ def _codes(values: Sequence[object]) -> tuple[np.ndarray, tuple]:
 def event_chunks(events: Iterable[PacketEvent]) -> Iterator[PacketChunk]:
     """Batch any event iterable into :class:`PacketChunk` s, order kept.
 
-    No ordering is checked here: the streaming featurizer checks each
-    flow's times as it ingests the chunk, exactly as it checks pushed
-    events.
+    How ``OnlineAttack.consume`` reads an event iterable.  No ordering
+    is checked here: the streaming featurizer checks each flow's times
+    as it ingests the chunk.
     """
     iterator = iter(events)
     while True:
@@ -345,6 +347,8 @@ class PacketStream:
         return _column_chunks(self._sources)
 
     def __iter__(self) -> Iterator[PacketEvent]:
+        """The capture one :class:`PacketEvent` at a time (for
+        ``perfbench``'s event-counting tracer; the engine reads chunks)."""
         if self._sources is not None:
             for chunk in _column_chunks(self._sources):
                 yield from chunk.events()

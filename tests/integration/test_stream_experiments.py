@@ -10,12 +10,20 @@ The subsystem's acceptance bars, verbatim:
   ``--jobs 2`` execution with identical results.
 """
 
+import contextlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.schedulers import (
+    FrequencyHoppingScheduler,
+    OrthogonalReshaper,
+    RandomReshaper,
+    RoundRobinReshaper,
+)
 from repro.experiments import parallel
 from repro.experiments.registry import ScenarioParams
 from repro.experiments.runner import ExperimentRunner
@@ -172,3 +180,62 @@ class TestArmsRaceEndToEnd:
         assert static.reallocations == 0
         assert adaptive.reallocations > 0
         assert adaptive.flows_observed > static.flows_observed
+
+    @pytest.mark.parametrize("scheme", ["OR", "RR", "RA"])
+    def test_runs_without_the_per_packet_route(self, scheme):
+        """Neither a scheduler's ``assign_packet`` nor per-event stream
+        iteration is on arms_race's path: both defender modes run on
+        interface columns and chunks."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("arms_race took the per-packet route")
+
+        schedulers = (
+            RandomReshaper, RoundRobinReshaper, OrthogonalReshaper,
+            FrequencyHoppingScheduler,
+        )
+        with contextlib.ExitStack() as stack:
+            for scheduler in schedulers:
+                stack.enter_context(
+                    mock.patch.object(scheduler, "assign_packet", forbidden)
+                )
+            stack.enter_context(mock.patch.object(PacketStream, "__iter__", forbidden))
+            result = parallel.run_experiment(
+                "arms_race",
+                TINY,
+                options={"scheme": scheme, "threshold": 0.5, "cooldown": 0.0},
+            )
+        assert result.outcomes["static"].windows > 0
+        assert result.outcomes["adaptive"].reallocations > 0
+
+
+THRESHOLD_RANGE = r"confidence_threshold must be in \(0, 1\]"
+
+
+class TestStreamingOptionsFailFast:
+    """Bad streaming options raise from ``run_experiment`` when the cells
+    are built, before the training stage generates or fits anything."""
+
+    @pytest.mark.parametrize(
+        "name, options, message",
+        [
+            ("arms_race", {"threshold": 2.0}, THRESHOLD_RANGE),
+            ("arms_race", {"threshold": 0.0}, THRESHOLD_RANGE),
+            ("arms_race", {"cooldown": -1.0}, "cooldown must be >= 0"),
+            ("arms_race", {"interfaces": 0}, r"range sets for I in \[2, 3, 5\], got 0"),
+            ("arms_race", {"interfaces": 0, "scheme": "RR"}, "interfaces must be >= 1"),
+            ("drift", {"phase_duration": 0.0}, "duration must be > 0, got 0.0"),
+            ("drift", {"phase_duration": -5.0}, "duration must be > 0"),
+        ],
+        ids=[
+            "threshold=2", "threshold=0", "cooldown=-1", "interfaces=0",
+            "interfaces=0-RR", "phase_duration=0", "phase_duration=-5",
+        ],
+    )
+    def test_raises_before_the_training_stage(self, name, options, message):
+        def no_training(*args, **kwargs):
+            raise AssertionError("the training stage ran")
+
+        with mock.patch.object(parallel, "_train_stage", no_training):
+            with pytest.raises(ValueError, match=message):
+                parallel.run_experiment(name, TINY, options=options)

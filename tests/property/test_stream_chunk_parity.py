@@ -2,11 +2,12 @@
 
 :meth:`OnlineAttack.consume` runs on column chunks
 (:meth:`PacketStream.chunks` → :meth:`StreamingFeaturizer.push_chunk`);
-the adaptive defender still pushes one event at a time.  The two routes
-must agree on everything observable — the :class:`ClosedWindow`
-sequence (order, flow, index, start, label, count and feature bits),
-the ``stream.*`` counters and gauges (bar ``stream.chunks``), and the
-attacker's predictions — whatever the chunk size.  Chunks are forced
+the per-packet route of ``tests/oracles/stream.py`` pushes one event at
+a time.  The two routes must agree on everything observable — the
+:class:`ClosedWindow` sequence (order, flow, index, start, label,
+count and feature bits), the ``stream.*`` counters and gauges (bar
+``stream.chunks``), and the attacker's predictions — whatever the
+chunk size.  Chunks are forced
 tiny by patching the private ``_CHUNK_EVENTS`` constant, so windows,
 ties and flows straddle chunk boundaries constantly.
 
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.stream import EventAttack, EventFeaturizer
 
 from repro import obs
 from repro.analysis.attack import AttackPipeline
@@ -117,7 +119,7 @@ def chunk_route(stream, window):
 
 
 def event_route(events, window):
-    featurizer = StreamingFeaturizer(window)
+    featurizer = EventFeaturizer(window)
     with obs.capture() as capture:
         closed = [w for event in events for w in featurizer.push_event(event)]
         closed += featurizer.flush()
@@ -286,7 +288,7 @@ def key(prediction):
 def test_frozen_predictions_match_per_event(trained, drifting, size):
     attacker = OnlineAttack.from_pipeline(trained)
     metrics = consumed(attacker, stream_of(drifting), size)
-    reference = OnlineAttack.from_pipeline(trained)
+    reference = EventAttack.from_pipeline(trained)
     reference_metrics = per_event(reference, heap_order(drifting))
     assert [key(p) for p in attacker.predictions] == [
         key(p) for p in reference.predictions
@@ -316,8 +318,8 @@ def test_any_event_iterable_takes_the_adapter_route(trained, drifting, size):
 
 @pytest.mark.parametrize("size", [61, 997, stream_source._CHUNK_EVENTS])
 def test_learning_trajectory_matches_per_event(trained, drifting, size):
-    def learner():
-        return OnlineAttack(
+    def learner(kind):
+        return kind(
             window=5.0,
             classifier=GaussianNaiveBayes(),
             classes=trained.classes,
@@ -325,9 +327,9 @@ def test_learning_trajectory_matches_per_event(trained, drifting, size):
             learn=True,
         )
 
-    attacker = learner()
+    attacker = learner(OnlineAttack)
     metrics = consumed(attacker, stream_of(drifting), size)
-    reference = learner()
+    reference = learner(EventAttack)
     reference_metrics = per_event(reference, heap_order(drifting))
     # Windows are handled one close at a time on both routes, so the
     # prequential trajectory is identical to the last bit.

@@ -54,8 +54,8 @@ windows = st.one_of(
 def _stream_rows(trace, window, flow="f"):
     featurizer = StreamingFeaturizer(window)
     closed = []
-    for event in PacketStream.replay(trace, station=flow):
-        closed.extend(featurizer.push_event(event))
+    for chunk in PacketStream.replay(trace, station=flow).chunks():
+        closed.extend(featurizer.push_chunk(chunk))
     closed.extend(featurizer.flush())
     if not closed:
         return np.empty((0, 12), dtype=np.float64)
@@ -84,8 +84,8 @@ def test_merged_stations_featurize_independently(traces, window):
     ]
     featurizer = StreamingFeaturizer(window)
     closed = []
-    for event in PacketStream.merge(streams):
-        closed.extend(featurizer.push_event(event))
+    for chunk in PacketStream.merge(streams).chunks():
+        closed.extend(featurizer.push_chunk(chunk))
     closed.extend(featurizer.flush())
     for index, trace in enumerate(traces):
         reference = flow_feature_matrix(trace, window)
@@ -101,8 +101,8 @@ def test_merged_stations_featurize_independently(traces, window):
 def test_memory_stays_bounded_by_the_densest_window(trace, window):
     """Buffered packets never exceed one window's occupancy per flow."""
     featurizer = StreamingFeaturizer(window)
-    for event in PacketStream.replay(trace, station="f"):
-        featurizer.push_event(event)
+    for chunk in PacketStream.replay(trace, station="f").chunks():
+        featurizer.push_chunk(chunk)
     from repro.analysis.windows import window_edges
 
     densest = int(

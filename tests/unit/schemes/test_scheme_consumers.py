@@ -61,10 +61,12 @@ class TestRunnerSchemes:
 
 class TestAdaptiveReshaperSchemes:
     def test_accepts_reshaper_backed_scheme(self):
-        defender = AdaptiveReshaper(build_scheme("or"), seed=1)
+        scheme = build_scheme("or")
+        defender = AdaptiveReshaper(scheme, seed=1)
         assert defender.interfaces == 3
-        epoch, iface = defender.assign(0.0, 1500, 0)
-        assert epoch == 0 and 0 <= iface < 3
+        assert defender.base is scheme.reshaper
+        (iface,) = defender.base.assign_columns([0.0], [1500], [0])
+        assert defender.epoch == 0 and 0 <= iface < 3
 
     def test_rejects_defense_schemes(self):
         with pytest.raises(TypeError, match="no per-packet scheduler"):

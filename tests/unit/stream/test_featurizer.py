@@ -15,12 +15,18 @@ from repro.traffic.generator import TrafficGenerator
 from repro.traffic.trace import Trace
 
 
+def push(featurizer, flow, time, size, direction, label=None):
+    """Ingest one packet as a one-packet chunk; the windows it closed."""
+    (chunk,) = event_chunks([PacketEvent(time, size, direction, flow, label)])
+    return featurizer.push_chunk(chunk)
+
+
 def _stream_matrix(trace, window):
-    """Push a whole trace through the featurizer; rows of emitted windows."""
+    """Stream a whole trace through the featurizer; rows of emitted windows."""
     featurizer = StreamingFeaturizer(window)
     closed = []
-    for event in PacketStream.replay(trace, station="flow"):
-        closed.extend(featurizer.push_event(event))
+    for chunk in PacketStream.replay(trace, station="flow").chunks():
+        closed.extend(featurizer.push_chunk(chunk))
     closed.extend(featurizer.flush())
     if not closed:
         return np.empty((0, 12)), closed, featurizer
@@ -79,37 +85,38 @@ class TestLifecycle:
 
     def test_flush_forgets_the_flow(self):
         featurizer = StreamingFeaturizer(5.0)
-        featurizer.push("f", 0.0, 10, 0)
-        featurizer.push("f", 0.5, 10, 0)
+        push(featurizer, "f", 0.0, 10, 0)
+        push(featurizer, "f", 0.5, 10, 0)
         featurizer.flush("f")
         assert featurizer.open_flows == 0
         # A later packet on the same key starts a fresh grid at its time.
-        closed = featurizer.push("f", 100.0, 10, 0) + featurizer.push("f", 100.5, 10, 0)
+        closed = push(featurizer, "f", 100.0, 10, 0)
+        closed += push(featurizer, "f", 100.5, 10, 0)
         assert closed == []
         (window,) = featurizer.flush("f")
         assert window.start == 100.0 and window.index == 0
 
     def test_out_of_order_within_flow_raises(self):
         featurizer = StreamingFeaturizer(5.0)
-        featurizer.push("f", 1.0, 10, 0)
+        push(featurizer, "f", 1.0, 10, 0)
         with pytest.raises(ValueError, match="backwards"):
-            featurizer.push("f", 0.5, 10, 0)
+            push(featurizer, "f", 0.5, 10, 0)
 
     def test_label_tracks_most_recent_packet(self):
         featurizer = StreamingFeaturizer(5.0)
-        featurizer.push("f", 0.0, 10, 0, label="browsing")
-        featurizer.push("f", 1.0, 10, 0, label="gaming")
+        push(featurizer, "f", 0.0, 10, 0, label="browsing")
+        push(featurizer, "f", 1.0, 10, 0, label="gaming")
         (window,) = featurizer.flush()
         assert window.label == "gaming"
 
     def test_label_never_leaks_into_the_next_window(self):
         """An all-unlabeled window reports None even after a labeled one."""
         featurizer = StreamingFeaturizer(5.0)
-        featurizer.push("f", 0.0, 10, 0, label="browsing")
-        featurizer.push("f", 0.5, 10, 0, label="browsing")
-        (labeled,) = featurizer.push("f", 6.0, 10, 0, label=None)
+        push(featurizer, "f", 0.0, 10, 0, label="browsing")
+        push(featurizer, "f", 0.5, 10, 0, label="browsing")
+        (labeled,) = push(featurizer, "f", 6.0, 10, 0, label=None)
         assert labeled.label == "browsing"
-        featurizer.push("f", 6.5, 10, 0, label=None)
+        push(featurizer, "f", 6.5, 10, 0, label=None)
         (unlabeled,) = featurizer.flush()
         assert unlabeled.label is None
 
@@ -123,14 +130,14 @@ class TestLifecycle:
     def test_non_finite_first_time_raises_naming_the_flow(self, bad):
         featurizer = StreamingFeaturizer(5.0)
         with pytest.raises(ValueError, match=r"flow 'f' has a non-finite packet time"):
-            featurizer.push("f", bad, 10, 0)
+            push(featurizer, "f", bad, 10, 0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_later_time_raises_naming_the_flow(self, bad):
         featurizer = StreamingFeaturizer(5.0)
-        featurizer.push("f", 1.0, 10, 0)
+        push(featurizer, "f", 1.0, 10, 0)
         with pytest.raises(ValueError, match=r"flow 'f' has a non-finite packet time: (nan|inf)"):
-            featurizer.push("f", bad, 10, 0)
+            push(featurizer, "f", bad, 10, 0)
 
     @pytest.mark.parametrize(
         "times, message",
@@ -188,8 +195,8 @@ class TestConcurrentFlows:
             [PacketStream.replay(a, "a"), PacketStream.replay(b, "b")]
         )
         closed = []
-        for event in merged:
-            closed.extend(featurizer.push_event(event))
+        for chunk in merged.chunks():
+            closed.extend(featurizer.push_chunk(chunk))
         closed.extend(featurizer.flush())
         for flow, trace in (("a", a), ("b", b)):
             ours = np.vstack([w.features for w in closed if w.flow == flow])
@@ -197,10 +204,10 @@ class TestConcurrentFlows:
 
     def test_flush_order_is_first_seen(self):
         featurizer = StreamingFeaturizer(5.0)
-        featurizer.push("b", 0.0, 10, 0)
-        featurizer.push("a", 0.1, 10, 0)
-        featurizer.push("b", 0.2, 10, 0)
-        featurizer.push("a", 0.3, 10, 0)
+        push(featurizer, "b", 0.0, 10, 0)
+        push(featurizer, "a", 0.1, 10, 0)
+        push(featurizer, "b", 0.2, 10, 0)
+        push(featurizer, "a", 0.3, 10, 0)
         assert [w.flow for w in featurizer.flush()] == ["b", "a"]
 
 
@@ -252,8 +259,8 @@ class TestMemoryBounds:
         """The O(open windows) guarantee the benchmarks assert at scale."""
         trace = TrafficGenerator(seed=3).generate(AppType.DOWNLOADING, duration=120.0)
         featurizer = StreamingFeaturizer(5.0)
-        for event in PacketStream.replay(trace, "f"):
-            featurizer.push_event(event)
+        for chunk in PacketStream.replay(trace, "f").chunks():
+            featurizer.push_chunk(chunk)
         featurizer.flush()
         edges_counts = np.diff(
             np.searchsorted(trace.times, np.arange(0.0, 125.0, 5.0))
@@ -266,8 +273,8 @@ class TestMemoryBounds:
         trace = TrafficGenerator(seed=4).generate(AppType.CHATTING, duration=60.0)
         featurizer = StreamingFeaturizer(5.0)
         emitted = 0
-        for event in PacketStream.replay(trace, "f"):
-            emitted += len(featurizer.push_event(event))
+        for chunk in PacketStream.replay(trace, "f").chunks():
+            emitted += len(featurizer.push_chunk(chunk))
         emitted += len(featurizer.flush())
         assert featurizer.windows_emitted == emitted
         assert featurizer.peak_open_flows == 1

@@ -98,8 +98,8 @@ class TestOnlineAttack:
     ):
         attacker = OnlineAttack.from_pipeline(trained_pipeline)
         trace = tiny_corpus["chatting"][0]
-        for event in PacketStream.replay(trace, station="f", label="chatting"):
-            attacker.observe_event(event)
+        for chunk in PacketStream.replay(trace, station="f", label="chatting").chunks():
+            attacker.observe_chunk(chunk)
         assert attacker.featurizer.open_flows == 1
         early = attacker.finish_flow("f")
         assert attacker.featurizer.open_flows == 0
@@ -156,28 +156,32 @@ class TestAdaptiveReshaper:
         assert defender.notify(self._confident(start=85.0))
         assert defender.reallocations == 2
 
-    def test_assign_names_epoch_and_interface(self):
+    def test_flow_keys_name_epoch_and_interface(self):
         defender = AdaptiveReshaper(RoundRobinReshaper(2))
-        assert defender.assign(0.0, 100, 0) == (0, 0)
-        assert defender.assign(0.1, 100, 0) == (0, 1)
+        assert defender.flow_keys("sta", defender.epoch) == ("sta/e0/i0", "sta/e0/i1")
         defender.notify(self._confident())
-        epoch, _ = defender.assign(60.0, 100, 0)
-        assert epoch == 1
-        assert defender.flow_key("sta", epoch, 0) == "sta/e1/i0"
+        assert defender.flow_keys("sta", defender.epoch) == ("sta/e1/i0", "sta/e1/i1")
+
+    def test_cooled_is_the_trigger_cooldown_vectorized(self):
+        defender = AdaptiveReshaper(
+            RoundRobinReshaper(3), confidence_threshold=0.9, cooldown=30.0
+        )
+        assert defender.cooled(np.array([0.0, 50.0])).all()
+        assert defender.notify(self._confident(start=50.0))
+        starts = np.array([60.0, 79.999, 80.0, 85.0])
+        np.testing.assert_array_equal(defender.cooled(starts), [0, 0, 1, 1])
+        for start, cooled in zip(starts, defender.cooled(starts)):
+            probe = AdaptiveReshaper(
+                RoundRobinReshaper(3), confidence_threshold=0.9, cooldown=30.0
+            )
+            probe.notify(self._confident(start=50.0))
+            assert probe.notify(self._confident(start=float(start))) == cooled
 
     def test_overhead_counts_handshakes(self):
         defender = AdaptiveReshaper(OrthogonalReshaper.paper_default())
         base = defender.config_overhead_bytes
         defender.notify(self._confident())
         assert defender.config_overhead_bytes == base * 2
-
-    def test_reset_restores_the_initial_state(self):
-        defender = AdaptiveReshaper(RoundRobinReshaper(3), seed=7)
-        initial = list(defender.virtual_addresses)
-        defender.notify(self._confident())
-        defender.reset()
-        assert defender.epoch == 0
-        assert defender.virtual_addresses == initial
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -216,14 +216,18 @@ class TestFromStore:
         traces, store = stored
         off_disk, in_memory = StreamingFeaturizer(5.0), StreamingFeaturizer(5.0)
         disk_windows = [
-            w for e in PacketStream.from_store(store) for w in off_disk.push_event(e)
+            w
+            for chunk in PacketStream.from_store(store).chunks()
+            for w in off_disk.push_chunk(chunk)
         ] + off_disk.flush()
         streams = [
             PacketStream.replay(trace, station=f"sta{index}", label=trace.label)
             for index, trace in enumerate(traces)
         ]
         ram_windows = [
-            w for e in PacketStream.merge(streams) for w in in_memory.push_event(e)
+            w
+            for chunk in PacketStream.merge(streams).chunks()
+            for w in in_memory.push_chunk(chunk)
         ] + in_memory.flush()
         assert len(disk_windows) == len(ram_windows) > 0
         for disk, ram in zip(disk_windows, ram_windows):
@@ -236,8 +240,8 @@ class TestFromStore:
 
         traces, store = stored
         featurizer = StreamingFeaturizer(5.0)
-        for event in PacketStream.from_store(store):
-            featurizer.push_event(event)
+        for chunk in PacketStream.from_store(store).chunks():
+            featurizer.push_chunk(chunk)
         featurizer.flush()
         densest = max(
             int(
