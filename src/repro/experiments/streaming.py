@@ -276,8 +276,7 @@ def _drift_learner(options: dict[str, object]) -> PipelineKey:
 def _drift_cells(
     params: ScenarioParams, options: dict[str, object]
 ) -> tuple[ExperimentCell, ...]:
-    # Bad values fail here, before the training stage, as generation would.
-    _drift_learner(options)
+    _drift_learner(options)  # bad values fail here, before the training stage
     require_positive(float(options["phase_duration"]), "duration")
     return tuple(
         make_cell(
@@ -442,8 +441,7 @@ def _arms_base_factory(scheme: str, interfaces: int, seed: int):
 
     The defender's scheduler comes from the same scheme catalog the
     batch path evaluates; FH and the identity are excluded because the
-    adaptive loop re-addresses virtual interfaces, which FH's channel
-    slots and the identity do not have.
+    adaptive loop re-addresses virtual interfaces, which they lack.
     """
     try:
         canonical = get_scheme(scheme).name
@@ -458,8 +456,7 @@ def _arms_base_factory(scheme: str, interfaces: int, seed: int):
 def _arms_cells(
     params: ScenarioParams, options: dict[str, object]
 ) -> tuple[ExperimentCell, ...]:
-    # One defender built here fails on bad options before the training
-    # stage, with the messages the cells would raise.
+    # A defender built here fails on bad options before the training stage.
     base = _arms_base_factory(
         str(options["scheme"]), int(options["interfaces"]), params.seed
     )()

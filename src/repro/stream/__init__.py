@@ -17,11 +17,7 @@ the fact; this package evaluates them *as they happen*:
   :class:`~repro.analysis.classifiers.base.OnlineClassifier` protocol.
 * :mod:`repro.stream.adaptive` — :class:`AdaptiveReshaper` and
   :func:`run_arms_race`: the defender reacting to a simulated attacker
-  by re-allocating virtual MAC interfaces mid-capture, run on column
-  segments that end where the defender may react.
-
-The per-packet route the chunks are held to is a test oracle
-(``tests/oracles/stream.py``).
+  by re-allocating virtual MAC interfaces mid-capture.
 
 The registered experiments ``stream_replay``, ``drift`` and
 ``arms_race`` (:mod:`repro.experiments.streaming`) drive these pieces

@@ -172,14 +172,18 @@ class OnlineAttack:
         """The labels the attacker can emit."""
         return self._classes
 
-    def observe_chunk(self, chunk: PacketChunk) -> list[WindowPrediction]:
+    def observe_chunk(
+        self, chunk: PacketChunk, one_at_a_time: bool = False
+    ) -> list[WindowPrediction]:
         """Predictions for the windows ``chunk`` closed, in close order.
 
-        Frozen, they are classified in one pass; learning, one at a time,
-        so the prequential trajectory does not depend on the chunking.
+        Frozen, they are classified in one model pass unless
+        ``one_at_a_time`` (a batch's matrix products round scores in the
+        last bits); learning, always one at a time, so the prequential
+        trajectory does not depend on the chunking.
         """
         closed = self.featurizer.push_chunk(chunk)
-        if not self._learn:
+        if not (self._learn or one_at_a_time):
             return self._handle(closed)
         return [p for window in closed for p in self._handle([window])]
 

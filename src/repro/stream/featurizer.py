@@ -190,12 +190,10 @@ class StreamingFeaturizer:
         """Ingest a chunk; return the windows it closed, in close order.
 
         The flow key is the station.  Packets of one flow must be in
-        non-decreasing time order, within the chunk and after the
-        flow's earlier chunks; a regression or a non-finite time raises
-        instead of corrupting the window grid.  Splitting a capture
-        into chunks differently changes nothing observable: the same
-        windows, vectors, order and peaks.  Every window the chunk
-        closes, for every station, is featurized in one kernel pass.
+        non-decreasing time order across chunks; a regression or a
+        non-finite time raises.  Chunking a capture differently changes
+        nothing observable (windows, vectors, order, peaks).  Every
+        window the chunk closes is featurized in one kernel pass.
         """
         obs.add("stream.chunks")
         n = len(chunk.times)

@@ -10,10 +10,8 @@ non-decreasing time order, readable two ways —
   column blocks of about 64k packets, what
   :meth:`~repro.stream.attack.OnlineAttack.consume` runs on;
 * as :class:`PacketEvent` s (iteration), one packet at a time, built
-  from those chunks.  No experiment reads a stream this way; the
-  consumer that keeps it is ``perfbench/tracer.py``, whose ``--trace 1``
-  wrapper hands ``consume`` a counting event iterator, which
-  :func:`event_chunks` batches back into chunks.
+  from those chunks, for ``perfbench/tracer.py``: its ``--trace 1``
+  wrapper hands ``consume`` a counting event iterator.
 
 Constructors:
 

@@ -162,26 +162,29 @@ class TestAdaptiveReshaper:
         defender.notify(self._confident())
         assert defender.flow_keys("sta", defender.epoch) == ("sta/e1/i0", "sta/e1/i1")
 
-    def test_cooled_is_the_trigger_cooldown_vectorized(self):
+    def test_cooled_takes_one_start_or_many(self):
         defender = AdaptiveReshaper(
             RoundRobinReshaper(3), confidence_threshold=0.9, cooldown=30.0
         )
-        assert defender.cooled(np.array([0.0, 50.0])).all()
+        assert defender.cooled(0.0)
         assert defender.notify(self._confident(start=50.0))
         starts = np.array([60.0, 79.999, 80.0, 85.0])
         np.testing.assert_array_equal(defender.cooled(starts), [0, 0, 1, 1])
-        for start, cooled in zip(starts, defender.cooled(starts)):
-            probe = AdaptiveReshaper(
-                RoundRobinReshaper(3), confidence_threshold=0.9, cooldown=30.0
-            )
-            probe.notify(self._confident(start=50.0))
-            assert probe.notify(self._confident(start=float(start))) == cooled
+        assert [defender.cooled(float(start)) for start in starts] == [0, 0, 1, 1]
 
     def test_overhead_counts_handshakes(self):
         defender = AdaptiveReshaper(OrthogonalReshaper.paper_default())
         base = defender.config_overhead_bytes
         defender.notify(self._confident())
         assert defender.config_overhead_bytes == base * 2
+
+    def test_reset_restores_the_initial_state(self):
+        defender = AdaptiveReshaper(RoundRobinReshaper(3), seed=7)
+        initial = list(defender.virtual_addresses)
+        defender.notify(self._confident())
+        defender.reset()
+        assert defender.epoch == 0
+        assert defender.virtual_addresses == initial
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
