@@ -64,7 +64,6 @@ __all__ = [
     "shard_grid_cells",
     "shared_runner",
     "shared_scenario",
-    "shared_shard",
     "worker_cached",
 ]
 
@@ -111,26 +110,6 @@ def shared_runner(params: ScenarioParams) -> ExperimentRunner:
     )
 
 
-def shared_shard(corpus: str, shard: int):
-    """The process-local member store ``shard`` of a federation.
-
-    Opens the federation's manifests (cheap) to resolve the member
-    directory, then memory-maps **only that shard's** columns — the
-    seam that keeps a shard-decomposed cell's working set at one
-    shard's size no matter how many shards the corpus holds.  The
-    member :class:`~repro.storage.TraceStore` is memoized per process,
-    so every cell a worker executes against the same shard shares one
-    mapping.
-    """
-    from repro.storage import ShardSet
-
-    def build():
-        federation = ShardSet.open(str(corpus))
-        return federation.shard(int(shard))
-
-    return worker_cached(("shard", str(corpus), int(shard)), build)
-
-
 def clear_worker_state() -> None:
     """Drop every process-local cache (for benchmarking cold runs)."""
     _WORKER_STATE.clear()
@@ -153,13 +132,12 @@ def shard_grid_cells(
     point (a scheme, a window, a population size, ...) fans out into
     ``shards`` independent cells named ``{point}/shard={s}``, each
     carrying its shard index so the cell function touches only that
-    shard's slice of the corpus (via :func:`shared_shard`, or by
-    filtering generated stations through
-    :func:`repro.storage.shard_for_key`).  Cell results must be
-    additive — confusion counts, byte totals, flow counts — so
-    ``combine`` can roll shards back up into per-point rows; ``obs``
-    profiles roll up the same way through the executor's existing
-    merge.  Cell order is deterministic, so serial and ``--jobs N``
+    shard's slice of the corpus (for instance by filtering generated
+    stations through :func:`repro.storage.shard_for_key`).  Cell
+    results must be additive — confusion counts, byte totals, flow
+    counts — so ``combine`` can roll shards back up into per-point
+    rows; ``obs`` profiles roll up the same way through the executor's
+    existing merge.  Cell order is deterministic, so serial and ``--jobs N``
     execution stay bit-identical.
     """
     from repro.experiments.registry import make_cell

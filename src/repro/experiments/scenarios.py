@@ -172,9 +172,9 @@ class EvaluationScenario:
         memory-mapped views, so hydration costs O(manifest) regardless
         of corpus size.
         """
-        from repro.storage import ShardSet, TraceStore, open_corpus
+        from repro.storage import Corpus, open_corpus
 
-        if not isinstance(store, (TraceStore, ShardSet)):
+        if not isinstance(store, Corpus):
             store = open_corpus(store)
         recipe = store.scenario
         if recipe is None:

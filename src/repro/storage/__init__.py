@@ -9,10 +9,13 @@ reconstructed zero-copy from memory-mapped column blocks — and the
 corpus size also decouples from what a single directory (or a single
 worker's address space) can hold.
 
+Both formats are a :class:`Corpus`: one read API (entries, selection,
+labels, traces, provenance, ``validate``) over one manifest reader and
+one trace-record parser, so each format adds only how it maps columns.
 Consumers that accept "a corpus path" should open it through
-:func:`open_corpus`, which dispatches on the directory's manifest:
-single stores and shard-set federations come back with the same read
-API.  See ``docs/trace-format.md`` for both on-disk specifications.
+:func:`open_corpus`, which dispatches on the directory's manifest, and
+test ``isinstance(x, Corpus)`` for an already open one.  See
+``docs/trace-format.md`` for both on-disk specifications.
 """
 
 from repro.storage.shards import (
@@ -29,6 +32,7 @@ from repro.storage.shards import (
 )
 from repro.storage.store import (
     COLUMN_DTYPES,
+    Corpus,
     FORMAT_NAME,
     FORMAT_VERSION,
     SHARDSET_MANIFEST_NAME,
@@ -42,6 +46,7 @@ from repro.storage.store import (
 
 __all__ = [
     "COLUMN_DTYPES",
+    "Corpus",
     "FORMAT_NAME",
     "FORMAT_VERSION",
     "PLACEMENT_RULE",

@@ -45,21 +45,24 @@ federation manifest last via atomic rename — an interrupted build is
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
-from collections.abc import Iterator, Mapping, Sequence
-
-import numpy as np
+from collections.abc import Mapping, Sequence
 
 from repro import obs
 from repro.storage.store import (
-    COLUMN_DTYPES,
+    _ROW_BYTES,
     MANIFEST_NAME,
     SHARDSET_MANIFEST_NAME,
+    Corpus,
     StoreFormatError,
     TraceEntry,
     TraceStore,
     TraceStoreWriter,
+    _check_trace,
+    _parse_traces,
+    _read_manifest,
     load_manifest,
 )
 from repro.traffic.trace import Trace
@@ -87,9 +90,6 @@ SHARDSET_VERSION = 1
 #: rules loudly: silently mis-routing a station lookup would be worse
 #: than failing to open.
 PLACEMENT_RULE = "station-hash-sha256"
-
-#: Bytes one packet occupies across all six column files.
-_ROW_BYTES = sum(np.dtype(dtype).itemsize for dtype in COLUMN_DTYPES.values())
 
 
 def shard_for_key(key: str, shards: int) -> int:
@@ -127,32 +127,10 @@ def load_shardset_manifest(path: str) -> dict:
     provenance — scenario recipe, scheme recipe, member list — without
     touching any member store.
     """
-    manifest_path = _shardset_manifest_path(str(path))
-    if not os.path.exists(manifest_path):
-        raise StoreFormatError(
-            f"{path!r} is not a shard set: no {SHARDSET_MANIFEST_NAME} found "
-            "(an interrupted build never writes one)"
-        )
-    with open(manifest_path, encoding="utf-8") as stream:
-        try:
-            manifest = json.load(stream)
-        except ValueError as error:
-            raise StoreFormatError(
-                f"{path!r}: shard-set manifest is not valid JSON: {error}"
-            ) from None
-    declared = manifest.get("format") if isinstance(manifest, dict) else None
-    if declared != SHARDSET_FORMAT_NAME:
-        raise StoreFormatError(
-            f"{path!r}: shard-set manifest format is {declared!r}, "
-            f"expected {SHARDSET_FORMAT_NAME!r}"
-        )
-    version = manifest.get("version")
-    if not isinstance(version, int) or not 1 <= version <= SHARDSET_VERSION:
-        raise StoreFormatError(
-            f"{path!r}: shard-set version {version!r} is not supported by "
-            f"this reader (understands 1..{SHARDSET_VERSION}); upgrade the "
-            "package or rebuild the federation"
-        )
+    manifest = _read_manifest(
+        path, SHARDSET_MANIFEST_NAME, SHARDSET_FORMAT_NAME, SHARDSET_VERSION,
+        "shard set",
+    )
     placement = manifest.get("placement")
     rule = placement.get("rule") if isinstance(placement, Mapping) else None
     if rule != PLACEMENT_RULE:
@@ -178,14 +156,15 @@ def corpus_manifest(path: str) -> dict:
     return load_manifest(path)
 
 
-def open_corpus(path: str):
+def open_corpus(path: str) -> Corpus:
     """Open the corpus at ``path``, whichever format it is.
 
     Returns a :class:`ShardSet` for a federation directory and a
-    :class:`~repro.storage.store.TraceStore` for a single store — the
-    two expose the same read API, so every consumer above this seam
-    (scenario hydration, streaming replay, ``repro corpus info``)
-    accepts a shard-set directory transparently.
+    :class:`~repro.storage.store.TraceStore` for a single store.  Both
+    are a :class:`~repro.storage.store.Corpus`, whose read API every
+    consumer above this seam (scenario hydration, streaming replay,
+    ``repro corpus info``) uses, so a shard-set directory works
+    wherever a store does.
     """
     path = str(path)
     if is_shardset(path):
@@ -289,10 +268,6 @@ class ShardSetWriter:
         """Number of member stores in the federation."""
         return self._shards
 
-    def shard_for(self, key: str) -> int:
-        """The member this routing key places into."""
-        return shard_for_key(key, self._shards)
-
     def add(
         self,
         trace: Trace,
@@ -377,7 +352,7 @@ class ShardSetWriter:
             self.abort()
 
 
-class ShardSet:
+class ShardSet(Corpus):
     """A read-only federation of member stores, opened lazily.
 
     Construction reads the federation manifest plus every member's JSON
@@ -394,75 +369,31 @@ class ShardSet:
     ``shards.bytes_mapped_peak`` gauge asserts this in the benchmarks).
     """
 
-    def __init__(self, path: str):
-        path = str(path)
-        manifest = load_shardset_manifest(path)
-        self.path = path
-        try:
-            self._parse(manifest)
-        except StoreFormatError:
-            raise
-        except (KeyError, TypeError, ValueError) as error:
-            raise StoreFormatError(
-                f"{path!r}: malformed shard-set manifest: {error!r}"
-            ) from None
-
-    def _parse(self, manifest: dict) -> None:
+    def _parse(self) -> dict:
         path = self.path
-        placement = manifest["placement"]
-        self.shard_count = int(placement["shards"])
+        manifest = load_shardset_manifest(path)
+        self.shard_count = int(manifest["placement"]["shards"])
         members = manifest["shards"]
         if not isinstance(members, list) or len(members) != self.shard_count:
             raise StoreFormatError(
                 f"{path!r}: manifest lists {len(members)} member store(s) "
                 f"but declares {self.shard_count} shards"
             )
-        self.scenario: dict | None = manifest.get("scenario")
-        self.schemes: list | None = manifest.get("schemes")
-        self.meta: dict = manifest.get("meta") or {}
         self._member_names = [str(name) for name in members]
         self._member_packets: list[int] = []
-        self._entries: list[TraceEntry] = []
+        self._entries = []
         self._locator: list[tuple[int, int]] = []
         offset = 0
         for shard, name in enumerate(self._member_names):
             member_path = os.path.join(path, name)
             member = load_manifest(member_path)
-            packets = int(member["packets"])
-            local_offset = 0
-            for local, record in enumerate(member.get("traces", [])):
-                count = int(record["count"])
-                if count < 0:
-                    raise StoreFormatError(
-                        f"{member_path!r}: trace {local} declares a negative "
-                        f"packet count ({count})"
-                    )
-                if int(record["offset"]) != local_offset:
-                    raise StoreFormatError(
-                        f"{member_path!r}: trace {local} claims offset "
-                        f"{record['offset']}, expected {local_offset} "
-                        "(entries must tile the member contiguously)"
-                    )
-                self._entries.append(
-                    TraceEntry(
-                        index=len(self._entries),
-                        offset=offset,
-                        count=count,
-                        label=record.get("label"),
-                        role=record.get("role"),
-                        station=record.get("station"),
-                        meta=record.get("meta") or {},
-                    )
-                )
-                self._locator.append((shard, local))
-                local_offset += count
-                offset += count
-            if local_offset != packets:
-                raise StoreFormatError(
-                    f"{member_path!r}: manifest counts {local_offset} packets "
-                    f"across traces but declares {packets}"
-                )
-            self._member_packets.append(packets)
+            entries = _parse_traces(
+                member, member_path, "member", len(self._entries), offset
+            )
+            self._entries += entries
+            self._locator += [(shard, local) for local in range(len(entries))]
+            self._member_packets.append(int(member["packets"]))
+            offset += self._member_packets[-1]
         declared_traces = int(manifest["traces"])
         declared_packets = int(manifest["packets"])
         if declared_traces != len(self._entries) or declared_packets != offset:
@@ -478,11 +409,7 @@ class ShardSet:
         obs.gauge("shardset.shards", self.shard_count)
         obs.gauge("shardset.traces_stored", len(self._entries))
         obs.gauge("shardset.packets_stored", self.packets)
-
-    @classmethod
-    def open(cls, path: str) -> "ShardSet":
-        """Open an existing federation read-only (O(manifests))."""
-        return cls(path)
+        return manifest
 
     # -- member access -----------------------------------------------------
 
@@ -531,83 +458,23 @@ class ShardSet:
             store.close()
         self._stores.clear()
 
-    # -- merged corpus views ----------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def entries(self) -> tuple[TraceEntry, ...]:
-        """Every member's manifest records, merged in shard-major order."""
-        return tuple(self._entries)
-
-    def entry(self, index: int) -> TraceEntry:
-        return self._entries[index]
-
     def trace(self, index: int) -> Trace:
         """Global trace ``index``, served zero-copy by its member store."""
         shard, local = self._locator[index]
         return self.shard(shard).trace(local)
 
-    def __getitem__(self, index: int) -> Trace:
-        return self.trace(index)
-
-    def __iter__(self) -> Iterator[Trace]:
-        for index in range(len(self._entries)):
-            yield self.trace(index)
-
-    def select(
-        self, role: str | None = None, label: str | None = None
-    ) -> Iterator[TraceEntry]:
-        """Entries matching ``role`` and/or ``label`` (None = any)."""
-        for entry in self._entries:
-            if role is not None and entry.role != role:
-                continue
-            if label is not None and entry.label != label:
-                continue
-            yield entry
-
-    def traces_by_label(self, role: str | None = None) -> dict[str, list[Trace]]:
-        """Label -> traces mapping; unlabeled entries are skipped."""
-        grouped: dict[str, list[Trace]] = {}
-        for entry in self.select(role=role):
-            if entry.label is None:
-                continue
-            grouped.setdefault(entry.label, []).append(self.trace(entry.index))
-        return grouped
-
-    def labels(self) -> tuple[str, ...]:
-        """Distinct labels, in first-seen merged order."""
-        seen: dict[str, None] = {}
-        for entry in self._entries:
-            if entry.label is not None:
-                seen.setdefault(entry.label)
-        return tuple(seen)
-
-    def scheme_specs(self):
-        """The federation's defense-scheme recipe, parsed (may be empty)."""
-        if not self.schemes:
-            return ()
-        from repro.schemes.spec import specs_from_json
-
-        try:
-            return specs_from_json(self.schemes)
-        except ValueError as error:
-            raise StoreFormatError(
-                f"{self.path!r}: malformed schemes recipe: {error}"
-            ) from None
-
-    @property
-    def nbytes(self) -> int:
-        """Total column payload across every member store."""
-        return self.packets * _ROW_BYTES
+    def validate(self) -> None:
+        """:meth:`Corpus.validate`, one member at a time: each member is
+        released once its traces are checked, so the scan maps one
+        shard's bytes at most.  Errors name the global trace index."""
+        for _, indices in itertools.groupby(range(len(self)), self.shard_of):
+            try:
+                for index in indices:
+                    _check_trace(index, self.trace(index))
+            finally:
+                self.release()
 
     def close(self) -> None:
         """Release every member store and refuse further access."""
         self.release()
         self._open = False
-
-    def __enter__(self) -> "ShardSet":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

@@ -55,6 +55,7 @@ from repro.traffic.trace import Trace, column_problem
 
 __all__ = [
     "COLUMN_DTYPES",
+    "Corpus",
     "FORMAT_NAME",
     "FORMAT_VERSION",
     "MANIFEST_NAME",
@@ -92,6 +93,9 @@ COLUMN_DTYPES: Mapping[str, str] = {
     "rssi": "<f4",
 }
 
+#: Bytes one packet occupies across all six column files.
+_ROW_BYTES = sum(np.dtype(dtype).itemsize for dtype in COLUMN_DTYPES.values())
+
 #: Defaults for optional columns, mirroring ``Trace.from_arrays``.
 _COLUMN_DEFAULTS: Mapping[str, float] = {
     "directions": 0,
@@ -115,16 +119,19 @@ def _manifest_path(root: str) -> str:
     return os.path.join(root, MANIFEST_NAME)
 
 
-def load_manifest(path: str) -> dict:
-    """Read and structurally validate a store's manifest.
+def _read_manifest(
+    path: str, filename: str, format_name: str, version: int, kind: str
+) -> dict:
+    """Read the JSON manifest ``filename`` under ``path`` and check its
+    ``format`` discriminator and ``version`` (``1..version``).
 
-    Cheap (one small JSON file) — the way to inspect a corpus's
-    provenance without mapping its columns.
+    The one manifest reader of both corpus formats; ``kind`` names the
+    format in errors ("trace store", "shard set").
     """
-    manifest_path = _manifest_path(str(path))
+    manifest_path = os.path.join(str(path), filename)
     if not os.path.exists(manifest_path):
         raise StoreFormatError(
-            f"{path!r} is not a trace store: no {MANIFEST_NAME} found "
+            f"{path!r} is not a {kind}: no {filename} found "
             "(an interrupted build never writes one)"
         )
     with open(manifest_path, encoding="utf-8") as stream:
@@ -132,22 +139,33 @@ def load_manifest(path: str) -> dict:
             manifest = json.load(stream)
         except ValueError as error:
             raise StoreFormatError(
-                f"{path!r}: manifest is not valid JSON: {error}"
+                f"{path!r}: {filename} is not valid JSON: {error}"
             ) from None
     declared = manifest.get("format") if isinstance(manifest, dict) else None
-    if declared != FORMAT_NAME:
+    if declared != format_name:
         raise StoreFormatError(
-            f"{path!r}: manifest format is {declared!r}, "
-            f"expected {FORMAT_NAME!r}"
+            f"{path!r}: {filename} format is {declared!r}, "
+            f"expected {format_name!r}"
         )
-    version = manifest.get("version")
-    if not isinstance(version, int) or not 1 <= version <= FORMAT_VERSION:
+    declared = manifest.get("version")
+    if not isinstance(declared, int) or not 1 <= declared <= version:
         raise StoreFormatError(
-            f"{path!r}: store version {version!r} is not supported by this "
-            f"reader (understands 1..{FORMAT_VERSION}); upgrade the package "
-            "or rebuild the corpus"
+            f"{path!r}: {kind} version {declared!r} is not supported by this "
+            f"reader (understands 1..{version}); upgrade the package or "
+            f"rebuild the {kind}"
         )
     return manifest
+
+
+def load_manifest(path: str) -> dict:
+    """Read and structurally validate a store's manifest.
+
+    Cheap (one small JSON file) — the way to inspect a corpus's
+    provenance without mapping its columns.
+    """
+    return _read_manifest(
+        path, MANIFEST_NAME, FORMAT_NAME, FORMAT_VERSION, "trace store"
+    )
 
 
 @dataclass(frozen=True)
@@ -435,7 +453,219 @@ class TraceStoreWriter:
             self.abort()
 
 
-class TraceStore:
+def _parse_traces(
+    manifest: dict, path: str, noun: str, index: int = 0, offset: int = 0
+) -> list[TraceEntry]:
+    """Entries for a store manifest's ``traces`` records.
+
+    Checks that no count is negative, that the records tile the store's
+    columns from offset 0 and that they add up to the declared
+    ``packets``; errors name ``path`` and the record's position there.
+    ``noun`` is what the records tile ("columns", or "member" for a
+    shard-set member).  ``index`` and ``offset`` are where the first
+    entry lands in the corpus being read: a shard set re-indexes its
+    members' entries globally.
+    """
+    packets = int(manifest["packets"])
+    entries: list[TraceEntry] = []
+    tiled = 0
+    for position, record in enumerate(manifest.get("traces", [])):
+        count = int(record["count"])
+        if count < 0:
+            raise StoreFormatError(
+                f"{path!r}: trace {position} declares a negative packet "
+                f"count ({count})"
+            )
+        if int(record["offset"]) != tiled:
+            raise StoreFormatError(
+                f"{path!r}: trace {position} claims offset {record['offset']}, "
+                f"expected {tiled} (entries must tile the {noun} contiguously)"
+            )
+        entries.append(
+            TraceEntry(
+                index=index + position,
+                offset=offset + tiled,
+                count=count,
+                label=record.get("label"),
+                role=record.get("role"),
+                station=record.get("station"),
+                meta=record.get("meta") or {},
+            )
+        )
+        tiled += count
+    if tiled != packets:
+        raise StoreFormatError(
+            f"{path!r}: manifest counts {tiled} packets across traces but "
+            f"declares {packets}"
+        )
+    return entries
+
+
+class Corpus:
+    """The read API a corpus offers, whatever its on-disk format.
+
+    A subclass reads its manifest in ``_parse`` (setting ``packets``,
+    the provenance attributes and ``_entries``, globally indexed and
+    tiling the corpus contiguously), and serves :meth:`trace` and
+    :meth:`close`; everything else here works off the entries.
+    :class:`TraceStore` and :class:`~repro.storage.ShardSet` are the
+    two formats.
+    """
+
+    path: str
+    packets: int
+    scenario: dict | None
+    schemes: list | None
+    meta: dict
+    _entries: list[TraceEntry]
+
+    def __init__(self, path: str):
+        self.path = str(path)
+        try:
+            manifest = self._parse()
+        except StoreFormatError:
+            raise
+        except (KeyError, TypeError, ValueError) as error:
+            raise StoreFormatError(
+                f"{self.path!r}: malformed manifest: {error!r}"
+            ) from None
+        self.scenario = manifest.get("scenario")
+        self.schemes = manifest.get("schemes")
+        self.meta = manifest.get("meta") or {}
+
+    def _parse(self) -> dict:
+        """Read and check the manifest; return it."""
+        raise NotImplementedError
+
+    @classmethod
+    def open(cls, path: str):
+        """Open an existing corpus read-only."""
+        return cls(path)
+
+    def trace(self, index: int) -> Trace:
+        """Trace ``index`` as zero-copy views into mapped columns.
+
+        The same object is returned on repeated calls (until the corpus
+        is closed or released), so identity-keyed caches (e.g.
+        :class:`~repro.analysis.batch.WindowCache`) behave exactly as
+        they do for in-memory corpora.
+        """
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Drop column maps and cached traces; refuse further access."""
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def entries(self) -> tuple[TraceEntry, ...]:
+        """Every trace's manifest record, in corpus order."""
+        return tuple(self._entries)
+
+    def entry(self, index: int) -> TraceEntry:
+        return self._entries[index]
+
+    def __getitem__(self, index: int) -> Trace:
+        return self.trace(index)
+
+    def __iter__(self) -> Iterator[Trace]:
+        for index in range(len(self._entries)):
+            yield self.trace(index)
+
+    def select(
+        self, role: str | None = None, label: str | None = None
+    ) -> Iterator[TraceEntry]:
+        """Entries matching ``role`` and/or ``label`` (None = any)."""
+        for entry in self._entries:
+            if role is not None and entry.role != role:
+                continue
+            if label is not None and entry.label != label:
+                continue
+            yield entry
+
+    def traces_by_label(self, role: str | None = None) -> dict[str, list[Trace]]:
+        """Label -> traces mapping (insertion order = corpus order).
+
+        Unlabeled entries are skipped, consistent with :meth:`labels` —
+        they have no classifier ground truth to group under.
+        """
+        grouped: dict[str, list[Trace]] = {}
+        for entry in self.select(role=role):
+            if entry.label is None:
+                continue
+            grouped.setdefault(entry.label, []).append(self.trace(entry.index))
+        return grouped
+
+    def labels(self) -> tuple[str, ...]:
+        """Distinct labels, in first-seen corpus order."""
+        seen: dict[str, None] = {}
+        for entry in self._entries:
+            if entry.label is not None:
+                seen.setdefault(entry.label)
+        return tuple(seen)
+
+    def scheme_specs(self):
+        """The defense-scheme recipe attached to this corpus, parsed.
+
+        Returns a tuple of :class:`~repro.schemes.SchemeSpec` (empty
+        when the manifest carries no ``schemes`` key).  The recipe is
+        provenance: it names the scheme stack the corpus was built for,
+        and :func:`repro.schemes.build_stack` rehydrates it to a scheme
+        whose output is bit-identical to the one recorded (the
+        round-trip the integration tests assert).
+        """
+        if not self.schemes:
+            return ()
+        from repro.schemes.spec import specs_from_json
+
+        try:
+            return specs_from_json(self.schemes)
+        except ValueError as error:
+            raise StoreFormatError(
+                f"{self.path!r}: malformed schemes recipe: {error}"
+            ) from None
+
+    @property
+    def nbytes(self) -> int:
+        """Total size of the column payload on disk."""
+        return self.packets * _ROW_BYTES
+
+    def validate(self) -> None:
+        """Scan every trace and re-check the Trace invariants.
+
+        Directions must also be 0 (downlink) or 1 (uplink).
+
+        Not called on open (it touches every page of a possibly huge
+        corpus); meant for tests and for auditing untrusted files.
+        """
+        for entry in self._entries:
+            _check_trace(entry.index, self.trace(entry.index))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+
+def _check_trace(index: int, trace: Trace) -> None:
+    problem = column_problem(trace.times, trace.sizes)
+    if problem is None:
+        # The featurizers skip other directions, so a corrupt byte
+        # would silently change features rather than fail.
+        directions = trace.directions
+        stray = np.flatnonzero((directions != 0) & (directions != 1))
+        if len(stray):
+            problem = (
+                f"packet {int(stray[0])} has direction "
+                f"{int(directions[stray[0]])}, not 0 (downlink) or 1 (uplink)"
+            )
+    if problem is not None:
+        raise StoreFormatError(f"trace {index}: {problem}")
+
+
+class TraceStore(Corpus):
     """A read-only, memory-mapped view of a persisted corpus.
 
     Opening is O(manifest): the column files are mapped (never read
@@ -444,25 +674,10 @@ class TraceStore:
     immutability every downstream cache assumes is enforced by the OS.
     """
 
-    def __init__(self, path: str):
-        path = str(path)
-        manifest = load_manifest(path)
-        self.path = path
-        try:
-            self._parse_manifest(manifest)
-        except StoreFormatError:
-            raise
-        except (KeyError, TypeError, ValueError) as error:
-            raise StoreFormatError(
-                f"{path!r}: malformed manifest: {error!r}"
-            ) from None
-
-    def _parse_manifest(self, manifest: dict) -> None:
+    def _parse(self) -> dict:
         path = self.path
+        manifest = load_manifest(path)
         self.packets = int(manifest["packets"])
-        self.scenario: dict | None = manifest.get("scenario")
-        self.schemes: list | None = manifest.get("schemes")
-        self.meta: dict = manifest.get("meta") or {}
         columns = manifest.get("columns") or {}
         if set(columns) != set(COLUMN_DTYPES) or any(
             columns[name] != dtype for name, dtype in COLUMN_DTYPES.items()
@@ -471,36 +686,7 @@ class TraceStore:
                 f"{path!r}: column dtypes {columns!r} do not match the "
                 f"version-{FORMAT_VERSION} layout {dict(COLUMN_DTYPES)!r}"
             )
-        self._entries: list[TraceEntry] = []
-        expected_offset = 0
-        for index, record in enumerate(manifest.get("traces", [])):
-            entry = TraceEntry(
-                index=index,
-                offset=int(record["offset"]),
-                count=int(record["count"]),
-                label=record.get("label"),
-                role=record.get("role"),
-                station=record.get("station"),
-                meta=record.get("meta") or {},
-            )
-            if entry.count < 0:
-                raise StoreFormatError(
-                    f"{path!r}: trace {index} declares a negative packet "
-                    f"count ({entry.count})"
-                )
-            if entry.offset != expected_offset:
-                raise StoreFormatError(
-                    f"{path!r}: trace {index} claims offset {entry.offset}, "
-                    f"expected {expected_offset} (entries must tile the "
-                    "columns contiguously)"
-                )
-            expected_offset += entry.count
-            self._entries.append(entry)
-        if expected_offset != self.packets:
-            raise StoreFormatError(
-                f"{path!r}: manifest counts {expected_offset} packets across "
-                f"traces but declares {self.packets}"
-            )
+        self._entries = _parse_traces(manifest, path, "columns")
         self._columns: dict[str, np.ndarray] | None = {}
         for name, dtype in COLUMN_DTYPES.items():
             column_path = _column_path(path, name)
@@ -530,32 +716,7 @@ class TraceStore:
         obs.gauge("store.bytes_mapped", self.nbytes)
         obs.gauge("store.traces_stored", len(self._entries))
         obs.gauge("store.packets_stored", self.packets)
-
-    @classmethod
-    def open(cls, path: str) -> "TraceStore":
-        """Open an existing store read-only."""
-        return cls(path)
-
-    def scheme_specs(self):
-        """The defense-scheme recipe attached to this corpus, parsed.
-
-        Returns a tuple of :class:`~repro.schemes.SchemeSpec` (empty
-        when the manifest carries no ``schemes`` key).  The recipe is
-        provenance: it names the scheme stack the corpus was built for,
-        and :func:`repro.schemes.build_stack` rehydrates it to a scheme
-        whose output is bit-identical to the one recorded (the
-        round-trip the integration tests assert).
-        """
-        if not self.schemes:
-            return ()
-        from repro.schemes.spec import specs_from_json
-
-        try:
-            return specs_from_json(self.schemes)
-        except ValueError as error:
-            raise StoreFormatError(
-                f"{self.path!r}: malformed schemes recipe: {error}"
-            ) from None
+        return manifest
 
     @classmethod
     def create(
@@ -571,25 +732,7 @@ class TraceStore:
             path, scenario=scenario, meta=meta, schemes=schemes, overwrite=overwrite
         )
 
-    # -- access ------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def entries(self) -> tuple[TraceEntry, ...]:
-        """Every trace's manifest record, in store order."""
-        return tuple(self._entries)
-
-    def entry(self, index: int) -> TraceEntry:
-        return self._entries[index]
-
     def trace(self, index: int) -> Trace:
-        """Trace ``index`` as zero-copy views into the mapped columns.
-
-        The same object is returned on repeated calls, so identity-keyed
-        caches (e.g. :class:`~repro.analysis.batch.WindowCache`) behave
-        exactly as they do for in-memory corpora.
-        """
         cached = self._traces.get(index)
         if cached is not None:
             return cached
@@ -610,79 +753,6 @@ class TraceStore:
         self._traces[index] = trace
         return trace
 
-    def __getitem__(self, index: int) -> Trace:
-        return self.trace(index)
-
-    def __iter__(self) -> Iterator[Trace]:
-        for index in range(len(self._entries)):
-            yield self.trace(index)
-
-    def select(
-        self, role: str | None = None, label: str | None = None
-    ) -> Iterator[TraceEntry]:
-        """Entries matching ``role`` and/or ``label`` (None = any)."""
-        for entry in self._entries:
-            if role is not None and entry.role != role:
-                continue
-            if label is not None and entry.label != label:
-                continue
-            yield entry
-
-    def traces_by_label(self, role: str | None = None) -> dict[str, list[Trace]]:
-        """Label -> traces mapping (insertion order = store order).
-
-        Unlabeled entries are skipped, consistent with :meth:`labels` —
-        they have no classifier ground truth to group under.
-        """
-        grouped: dict[str, list[Trace]] = {}
-        for entry in self.select(role=role):
-            if entry.label is None:
-                continue
-            grouped.setdefault(entry.label, []).append(self.trace(entry.index))
-        return grouped
-
-    def labels(self) -> tuple[str, ...]:
-        """Distinct labels, in first-seen store order."""
-        seen: dict[str, None] = {}
-        for entry in self._entries:
-            if entry.label is not None:
-                seen.setdefault(entry.label)
-        return tuple(seen)
-
-    @property
-    def nbytes(self) -> int:
-        """Total size of the column payload on disk."""
-        return self.packets * sum(
-            np.dtype(dtype).itemsize for dtype in COLUMN_DTYPES.values()
-        )
-
-    def validate(self) -> None:
-        """Scan every trace and re-check the Trace invariants.
-
-        Directions must also be 0 (downlink) or 1 (uplink).
-
-        Not called on open (it touches every page of a possibly huge
-        corpus); meant for tests and for auditing untrusted files.
-        """
-        if self._columns is None:
-            raise RuntimeError(f"store at {self.path!r} is closed")
-        for entry in self._entries:
-            lo, hi = entry.offset, entry.offset + entry.count
-            problem = column_problem(
-                self._columns["times"][lo:hi], self._columns["sizes"][lo:hi]
-            )
-            if problem is not None:
-                raise StoreFormatError(f"trace {entry.index}: {problem}")
-            # The featurizers skip other directions, so a corrupt byte
-            # would silently change features rather than fail.
-            directions = self._columns["directions"][lo:hi]
-            stray = np.flatnonzero((directions != 0) & (directions != 1))
-            if len(stray):
-                raise StoreFormatError(
-                    f"trace {entry.index}: packet {int(stray[0])} has direction "
-                    f"{int(directions[stray[0]])}, not 0 (downlink) or 1 (uplink)"
-                )
-
     def close(self) -> None:
         """Drop column maps and cached traces.
 
@@ -693,12 +763,6 @@ class TraceStore:
         """
         self._traces.clear()
         self._columns = None
-
-    def __enter__(self) -> "TraceStore":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
 
 def write_traces(

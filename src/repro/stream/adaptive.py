@@ -54,7 +54,12 @@ class AdaptiveReshaper:
             this confidence.
         cooldown: minimum seconds between reallocations (one handshake
             per epoch; the cooldown keeps the defender from thrashing
-            on bursts of confident windows).
+            on bursts of confident windows).  It counts from the firing
+            window's left edge.  In :func:`run_arms_race` the packet
+            that closed that window belongs to the retired epoch, so the
+            next epoch's windows start at least one window length W
+            after that edge: a ``cooldown`` of W or less changes nothing
+            there.
         seed: randomness for fresh virtual MAC addresses.
 
     Each *epoch* owns a :class:`~repro.mac.virtual_iface.VirtualInterfaceSet`
@@ -93,7 +98,6 @@ class AdaptiveReshaper:
         self._base = base
         self.confidence_threshold = float(confidence_threshold)
         self.cooldown = float(cooldown)
-        self._seed = int(seed)
         self._rng = derive_rng(seed, "stream", "adaptive-macs")
         self._physical = random_mac(self._rng)
         self.epoch = 0
@@ -126,16 +130,6 @@ class AdaptiveReshaper:
     def config_overhead_bytes(self) -> int:
         """Bytes spent on configuration handshakes (initial + reallocations)."""
         return (1 + self.reallocations) * 2 * CONFIG_MESSAGE_BYTES
-
-    def reset(self) -> None:
-        """Fresh association: restart the scheduler, epoch and addresses."""
-        self._base.reset()
-        self._rng = derive_rng(self._seed, "stream", "adaptive-macs")
-        self._physical = random_mac(self._rng)
-        self.epoch = 0
-        self.reallocations = 0
-        self._last_reallocation = float("-inf")
-        self._vaps = self._allocate()
 
     def flow_keys(self, station: str, epoch: int) -> tuple[str, ...]:
         """The eavesdropper-visible identities of ``station``'s VAPs in ``epoch``."""
@@ -211,7 +205,8 @@ def run_arms_race(
         adaptive: when False the defender never reallocates (the static
             baseline; everything else identical).
         confidence_threshold / cooldown: trigger tuning, see
-            :class:`AdaptiveReshaper`.
+            :class:`AdaptiveReshaper` (a ``cooldown`` no longer than the
+            pipeline's window changes nothing).
         seed: address-allocation randomness (derived per trace).
 
     The loop is single-pass and in capture order: each packet is

@@ -467,9 +467,9 @@ class PacketStream:
             label: only replay entries with this label.
         """
         # Deferred import: keep the stream package import-light.
-        from repro.storage import ShardSet, TraceStore, open_corpus
+        from repro.storage import Corpus, open_corpus
 
-        if not isinstance(store, (TraceStore, ShardSet)):
+        if not isinstance(store, Corpus):
             store = open_corpus(store)
         streams = [
             cls.replay(

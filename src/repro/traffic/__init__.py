@@ -25,8 +25,6 @@ from repro.traffic.arrivals import (
 )
 from repro.traffic.generator import TrafficGenerator, generate_app_trace
 from repro.traffic.io import (
-    corpus_build,
-    corpus_open,
     csv_to_store,
     trace_from_csv,
     trace_to_csv,
@@ -65,8 +63,6 @@ __all__ = [
     "UPLINK",
     "app_model",
     "concat_traces",
-    "corpus_build",
-    "corpus_open",
     "csv_to_store",
     "empirical_cdf",
     "generate_app_trace",

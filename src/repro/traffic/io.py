@@ -29,8 +29,6 @@ from collections.abc import Iterator, Sequence
 from repro.traffic.trace import Trace
 
 __all__ = [
-    "corpus_build",
-    "corpus_open",
     "csv_to_store",
     "trace_from_csv",
     "trace_to_csv",
@@ -150,51 +148,9 @@ def trace_from_csv(path: str, label: str | None = None) -> Trace:
 
 
 # ----------------------------------------------------------------------
-# Corpus store entry points (lazy imports: repro.storage imports Trace
-# from this package, so importing it at module load would cycle).
+# CSV -> corpus store (lazy import: repro.storage imports Trace from
+# this package, so importing it at module load would cycle).
 # ----------------------------------------------------------------------
-
-
-def corpus_build(
-    path: str,
-    traces,
-    scenario=None,
-    meta=None,
-    schemes=None,
-    overwrite: bool = False,
-):
-    """Persist an iterable of traces as a columnar corpus store.
-
-    Items may be bare :class:`~repro.traffic.trace.Trace` objects or
-    ``(trace, extra)`` pairs where ``extra`` maps ``role`` /
-    ``station`` manifest fields.  ``schemes`` attaches the
-    defense-scheme recipe the traces were generated under, so
-    programmatic builds keep the same provenance the scenario writer
-    records.  Returns the reopened, read-only
-    :class:`~repro.storage.TraceStore`.
-    """
-    from repro.storage import write_traces
-
-    return write_traces(
-        path,
-        traces,
-        scenario=scenario,
-        meta=meta,
-        schemes=schemes,
-        overwrite=overwrite,
-    )
-
-
-def corpus_open(path: str):
-    """Open a corpus read-only — single store or shard-set federation.
-
-    Dispatches on the directory's manifest (see
-    :func:`repro.storage.open_corpus`); both formats come back with the
-    same zero-copy read API.
-    """
-    from repro.storage import open_corpus
-
-    return open_corpus(path)
 
 
 def csv_to_store(

@@ -4,10 +4,12 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro import obs
 from repro.storage import (
+    COLUMN_DTYPES,
     PLACEMENT_RULE,
     SHARDSET_FORMAT_NAME,
     SHARDSET_MANIFEST_NAME,
@@ -248,6 +250,50 @@ class TestLazyMapping:
             pass
         with pytest.raises(RuntimeError, match="closed"):
             federation.trace(0)
+
+
+class TestValidate:
+    def test_validate_scans_one_member_at_a_time(self, app_traces, shards_path):
+        federation = build_federation(shards_path, app_traces, shards=3)
+        federation.release()
+        with obs.capture() as cap:
+            federation.validate()
+            peak = cap.metrics.gauges["shards.bytes_mapped_peak"]
+        assert peak == max(federation.shard_nbytes(i) for i in range(3))
+        assert shards_module._TRACKER.current == 0  # every member released
+        federation.close()
+
+    def test_validate_names_the_global_trace_of_a_stray_direction(
+        self, app_traces, shards_path
+    ):
+        federation = build_federation(shards_path, app_traces, shards=3)
+        # A trace that is not its member's first, so its global index
+        # differs from its member-local one.
+        index = next(
+            i for i in range(1, len(federation))
+            if federation.shard_of(i) == federation.shard_of(i - 1)
+        )
+        shard = federation.shard_of(index)
+        local = index - min(
+            i for i in range(len(federation)) if federation.shard_of(i) == shard
+        )
+        member = federation.shard_paths[shard]
+        offset = federation.shard(shard).entry(local).offset
+        federation.close()
+        directions = np.memmap(
+            os.path.join(member, "directions.bin"),
+            dtype=COLUMN_DTYPES["directions"],
+            mode="r+",
+        )
+        directions[offset + 3] = 7
+        directions.flush()
+        del directions
+        federation = ShardSet.open(shards_path)
+        with pytest.raises(
+            StoreFormatError, match=rf"trace {index}: packet 3 has direction 7, not 0"
+        ):
+            federation.validate()
+        assert shards_module._TRACKER.current == 0
 
 
 class TestFormatGuards:

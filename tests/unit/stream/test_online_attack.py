@@ -178,14 +178,6 @@ class TestAdaptiveReshaper:
         defender.notify(self._confident())
         assert defender.config_overhead_bytes == base * 2
 
-    def test_reset_restores_the_initial_state(self):
-        defender = AdaptiveReshaper(RoundRobinReshaper(3), seed=7)
-        initial = list(defender.virtual_addresses)
-        defender.notify(self._confident())
-        defender.reset()
-        assert defender.epoch == 0
-        assert defender.virtual_addresses == initial
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             AdaptiveReshaper(RoundRobinReshaper(3), confidence_threshold=0.0)

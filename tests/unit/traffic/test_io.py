@@ -1,16 +1,16 @@
-"""Tests for CSV trace I/O and the corpus build/open conveniences."""
+"""Tests for CSV trace I/O and corpus provenance through the store API."""
 
 import numpy as np
 import pytest
 
-from repro.storage import ShardSet, ShardSetWriter, load_manifest
-from repro.traffic.io import (
-    corpus_build,
-    corpus_open,
-    csv_to_store,
-    trace_from_csv,
-    trace_to_csv,
+from repro.storage import (
+    ShardSet,
+    ShardSetWriter,
+    load_manifest,
+    open_corpus,
+    write_traces,
 )
+from repro.traffic.io import csv_to_store, trace_from_csv, trace_to_csv
 from repro.traffic.trace import Trace
 
 
@@ -115,12 +115,12 @@ class TestExternalCsv:
 
 
 class TestCorpusProvenance:
-    """corpus_build / csv_to_store thread scenario + schemes through."""
+    """write_traces / csv_to_store thread scenario + schemes through."""
 
-    def test_corpus_build_records_schemes(self, simple_trace, tmp_path):
+    def test_write_traces_records_schemes(self, simple_trace, tmp_path):
         schemes = [{"scheme": "padding", "params": {"block": 64}}]
         path = str(tmp_path / "built.store")
-        store = corpus_build(
+        store = write_traces(
             path, [simple_trace], scenario={"seed": 2}, schemes=schemes
         )
         assert store.scenario == {"seed": 2}
@@ -145,13 +145,13 @@ class TestCorpusProvenance:
         assert store.meta == {"capture": "unit"}
         assert store.schemes == schemes
 
-    def test_corpus_open_dispatches_on_format(self, simple_trace, tmp_path):
+    def test_open_corpus_dispatches_on_format(self, simple_trace, tmp_path):
         store_path = str(tmp_path / "single.store")
-        corpus_build(store_path, [simple_trace])
+        write_traces(store_path, [simple_trace])
         shards_path = str(tmp_path / "many.shards")
         with ShardSetWriter(shards_path, shards=2) as writer:
             writer.add(simple_trace, station="sta0")
-        assert not isinstance(corpus_open(store_path), ShardSet)
-        federation = corpus_open(shards_path)
+        assert not isinstance(open_corpus(store_path), ShardSet)
+        federation = open_corpus(shards_path)
         assert isinstance(federation, ShardSet)
         assert len(federation) == 1
