@@ -442,30 +442,32 @@ _TRACE_COLUMNS = ("times", "sizes", "directions", "ifaces", "channels", "rssi")
 class WindowCache:
     """Memoizes windowing work shared across schemes and window sweeps.
 
-    Four layers share one memo, each counted as
-    ``proc.window_cache.<layer>_hits`` / ``_misses``: ``feature``
-    (per-flow matrices by flow and normalized window), ``flow`` (a
+    Three layers share one memo, each counted as
+    ``proc.window_cache.<layer>_hits`` / ``_misses``: ``plan`` (fused
+    plans, declined ``None`` included, by scheme and trace), ``flow`` (a
     non-fusable scheme's :class:`DefendedTraffic` — flows and byte
-    accounting — by scheme and trace), ``plan`` (fused plans, declined
-    ``None`` included, by scheme and trace) and ``fused`` (per-flow
-    matrix lists by scheme, trace and window).  Keys use object
-    identity; cached keys pin their sources so ``id()`` reuse after
-    garbage collection cannot alias.
+    accounting — by scheme and trace) and ``matrices`` (per-flow matrix
+    lists, fused or featurized from the applied flows, by scheme, trace
+    and window).  Keys use object identity; cached keys pin their
+    sources so ``id()`` reuse after garbage collection cannot alias.
 
-    The ``flow``/``plan``/``fused`` builds return ``(value,
-    subprofile)`` — the telemetry the work recorded while it physically
-    ran (:func:`repro.obs.captured`) — and every request, hit or miss,
-    gets the subprofile back to :func:`repro.obs.replay`, so a cell
-    counts the same whether its cache was warm or cold.
+    Every build returns ``(value, subprofile)`` — the telemetry the work
+    recorded while it physically ran (:func:`repro.obs.captured`) — and
+    every request, hit or miss, gets the subprofile back to
+    :func:`repro.obs.replay`, so a cell counts the same whether its
+    cache was warm or cold.
 
     :attr:`pinned_bytes` is what the cached values hold: a plan's
     :attr:`~repro.defenses.base.FusedPlan.plan_bytes`, the ``nbytes``
     of matrices and of materialized flows' columns.  Each miss records
-    it as the ``proc.window_cache.pinned_bytes`` gauge.
+    it as the ``proc.window_cache.pinned_bytes`` gauge, which max-merges,
+    so the gauge is the high-water mark.  :meth:`release` drops what one
+    source (a scheme no later request names) holds.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[tuple, object] = {}
+        #: key -> (value, the bytes it adds to :attr:`pinned_bytes`)
+        self._entries: dict[tuple, tuple[object, int]] = {}
         self._pinned: dict[int, object] = {}
         self.hits: int = 0
         self.misses: int = 0
@@ -484,31 +486,45 @@ class WindowCache:
         ``nbytes(value)`` is what the new entry adds to :attr:`pinned_bytes`.
         """
         # repro-lint: allow[nondeterminism]: cache is strictly process-local (never pickled) and pins sources against id() reuse
-        key = (layer, *(id(source) for source in sources), *params)
+        key = (layer, tuple(id(source) for source in sources), params)
         if key in self._entries:
             self.hits += 1
             obs.add(f"proc.window_cache.{layer}_hits")
-            return self._entries[key]
+            return self._entries[key][0]
         self.misses += 1
         obs.add(f"proc.window_cache.{layer}_misses")
         for source in sources:
-            if source is not None:
-                # repro-lint: allow[nondeterminism]: pin keeps the id() key alive; cache never crosses a process boundary
-                self._pinned[id(source)] = source
-        value = self._entries[key] = build()
-        self.pinned_bytes += nbytes(value)
+            # repro-lint: allow[nondeterminism]: pin keeps the id() key alive; cache never crosses a process boundary
+            self._pinned[id(source)] = source
+        value = build()
+        size = nbytes(value)
+        self._entries[key] = (value, size)
+        self.pinned_bytes += size
         obs.gauge("proc.window_cache.pinned_bytes", self.pinned_bytes)
         return value
 
-    def feature_matrix(self, flow: Trace, window: float) -> np.ndarray:
-        """The (cached) feature matrix of ``flow`` at ``window``."""
-        return self._memo(
-            "feature",
-            (flow,),
-            (window_key(window),),
-            lambda: flow_feature_matrix(flow, window),
-            lambda matrix: matrix.nbytes,
-        )
+    def release(self, source: object) -> None:
+        """Drop every entry whose key names ``source``.
+
+        For a source no later request names (combined_grid's previous
+        stack, population_scale's per-station stack): its plans, flows
+        and matrices are freed, and each object those entries pinned
+        and no remaining key names is unpinned — ``source`` itself
+        included.  The freed bytes leave :attr:`pinned_bytes` and count
+        in ``proc.window_cache.released_bytes``.  A source the cache
+        does not hold is a no-op.
+        """
+        # repro-lint: allow[nondeterminism]: matches the id() keys _memo wrote; process-local
+        ident = id(source)
+        dropped = [key for key in self._entries if ident in key[1]]
+        if not dropped:
+            return
+        freed = sum(self._entries.pop(key)[1] for key in dropped)
+        named = {i for key in self._entries for i in key[1]}
+        for orphan in {i for key in dropped for i in key[1]} - named:
+            del self._pinned[orphan]
+        self.pinned_bytes -= freed
+        obs.add("proc.window_cache.released_bytes", freed)
 
     def defended_flows(
         self,
@@ -519,7 +535,7 @@ class WindowCache:
         """The (cached) defended traffic of ``trace`` under ``scheme``.
 
         ``build`` must be deterministic in (scheme, trace); the flows
-        keep their identity across hits, so their matrices memoize too.
+        keep their identity across hits.
         """
         return self._memo(
             "flow",
@@ -548,16 +564,20 @@ class WindowCache:
             lambda built: 0 if built[0] is None else built[0].plan_bytes,
         )
 
-    def fused_matrices(
+    def flow_matrices(
         self,
         scheme: object,
         trace: Trace,
         window: float,
         build: Callable[[], tuple[list[np.ndarray], "obs.Subprofile | None"]],
     ) -> tuple[list[np.ndarray], "obs.Subprofile | None"]:
-        """The (cached) fused per-flow matrices of one (scheme, trace, window)."""
+        """The (cached) per-flow matrices of one (scheme, trace, window).
+
+        The window is normalized (:func:`~repro.analysis.windows.window_key`),
+        so float jitter (``0.1 + 0.2`` vs ``0.3``) cannot miss.
+        """
         return self._memo(
-            "fused",
+            "matrices",
             (scheme, trace),
             (window_key(window),),
             build,

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.analysis.attack import PipelineKey
 from repro.analysis.classifiers import CLASSIFIERS
 from repro.experiments import parallel, registry
@@ -228,24 +229,34 @@ def _pipelines(
 def _grid_stack(
     params: ScenarioParams, composition: str, specs: tuple[SchemeSpec, ...]
 ) -> Scheme:
-    """The composition's stack, built once per process.
+    """The composition's stack: the one composition this process holds.
 
     The stack seed is derived from the composition alone — NOT the
     cell name, which also carries the classifier — so every classifier
     column attacks the *same* defended traffic and the accuracy
     comparison is not confounded by a different stochastic defense
     realization per column.  Still a pure function of
-    (root seed, composition): identical in any process.  The memo keeps
-    the stack's identity stable, so the runner's window cache plans
-    (or applies) and featurizes each trace once per composition, not
-    once per classifier.
+    (root seed, composition): identical in any process.  The held stack
+    keeps its identity across a composition's cells, so the runner's
+    window cache plans (or applies) and featurizes each trace once per
+    composition, not once per classifier.
+
+    Cells are composition-major and every process takes its cells in
+    grid order (serially, or one at a time from the pool's queue), so
+    once a process moves to another composition it never requests the
+    previous one again: the previous stack's plans, flows and matrices
+    are released from the window cache and the stack is dropped.
     """
-    return parallel.worker_cached(
-        ("combined_grid-stack", params, specs),
-        lambda: build_stack(
-            specs, seed=derive_seed(params.seed, "combined-grid-stack", composition)
-        ),
-    )
+    held = parallel.worker_cached(("combined_grid-held", params), dict)
+    if held.get("specs") != specs:
+        if "stack" in held:
+            parallel.shared_runner(params).window_cache.release(held["stack"])
+        with obs.unattributed():
+            held["stack"] = build_stack(
+                specs, seed=derive_seed(params.seed, "combined-grid-stack", composition)
+            )
+        held["specs"] = specs
+    return held["stack"]
 
 
 def _run_cell(cell: ExperimentCell) -> GridCell:

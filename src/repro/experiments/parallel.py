@@ -72,7 +72,7 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 #: Process-local memo: scenario corpora, experiment runners, and
-#: per-experiment caches (e.g. combined_grid's scheme stacks), keyed by
+#: per-experiment caches (e.g. combined_grid's held stack), keyed by
 #: picklable descriptors.  The serial path shares it across every cell
 #: of a run (and across runs); in workers it amortizes corpus
 #: generation across the cells each worker executes.

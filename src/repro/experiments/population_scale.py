@@ -218,7 +218,7 @@ def _run_cell(cell: ExperimentCell) -> PopulationShardResult:
     window = float(cell.params["window"])
     specs = cell.params["specs"]
     pipeline = parallel.shared_runner(params).pipeline(_pipeline(cell.params))
-    # A private runner: its cache is cleared per station, never shared.
+    # A private runner: each station's entries are released after it.
     runner = ExperimentRunner(parallel.shared_scenario(params))
     classes = pipeline.classes
     class_index = {label: i for i, label in enumerate(classes)}
@@ -247,7 +247,7 @@ def _run_cell(cell: ExperimentCell) -> PopulationShardResult:
                 matrices = runner.flow_feature_matrices(stack, trace, window)
                 stages = runner.stage_overhead(stack, trace)
                 # Out of core: nothing cached may outlive its station.
-                runner.window_cache.clear()
+                runner.window_cache.release(stack)
                 stations += 1
                 packets += len(trace)
                 original_bytes += trace.total_bytes

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro import obs
 from repro.analysis.attack import AttackPipeline, AttackReport, PipelineKey, training_rows
-from repro.analysis.batch import WindowCache, fused_flow_matrices
+from repro.analysis.batch import WindowCache, flow_feature_matrix, fused_flow_matrices
 from repro.analysis.classifiers.selection import TaskMap
 from repro.defenses.base import DefendedTraffic, FusedPlan, StageOverhead
 from repro.experiments.scenarios import EvaluationScenario
@@ -225,7 +225,8 @@ class ExperimentRunner:
         off the trace's columns with zero intermediate ``Trace``
         allocation; everything else (morphing, adaptive, custom
         schemes) transparently falls back to apply→featurize, counted
-        in ``batch.fallback_flows``.  Both paths memoize in the shared
+        in ``batch.fallback_flows``.  Both paths memoize their matrix
+        list per (scheme, trace, window) in the shared
         :class:`WindowCache` with capture-and-replay telemetry, and both
         are bit-identical: the fused path is property-tested against
         the materializing oracle element-for-element.
@@ -235,12 +236,14 @@ class ExperimentRunner:
         if plan is None:
             flows = self.observable_flows(applied, trace)
             obs.add("batch.fallback_flows", len(flows))
-            return [self._cache.feature_matrix(flow, window) for flow in flows]
-        matrices, subprofile = self._cache.fused_matrices(
-            applied,
-            trace,
-            window,
-            lambda: obs.captured(lambda: fused_flow_matrices(trace, plan, window)),
+
+        def featurize() -> list[np.ndarray]:
+            if plan is None:
+                return [flow_feature_matrix(flow, window) for flow in flows]
+            return fused_flow_matrices(trace, plan, window)
+
+        matrices, subprofile = self._cache.flow_matrices(
+            applied, trace, window, lambda: obs.captured(featurize)
         )
         obs.replay(subprofile)
         return matrices

@@ -100,7 +100,7 @@ class TestRouteTelemetry:
         assert counters["proc.window_cache.plan_hits"] > 0
         assert "proc.window_cache.plan_misses" not in counters
         # But fused matrices are per-window, so they are fresh misses.
-        assert counters["proc.window_cache.fused_misses"] > 0
+        assert counters["proc.window_cache.matrices_misses"] > 0
 
 
 class TestProfileSurface:

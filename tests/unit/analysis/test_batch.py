@@ -8,11 +8,14 @@ directions, empty directions, duplicate timestamps and packets landing
 exactly on window edges.
 """
 
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.analysis import batch
 from repro.analysis.batch import (
     WindowCache,
@@ -290,24 +293,54 @@ class TestAugmentDirectionDropout:
         assert augment_direction_dropout(np.empty((0, 12)), 5.0).shape == (0, 12)
 
 
+class _Source:
+    """A weak-referenceable stand-in for a scheme object."""
+
+
+def _matrices(cache, source, flow, window, calls=None):
+    """``flow``'s matrix list at ``window``, memoized under ``source``."""
+
+    def build():
+        if calls is not None:
+            calls.append(window)
+        return [flow_feature_matrix(flow, window)], None
+
+    return cache.flow_matrices(source, flow, window, build)[0]
+
+
+def _fill(cache, source, traces, window=5.0):
+    """One ``plan``, ``flow`` and ``matrices`` request per trace."""
+    for trace in traces:
+        cache.fused_plan(source, trace, lambda: (None, None))
+        cache.defended_flows(
+            source,
+            trace,
+            lambda trace=trace: (DefendedTraffic(original=trace, flows={0: trace}), None),
+        )
+        _matrices(cache, source, trace, window)
+
+
 class TestWindowCache:
-    def test_feature_matrix_cached_per_flow_and_window(self):
+    def test_matrices_cached_per_source_flow_and_window(self):
         rng = np.random.default_rng(41)
         cache = WindowCache()
         flow = random_trace(rng, 100, 5.0)
-        first = cache.feature_matrix(flow, 5.0)
-        second = cache.feature_matrix(flow, 5.0)
-        assert first is second
+        source = _Source()
+        calls = []
+        first = _matrices(cache, source, flow, 5.0, calls)
+        assert _matrices(cache, source, flow, 5.0, calls) is first
         assert (cache.hits, cache.misses) == (1, 1)
-        cache.feature_matrix(flow, 60.0)  # different window -> miss
-        assert cache.misses == 2
+        _matrices(cache, source, flow, 60.0, calls)  # different window -> miss
+        _matrices(cache, _Source(), flow, 5.0, calls)  # different source -> miss
+        assert calls == [5.0, 60.0, 5.0]
 
     def test_window_key_normalizes_float_jitter(self):
         rng = np.random.default_rng(42)
         cache = WindowCache()
         flow = random_trace(rng, 100, 5.0)
-        cache.feature_matrix(flow, 0.3)
-        assert cache.feature_matrix(flow, 0.1 + 0.2) is cache.feature_matrix(flow, 0.3)
+        source = _Source()
+        jittered = _matrices(cache, source, flow, 0.1 + 0.2)
+        assert jittered is _matrices(cache, source, flow, 0.3)
         assert cache.misses == 1
 
     def test_defended_flows_builds_once(self):
@@ -332,8 +365,69 @@ class TestWindowCache:
     def test_clear(self):
         cache = WindowCache()
         trace = Trace.from_arrays([0.0, 1.0], [10, 20])
-        cache.feature_matrix(trace, 5.0)
+        source = _Source()
+        _matrices(cache, source, trace, 5.0)
         cache.clear()
-        assert (cache.hits, cache.misses) == (0, 0)
-        cache.feature_matrix(trace, 5.0)
+        assert (cache.hits, cache.misses, cache.pinned_bytes) == (0, 0, 0)
+        _matrices(cache, source, trace, 5.0)
         assert cache.misses == 1
+
+
+class TestRelease:
+    @staticmethod
+    def _traces(seed):
+        rng = np.random.default_rng(seed)
+        return [random_trace(rng, 60, 5.0) for _ in range(2)]
+
+    def test_drops_exactly_one_sources_entries_in_every_layer(self):
+        cache = WindowCache()
+        traces = self._traces(43)
+        kept, released = _Source(), _Source()
+        _fill(cache, kept, traces)
+        _fill(cache, released, traces)
+        assert cache.misses == 12  # 2 sources x 2 traces x 3 layers
+        cache.release(released)
+        _fill(cache, kept, traces)
+        assert (cache.hits, cache.misses) == (6, 12)
+        _fill(cache, released, traces)
+        assert (cache.hits, cache.misses) == (6, 18)
+
+    def test_unpins_the_source_and_nothing_another_source_names(self):
+        cache = WindowCache()
+        traces = self._traces(44)
+        kept, released = _Source(), _Source()
+        _fill(cache, kept, traces)
+        _fill(cache, released, traces)
+        refs = [weakref.ref(item) for item in (kept, released, *traces)]
+        cache.release(released)
+        del kept, released, traces
+        gc.collect()
+        assert [ref() is not None for ref in refs] == [True, False, True, True]
+        # The last source naming the traces takes their pins with it.
+        cache.release(refs[0]())
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 4
+        assert cache.pinned_bytes == 0
+
+    def test_pinned_bytes_return_and_released_bytes_count(self):
+        cache = WindowCache()
+        traces = self._traces(45)
+        _fill(cache, _Source(), traces)
+        before = cache.pinned_bytes
+        released = _Source()
+        with obs.capture() as cap:
+            _fill(cache, released, traces)
+            cache.release(released)
+        assert cache.pinned_bytes == before
+        peak = cap.metrics.gauges["proc.window_cache.pinned_bytes"]
+        assert peak > before
+        assert cap.metrics.counters["proc.window_cache.released_bytes"] == peak - before
+
+    def test_unknown_source_is_a_no_op(self):
+        cache = WindowCache()
+        _fill(cache, _Source(), self._traces(46))
+        before = cache.pinned_bytes
+        with obs.capture() as cap:
+            cache.release(_Source())
+        assert cache.pinned_bytes == before
+        assert "proc.window_cache.released_bytes" not in cap.metrics.counters

@@ -162,7 +162,7 @@ class TestWindowCacheFusedMemoization:
         assert plan1 is None and plan2 is None
         assert len(calls) == 1
 
-    def test_fused_matrices_keyed_per_window(self):
+    def test_flow_matrices_keyed_per_window(self):
         cache = WindowCache()
         trace = make_trace()
         scheme = build_stack("or", seed=3)
@@ -176,9 +176,9 @@ class TestWindowCacheFusedMemoization:
 
             return run
 
-        first, _ = cache.fused_matrices(scheme, trace, 5.0, build(5.0))
-        again, _ = cache.fused_matrices(scheme, trace, 5.0, build(5.0))
-        other_window, _ = cache.fused_matrices(scheme, trace, 7.0, build(7.0))
+        first, _ = cache.flow_matrices(scheme, trace, 5.0, build(5.0))
+        again, _ = cache.flow_matrices(scheme, trace, 5.0, build(5.0))
+        other_window, _ = cache.flow_matrices(scheme, trace, 7.0, build(7.0))
         assert calls == [5.0, 7.0]
         assert first is again
         assert other_window is not first

@@ -1,13 +1,15 @@
 """Tests for experiment orchestration: pipeline cache and window cache."""
 
+import numpy as np
 import pytest
 
 from repro import obs
 from repro.analysis.attack import PipelineKey
+from repro.analysis.batch import flow_feature_matrix
 from repro.defenses.base import StageOverhead
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import EvaluationScenario
-from repro.schemes import SchemeSpec, build_scheme, legacy_scheme_spec
+from repro.schemes import SchemeSpec, build_scheme, build_stack, legacy_scheme_spec
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +154,65 @@ class TestPinnedBytes:
         assert cache.pinned_bytes == expected
         cache.clear()
         assert cache.pinned_bytes == 0
+
+
+class TestRelease:
+    @staticmethod
+    def _request(runner, scheme, trace):
+        return obs.captured(
+            lambda: (
+                runner.flow_feature_matrices(scheme, trace, 5.0),
+                runner.stage_overhead(scheme, trace),
+            )
+        )
+
+    def test_fallback_matrices_are_the_applied_flows_featurized(self, runner):
+        trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
+        matrices = runner.flow_feature_matrices("morphing", trace, 5.0)
+        flows = runner.observable_flows("morphing", trace)
+        assert len(matrices) == len(flows)
+        for matrix, flow in zip(matrices, flows):
+            np.testing.assert_array_equal(matrix, flow_feature_matrix(flow, 5.0))
+        assert runner.flow_feature_matrices("morphing", trace, 5.0) is matrices
+
+    @pytest.mark.parametrize("composition", ["padding+or", "morphing"])
+    def test_a_request_after_release_rebuilds_identically(self, runner, composition):
+        by_app = runner.scenario.evaluation_by_app()
+        trace = by_app[runner.app_order()[1]][0]
+        cache = runner.window_cache
+        scheme = build_stack(composition, seed=11)  # no other test holds it
+        # Morphing generates its target capture on its first apply, once
+        # per scheme object: warm it on another trace so both requests
+        # below record the same work.
+        runner.flow_feature_matrices(scheme, by_app[runner.app_order()[2]][0], 5.0)
+        cache.release(scheme)
+        before = cache.pinned_bytes
+        (matrices, stages), built = self._request(runner, scheme, trace)
+        assert cache.pinned_bytes > before
+        cache.release(scheme)
+        assert cache.pinned_bytes == before
+        (again, again_stages), rebuilt = self._request(runner, scheme, trace)
+        assert again_stages == stages
+        assert len(again) == len(matrices)
+        for old, new in zip(matrices, again):
+            assert new is not old
+            np.testing.assert_array_equal(new, old)
+
+        def logical(subprofile):
+            counters = subprofile.metrics.counters
+            return {k: v for k, v in counters.items() if not k.startswith("proc.")}
+
+        assert logical(rebuilt) == logical(built)
+        assert rebuilt.metrics.counters["proc.window_cache.plan_misses"] == 1
+        assert rebuilt.metrics.counters["proc.window_cache.matrices_misses"] == 1
+
+    def test_other_schemes_survive_a_release(self, runner):
+        trace = runner.scenario.evaluation_by_app()[runner.app_order()[2]][0]
+        kept = runner.flow_feature_matrices("or", trace, 5.0)
+        released = build_stack("or", seed=12)
+        runner.flow_feature_matrices(released, trace, 5.0)
+        runner.window_cache.release(released)
+        assert runner.flow_feature_matrices("or", trace, 5.0) is kept
 
 
 class TestStageOverhead:
