@@ -36,26 +36,29 @@ sits.  Changes to the kernel's arithmetic are parity-tested from both
 sides.
 
 :class:`WindowCache` memoizes what the experiment drivers recompute
-most — feature matrices, fused plans and defended traffic — so the
-scheme grid and multi-window sweeps share windowing work.
+most — feature matrices, fused plans and a non-fusable scheme's
+accounting (its flows only when asked for) — so the scheme grid and
+multi-window sweeps share windowing work.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
 from repro.analysis.features import _IAT_EPSILON, FEATURE_NAMES
 from repro.analysis.windows import MIN_WINDOW_PACKETS, window_edges, window_key
-from repro.defenses.base import DefendedTraffic, FusedPlan
+from repro.defenses.base import DefendedTraffic, FusedPlan, StageOverhead
 from repro.traffic.packet import DOWNLINK, UPLINK
 from repro.traffic.stats import DEFAULT_IDLE_CUTOFF
 from repro.traffic.trace import Trace
 from repro.util.validation import require_positive
 
 __all__ = [
+    "AppliedRecord",
     "WindowCache",
     "augment_direction_dropout",
     "flow_feature_matrix",
@@ -439,17 +442,37 @@ def augment_direction_dropout(matrix: np.ndarray, window: float) -> np.ndarray:
 _TRACE_COLUMNS = ("times", "sizes", "directions", "ifaces", "channels", "rssi")
 
 
+@dataclass(frozen=True)
+class AppliedRecord:
+    """What :class:`WindowCache` keeps of a non-fusable scheme's apply.
+
+    Its per-stage byte accounting and observable-flow count, without
+    the flows: once the flows are featurized, nothing but accounting
+    reads them.
+    """
+
+    stages: tuple[StageOverhead, ...]
+    flows: int
+
+    @classmethod
+    def of(cls, defended: DefendedTraffic) -> "AppliedRecord":
+        return cls(defended.stages, len(defended.flows))
+
+
 class WindowCache:
     """Memoizes windowing work shared across schemes and window sweeps.
 
-    Three layers share one memo, each counted as
+    Four layers share one memo, each counted as
     ``proc.window_cache.<layer>_hits`` / ``_misses``: ``plan`` (fused
-    plans, declined ``None`` included, by scheme and trace), ``flow`` (a
-    non-fusable scheme's :class:`DefendedTraffic` — flows and byte
-    accounting — by scheme and trace) and ``matrices`` (per-flow matrix
-    lists, fused or featurized from the applied flows, by scheme, trace
-    and window).  Keys use object identity; cached keys pin their
-    sources so ``id()`` reuse after garbage collection cannot alias.
+    plans, declined ``None`` included, by scheme and trace), ``applied``
+    (a non-fusable scheme's :class:`AppliedRecord`, by scheme and
+    trace), ``flow`` (a non-fusable scheme's :class:`DefendedTraffic`,
+    flows included, by scheme and trace; only
+    ``ExperimentRunner.observable_flows`` asks for it) and ``matrices``
+    (per-flow matrix lists, fused or featurized from the applied flows,
+    by scheme, trace and window).  Keys use object identity; cached keys
+    pin their sources so ``id()`` reuse after garbage collection cannot
+    alias.
 
     Every build returns ``(value, subprofile)`` — the telemetry the work
     recorded while it physically ran (:func:`repro.obs.captured`) — and
@@ -459,10 +482,11 @@ class WindowCache:
 
     :attr:`pinned_bytes` is what the cached values hold: a plan's
     :attr:`~repro.defenses.base.FusedPlan.plan_bytes`, the ``nbytes``
-    of matrices and of materialized flows' columns.  Each miss records
-    it as the ``proc.window_cache.pinned_bytes`` gauge, which max-merges,
-    so the gauge is the high-water mark.  :meth:`release` drops what one
-    source (a scheme no later request names) holds.
+    of matrices and of materialized flows' columns (an applied record
+    counts 0).  Each miss records it as the
+    ``proc.window_cache.pinned_bytes`` gauge, which max-merges, so the
+    gauge is the high-water mark.  :meth:`release` drops what one source
+    (a scheme no later request names) holds.
     """
 
     def __init__(self) -> None:
@@ -485,8 +509,7 @@ class WindowCache:
 
         ``nbytes(value)`` is what the new entry adds to :attr:`pinned_bytes`.
         """
-        # repro-lint: allow[nondeterminism]: cache is strictly process-local (never pickled) and pins sources against id() reuse
-        key = (layer, tuple(id(source) for source in sources), params)
+        key = self._key(layer, sources, params)
         if key in self._entries:
             self.hits += 1
             obs.add(f"proc.window_cache.{layer}_hits")
@@ -502,6 +525,13 @@ class WindowCache:
         self.pinned_bytes += size
         obs.gauge("proc.window_cache.pinned_bytes", self.pinned_bytes)
         return value
+
+    @staticmethod
+    def _key(
+        layer: str, sources: tuple[object, ...], params: tuple[object, ...]
+    ) -> tuple:
+        # repro-lint: allow[nondeterminism]: cache is strictly process-local (never pickled) and pins sources against id() reuse
+        return (layer, tuple(id(source) for source in sources), params)
 
     def release(self, source: object) -> None:
         """Drop every entry whose key names ``source``.
@@ -548,6 +578,30 @@ class WindowCache:
                 for column in _TRACE_COLUMNS
             ),
         )
+
+    def pinned_flows(
+        self, scheme: object, trace: Trace
+    ) -> tuple[DefendedTraffic, "obs.Subprofile | None"] | None:
+        """The ``flow`` layer's entry for (scheme, trace) if it holds one.
+
+        A peek: a held entry counts as a ``flow`` hit, an absent one
+        counts nothing and builds nothing.
+        """
+        entry = self._entries.get(self._key("flow", (scheme, trace), ()))
+        if entry is None:
+            return None
+        self.hits += 1
+        obs.add("proc.window_cache.flow_hits")
+        return entry[0]
+
+    def applied(
+        self,
+        scheme: object,
+        trace: Trace,
+        build: Callable[[], tuple[AppliedRecord, "obs.Subprofile | None"]],
+    ) -> tuple[AppliedRecord, "obs.Subprofile | None"]:
+        """The (cached) accounting of ``trace`` applied under ``scheme``."""
+        return self._memo("applied", (scheme, trace), (), build, lambda built: 0)
 
     def fused_plan(
         self,

@@ -8,9 +8,10 @@ over a process pool and folds the results back in cell order, so
 * every run first runs a **training stage**, then the cells.  For
   every :class:`~repro.analysis.attack.PipelineKey` a spec declares
   (:attr:`~repro.experiments.registry.ExperimentSpec.pipelines`), the
-  stage maps one task per training (app, session): the task takes that
-  trace from :meth:`~EvaluationScenario.training_session`, returns
-  only its training rows per declared window and drops the trace.
+  stage maps one task per training (app, session): the task returns
+  that trace's training rows per declared window
+  (:meth:`~EvaluationScenario.training_session_rows`), which drops a
+  generated trace and evicts a stored one.
   :func:`~repro.experiments.runner.train_pipelines` then fits every
   key on its window's rows.  Every cell payload carries the trained
   pipelines, which the process's :func:`shared_runner` adopts.
@@ -49,7 +50,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import replace
 
 from repro import obs
-from repro.analysis.attack import AttackPipeline, PipelineKey, training_rows
+from repro.analysis.attack import AttackPipeline, PipelineKey
 from repro.experiments import registry
 from repro.experiments.registry import ExperimentCell, ScenarioParams
 from repro.experiments.runner import ExperimentRunner, train_pipelines
@@ -288,8 +289,7 @@ def _training_rows(
 ) -> tuple:
     """One training trace's rows for every window; the trace stays here."""
     params, app, session, windows = task
-    trace = shared_scenario(params).training_session(app, session)
-    return tuple(training_rows(trace, window) for window in windows)
+    return shared_scenario(params).training_session_rows(app, session, windows)
 
 
 def _train_stage(

@@ -22,8 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.analysis.attack import AttackPipeline, AttackReport, PipelineKey, training_rows
-from repro.analysis.batch import WindowCache, flow_feature_matrix, fused_flow_matrices
+from repro.analysis.attack import AttackPipeline, AttackReport, PipelineKey
+from repro.analysis.batch import (
+    AppliedRecord,
+    WindowCache,
+    flow_feature_matrix,
+    fused_flow_matrices,
+)
 from repro.analysis.classifiers.selection import TaskMap
 from repro.defenses.base import DefendedTraffic, FusedPlan, StageOverhead
 from repro.experiments.scenarios import EvaluationScenario
@@ -55,9 +60,11 @@ def train_pipelines(
     The one training path.  ``rows(sessions, windows)`` gives, per
     training ``(app, session)``, its
     :func:`~repro.analysis.attack.training_rows` per distinct window
-    (by default computed here, one ``training_session`` at a time; the
-    executor's stage maps it over a pool), then each key is fit on its
-    window's rows with ``map``.  No training trace is kept.
+    (by default computed here, one
+    :meth:`~EvaluationScenario.training_session_rows` at a time; the
+    executor's stage maps the same helper over a pool), then each key is
+    fit on its window's rows with ``map``.  No training trace is kept: a
+    generated one is dropped and a stored one evicted.
     """
     windows = tuple(dict.fromkeys(key.window for key in keys))
     sessions = [
@@ -68,10 +75,7 @@ def train_pipelines(
     with obs.span("train.rows"):
         if rows is None:
             trace_rows = [
-                tuple(
-                    training_rows(scenario.training_session(app, session), window)
-                    for window in windows
-                )
+                scenario.training_session_rows(app, session, windows)
                 for app, session in sessions
             ]
         else:
@@ -176,6 +180,41 @@ class ExperimentRunner:
             scheme, trace, lambda: obs.captured(lambda: scheme.apply(trace))
         )
 
+    def _apply(
+        self, scheme: Scheme, trace: Trace, again: bool = False
+    ) -> tuple[DefendedTraffic, "obs.Subprofile | None"]:
+        """``(defended traffic, subprofile)`` of ``trace`` under ``scheme``:
+        the flows :meth:`observable_flows` pinned if it did, otherwise a
+        transient ``apply`` nothing keeps.  ``again`` marks the repeat of
+        an apply whose record the cache already holds; it counts in
+        ``proc.window_cache.reapplies``."""
+        pinned = self._cache.pinned_flows(scheme, trace)
+        if pinned is not None:
+            return pinned
+        if again:
+            obs.add("proc.window_cache.reapplies")
+        return obs.captured(lambda: scheme.apply(trace))
+
+    def _applied(
+        self, scheme: Scheme, trace: Trace
+    ) -> tuple[AppliedRecord, "obs.Subprofile | None", list[Trace] | None]:
+        """The cached accounting of a non-fusable scheme's apply.
+
+        Returns ``(record, subprofile, flows)``: ``flows`` are the
+        observable flows when this request built the record, ``None``
+        on a hit (the cache keeps no flows for it).
+        """
+        flows = None
+
+        def build() -> tuple[AppliedRecord, "obs.Subprofile | None"]:
+            nonlocal flows
+            defended, subprofile = self._apply(scheme, trace)
+            flows = defended.observable_flows
+            return AppliedRecord.of(defended), subprofile
+
+        record, subprofile = self._cache.applied(scheme, trace, build)
+        return record, subprofile, flows
+
     def fused_plan(self, scheme: "SchemeLike", trace: Trace) -> FusedPlan | None:
         """The cached plan of ``trace`` under ``scheme``; ``None`` if it declines.
 
@@ -225,26 +264,37 @@ class ExperimentRunner:
         off the trace's columns with zero intermediate ``Trace``
         allocation; everything else (morphing, adaptive, custom
         schemes) transparently falls back to apply→featurize, counted
-        in ``batch.fallback_flows``.  Both paths memoize their matrix
-        list per (scheme, trace, window) in the shared
-        :class:`WindowCache` with capture-and-replay telemetry, and both
-        are bit-identical: the fused path is property-tested against
-        the materializing oracle element-for-element.
+        in ``batch.fallback_flows``.  The fallback applies once per
+        (scheme, trace) — reusing flows :meth:`observable_flows` pinned
+        — and keeps only the apply's accounting
+        (:class:`~repro.analysis.batch.AppliedRecord`), not its flows.
+        Both paths memoize their matrix list per (scheme, trace, window)
+        in the shared :class:`WindowCache` with capture-and-replay
+        telemetry, and both are bit-identical: the fused path is
+        property-tested against the materializing oracle
+        element-for-element.
         """
         applied = self._resolve(scheme)
         plan = self.fused_plan(applied, trace)
         if plan is None:
-            flows = self.observable_flows(applied, trace)
-            obs.add("batch.fallback_flows", len(flows))
+            record, subprofile, flows = self._applied(applied, trace)
+            obs.replay(subprofile)
+            obs.add("batch.fallback_flows", record.flows)
 
-        def featurize() -> list[np.ndarray]:
-            if plan is None:
-                return [flow_feature_matrix(flow, window) for flow in flows]
-            return fused_flow_matrices(trace, plan, window)
+        def build() -> tuple[list[np.ndarray], "obs.Subprofile | None"]:
+            if plan is not None:
+                return obs.captured(lambda: fused_flow_matrices(trace, plan, window))
+            observed = flows
+            if observed is None:
+                # The record's build featurized another window and kept
+                # no flows; its subprofile already stands for this
+                # apply's telemetry, so the repeat's is dropped.
+                observed = self._apply(applied, trace, again=True)[0].observable_flows
+            return obs.captured(
+                lambda: [flow_feature_matrix(flow, window) for flow in observed]
+            )
 
-        matrices, subprofile = self._cache.flow_matrices(
-            applied, trace, window, lambda: obs.captured(featurize)
-        )
+        matrices, subprofile = self._cache.flow_matrices(applied, trace, window, build)
         obs.replay(subprofile)
         return matrices
 
@@ -253,20 +303,20 @@ class ExperimentRunner:
     ) -> tuple[StageOverhead, ...]:
         """Per-stage byte accounting of ``trace`` under ``scheme``.
 
-        Read from the same cached plan-or-apply result
-        :meth:`flow_feature_matrices` featurizes — the plan's stages
-        when the scheme fuses, the applied traffic's otherwise — so
-        accounting never costs a second ``apply``.  The totals are the
-        sums over stages; the last stage's ``flows`` is the observable
-        flow count.  Records no scheme telemetry (the featurization
-        request replays it).
+        Read from the same cached result :meth:`flow_feature_matrices`
+        featurizes — the plan's stages when the scheme fuses, the
+        applied record's otherwise — so accounting after featurizing
+        never costs a second ``apply``.  The totals are the sums over
+        stages; the last stage's ``flows`` is the observable flow count.
+        Records no scheme telemetry (the featurization request replays
+        it).
         """
         applied = self._resolve(scheme)
         plan, _ = self._plan(applied, trace)
         if plan is not None:
             return plan.stages
-        defended, _ = self._defended(applied, trace)
-        return defended.stages
+        record, _, _ = self._applied(applied, trace)
+        return record.stages
 
     def evaluate_scheme(
         self,

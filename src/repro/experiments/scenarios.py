@@ -8,13 +8,18 @@ trace from here so all tables share one consistent setup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro import obs
+from repro.analysis.attack import training_rows
 from repro.schemes import LEGACY_SCHEME_SPECS
 from repro.traffic.apps import ALL_APPS, AppType
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.trace import Trace
 from repro.util.validation import require
+
+if TYPE_CHECKING:
+    from repro.storage import Corpus
 
 __all__ = ["SCHEME_NAMES", "recipe_scalars", "EvaluationScenario"]
 
@@ -61,7 +66,9 @@ class EvaluationScenario:
     train_sessions: int = 4
     eval_sessions: int = 4
     apps: tuple[AppType, ...] = ALL_APPS
-    _train: dict[AppType, list[Trace]] = field(default_factory=dict, repr=False)
+    #: A hydrated scenario's corpus, and each training capture's index in it.
+    _corpus: Corpus | None = field(default=None, repr=False)
+    _train: dict[AppType, list[int]] = field(default_factory=dict, repr=False)
     _eval: dict[AppType, list[Trace]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -187,12 +194,10 @@ class EvaluationScenario:
             **recipe_scalars(recipe),
             apps=tuple(AppType(app) for app in recipe["apps"]),
         )
-        splits: dict[str, dict[AppType, list[Trace]]] = {"train": {}, "eval": {}}
+        splits: dict[str, dict[AppType, list[int]]] = {"train": {}, "eval": {}}
         for role, split in splits.items():
             for entry in store.select(role=role):
-                split.setdefault(AppType(entry.label), []).append(
-                    store.trace(entry.index)
-                )
+                split.setdefault(AppType(entry.label), []).append(entry.index)
         expected = {
             "train": scenario.train_sessions,
             "eval": scenario.eval_sessions,
@@ -209,8 +214,12 @@ class EvaluationScenario:
                     )
         # Insert in scenario app order so the hydrated mappings iterate
         # exactly like freshly generated ones.
+        scenario._corpus = store
         scenario._train = {app: splits["train"][app] for app in scenario.apps}
-        scenario._eval = {app: splits["eval"][app] for app in scenario.apps}
+        scenario._eval = {
+            app: [store.trace(index) for index in splits["eval"][app]]
+            for app in scenario.apps
+        }
         return scenario
 
     # The evaluation split exposes an AppType-keyed and a label-keyed
@@ -227,9 +236,26 @@ class EvaluationScenario:
         once, in whichever process featurizes it, serial runs included.
         """
         if self._train:
-            return self._train[app][session]
+            return self._corpus.trace(self._train[app][session])
         obs.add("train.traces")
         return self._generator().generate(app, self.train_duration, session=session)
+
+    def training_session_rows(
+        self, app: AppType, session: int, windows: tuple[float, ...]
+    ) -> tuple:
+        """One training capture's :func:`~repro.analysis.attack.training_rows`
+        for every window in ``windows``; the capture is then let go.
+
+        Once a pipeline is fitted nothing reads the training split
+        again, so a generated capture is dropped and a stored one is
+        evicted (:meth:`~repro.storage.Corpus.evict`): its trace object
+        stays valid, but its column pages leave this process's RSS.
+        """
+        trace = self.training_session(app, session)
+        rows = tuple(training_rows(trace, window) for window in windows)
+        if self._train:
+            self._corpus.evict(self._train[app][session])
+        return rows
 
     def evaluation_trace(self, app: AppType, session: int = 0) -> Trace:
         """One held-out evaluation capture of ``app``."""

@@ -84,6 +84,11 @@ class MorphTowardApp(Scheme):
     generates a reference capture for it deterministically from the
     scheme seed — so the recipe ``(target, target_duration, seed)``
     fully reproduces the defense anywhere.
+
+    The capture is generated at construction, so its ``traffic.*``
+    counts land wherever the scheme is built (a memoized build counts
+    them in ``proc.*``), never inside whichever trace's apply runs
+    first.
     """
 
     name = "morphing"
@@ -95,28 +100,19 @@ class MorphTowardApp(Scheme):
         morph_all: bool = False,
         seed: int = 0,
     ):
-        self._target_app = AppType(target)
-        self._target_duration = float(target_duration)
-        self._morph_all = bool(morph_all)
-        self._seed = int(seed)
-        self._morpher: TrafficMorphing | None = None
+        from repro.traffic.generator import TrafficGenerator
 
-    def _build_morpher(self) -> TrafficMorphing:
-        if self._morpher is None:
-            from repro.traffic.generator import TrafficGenerator
-
-            target_trace = TrafficGenerator(
-                seed=derive_seed(self._seed, "scheme", "morphing-target")
-            ).generate(self._target_app, duration=self._target_duration)
-            self._morpher = TrafficMorphing(
-                target_trace=target_trace,
-                morph_all_packets=self._morph_all,
-                seed=derive_seed(self._seed, "scheme", "morphing"),
-            )
-        return self._morpher
+        target_trace = TrafficGenerator(
+            seed=derive_seed(int(seed), "scheme", "morphing-target")
+        ).generate(AppType(target), duration=float(target_duration))
+        self._morpher = TrafficMorphing(
+            target_trace=target_trace,
+            morph_all_packets=bool(morph_all),
+            seed=derive_seed(int(seed), "scheme", "morphing"),
+        )
 
     def transform(self, trace) -> DefendedTraffic:
-        return self._build_morpher().transform(trace)
+        return self._morpher.transform(trace)
 
 
 # ----------------------------------------------------------------------

@@ -463,6 +463,17 @@ class ShardSet(Corpus):
         shard, local = self._locator[index]
         return self.shard(shard).trace(local)
 
+    def evict(self, index: int) -> None:
+        """:meth:`Corpus.evict`, delegated to the trace's member store.
+
+        A member that is not mapped holds no pages, so it is not opened
+        just to evict.
+        """
+        shard, local = self._locator[index]
+        store = self._stores.get(shard)
+        if store is not None:
+            store.evict(local)
+
     def validate(self) -> None:
         """:meth:`Corpus.validate`, one member at a time: each member is
         released once its traces are checked, so the scan maps one

@@ -44,6 +44,7 @@ versioning/compatibility rules.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -546,9 +547,20 @@ class Corpus:
         """Trace ``index`` as zero-copy views into mapped columns.
 
         The same object is returned on repeated calls (until the corpus
-        is closed or released), so identity-keyed caches (e.g.
+        is closed, or a shard set releases the trace's member), so
+        identity-keyed caches (e.g.
         :class:`~repro.analysis.batch.WindowCache`) behave exactly as
         they do for in-memory corpora.
+        """
+        raise NotImplementedError
+
+    def evict(self, index: int) -> None:
+        """Give back the resident pages of trace ``index``'s columns.
+
+        A residency hint for a trace no later request reads (a training
+        capture once its rows are computed): the trace object and its
+        views stay valid, and a later read faults the pages back in
+        from the page cache, so nothing observable changes but RSS.
         """
         raise NotImplementedError
 
@@ -752,6 +764,32 @@ class TraceStore(Corpus):
         )
         self._traces[index] = trace
         return trace
+
+    def evict(self, index: int) -> None:
+        """:meth:`Corpus.evict`: ``madvise(MADV_DONTNEED)`` on the pages
+        that lie wholly inside the trace's range in each column (a page
+        shared with a neighbouring trace stays), through the ``mmap``
+        each column's ``np.memmap`` holds.  The advised bytes count in
+        ``proc.store.evicted_bytes``.  A no-op where ``madvise`` is
+        missing, on a closed store and on a zero-length one.
+        """
+        advice = getattr(mmap, "MADV_DONTNEED", None)
+        if advice is None or not self._columns:
+            return
+        entry = self._entries[index]
+        page = mmap.PAGESIZE
+        evicted = 0
+        for column in self._columns.values():
+            advise = getattr(getattr(column, "_mmap", None), "madvise", None)
+            if advise is None:
+                continue
+            lo = -(-entry.offset * column.itemsize // page) * page
+            hi = (entry.offset + entry.count) * column.itemsize // page * page
+            if hi > lo:
+                advise(advice, lo, hi - lo)
+                evicted += hi - lo
+        if evicted:
+            obs.add("proc.store.evicted_bytes", evicted)
 
     def close(self) -> None:
         """Drop column maps and cached traces.

@@ -2,10 +2,12 @@
 
 Cells are composition-major and every process takes them in grid
 order, so when a process moves to the next composition it releases the
-previous stack's plans, flows and matrices from its
+previous stack's plans, accounting records and matrices from its
 :class:`~repro.analysis.batch.WindowCache`.  The results must not
 notice, the cache's high-water mark must be one composition's worth,
-and nothing released may be requested (and so rebuilt) again.
+and nothing released may be requested (and so rebuilt) again.  Over a
+stored corpus the training stage also evicts each training trace's
+pages once its rows are computed, and no fallback scheme pins flows.
 """
 
 import json
@@ -30,10 +32,10 @@ def fresh_worker_state():
     parallel.clear_worker_state()
 
 
-def _run(options=None, **executor):
+def _run(options=None, params=TINY, **executor):
     """The grid's JSON payload (the profile popped into a second value)."""
     result = parallel.run_experiment_result(
-        "combined_grid", TINY, options=options, profile=True, **executor
+        "combined_grid", params, options=options, profile=True, **executor
     )
     payload = json.loads(result.to_json())
     return payload, payload.pop("profile")
@@ -66,3 +68,51 @@ class TestOneCompositionAtATime:
         assert 0 < peak <= max(alone)
         # Every composition but the last is released in full.
         assert counters["proc.window_cache.released_bytes"] == sum(alone[:-1])
+
+
+class TestStoredCorpus:
+    @pytest.fixture(scope="class")
+    def stored(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("grid") / "corpus.store"
+        TINY.build().save_corpus(str(path)).close()
+        return ScenarioParams.for_corpus(str(path))
+
+    def test_rows_match_the_generated_corpus_at_every_executor(self, stored):
+        generated, _ = _run()
+        serial, serial_profile = _run(params=stored)
+        assert serial["rows"] == generated["rows"]
+        for start_method in ("fork", "spawn"):
+            parallel.clear_worker_state()
+            fanned, fanned_profile = _run(params=stored, jobs=2, start_method=start_method)
+            assert fanned["rows"] == serial["rows"]
+            assert obs.profiles_equal_deterministic(fanned_profile, serial_profile)
+            counters = fanned_profile["process"]["counters"]
+            assert counters["proc.store.evicted_bytes"] > 0
+
+    def test_training_pages_are_evicted_and_no_flows_are_pinned(self, stored):
+        _, profile = _run(params=stored)
+        counters = profile["process"]["counters"]
+        assert counters["proc.store.evicted_bytes"] > 0
+        # morphing and morphing+or decline to fuse: each applies every
+        # evaluation trace once and keeps only the accounting.
+        assert counters["proc.window_cache.applied_misses"] == 2 * EVALUATION_TRACES
+        assert not any(name.startswith("proc.window_cache.flow_") for name in counters)
+        assert "proc.window_cache.reapplies" not in counters
+
+    def test_a_warm_rerun_profiles_like_a_cold_run(self, stored):
+        # One composition, so the rerun finds it still held: every
+        # plan, record and matrix request hits.
+        options = {"schemes": "morphing"}
+        cold, cold_profile = _run(options, params=stored)
+        warm, warm_profile = _run(options, params=stored)
+        assert warm == cold
+        warm_counters = warm_profile["process"]["counters"]
+        assert "proc.window_cache.applied_misses" not in warm_counters
+        assert warm_counters["proc.window_cache.applied_hits"] > 0
+        # Gauges aside: the store.* gauges are recorded where the corpus
+        # is opened, which only the cold run does.
+        cold_view, warm_view = (
+            {k: v for k, v in obs.deterministic_view(p).items() if k != "gauges"}
+            for p in (cold_profile, warm_profile)
+        )
+        assert warm_view == cold_view

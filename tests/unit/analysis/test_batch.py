@@ -18,6 +18,7 @@ import pytest
 from repro import obs
 from repro.analysis import batch
 from repro.analysis.batch import (
+    AppliedRecord,
     WindowCache,
     augment_direction_dropout,
     flow_feature_matrix,
@@ -30,7 +31,7 @@ from oracles.windows import (
     window_traces,
 )
 from repro.analysis.windows import grid_edges
-from repro.defenses.base import DefendedTraffic
+from repro.defenses.base import DefendedTraffic, StageOverhead
 from repro.traffic.trace import Trace
 
 
@@ -371,6 +372,34 @@ class TestWindowCache:
         assert (cache.hits, cache.misses, cache.pinned_bytes) == (0, 0, 0)
         _matrices(cache, source, trace, 5.0)
         assert cache.misses == 1
+
+
+class TestAppliedLayer:
+    def test_a_record_pins_no_bytes_and_releases_with_its_source(self):
+        cache = WindowCache()
+        trace = random_trace(np.random.default_rng(47), 60, 5.0)
+        source = _Source()
+        record = AppliedRecord(stages=(StageOverhead("s", 3, 0, (2,)),), flows=2)
+        for _ in range(2):
+            assert cache.applied(source, trace, lambda: (record, None)) == (record, None)
+        assert (cache.hits, cache.misses, cache.pinned_bytes) == (1, 1, 0)
+        cache.release(source)
+        cache.applied(source, trace, lambda: (record, None))
+        assert cache.misses == 2
+
+    def test_pinned_flows_peeks_without_building(self):
+        cache = WindowCache()
+        trace = random_trace(np.random.default_rng(48), 60, 5.0)
+        source = _Source()
+        with obs.capture() as cap:
+            assert cache.pinned_flows(source, trace) is None
+        assert not cap.metrics.counters
+        assert (cache.hits, cache.misses) == (0, 0)
+        defended = DefendedTraffic(original=trace, flows={0: trace})
+        cache.defended_flows(source, trace, lambda: (defended, None))
+        with obs.capture() as cap:
+            assert cache.pinned_flows(source, trace) == (defended, None)
+        assert cap.metrics.counters == {"proc.window_cache.flow_hits": 1}
 
 
 class TestRelease:

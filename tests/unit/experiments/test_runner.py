@@ -181,11 +181,6 @@ class TestRelease:
         trace = by_app[runner.app_order()[1]][0]
         cache = runner.window_cache
         scheme = build_stack(composition, seed=11)  # no other test holds it
-        # Morphing generates its target capture on its first apply, once
-        # per scheme object: warm it on another trace so both requests
-        # below record the same work.
-        runner.flow_feature_matrices(scheme, by_app[runner.app_order()[2]][0], 5.0)
-        cache.release(scheme)
         before = cache.pinned_bytes
         (matrices, stages), built = self._request(runner, scheme, trace)
         assert cache.pinned_bytes > before
@@ -202,6 +197,9 @@ class TestRelease:
             counters = subprofile.metrics.counters
             return {k: v for k, v in counters.items() if not k.startswith("proc.")}
 
+        # The fresh scheme's first request replays the same counts as
+        # the re-request, traffic.* included: morphing generates its
+        # target capture when it is built, not in the first apply.
         assert logical(rebuilt) == logical(built)
         assert rebuilt.metrics.counters["proc.window_cache.plan_misses"] == 1
         assert rebuilt.metrics.counters["proc.window_cache.matrices_misses"] == 1
@@ -213,6 +211,102 @@ class TestRelease:
         runner.flow_feature_matrices(released, trace, 5.0)
         runner.window_cache.release(released)
         assert runner.flow_feature_matrices("or", trace, 5.0) is kept
+
+
+class TestFallbackRecord:
+    """A non-fusable scheme keeps its accounting, not its flows."""
+
+    @staticmethod
+    def _counting_apply(monkeypatch, scheme):
+        calls = []
+        apply = scheme.apply
+
+        def counted(trace):
+            calls.append(trace)
+            return apply(trace)
+
+        monkeypatch.setattr(scheme, "apply", counted)
+        return calls
+
+    @staticmethod
+    def _trace(runner, position=0):
+        return runner.scenario.evaluation_by_app()[runner.app_order()[position]][0]
+
+    def test_featurizing_pins_no_flows(self, runner):
+        scheme = build_stack("morphing", seed=21)
+        trace = self._trace(runner)
+        cache = runner.window_cache
+        before = cache.pinned_bytes
+        matrices = runner.flow_feature_matrices(scheme, trace, 5.0)
+        runner.stage_overhead(scheme, trace)
+        assert cache.pinned_flows(scheme, trace) is None
+        assert cache.pinned_bytes - before == sum(m.nbytes for m in matrices)
+        cache.release(scheme)
+
+    def test_accounting_after_featurizing_does_not_apply(self, runner, monkeypatch):
+        scheme = build_stack("morphing", seed=22)
+        trace = self._trace(runner)
+        calls = self._counting_apply(monkeypatch, scheme)
+        matrices = runner.flow_feature_matrices(scheme, trace, 5.0)
+        (stage,) = runner.stage_overhead(scheme, trace)
+        assert runner.flow_feature_matrices(scheme, trace, 5.0) is matrices
+        assert len(calls) == 1
+        assert stage == scheme.apply(trace).stages[0]
+        runner.window_cache.release(scheme)
+
+    def test_pinned_flows_are_featurized_without_a_second_apply(
+        self, runner, monkeypatch
+    ):
+        scheme = build_stack("morphing", seed=23)
+        trace = self._trace(runner)
+        calls = self._counting_apply(monkeypatch, scheme)
+        flows = runner.observable_flows(scheme, trace)
+        matrices = runner.flow_feature_matrices(scheme, trace, 5.0)
+        runner.stage_overhead(scheme, trace)
+        assert len(calls) == 1
+        assert runner.window_cache.pinned_flows(scheme, trace)[0].observable_flows == flows
+        for matrix, flow in zip(matrices, flows):
+            np.testing.assert_array_equal(matrix, flow_feature_matrix(flow, 5.0))
+        runner.window_cache.release(scheme)
+
+    def test_another_window_applies_again_and_replays_the_record(self, runner):
+        scheme = build_stack("morphing", seed=24)
+        trace = self._trace(runner)
+        _, five = obs.captured(lambda: runner.flow_feature_matrices(scheme, trace, 5.0))
+        ten, again = obs.captured(
+            lambda: runner.flow_feature_matrices(scheme, trace, 10.0)
+        )
+        for matrix, flow in zip(ten, scheme.apply(trace).observable_flows):
+            np.testing.assert_array_equal(matrix, flow_feature_matrix(flow, 10.0))
+        assert again.metrics.counters["proc.window_cache.reapplies"] == 1
+        # The repeat's own telemetry is dropped: the request replays the
+        # recorded apply, exactly as the first window's did.
+        assert (
+            again.metrics.counters["scheme.apply_calls"]
+            == five.metrics.counters["scheme.apply_calls"]
+        )
+        runner.window_cache.release(scheme)
+
+    def test_warm_requests_replay_what_cold_ones_did(self, runner):
+        scheme = build_stack("morphing", seed=25)
+        trace = self._trace(runner, 1)
+
+        def request():
+            return obs.captured(
+                lambda: (
+                    runner.flow_feature_matrices(scheme, trace, 5.0),
+                    runner.stage_overhead(scheme, trace),
+                )
+            )[1]
+
+        def logical(subprofile):
+            counters = subprofile.metrics.counters
+            return {k: v for k, v in counters.items() if not k.startswith("proc.")}
+
+        cold, warm = request(), request()
+        assert logical(warm) == logical(cold)
+        assert warm.metrics.counters["proc.window_cache.applied_hits"] == 2
+        runner.window_cache.release(scheme)
 
 
 class TestStageOverhead:

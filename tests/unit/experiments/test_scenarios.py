@@ -143,6 +143,24 @@ class TestCorpusRoundTrip:
             assert a.sizes.tobytes() == b.sizes.tobytes()
             assert a.label == b.label
 
+    def test_session_rows_match_and_let_the_capture_go(self, scenario, stored):
+        path, _ = stored
+        hydrated = EvaluationScenario.from_store(path)
+        windows = (5.0, 15.0)
+        trace = hydrated.training_session(AppType.DOWNLOADING, 1)
+        with obs.capture() as cap:
+            loaded = hydrated.training_session_rows(AppType.DOWNLOADING, 1, windows)
+        assert cap.metrics.counters["proc.store.evicted_bytes"] > 0
+        # Evicted, not dropped: the same trace, still readable.
+        assert hydrated.training_session(AppType.DOWNLOADING, 1) is trace
+        with obs.capture() as cap:
+            generated = scenario.training_session_rows(AppType.DOWNLOADING, 1, windows)
+        assert cap.metrics.counters["train.traces"] == 1
+        assert not scenario._train
+        assert len(loaded) == len(generated) == len(windows)
+        for a, b in zip(loaded, generated):
+            np.testing.assert_array_equal(a, b)
+
     def test_hydration_is_zero_copy_and_lazy(self, stored):
         path, _ = stored
         hydrated = EvaluationScenario.from_store(path)

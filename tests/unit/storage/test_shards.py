@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import mmap
 import os
 
 import numpy as np
@@ -250,6 +251,75 @@ class TestLazyMapping:
             pass
         with pytest.raises(RuntimeError, match="closed"):
             federation.trace(0)
+
+
+class TestEvict:
+    @pytest.fixture(scope="class")
+    def bulk_traces(self, generator):
+        return [
+            generator.generate(app, duration=duration, session=s)
+            for s, (app, duration) in enumerate(
+                (
+                    (AppType.DOWNLOADING, 5.0),
+                    (AppType.CHATTING, 20.0),
+                    (AppType.DOWNLOADING, 3.0),
+                    (AppType.VIDEO, 10.0),
+                )
+            )
+        ]
+
+    @staticmethod
+    def interior_bytes(entry) -> int:
+        """Bytes of the pages lying wholly inside ``entry``'s column ranges."""
+        total = 0
+        for dtype in COLUMN_DTYPES.values():
+            itemsize = np.dtype(dtype).itemsize
+            lo = entry.offset * itemsize
+            hi = (entry.offset + entry.count) * itemsize
+            first = -(-lo // mmap.PAGESIZE) * mmap.PAGESIZE
+            last = hi // mmap.PAGESIZE * mmap.PAGESIZE
+            total += max(0, last - first)
+        return total
+
+    def test_evicted_traces_read_back_bit_identical(self, bulk_traces, shards_path):
+        federation = build_federation(shards_path, bulk_traces, shards=2)
+        held = [federation.trace(i) for i in range(len(federation))]
+        for index in range(len(federation)):
+            federation.evict(index)
+            federation.evict(index)  # repeated eviction is harmless
+        fresh = ShardSet.open(shards_path)
+        for index, trace in enumerate(held):
+            assert federation.trace(index) is trace
+            assert_traces_bitwise_equal(trace, fresh.trace(index))
+        fresh.close()
+        federation.close()
+
+    def test_evicted_bytes_sum_the_members_interiors(self, bulk_traces, shards_path):
+        federation = build_federation(shards_path, bulk_traces, shards=2)
+        for index in range(len(federation)):
+            federation.trace(index)  # map every member
+        with obs.capture() as cap:
+            for index in range(len(federation)):
+                federation.evict(index)
+        expected = sum(
+            self.interior_bytes(entry)
+            for shard in range(federation.shard_count)
+            for entry in federation.shard(shard).entries()
+        )
+        assert expected > 0
+        assert cap.metrics.counters["proc.store.evicted_bytes"] == expected
+        federation.close()
+
+    def test_an_unmapped_member_is_not_opened_to_evict(
+        self, bulk_traces, shards_path
+    ):
+        federation = build_federation(shards_path, bulk_traces, shards=2)
+        federation.release()
+        with obs.capture() as cap:
+            federation.evict(0)
+        assert "proc.shard.opens" not in cap.metrics.counters
+        assert "proc.store.evicted_bytes" not in cap.metrics.counters
+        federation.close()
 
 
 class TestValidate:

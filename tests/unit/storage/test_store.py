@@ -1,11 +1,13 @@
 """Tests for the columnar on-disk trace store."""
 
 import json
+import mmap
 import os
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.storage import (
     COLUMN_DTYPES,
     FORMAT_VERSION,
@@ -188,6 +190,117 @@ class TestZeroCopy:
             store.trace(1)
         # Views already handed out stay alive (numpy pins the buffer).
         assert float(handed_out.times[0]) >= 0.0
+
+
+@pytest.fixture(scope="module")
+def bulk_traces(generator):
+    """Traces whose wider columns span whole pages, between small ones."""
+    return [
+        generator.generate(app, duration=duration)
+        for app, duration in (
+            (AppType.CHATTING, 20.0),
+            (AppType.DOWNLOADING, 5.0),
+            (AppType.VIDEO, 10.0),
+            (AppType.DOWNLOADING, 3.0),
+        )
+    ]
+
+
+def interior_bytes(entry) -> int:
+    """Bytes of the pages lying wholly inside ``entry``'s column ranges."""
+    total = 0
+    for dtype in COLUMN_DTYPES.values():
+        itemsize = np.dtype(dtype).itemsize
+        lo = entry.offset * itemsize
+        hi = (entry.offset + entry.count) * itemsize
+        first = -(-lo // mmap.PAGESIZE) * mmap.PAGESIZE
+        last = hi // mmap.PAGESIZE * mmap.PAGESIZE
+        total += max(0, last - first)
+    return total
+
+
+def resident_kib(path: str) -> int:
+    """This process's resident KiB of the mappings of file ``path``."""
+    total, current = 0, False
+    with open("/proc/self/smaps", encoding="utf-8") as smaps:
+        for line in smaps:
+            fields = line.split()
+            if fields and "-" in fields[0] and not fields[0].endswith(":"):
+                current = fields[-1] == path
+            elif current and fields[0] == "Rss:":
+                total += int(fields[1])
+    return total
+
+
+class TestEvict:
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps"
+    )
+    def test_eviction_gives_the_pages_back(self, bulk_traces, store_path):
+        store = write_traces(store_path, bulk_traces)
+        column = os.path.realpath(os.path.join(store_path, "times.bin"))
+        for trace in store:
+            trace.times.sum()  # fault every page in
+        assert resident_kib(column) * 1024 >= store.packets * 8 // mmap.PAGESIZE * mmap.PAGESIZE
+        for index in range(len(store)):
+            store.evict(index)
+        # Only the pages two traces share, and the file's partial last
+        # page, may stay resident.
+        assert resident_kib(column) * 1024 <= len(store) * mmap.PAGESIZE
+
+    def test_evicted_traces_read_back_bit_identical(self, bulk_traces, store_path):
+        store = write_traces(store_path, bulk_traces)
+        held = [store.trace(i) for i in range(len(store))]
+        for trace in held:
+            trace.times.sum()  # fault the pages in
+        for index in range(len(store)):
+            store.evict(index)
+        fresh = TraceStore.open(store_path)
+        for index, trace in enumerate(held):
+            assert store.trace(index) is trace
+            assert_traces_bitwise_equal(trace, fresh.trace(index))
+            assert_traces_bitwise_equal(trace, bulk_traces[index])
+
+    def test_columns_stay_memmaps(self, bulk_traces, store_path):
+        store = write_traces(store_path, bulk_traces)
+        store.evict(0)
+        assert all(isinstance(column, np.memmap) for column in store._columns.values())
+
+    def test_repeated_eviction_is_harmless(self, bulk_traces, store_path):
+        store = write_traces(store_path, bulk_traces)
+        trace = store.trace(1)
+        for _ in range(3):
+            store.evict(1)
+            assert_traces_bitwise_equal(trace, bulk_traces[1])
+        assert store.trace(1) is trace
+
+    def test_evicted_bytes_are_the_page_aligned_interior(self, bulk_traces, store_path):
+        store = write_traces(store_path, bulk_traces)
+        with obs.capture() as cap:
+            for index in range(len(store)):
+                store.evict(index)
+        expected = sum(interior_bytes(entry) for entry in store.entries())
+        assert expected > 0
+        assert cap.metrics.counters["proc.store.evicted_bytes"] == expected
+
+    def test_without_madvise_evict_is_a_no_op(
+        self, bulk_traces, store_path, monkeypatch
+    ):
+        store = write_traces(store_path, bulk_traces)
+        monkeypatch.delattr(mmap, "MADV_DONTNEED")
+        with obs.capture() as cap:
+            store.evict(0)
+        assert "proc.store.evicted_bytes" not in cap.metrics.counters
+        assert_traces_bitwise_equal(store.trace(0), bulk_traces[0])
+
+    def test_closed_and_empty_stores_evict_nothing(self, bulk_traces, tmp_path):
+        closed = write_traces(str(tmp_path / "closed.store"), bulk_traces)
+        closed.close()
+        empty = write_traces(str(tmp_path / "empty.store"), [Trace.empty("none")])
+        with obs.capture() as cap:
+            closed.evict(0)
+            empty.evict(0)
+        assert "proc.store.evicted_bytes" not in cap.metrics.counters
 
 
 class TestChunkedWriter:
