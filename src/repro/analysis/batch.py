@@ -36,29 +36,26 @@ sits.  Changes to the kernel's arithmetic are parity-tested from both
 sides.
 
 :class:`WindowCache` memoizes what the experiment drivers recompute
-most — feature matrices, fused plans and a non-fusable scheme's
-accounting (its flows only when asked for) — so the scheme grid and
+most — fused plans and feature matrices — so the scheme grid and
 multi-window sweeps share windowing work.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
 from repro.analysis.features import _IAT_EPSILON, FEATURE_NAMES
 from repro.analysis.windows import MIN_WINDOW_PACKETS, window_edges, window_key
-from repro.defenses.base import DefendedTraffic, FusedPlan, StageOverhead
+from repro.defenses.base import FusedPlan
 from repro.traffic.packet import DOWNLINK, UPLINK
 from repro.traffic.stats import DEFAULT_IDLE_CUTOFF
 from repro.traffic.trace import Trace
 from repro.util.validation import require_positive
 
 __all__ = [
-    "AppliedRecord",
     "WindowCache",
     "augment_direction_dropout",
     "flow_feature_matrix",
@@ -294,11 +291,13 @@ def fused_feature_matrices(
 
     The fused counterpart of ``apply`` → :func:`flow_feature_matrix`:
     ``plan`` (from :meth:`repro.schemes.Scheme.fused_plan`) says which
-    observable flow each packet lands in and how sizes are rewritten,
-    and this kernel gathers each flow's packets directly from the source
-    columns — in-memory arrays or ``TraceStore``/``ShardSet`` memmap
-    slices alike — with **zero intermediate Trace allocation**.  Flow
-    ``f``'s matrix is bit-identical to
+    observable flow each packet lands in and how sizes are rewritten —
+    for a gather plan (morphing), which source packet each output packet
+    is and its output size — and this kernel gathers each flow's packets
+    directly from the source columns — in-memory arrays or
+    ``TraceStore``/``ShardSet`` memmap slices alike — with **zero
+    intermediate Trace allocation**.  Flow ``f``'s matrix is
+    bit-identical to
     ``flow_feature_matrix(defended.observable_flows[f], ...)``: the
     gather yields the same contiguous float64 values the materialized
     flow's columns would hold, and both run the shared
@@ -308,7 +307,8 @@ def fused_feature_matrices(
     trusted: ``batch.fused_flows``/``batch.fused_windows`` count the
     work, and the ``batch.bytes_materialized`` gauge records the
     largest single-flow working set (gathered columns + per-direction
-    float views) — O(one flow), never O(trace × flows).
+    float views, plus a gather plan's direction column) — O(one flow),
+    never O(trace × flows).
     """
     require_positive(window, "window")
     window = float(window)
@@ -317,15 +317,26 @@ def fused_feature_matrices(
     sizes = np.asarray(sizes)
     directions = np.asarray(directions)
     matrices: list[np.ndarray] = []
+    # A gather plan's packets are its output packets: packet k is
+    # source packet source[k] with size sizes[k], in flow assignments[k].
+    assignments, source, gathered = plan.assignments, None, 0
+    if plan.source is not None:
+        assignments, source, sizes = plan.gather()
+        directions = directions[source]
+        gathered = sum(c.nbytes for c in (assignments, source, sizes, directions))
+        if plan.n_flows == 1:
+            times, source = times[source], None
+            gathered += times.nbytes
 
     if plan.n_flows == 1:
         # One observable flow containing every packet (identity,
         # padding): the gather would be the identity permutation — read
-        # the source columns in place instead of copying them.
+        # the source columns in place instead of copying them (a gather
+        # plan's flow is its gathered columns).
         obs.add("batch.fused_flows")
         # The split gathers one time and one size per packet: every
         # packet lands in exactly one direction.
-        materialized = len(times) * (times.itemsize + 8)
+        materialized = gathered + len(times) * (times.itemsize + 8)
         if transform is not None:
             sizes = transform(sizes, directions)
             materialized += sizes.nbytes
@@ -346,13 +357,13 @@ def fused_feature_matrices(
     # than the int32/int64 timsort fallback), and flow counts are tiny.
     up = int(UPLINK)
     if 2 * plan.n_flows < np.iinfo(np.int16).max:
-        key = plan.assignments.astype(np.int16)
+        key = assignments.astype(np.int16)
         key <<= 1
         key += directions == up
     elif 2 * plan.n_flows < np.iinfo(np.int32).max:
-        key = plan.assignments.astype(np.int32) * 2 + (directions == up)
+        key = assignments.astype(np.int32) * 2 + (directions == up)
     else:
-        key = plan.assignments * 2 + (directions == up)
+        key = assignments * 2 + (directions == up)
     order = np.argsort(key, kind="stable")
     counts = np.bincount(key, minlength=2 * plan.n_flows)
     bounds = np.zeros(2 * plan.n_flows + 1, dtype=np.int64)
@@ -364,10 +375,10 @@ def fused_feature_matrices(
         if len(down_idx) == 0 and len(up_idx) == 0:
             matrices.append(np.empty((0, _N_FEATURES), dtype=np.float64))
             continue
-        materialized = 0
+        materialized = gathered
         by_direction: list[tuple[np.ndarray, np.ndarray]] = []
         for indices, direction in ((down_idx, DOWNLINK), (up_idx, UPLINK)):
-            dtimes = times[indices]
+            dtimes = times[indices if source is None else source[indices]]
             dsizes = sizes[indices]
             materialized += dtimes.nbytes + dsizes.nbytes
             if transform is not None:
@@ -438,38 +449,12 @@ def augment_direction_dropout(matrix: np.ndarray, window: float) -> np.ndarray:
     return variants[kept]
 
 
-#: The per-packet columns of a :class:`~repro.traffic.trace.Trace`.
-_TRACE_COLUMNS = ("times", "sizes", "directions", "ifaces", "channels", "rssi")
-
-
-@dataclass(frozen=True)
-class AppliedRecord:
-    """What :class:`WindowCache` keeps of a non-fusable scheme's apply.
-
-    Its per-stage byte accounting and observable-flow count, without
-    the flows: once the flows are featurized, nothing but accounting
-    reads them.
-    """
-
-    stages: tuple[StageOverhead, ...]
-    flows: int
-
-    @classmethod
-    def of(cls, defended: DefendedTraffic) -> "AppliedRecord":
-        return cls(defended.stages, len(defended.flows))
-
-
 class WindowCache:
     """Memoizes windowing work shared across schemes and window sweeps.
 
-    Four layers share one memo, each counted as
+    Two layers share one memo, each counted as
     ``proc.window_cache.<layer>_hits`` / ``_misses``: ``plan`` (fused
-    plans, declined ``None`` included, by scheme and trace), ``applied``
-    (a non-fusable scheme's :class:`AppliedRecord`, by scheme and
-    trace), ``flow`` (a non-fusable scheme's :class:`DefendedTraffic`,
-    flows included, by scheme and trace; only
-    ``ExperimentRunner.observable_flows`` asks for it) and ``matrices``
-    (per-flow matrix lists, fused or featurized from the applied flows,
+    plans, by scheme and trace) and ``matrices`` (per-flow matrix lists,
     by scheme, trace and window).  Keys use object identity; cached keys
     pin their sources so ``id()`` reuse after garbage collection cannot
     alias.
@@ -481,9 +466,8 @@ class WindowCache:
     cache was warm or cold.
 
     :attr:`pinned_bytes` is what the cached values hold: a plan's
-    :attr:`~repro.defenses.base.FusedPlan.plan_bytes`, the ``nbytes``
-    of matrices and of materialized flows' columns (an applied record
-    counts 0).  Each miss records it as the
+    :attr:`~repro.defenses.base.FusedPlan.plan_bytes` and the ``nbytes``
+    of matrices.  Each miss records it as the
     ``proc.window_cache.pinned_bytes`` gauge, which max-merges, so the
     gauge is the high-water mark.  :meth:`release` drops what one source
     (a scheme no later request names) holds.
@@ -537,8 +521,8 @@ class WindowCache:
         """Drop every entry whose key names ``source``.
 
         For a source no later request names (combined_grid's previous
-        stack, population_scale's per-station stack): its plans, flows
-        and matrices are freed, and each object those entries pinned
+        stack, population_scale's per-station stack): its plans and
+        matrices are freed, and each object those entries pinned
         and no remaining key names is unpinned — ``source`` itself
         included.  The freed bytes leave :attr:`pinned_bytes` and count
         in ``proc.window_cache.released_bytes``.  A source the cache
@@ -556,66 +540,15 @@ class WindowCache:
         self.pinned_bytes -= freed
         obs.add("proc.window_cache.released_bytes", freed)
 
-    def defended_flows(
-        self,
-        scheme: object,
-        trace: Trace,
-        build: Callable[[], tuple[DefendedTraffic, "obs.Subprofile | None"]],
-    ) -> tuple[DefendedTraffic, "obs.Subprofile | None"]:
-        """The (cached) defended traffic of ``trace`` under ``scheme``.
-
-        ``build`` must be deterministic in (scheme, trace); the flows
-        keep their identity across hits.
-        """
-        return self._memo(
-            "flow",
-            (scheme, trace),
-            (),
-            build,
-            lambda built: sum(
-                getattr(flow, column).nbytes
-                for flow in built[0].flows.values()
-                for column in _TRACE_COLUMNS
-            ),
-        )
-
-    def pinned_flows(
-        self, scheme: object, trace: Trace
-    ) -> tuple[DefendedTraffic, "obs.Subprofile | None"] | None:
-        """The ``flow`` layer's entry for (scheme, trace) if it holds one.
-
-        A peek: a held entry counts as a ``flow`` hit, an absent one
-        counts nothing and builds nothing.
-        """
-        entry = self._entries.get(self._key("flow", (scheme, trace), ()))
-        if entry is None:
-            return None
-        self.hits += 1
-        obs.add("proc.window_cache.flow_hits")
-        return entry[0]
-
-    def applied(
-        self,
-        scheme: object,
-        trace: Trace,
-        build: Callable[[], tuple[AppliedRecord, "obs.Subprofile | None"]],
-    ) -> tuple[AppliedRecord, "obs.Subprofile | None"]:
-        """The (cached) accounting of ``trace`` applied under ``scheme``."""
-        return self._memo("applied", (scheme, trace), (), build, lambda built: 0)
-
     def fused_plan(
         self,
         scheme: object,
         trace: Trace,
-        build: Callable[[], tuple["FusedPlan | None", "obs.Subprofile | None"]],
-    ) -> tuple["FusedPlan | None", "obs.Subprofile | None"]:
-        """The (cached) fused plan — ``None`` when the scheme declines."""
+        build: Callable[[], tuple[FusedPlan, "obs.Subprofile | None"]],
+    ) -> tuple[FusedPlan, "obs.Subprofile | None"]:
+        """The (cached) fused plan of ``trace`` under ``scheme``."""
         return self._memo(
-            "plan",
-            (scheme, trace),
-            (),
-            build,
-            lambda built: 0 if built[0] is None else built[0].plan_bytes,
+            "plan", (scheme, trace), (), build, lambda built: built[0].plan_bytes
         )
 
     def flow_matrices(

@@ -15,8 +15,16 @@ the morphed interfaces, which carry a fraction of the traffic — hence
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.base import Reshaper, ReshaperScheme
-from repro.defenses.base import DefendedTraffic, Scheme
+from repro.defenses.base import (
+    DefendedTraffic,
+    FusedPlan,
+    Scheme,
+    StageOverhead,
+    gather_flows,
+)
 from repro.defenses.morphing import TrafficMorphing
 from repro.traffic.trace import Trace
 
@@ -53,22 +61,60 @@ class CombinedDefense(Scheme):
         self._morph_all = bool(morph_all_packets)
         self._seed = int(seed)
 
+    def _morpher(self, iface: int) -> TrafficMorphing | None:
+        """The morpher of interface ``iface``, or ``None`` if it passes through."""
+        target = self._interface_targets.get(iface)
+        if target is None:
+            return None
+        return TrafficMorphing(
+            target_trace=target,
+            morph_all_packets=self._morph_all,
+            seed=self._seed + iface,
+        )
+
     def transform(self, trace: Trace) -> DefendedTraffic:
         """Reshape ``trace`` then morph the configured interfaces."""
         result = self._reshaping.transform(trace)
         flows: dict[int, Trace] = {}
         extra = 0
         for iface, flow in result.flows.items():
-            target = self._interface_targets.get(iface)
-            if target is None or len(flow) == 0:
+            morpher = self._morpher(iface)
+            if morpher is None or len(flow) == 0:
                 flows[iface] = flow
                 continue
-            morpher = TrafficMorphing(
-                target_trace=target,
-                morph_all_packets=self._morph_all,
-                seed=self._seed + iface,
-            )
             morphed = morpher.transform(flow)
             flows[iface] = morphed.observable_flows[0]
             extra += morphed.extra_bytes
         return DefendedTraffic(original=trace, flows=flows, extra_bytes=extra)
+
+    def fused_plan_columns(
+        self,
+        times: np.ndarray,
+        sizes: np.ndarray,
+        directions: np.ndarray,
+        label: str | None,
+    ) -> FusedPlan:
+        """The reshaper's assignments, then one morph gather per chosen interface."""
+        ifaces = self._reshaping.reshaper.assign_columns(times, sizes, directions)
+        partition = FusedPlan.from_assignments(ifaces)
+        flows = []
+        # Flow f is the f-th occupied interface, as split_by_iface orders them.
+        for flow, iface in enumerate(np.unique(ifaces).tolist()):
+            indices = np.flatnonzero(partition.assignments == flow)
+            morpher = self._morpher(iface)
+            if morpher is None:
+                sub = FusedPlan(np.zeros(len(indices), dtype=np.int64), 1)
+            else:
+                sub = morpher.fused_plan_columns(
+                    times[indices], sizes[indices], directions[indices], label
+                )
+            flows.append((indices, sub))
+        source, out_sizes, assignments = gather_flows(times, sizes, directions, flows)
+        extra = sum(sub.extra_bytes for _, sub in flows)
+        return FusedPlan(
+            assignments,
+            partition.n_flows,
+            stages=(StageOverhead(self.name, extra, 0, (partition.n_flows,)),),
+            source=source,
+            sizes=out_sizes,
+        )

@@ -8,22 +8,22 @@ address / virtual interface / channel slice) plus byte-overhead
 accounting.  The attack pipeline then classifies each observable flow
 separately.
 
-Reshaping-style schemes — whose observable flows are masked selections
-and relabelings of the source columns, optionally with an elementwise
-size rewrite — can additionally describe themselves as a
-:class:`FusedPlan`: a per-packet flow-assignment array plus the
-per-stage accounting, letting the batch featurizer
-(:func:`repro.analysis.batch.fused_feature_matrices`) read straight off
-the source columns (including ``TraceStore`` memmaps) without ever
-materializing per-flow :class:`~repro.traffic.trace.Trace` copies.
+Every scheme also describes itself as a :class:`FusedPlan`: a
+per-packet flow-assignment array plus the per-stage accounting, and for
+a scheme that resamples or fragments packets (morphing) a gather of
+source packets with their output sizes.  The batch featurizer
+(:func:`repro.analysis.batch.fused_feature_matrices`) and the streaming
+replay read a plan straight off the source columns (including
+``TraceStore`` memmaps) without materializing per-flow
+:class:`~repro.traffic.trace.Trace` copies; ``apply`` stays the
+definition each plan is held to.
 """
 
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -35,11 +35,11 @@ if TYPE_CHECKING:
     from repro.core.base import Reshaper
 
 __all__ = [
-    "ChainedSizeTransform",
     "DefendedTraffic",
     "FusedPlan",
     "Scheme",
     "StageOverhead",
+    "gather_flows",
 ]
 
 
@@ -127,45 +127,39 @@ class DefendedTraffic:
 SizeTransform = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class ChainedSizeTransform:
-    """Composition of per-stage size transforms, applied left to right."""
-
-    transforms: tuple[SizeTransform, ...]
-
-    def __call__(self, sizes: np.ndarray, directions: np.ndarray) -> np.ndarray:
-        for transform in self.transforms:
-            sizes = transform(sizes, directions)
-        return sizes
-
-
 @dataclass(frozen=True, eq=False)
 class FusedPlan:
     """A defense's observable flows as a vectorized plan over columns.
 
     Where :class:`DefendedTraffic` *materializes* flows, a plan merely
-    *describes* them: packet ``k`` of the source trace lands in
+    *describes* them.  Packet ``k`` of the source trace lands in
     observable flow ``assignments[k]`` with its size rewritten by
-    ``size_transform`` (identity when ``None``).  Flow numbering matches
-    the legacy path's sorted-id order, so flow ``f`` of the plan is
-    bit-identical (times/sizes/directions) to
-    ``DefendedTraffic.observable_flows[f]``.
+    ``size_transform`` (identity when ``None``) — or, with a gather,
+    output packet ``k`` (in time order) is source packet ``source[k]``
+    with size ``sizes[k]``.  Flow numbering matches ``apply``'s
+    sorted-id order, so flow ``f`` of the plan is bit-identical
+    (times/sizes/directions) to ``DefendedTraffic.observable_flows[f]``.
 
-    ``order``/``flow_bounds`` are the gather index: packets of flow
-    ``f`` are ``order[flow_bounds[f]:flow_bounds[f + 1]]`` in time
-    order.  Both are computed lazily (one stable ``argsort`` / one
-    ``bincount`` on first access) and cached — intermediate plans built
-    during stack composition are consumed assignments-only and never
-    pay for an index they don't use.
+    A gather is built per output packet and held in runs: a fragmented
+    packet's frames are consecutive output packets with one source, size
+    and flow, so ``assignments``, ``source`` and ``sizes`` keep one int32
+    entry per run, each standing for ``repeats`` output packets.
+    :meth:`gather` expands them.
 
     Attributes:
-        assignments: int64 observable-flow index per packet, dense in
-            ``[0, n_flows)``.
-        n_flows: observable flow count (flows may be empty — the legacy
-            path emits empty flows too, e.g. identity on an empty trace).
-        size_transform: elementwise size rewrite, or ``None``.
+        assignments: int64 observable-flow index per packet (per run of
+            output packets with a gather), dense in ``[0, n_flows)``.
+        n_flows: observable flow count (flows may be empty — ``apply``
+            emits empty flows too, e.g. identity on an empty trace).
+        size_transform: elementwise size rewrite, or ``None``; always
+            ``None`` with a gather, whose ``sizes`` are final.
         stages: per-stage accounting, as ``apply`` would report it.
         stack: whether the plan describes a composed scheme stack.
+        source: the gather's source index per run, or ``None``.
+        sizes: the gather's output size per run, or ``None``.
+        stage_packets: packets leaving each stage; empty when every
+            stage emits exactly the plan's :attr:`packets`.
+        repeats: the gather's output packets per run, or ``None``.
     """
 
     assignments: np.ndarray
@@ -173,6 +167,26 @@ class FusedPlan:
     size_transform: SizeTransform | None = None
     stages: tuple[StageOverhead, ...] = ()
     stack: bool = False
+    source: np.ndarray | None = None
+    sizes: np.ndarray | None = None
+    stage_packets: tuple[int, ...] = ()
+    repeats: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.source is None or self.repeats is not None:
+            return
+        names = ("assignments", "source", "sizes")
+        columns = [np.asarray(getattr(self, name), dtype=np.int32) for name in names]
+        # A run starts wherever any column changes.
+        starts = np.zeros(len(columns[0]), dtype=bool)
+        starts[:1] = True
+        for column in columns:
+            starts[1:] |= column[1:] != column[:-1]
+        first = np.flatnonzero(starts)
+        for name, column in zip(names, columns):
+            object.__setattr__(self, name, column[first])
+        repeats = np.diff(first, append=len(starts)).astype(np.int32)
+        object.__setattr__(self, "repeats", repeats)
 
     @classmethod
     def from_assignments(
@@ -182,15 +196,14 @@ class FusedPlan:
         n_flows: int | None = None,
         size_transform: SizeTransform | None = None,
         stages: tuple[StageOverhead, ...] = (),
-        stack: bool = False,
     ) -> FusedPlan:
         """Build a plan from a raw per-packet assignment array.
 
         With ``n_flows=None`` the raw values are renumbered to their
         sorted-unique rank — the same order
         :meth:`~repro.traffic.trace.Trace.split_by_iface` emits flows
-        in, which is what keeps plan flow ``f`` aligned with the legacy
-        path's flow ``f``.  Pass ``n_flows`` explicitly when ``raw`` is
+        in, which is what keeps plan flow ``f`` aligned with ``apply``'s
+        flow ``f``.  Pass ``n_flows`` explicitly when ``raw`` is
         already dense (and possibly includes empty flows).
         """
         raw = np.asarray(raw)
@@ -223,32 +236,11 @@ class FusedPlan:
             n_flows=n_flows,
             size_transform=size_transform,
             stages=stages,
-            stack=stack,
         )
 
-    def with_stages(
-        self, stages: tuple[StageOverhead, ...], stack: bool = False
-    ) -> FusedPlan:
+    def with_stages(self, stages: tuple[StageOverhead, ...]) -> FusedPlan:
         """The same plan with its accounting replaced."""
-        return replace(self, stages=stages, stack=stack)
-
-    @cached_property
-    def flow_bounds(self) -> np.ndarray:
-        """``(n_flows + 1,)`` prefix offsets into :attr:`order`."""
-        counts = np.bincount(self.assignments, minlength=self.n_flows)
-        flow_bounds = np.zeros(self.n_flows + 1, dtype=np.int64)
-        np.cumsum(counts, out=flow_bounds[1:])
-        return flow_bounds
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        """Stable argsort of :attr:`assignments` (the flow gather index)."""
-        return np.argsort(self.assignments, kind="stable")
-
-    def flow_indices(self, flow: int) -> np.ndarray:
-        """Source-column indices of observable flow ``flow``, in time order."""
-        lo, hi = self.flow_bounds[flow], self.flow_bounds[flow + 1]
-        return self.order[lo:hi]
+        return replace(self, stages=stages)
 
     @property
     def extra_bytes(self) -> int:
@@ -261,20 +253,73 @@ class FusedPlan:
         return sum(stage.handshake_bytes for stage in self.stages)
 
     @property
-    def plan_bytes(self) -> int:
-        """Bytes the plan's index arrays occupy once fully realized.
+    def packets(self) -> int:
+        """Packets the plan emits: the source's, or the gather's output."""
+        if self.repeats is None:
+            return len(self.assignments)
+        return int(self.repeats.sum())
 
-        Counts ``assignments`` plus the lazily built ``order`` and
-        ``flow_bounds`` at their known shapes — a deterministic formula,
-        independent of which lazy indexes happen to be cached yet.
-        """
-        return 2 * self.assignments.nbytes + (self.n_flows + 1) * 8
+    def gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A gather's ``(assignments, source, sizes)``, one per output packet."""
+        return tuple(
+            np.repeat(column, self.repeats)
+            for column in (self.assignments, self.source, self.sizes)
+        )
+
+    @property
+    def plan_bytes(self) -> int:
+        """Bytes the plan's arrays hold: assignments, plus a gather's runs."""
+        held = (self.assignments, self.source, self.sizes, self.repeats)
+        return sum(array.nbytes for array in held if array is not None)
+
+
+def gather_flows(
+    times: np.ndarray,
+    sizes: np.ndarray,
+    directions: np.ndarray,
+    flows: Sequence[tuple[np.ndarray | None, FusedPlan]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One gather over the columns from each flow's sub-plan.
+
+    ``flows[f]`` is ``(indices, sub)``: the positions of flow ``f``'s
+    packets in the columns (``None`` for all of them) and the plan of
+    that flow over those packets.  Returns ``(positions, sizes,
+    assignments)``: each output packet's position in the columns, its
+    output size, and its flow, the sub-plans' flows numbered in turn.
+    A sub-plan without a gather keeps its flow's packets and rewrites
+    their ``sizes`` through its size transform.  Output packets are in
+    time order: a stable sort keeps each flow's own order.
+    """
+    positions, out_sizes, out_flows = [], [], []
+    offset = 0
+    for indices, sub in flows:
+        if indices is None:
+            indices = np.arange(len(sizes))
+        if sub.source is not None:
+            flows_of, source, flow_sizes = sub.gather()
+            positions.append(indices[source])
+        else:
+            flows_of, flow_sizes = sub.assignments, sizes[indices]
+            if sub.size_transform is not None:
+                flow_sizes = sub.size_transform(flow_sizes, directions[indices])
+            positions.append(indices)
+        out_sizes.append(flow_sizes)
+        out_flows.append(flows_of + offset)
+        offset += sub.n_flows
+    empty = np.zeros(0, dtype=np.int64)
+    gathered = [
+        np.concatenate([empty, *column]) for column in (positions, out_sizes, out_flows)
+    ]
+    if offset > 1:
+        order = np.argsort(times[gathered[0]], kind="stable")
+        gathered = [column[order] for column in gathered]
+    return tuple(gathered)
 
 
 def _record_stages(
-    stages: tuple[StageOverhead, ...], packets_in: int, packets_out: int
+    stages: tuple[StageOverhead, ...], packets: Sequence[tuple[int, int]]
 ) -> None:
-    """Scheme telemetry for ``stages``, each seeing ``packets_in``/``_out``.
+    """Scheme telemetry for ``stages``; ``packets[i]`` is stage ``i``'s (in, out).
 
     Counters are additive per apply — aggregate totals plus a
     ``scheme[<name>].*`` breakdown (the paper's per-stage overhead
@@ -282,12 +327,12 @@ def _record_stages(
     context is active, so the window cache's capture-and-replay makes
     them follow logical requests, not physical executions.  Both routes
     record through here: a materializing ``apply`` with its one stage
-    and its real packet counts, a fused plan with all its stages (fused
-    schemes conserve packets, so each stage's applies see the trace's
-    packet count in and out in total).  A cell's profile is therefore
-    identical whichever route ran.
+    and its real packet counts, a fused plan with all its stages and
+    each stage's packets in and out in total over its applies (a
+    fragmenting stage emits more than it takes).  A cell's profile is
+    therefore identical whichever route ran.
     """
-    for stage in stages:
+    for stage, (packets_in, packets_out) in zip(stages, packets):
         if not stage.fanouts:
             # A dead stack arm: no flow ever reached the stage.
             continue
@@ -340,8 +385,8 @@ class Scheme(abc.ABC):
                         ),
                     ),
                 )
-        packets_out = sum(len(flow) for flow in defended.flows.values())
-        _record_stages(defended.stages, len(trace), packets_out)
+        packets = (len(trace), sum(len(flow) for flow in defended.flows.values()))
+        _record_stages(defended.stages, [packets] * len(defended.stages))
         return defended
 
     def reset(self) -> None:
@@ -364,38 +409,39 @@ class Scheme(abc.ABC):
         sizes: np.ndarray,
         directions: np.ndarray,
         label: str | None,
-    ) -> FusedPlan | None:
-        """Describe :meth:`apply` as a :class:`FusedPlan`, if possible.
+    ) -> FusedPlan:
+        """Describe :meth:`apply` as a :class:`FusedPlan`.
 
-        The fusion protocol: reshaping-only schemes — whose observable
-        flows are masked selections/relabelings of the source columns,
-        optionally with an elementwise size rewrite — return a plan the
-        batch featurizer evaluates with zero intermediate ``Trace``
-        allocation.  Schemes that genuinely rewrite traffic (morphing)
-        return ``None`` (the default) and the pipeline falls back to
-        :meth:`apply`.  Implementations must be deterministic in
-        ``(self, columns)`` and bit-identical to ``apply``: plan flow
-        ``f`` selects exactly the packets of
+        The fusion protocol: the plan says which observable flow each
+        packet lands in, and either rewrites sizes elementwise
+        (padding) or carries a gather of source packets with their
+        output sizes (morphing resamples sizes and fragments packets).
+        The batch featurizer and the streaming replay evaluate it with
+        zero intermediate ``Trace`` allocation.  Implementations must be
+        deterministic in ``(self, columns)`` and bit-identical to
+        ``apply``: plan flow ``f`` holds exactly the packets of
         ``apply(trace).observable_flows[f]``, in order, and the plan's
-        ``stages`` equal the applied traffic's.
+        ``stages`` equal the applied traffic's.  A scheme without one
+        raises a ``NotImplementedError`` that names it.
         """
-        return None
+        raise NotImplementedError(
+            f"scheme {self.name!r} has no fused plan: "
+            f"{type(self).__name__} implements no fused_plan_columns"
+        )
 
-    def fused_plan(self, trace: Trace) -> FusedPlan | None:
+    def fused_plan(self, trace: Trace) -> FusedPlan:
         """The fused plan for ``trace``, with scheme telemetry recorded.
 
-        Returns ``None`` for non-fusable schemes without recording
-        anything — the fallback's real ``apply`` will count itself.  On
-        success records the exact ``scheme.*`` counters ``apply`` would
-        have (see :func:`_record_stages`).
+        Records the exact ``scheme.*`` counters ``apply`` would have
+        (see :func:`_record_stages`), packets in and out per stage
+        included.
         """
         with span(f"scheme.fuse[{self.name}]"):
             plan = self.fused_plan_columns(
                 trace.times, trace.sizes, trace.directions, trace.label
             )
-        if plan is None:
-            return None
-        _record_stages(plan.stages, len(trace), len(trace))
+        out = plan.stage_packets or (plan.packets,) * len(plan.stages)
+        _record_stages(plan.stages, list(zip((len(trace), *out[:-1]), out)))
         if plan.stack:
             add("scheme.stacks_applied")
             observe("scheme.stack_fanout", plan.n_flows)

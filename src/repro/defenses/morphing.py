@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.defenses.base import DefendedTraffic, Scheme
+from repro.defenses.base import DefendedTraffic, FusedPlan, Scheme, StageOverhead
 from repro.mac.frames import FRAME_HEADER_BYTES
 from repro.traffic.packet import Direction
 from repro.traffic.trace import Trace
@@ -158,23 +158,37 @@ class TrafficMorphing(Scheme):
         self._morph_all = bool(morph_all_packets)
         self._seed = int(seed)
 
-    def transform(self, trace: Trace) -> DefendedTraffic:
-        """Morph ``trace`` toward the target's size distribution."""
+    def _morph(
+        self,
+        times: np.ndarray,
+        sizes: np.ndarray,
+        directions: np.ndarray,
+        label: str | None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int] | None:
+        """The morph of one flow's columns, or ``None`` when nothing morphs.
+
+        Returns ``(mask, order, repeats, morphed, extra)``: which packets
+        are morphed, the source packets in output order, how many frames
+        each emits (``np.repeat(order, repeats)`` indexes the output
+        packets), every packet's size after morphing, and the extra
+        bytes.  The one arithmetic behind :meth:`transform` and
+        :meth:`fused_plan_columns`.
+        """
         from repro.defenses.padding import data_direction_of
 
         target_direction = data_direction_of(self._target_trace.label)
         if self._morph_all:
-            mask = np.ones(len(trace), dtype=bool)
+            mask = np.ones(len(times), dtype=bool)
         else:
-            direction = self._data_direction or data_direction_of(trace.label)
-            mask = trace.directions == int(direction)
+            direction = self._data_direction or data_direction_of(label)
+            mask = directions == int(direction)
         target_sizes = self._target_trace.direction_view(target_direction).sizes
         if not mask.any() or len(target_sizes) == 0:
-            return DefendedTraffic(original=trace, flows={0: trace}, extra_bytes=0)
+            return None
 
-        source_sizes = trace.sizes[mask]
+        source_sizes = sizes[mask]
         coupling = monotone_coupling(source_sizes, target_sizes)
-        rng = derive_rng(self._seed, "morphing", trace.label or "?")
+        rng = derive_rng(self._seed, "morphing", label or "?")
         morphed_sizes = coupling.sample_targets(source_sizes, rng)
 
         # Pad-up packets emit one frame; shrink packets fragment into
@@ -188,26 +202,33 @@ class TrafficMorphing(Scheme):
         ).astype(np.int64)
         extra = int((fragments * morphed_sizes - source_sizes).sum())
 
-        # One source index over the whole trace: each morphed packet
+        # One source index over the whole flow: each morphed packet
         # repeated once per fragment, every other packet once.  Within a
         # run of equal times morphed packets precede the others, each
         # group in source order; without ties that is source order.
-        times = trace.times
         if (times[1:] == times[:-1]).any():
             order = np.lexsort((~mask, times))
         else:
             order = np.arange(len(times))
         copies = np.ones(len(times), dtype=np.int64)
         copies[mask] = fragments
-        source = np.repeat(order, copies[order])
 
-        sizes = trace.sizes.copy()
-        sizes[mask] = morphed_sizes
+        morphed = np.array(sizes, dtype=np.int64)
+        morphed[mask] = morphed_sizes
+        return mask, order, copies[order], morphed, extra
+
+    def transform(self, trace: Trace) -> DefendedTraffic:
+        """Morph ``trace`` toward the target's size distribution."""
+        morph = self._morph(trace.times, trace.sizes, trace.directions, trace.label)
+        if morph is None:
+            return DefendedTraffic(original=trace, flows={0: trace}, extra_bytes=0)
+        mask, order, repeats, sizes, extra = morph
+        source = np.repeat(order, repeats)
         # Morphed fragments go out on interface 0 with no RSSI.
         ifaces = np.where(mask, np.int16(0), trace.ifaces)
         rssi = np.where(mask, np.float32(np.nan), trace.rssi)
         defended = Trace(
-            times[source],
+            trace.times[source],
             sizes[source],
             trace.directions[source],
             ifaces[source],
@@ -217,6 +238,26 @@ class TrafficMorphing(Scheme):
             {},
         )
         return DefendedTraffic(original=trace, flows={0: defended}, extra_bytes=extra)
+
+    def fused_plan_columns(
+        self,
+        times: np.ndarray,
+        sizes: np.ndarray,
+        directions: np.ndarray,
+        label: str | None,
+    ) -> FusedPlan:
+        """Morphing as a gather: one flow of the morphed, fragmented packets."""
+        morph = self._morph(times, sizes, directions, label)
+        if morph is None:
+            stages = (StageOverhead(self.name, 0, 0, (1,)),)
+            return FusedPlan(np.zeros(len(times), dtype=np.int64), 1, stages=stages)
+        _, order, repeats, morphed, extra = morph
+        stages = (StageOverhead(self.name, extra, 0, (1,)),)
+        return FusedPlan(
+            np.zeros(len(order), dtype=np.int32), 1, stages=stages,
+            source=order.astype(np.int32), sizes=morphed[order].astype(np.int32),
+            repeats=repeats.astype(np.int32),
+        )
 
     @staticmethod
     def paper_morph_pairs() -> dict[str, str]:

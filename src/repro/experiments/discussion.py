@@ -79,9 +79,9 @@ def _run_combined_cell(cell: ExperimentCell) -> CombinedDefenseResult:
     rather than to zero — deviation documented in EXPERIMENTS.md.
 
     The attacker is the shared runner's pipeline (trained once per
-    process).  OR plans and fuses; the combined defense morphs, so the
-    runner falls back to applying it — once per trace, with its byte
-    overhead read from that same cached application.
+    process).  OR and the combined defense both plan and fuse: the
+    combined plan is OR's assignments plus a morph gather per chosen
+    interface, and its byte overhead is read from that same cached plan.
     """
     window = float(cell.params["window"])
     runner = parallel.shared_runner(cell.params["scenario"])

@@ -359,7 +359,16 @@ def _run_resolved(
             ) from error
 
     if jobs == 1:
+        held = _WORKER_STATE.get(("scenario", params))
         trained, stage = train(None)
+        if held is not None and mode is not None:
+            # This process opened the corpus in an earlier run: record
+            # the open's gauges again, so a warm run profiles like a cold one.
+            _, opened = obs.captured(held.record_corpus_gauges)
+            if stage is None:
+                stage = opened
+            else:
+                stage.metrics.merge_in(opened.metrics)
         outcomes = [_execute_cell((spec.name, cell, mode, trained)) for cell in cells]
     else:
         context = multiprocessing.get_context(start_method)

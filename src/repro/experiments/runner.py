@@ -5,11 +5,11 @@ per :class:`~repro.analysis.attack.PipelineKey` (window, attackers,
 features; the window normalized, so float jitter cannot retrain a
 duplicate), all fitted by :func:`train_pipelines`, and is every
 experiment's one evaluation path:
-:meth:`ExperimentRunner.flow_feature_matrices` plans a scheme when it
-can fuse and applies it when it declines, and
-:meth:`ExperimentRunner.stage_overhead` reports the byte accounting of
-that same cached result.  Schemes arrive as registry specs (built and
-memoized per recipe by :meth:`ExperimentRunner.scheme`) or as built
+:meth:`ExperimentRunner.flow_feature_matrices` plans a scheme and
+featurizes the plan, and :meth:`ExperimentRunner.stage_overhead`
+reports the byte accounting of that same cached plan.  Schemes arrive
+as registry specs (built and memoized per recipe by
+:meth:`ExperimentRunner.scheme`) or as built
 :class:`~repro.schemes.Scheme` objects; all work memoizes in one
 shared :class:`~repro.analysis.batch.WindowCache`.
 """
@@ -23,14 +23,9 @@ import numpy as np
 
 from repro import obs
 from repro.analysis.attack import AttackPipeline, AttackReport, PipelineKey
-from repro.analysis.batch import (
-    AppliedRecord,
-    WindowCache,
-    flow_feature_matrix,
-    fused_flow_matrices,
-)
+from repro.analysis.batch import WindowCache, fused_flow_matrices
 from repro.analysis.classifiers.selection import TaskMap
-from repro.defenses.base import DefendedTraffic, FusedPlan, StageOverhead
+from repro.defenses.base import FusedPlan, StageOverhead
 from repro.experiments.scenarios import EvaluationScenario
 from repro.schemes import Scheme, SchemeSpec, build_stack, canonical_stack
 from repro.traffic.apps import AppType
@@ -166,57 +161,14 @@ class ExperimentRunner:
 
     def _plan(
         self, scheme: Scheme, trace: Trace
-    ) -> tuple[FusedPlan | None, "obs.Subprofile | None"]:
+    ) -> tuple[FusedPlan, "obs.Subprofile | None"]:
         """The cached ``(plan, subprofile)`` of ``trace`` under ``scheme``."""
         return self._cache.fused_plan(
             scheme, trace, lambda: obs.captured(lambda: scheme.fused_plan(trace))
         )
 
-    def _defended(
-        self, scheme: Scheme, trace: Trace
-    ) -> tuple[DefendedTraffic, "obs.Subprofile | None"]:
-        """The cached ``(defended traffic, subprofile)`` of a real ``apply``."""
-        return self._cache.defended_flows(
-            scheme, trace, lambda: obs.captured(lambda: scheme.apply(trace))
-        )
-
-    def _apply(
-        self, scheme: Scheme, trace: Trace, again: bool = False
-    ) -> tuple[DefendedTraffic, "obs.Subprofile | None"]:
-        """``(defended traffic, subprofile)`` of ``trace`` under ``scheme``:
-        the flows :meth:`observable_flows` pinned if it did, otherwise a
-        transient ``apply`` nothing keeps.  ``again`` marks the repeat of
-        an apply whose record the cache already holds; it counts in
-        ``proc.window_cache.reapplies``."""
-        pinned = self._cache.pinned_flows(scheme, trace)
-        if pinned is not None:
-            return pinned
-        if again:
-            obs.add("proc.window_cache.reapplies")
-        return obs.captured(lambda: scheme.apply(trace))
-
-    def _applied(
-        self, scheme: Scheme, trace: Trace
-    ) -> tuple[AppliedRecord, "obs.Subprofile | None", list[Trace] | None]:
-        """The cached accounting of a non-fusable scheme's apply.
-
-        Returns ``(record, subprofile, flows)``: ``flows`` are the
-        observable flows when this request built the record, ``None``
-        on a hit (the cache keeps no flows for it).
-        """
-        flows = None
-
-        def build() -> tuple[AppliedRecord, "obs.Subprofile | None"]:
-            nonlocal flows
-            defended, subprofile = self._apply(scheme, trace)
-            flows = defended.observable_flows
-            return AppliedRecord.of(defended), subprofile
-
-        record, subprofile = self._cache.applied(scheme, trace, build)
-        return record, subprofile, flows
-
-    def fused_plan(self, scheme: "SchemeLike", trace: Trace) -> FusedPlan | None:
-        """The cached plan of ``trace`` under ``scheme``; ``None`` if it declines.
+    def fused_plan(self, scheme: "SchemeLike", trace: Trace) -> FusedPlan:
+        """The cached plan of ``trace`` under ``scheme``.
 
         The plan :meth:`flow_feature_matrices` featurizes, and the one
         the streaming replay replays
@@ -224,31 +176,8 @@ class ExperimentRunner:
         cached request, it replays the telemetry the planning recorded.
         """
         plan, subprofile = self._plan(self._resolve(scheme), trace)
-        if plan is not None:
-            obs.replay(subprofile)
-        return plan
-
-    def observable_flows(
-        self,
-        scheme: "SchemeLike",
-        trace: Trace,
-    ) -> list[Trace]:
-        """What the eavesdropper captures when ``trace`` runs under ``scheme``.
-
-        Materializes every flow through ``apply`` and pins them in the
-        window cache, so it is only the route of a scheme without a
-        plan (:meth:`fused_plan` returns ``None``, e.g. morphing) —
-        the evaluation and the streaming replay read a fusable scheme's
-        plan instead.  Telemetry is cache-transparent: the scheme
-        application records its counters/spans into a captured
-        subprofile stored next to the memoized traffic, and every
-        request — hit or miss — replays it.  A cell therefore observes
-        identical ``scheme.*`` counts whether it shares a warm serial
-        cache or a cold per-worker one.
-        """
-        defended, subprofile = self._defended(self._resolve(scheme), trace)
         obs.replay(subprofile)
-        return defended.observable_flows
+        return plan
 
     def flow_feature_matrices(
         self,
@@ -258,43 +187,23 @@ class ExperimentRunner:
     ) -> list[np.ndarray]:
         """Per-observable-flow feature matrices of ``trace`` under ``scheme``.
 
-        The fused-or-fallback dispatch point of the evaluation loop:
-        fusable schemes (reshaping-only — see
-        :meth:`repro.schemes.Scheme.fused_plan`) are featurized straight
+        The evaluation loop's one route: the scheme's cached plan (see
+        :meth:`repro.schemes.Scheme.fused_plan`) is featurized straight
         off the trace's columns with zero intermediate ``Trace``
-        allocation; everything else (morphing, adaptive, custom
-        schemes) transparently falls back to apply→featurize, counted
-        in ``batch.fallback_flows``.  The fallback applies once per
-        (scheme, trace) — reusing flows :meth:`observable_flows` pinned
-        — and keeps only the apply's accounting
-        (:class:`~repro.analysis.batch.AppliedRecord`), not its flows.
-        Both paths memoize their matrix list per (scheme, trace, window)
+        allocation, bit-identical to featurizing ``apply``'s flows (the
+        parity suite holds it to the materializing oracle element for
+        element).  The matrix list memoizes per (scheme, trace, window)
         in the shared :class:`WindowCache` with capture-and-replay
-        telemetry, and both are bit-identical: the fused path is
-        property-tested against the materializing oracle
-        element-for-element.
+        telemetry.
         """
         applied = self._resolve(scheme)
         plan = self.fused_plan(applied, trace)
-        if plan is None:
-            record, subprofile, flows = self._applied(applied, trace)
-            obs.replay(subprofile)
-            obs.add("batch.fallback_flows", record.flows)
-
-        def build() -> tuple[list[np.ndarray], "obs.Subprofile | None"]:
-            if plan is not None:
-                return obs.captured(lambda: fused_flow_matrices(trace, plan, window))
-            observed = flows
-            if observed is None:
-                # The record's build featurized another window and kept
-                # no flows; its subprofile already stands for this
-                # apply's telemetry, so the repeat's is dropped.
-                observed = self._apply(applied, trace, again=True)[0].observable_flows
-            return obs.captured(
-                lambda: [flow_feature_matrix(flow, window) for flow in observed]
-            )
-
-        matrices, subprofile = self._cache.flow_matrices(applied, trace, window, build)
+        matrices, subprofile = self._cache.flow_matrices(
+            applied,
+            trace,
+            window,
+            lambda: obs.captured(lambda: fused_flow_matrices(trace, plan, window)),
+        )
         obs.replay(subprofile)
         return matrices
 
@@ -303,20 +212,13 @@ class ExperimentRunner:
     ) -> tuple[StageOverhead, ...]:
         """Per-stage byte accounting of ``trace`` under ``scheme``.
 
-        Read from the same cached result :meth:`flow_feature_matrices`
-        featurizes — the plan's stages when the scheme fuses, the
-        applied record's otherwise — so accounting after featurizing
-        never costs a second ``apply``.  The totals are the sums over
-        stages; the last stage's ``flows`` is the observable flow count.
-        Records no scheme telemetry (the featurization request replays
-        it).
+        Read from the same cached plan :meth:`flow_feature_matrices`
+        featurizes, so accounting after featurizing never costs a second
+        plan.  The totals are the sums over stages; the last stage's
+        ``flows`` is the observable flow count.  Records no scheme
+        telemetry (the featurization request replays it).
         """
-        applied = self._resolve(scheme)
-        plan, _ = self._plan(applied, trace)
-        if plan is not None:
-            return plan.stages
-        record, _, _ = self._applied(applied, trace)
-        return record.stages
+        return self._plan(self._resolve(scheme), trace)[0].stages
 
     def evaluate_scheme(
         self,
@@ -325,9 +227,8 @@ class ExperimentRunner:
     ) -> AttackReport:
         """Attack every application's evaluation sessions under one scheme.
 
-        Featurization routes through :meth:`flow_feature_matrices`
-        (fused when the scheme allows, materializing otherwise); scoring
-        is the pipeline's :meth:`~AttackPipeline.evaluate_matrices`.
+        Featurization routes through :meth:`flow_feature_matrices`;
+        scoring is the pipeline's :meth:`~AttackPipeline.evaluate_matrices`.
         """
         pipeline = self.pipeline(window)
         matrices_by_label: dict[str, list[np.ndarray]] = {}

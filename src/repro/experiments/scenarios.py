@@ -222,6 +222,11 @@ class EvaluationScenario:
         }
         return scenario
 
+    def record_corpus_gauges(self) -> None:
+        """Record the gauges of the stored corpus this scenario reads, if any."""
+        if self._corpus is not None:
+            self._corpus.record_gauges()
+
     # The evaluation split exposes an AppType-keyed and a label-keyed
     # accessor; each returns a fresh dict of fresh lists, so mutating a
     # returned mapping cannot corrupt the corpus.  The Trace objects are

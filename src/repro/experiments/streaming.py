@@ -144,8 +144,7 @@ def _replay_run_cell(cell: ExperimentCell) -> dict[str, object]:
     # The streaming attacker replays the very same cached plan the batch
     # path featurizes (the same Scheme object, so the same WindowCache
     # entry): each evaluation trace is one column source whose stations
-    # are the plan's flows.  Only a scheme that declines to plan
-    # (morphing) replays materialized observable flows, one per source.
+    # are the plan's flows.
     scheme = runner.scheme(cell.params["spec"])
     pipeline = runner.pipeline(window)
 
@@ -154,15 +153,6 @@ def _replay_run_cell(cell: ExperimentCell) -> dict[str, object]:
         flow_index = 0
         for trace in traces:
             plan = runner.fused_plan(scheme, trace)
-            if plan is None:
-                for flow in runner.observable_flows(scheme, trace):
-                    streams.append(
-                        PacketStream.replay(
-                            flow, station=f"{label}/f{flow_index}", label=label
-                        )
-                    )
-                    flow_index += 1
-                continue
             stations = [f"{label}/f{flow_index + f}" for f in range(plan.n_flows)]
             streams.append(PacketStream.replay_plan(trace, plan, stations, label=label))
             flow_index += plan.n_flows

@@ -37,11 +37,11 @@ import numpy as np
 
 from repro.core.base import Reshaper, ReshaperScheme
 from repro.defenses.base import (
-    ChainedSizeTransform,
     DefendedTraffic,
     FusedPlan,
     Scheme,
     StageOverhead,
+    gather_flows,
 )
 from repro.obs import add, observe, span
 from repro.traffic.trace import Trace
@@ -150,96 +150,96 @@ class SchemeStack(Scheme):
         sizes: np.ndarray,
         directions: np.ndarray,
         label: str | None,
-    ) -> FusedPlan | None:
+    ) -> FusedPlan:
         """Compose the stages' plans into one stack plan.
 
         Mirrors :meth:`apply` at the column level: stage *k+1* plans
         each of stage *k*'s flows independently, and flows renumber in
         stage-major order (input-flow order, then each sub-plan's own
-        sorted order) — exactly the order ``apply`` emits.  Size
-        transforms chain: later stages plan against the running
-        (transformed) sizes, and the final plan's transform is the whole
-        chain applied to the original column.  Any stage that cannot
-        fuse — or that is itself a stack (nested stacks keep their own
-        accounting; not worth flattening) — makes the whole stack fall
-        back.
+        sorted order) — exactly the order ``apply`` emits.  Later stages
+        plan against the running (rewritten) sizes; one elementwise size
+        rewrite stays the plan's ``size_transform``.  A stage that
+        gathers (morphing), or that rewrites sizes a second time or
+        differently per flow, turns the stack into a gather: later
+        stages plan over the gathered columns, and each stage's
+        per-flow gather composes back to source indices.  A stage that
+        is itself a stack raises the error of a scheme without a plan.
         """
-        n = len(times)
         times = np.asarray(times)
-        current_sizes = np.asarray(sizes)
         directions = np.asarray(directions)
-        assignments = np.zeros(n, dtype=np.int64)
+        current_sizes = np.asarray(sizes)
+        # Packet k of the current columns is source packet source[k]
+        # (packet k itself while no stage has gathered) in flow
+        # assignments[k].
+        source = None
+        current_times, current_directions = times, directions
+        assignments = np.zeros(len(times), dtype=np.int64)
         n_flows = 1
-        transforms: list = []
+        size_transform = None
         stage_records: list[StageOverhead] = []
+        stage_packets: list[int] = []
         for stage in self._stages:
-            new_assignments = np.empty(n, dtype=np.int64)
-            new_sizes = None
-            stage_transform = None
-            offset = 0
-            fanouts: list[int] = []
-            extra = 0
-            handshake = 0
+            flows = []
             for flow in range(n_flows):
-                if n_flows == 1:
-                    # Single input flow (every stack's first stage, and
-                    # any stage after a non-partitioning one): the mask
-                    # is all-true — plan on the columns directly instead
-                    # of copying them through a full-length gather.
-                    mask = None
-                    flow_times = times
-                    flow_sizes = current_sizes
-                    flow_directions = directions
-                else:
-                    mask = assignments == flow
-                    flow_times = times[mask]
-                    flow_sizes = current_sizes[mask]
-                    flow_directions = directions[mask]
-                sub = stage.fused_plan_columns(
-                    flow_times, flow_sizes, flow_directions, label
-                )
-                if sub is None or sub.stack:
-                    return None
-                if mask is None:
-                    np.add(sub.assignments, offset, out=new_assignments)
-                else:
-                    new_assignments[mask] = sub.assignments + offset
-                offset += sub.n_flows
-                fanouts.append(sub.n_flows)
-                extra += sub.extra_bytes
-                handshake += sub.handshake_bytes
-                if sub.size_transform is not None:
-                    if stage_transform is None:
-                        stage_transform = sub.size_transform
-                        if mask is not None:
-                            new_sizes = current_sizes.astype(np.int64, copy=True)
-                    elif stage_transform != sub.size_transform:
-                        # Flows disagree on the rewrite: not elementwise.
-                        return None
-                    if mask is None:
-                        new_sizes = sub.size_transform(flow_sizes, flow_directions)
-                    else:
-                        new_sizes[mask] = sub.size_transform(
-                            flow_sizes, flow_directions
-                        )
-            assignments = new_assignments
-            n_flows = offset
-            if stage_transform is not None:
-                transforms.append(stage_transform)
-                current_sizes = new_sizes
+                # A single input flow (every stack's first stage, and any
+                # stage after a non-partitioning one) plans on the columns
+                # directly instead of copying them.
+                indices = None if n_flows == 1 else np.flatnonzero(assignments == flow)
+                columns = [
+                    column if indices is None else column[indices]
+                    for column in (current_times, current_sizes, current_directions)
+                ]
+                sub = stage.fused_plan_columns(*columns, label)
+                if sub.stack:
+                    raise NotImplementedError(
+                        f"scheme {self.name!r} has no fused plan: "
+                        f"stage {stage.name!r} is itself a stack"
+                    )
+                flows.append((indices, sub))
+            subs = [sub for _, sub in flows]
             stage_records.append(
-                StageOverhead(stage.name, extra, handshake, tuple(fanouts))
+                StageOverhead(
+                    stage.name,
+                    sum(sub.extra_bytes for sub in subs),
+                    sum(sub.handshake_bytes for sub in subs),
+                    tuple(sub.n_flows for sub in subs),
+                )
             )
-        if not transforms:
-            size_transform = None
-        elif len(transforms) == 1:
-            size_transform = transforms[0]
-        else:
-            size_transform = ChainedSizeTransform(tuple(transforms))
-        return FusedPlan.from_assignments(
+            rewrites = {sub.size_transform for sub in subs}
+            rewrite = next(iter(rewrites), None)
+            if (
+                len(rewrites) > 1
+                or (rewrite is not None and size_transform is not None)
+                or any(sub.source is not None for sub in subs)
+            ):
+                positions, current_sizes, assignments = gather_flows(
+                    current_times, current_sizes, current_directions, flows
+                )
+                source = positions if source is None else source[positions]
+                current_times, current_directions = times[source], directions[source]
+                size_transform = None
+            else:
+                renumbered = np.empty(len(assignments), dtype=np.int64)
+                offset = 0
+                for indices, sub in flows:
+                    if indices is None:
+                        np.add(sub.assignments, offset, out=renumbered)
+                    else:
+                        renumbered[indices] = sub.assignments + offset
+                    offset += sub.n_flows
+                assignments = renumbered
+                if rewrite is not None:
+                    current_sizes = rewrite(current_sizes, current_directions)
+                    size_transform = rewrite
+            n_flows = sum(sub.n_flows for sub in subs)
+            stage_packets.append(len(assignments))
+        return FusedPlan(
             assignments,
-            n_flows=n_flows,
+            n_flows,
             size_transform=size_transform,
             stages=tuple(stage_records),
             stack=True,
+            source=source,
+            sizes=None if source is None else current_sizes,
+            stage_packets=tuple(stage_packets),
         )

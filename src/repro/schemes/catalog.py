@@ -17,7 +17,7 @@ from repro.core.schedulers import (
     RandomReshaper,
     RoundRobinReshaper,
 )
-from repro.defenses.base import DefendedTraffic, Scheme
+from repro.defenses.base import DefendedTraffic, FusedPlan, Scheme
 from repro.defenses.morphing import TrafficMorphing
 from repro.defenses.padding import PacketPadding
 from repro.defenses.pseudonym import PseudonymDefense
@@ -113,6 +113,9 @@ class MorphTowardApp(Scheme):
 
     def transform(self, trace) -> DefendedTraffic:
         return self._morpher.transform(trace)
+
+    def fused_plan_columns(self, times, sizes, directions, label) -> FusedPlan:
+        return self._morpher.fused_plan_columns(times, sizes, directions, label)
 
 
 # ----------------------------------------------------------------------

@@ -406,10 +406,16 @@ class ShardSet(Corpus):
         self._stores: dict[int, TraceStore] = {}
         self._open = True
         obs.add("proc.shardset.opens")
+        self.record_gauges()
+        return manifest
+
+    def record_gauges(self) -> None:
+        """The federation's gauges, and those of each member mapped now."""
         obs.gauge("shardset.shards", self.shard_count)
         obs.gauge("shardset.traces_stored", len(self._entries))
         obs.gauge("shardset.packets_stored", self.packets)
-        return manifest
+        for store in self._stores.values():
+            store.record_gauges()
 
     # -- member access -----------------------------------------------------
 

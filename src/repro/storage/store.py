@@ -538,6 +538,10 @@ class Corpus:
         """Read and check the manifest; return it."""
         raise NotImplementedError
 
+    def record_gauges(self) -> None:
+        """Record the gauges an open records (again, for a run reusing it)."""
+        raise NotImplementedError
+
     @classmethod
     def open(cls, path: str):
         """Open an existing corpus read-only."""
@@ -725,10 +729,13 @@ class TraceStore(Corpus):
         # high-water marks — every process that maps the same store
         # reports the same values, and max-merge keeps them run-stable.
         obs.add("proc.store.opens")
+        self.record_gauges()
+        return manifest
+
+    def record_gauges(self) -> None:
         obs.gauge("store.bytes_mapped", self.nbytes)
         obs.gauge("store.traces_stored", len(self._entries))
         obs.gauge("store.packets_stored", self.packets)
-        return manifest
 
     @classmethod
     def create(

@@ -412,8 +412,9 @@ class PacketStream:
         Packet ``k`` is emitted by ``stations[plan.assignments[k]]``,
         its size rewritten by ``plan.size_transform``: per station, the
         same packets as :meth:`replay` of the materialized flow, read
-        straight off the trace's columns as one source.  Equal
-        timestamps of different flows keep capture order.
+        straight off the trace's columns as one source (a gather plan's
+        output packets, for morphing).  Equal timestamps of different
+        flows keep the plan's order.
 
         Args:
             trace: the source trace the plan was built for.
@@ -428,13 +429,18 @@ class PacketStream:
         )
         if label is None:
             label = trace.label
+        times, sizes, directions = trace.times, trace.sizes, trace.directions
+        assignments = plan.assignments
+        if plan.source is not None:
+            assignments, source, sizes = plan.gather()
+            times, directions = times[source], directions[source]
         obs.add("stream.traces_replayed")
-        obs.add("stream.packets_replayed", len(trace))
+        obs.add("stream.packets_replayed", len(times))
         return cls._of(
             [
                 _Source(
-                    trace.times, trace.sizes, trace.directions,
-                    plan.assignments, stations, label, 0.0, plan.size_transform,
+                    times, sizes, directions,
+                    assignments, stations, label, 0.0, plan.size_transform,
                 )
             ]
         )

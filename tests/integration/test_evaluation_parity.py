@@ -1,11 +1,12 @@
 """Integration: one evaluation path, held to the materializing oracle.
 
 ``combined_grid``, ``table6``, ``combined`` and ``population_scale``
-featurize only through ``ExperimentRunner.flow_feature_matrices`` —
-planned when a scheme fuses, applied when it declines — and read their
-byte accounting from that same cached result.  At smoke scale their rows, accounting and
-flow counts must equal :mod:`oracles.materializing`, which applies
-every scheme for real and featurizes flow by flow.
+featurize only through ``ExperimentRunner.flow_feature_matrices`` — every
+scheme planned, morphing and the combined defense as gathers — and read
+their byte accounting from that same cached plan.  At smoke scale their
+rows, accounting and flow counts must equal :mod:`oracles.materializing`,
+which applies every scheme for real and featurizes flow by flow, and
+their profiles carry no counter of an apply route.
 """
 
 import pytest
@@ -26,6 +27,21 @@ pytestmark = pytest.mark.smoke
 PARAMS = ScenarioParams(
     seed=5, train_duration=30.0, eval_duration=20.0, train_sessions=1, eval_sessions=1
 )
+
+#: Counter prefixes only an apply → featurize route would record.
+APPLY_ROUTE_COUNTERS = (
+    "batch.fallback_flows",
+    "proc.window_cache.applied_",
+    "proc.window_cache.flow_",
+    "proc.window_cache.reapplies",
+)
+
+
+def apply_route_counters(profile):
+    """Counters of ``profile`` (cells and process) an apply route recorded."""
+    counters = [*profile["counters"], *profile["process"]["counters"]]
+    return [key for key in counters if key.startswith(APPLY_ROUTE_COUNTERS)]
+
 
 GRID_OPTIONS = {
     "window": 5.0,
@@ -66,14 +82,17 @@ class TestCombinedGrid:
         _, stage_overhead = grid_oracle
         assert grid_result.extras["stage_overhead"] == stage_overhead
 
-    def test_only_morphing_compositions_fall_back(self, grid_result):
-        counters = grid_result.meta["profile"]["counters"]
-        morphing_flows = sum(
-            row[5] for row in grid_result.rows if "morphing" in row[0].split("+")
+    def test_every_composition_takes_the_fused_route(self, grid_result):
+        profile = grid_result.meta["profile"]
+        assert apply_route_counters(profile) == []
+        # Every flow of every cell, morphing ones included, went through
+        # the fused kernel.
+        assert profile["counters"]["batch.fused_flows"] == sum(
+            row[5] for row in grid_result.rows
         )
-        assert morphing_flows > 0
-        assert counters["batch.fallback_flows"] == morphing_flows
-        assert counters["batch.fused_plans"] > 0
+        assert profile["process"]["counters"]["proc.window_cache.plan_misses"] == (
+            len(DEFAULT_COMPOSITIONS) * 7
+        )
 
     def test_parallel_matches_serial(self, grid_result):
         parallel_result = run_experiment_result(
@@ -94,16 +113,18 @@ class TestCombinedGrid:
 
 class TestTable6:
     def test_rows_match_oracle(self):
-        result = run_experiment_result("table6", PARAMS)
+        result = run_experiment_result("table6", PARAMS, profile=True)
         assert list(result.rows) == [tuple(row) for row in table6_oracle(PARAMS)]
+        assert apply_route_counters(result.meta["profile"]) == []
 
 
 class TestCombined:
     def test_rows_and_overhead_match_oracle(self):
-        result = run_experiment_result("combined", PARAMS)
+        result = run_experiment_result("combined", PARAMS, profile=True)
         rows, overhead = combined_oracle(PARAMS)
         assert list(result.rows) == rows
         assert result.extras["combined_overhead_percent"] == overhead
+        assert apply_route_counters(result.meta["profile"]) == []
 
 
 class TestPopulationScale:

@@ -2,9 +2,10 @@
 
 Three claims ride on the fused kernels at runner level.  Reports are
 bit-identical to the materializing oracle (apply → featurize → score,
-:mod:`oracles.materializing`) for every legacy scheme.  Telemetry proves the route taken: a
-table run over fusable schemes records ``batch.fused_plans`` and zero
-``batch.fallback_flows``, while a morphing run records the fallback.
+:mod:`oracles.materializing`) for every legacy scheme and morphing.
+Telemetry proves the route taken: every run records
+``batch.fused_plans`` and no ``batch.fallback_flows``, morphing
+included.
 And the CLI profile carries the counters out, so CI can assert the
 fused path stayed live from a profile JSON alone.
 """
@@ -66,7 +67,7 @@ class TestRunnerParity:
         reference = legacy_report(legacy_runner, spec, window=5.0)
         assert_reports_equal(fused, reference)
 
-    def test_morphing_falls_back_and_still_matches(self, scenario):
+    def test_morphing_plans_and_still_matches(self, scenario):
         fused_runner = ExperimentRunner(scenario)
         legacy_runner = ExperimentRunner(scenario)
         fused = fused_runner.evaluate_scheme("morphing", window=5.0)
@@ -86,10 +87,12 @@ class TestRouteTelemetry:
         assert counters["batch.fused_flows"] > 0
         assert "batch.fallback_flows" not in counters
 
-    def test_morphing_takes_the_fallback(self, scenario):
-        counters = self._evaluate(scenario, "morphing")
-        assert counters["batch.fallback_flows"] > 0
-        assert "batch.fused_flows" not in counters
+    @pytest.mark.parametrize("spec", ["morphing", "morphing+or"])
+    def test_morphing_records_no_fallback(self, scenario, spec):
+        counters = self._evaluate(scenario, spec)
+        assert counters["batch.fused_plans"] > 0
+        assert counters["batch.fused_flows"] > 0
+        assert "batch.fallback_flows" not in counters
 
     def test_second_window_hits_the_plan_cache(self, scenario):
         runner = ExperimentRunner(scenario)

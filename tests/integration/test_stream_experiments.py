@@ -62,7 +62,7 @@ class TestStreamingParity:
         for label, traces in runner.scenario.evaluation_by_label().items():
             flows = []
             for trace in traces:
-                flows.extend(runner.observable_flows(spec, trace))
+                flows.extend(runner.scheme(spec).apply(trace).observable_flows)
             flows_by_label[label] = flows
             streams.extend(
                 PacketStream.replay(flow, station=f"{label}/f{index}", label=label)
@@ -89,7 +89,7 @@ class TestStreamingParity:
 
         for label, traces in runner.scenario.evaluation_by_label().items():
             for trace in traces:
-                for flow in runner.observable_flows(spec, trace):
+                for flow in runner.scheme(spec).apply(trace).observable_flows:
                     attacker = OnlineAttack.from_pipeline(pipeline)
                     attacker.consume(
                         PacketStream.replay(flow, station="f", label=label)
@@ -98,6 +98,33 @@ class TestStreamingParity:
                         flow_feature_matrix(flow, 5.0)
                     )
                     assert [p.predicted for p in attacker.predictions] == expected
+
+
+    @pytest.mark.parametrize("composition", ["morphing", "or+morphing"])
+    def test_a_gather_plan_replays_like_the_applied_flows(self, composition):
+        """Morphing's plan replays the packets of its materialized flows."""
+        runner = ExperimentRunner(TINY.build())
+        pipeline = runner.pipeline(5.0)
+        scheme = runner.scheme(composition)
+        planned, applied = [], []
+        for label, traces in runner.scenario.evaluation_by_label().items():
+            index = 0
+            for trace in traces:
+                plan = runner.fused_plan(scheme, trace)
+                stations = [f"{label}/f{index + f}" for f in range(plan.n_flows)]
+                planned.append(
+                    PacketStream.replay_plan(trace, plan, stations, label=label)
+                )
+                for flow in scheme.apply(trace).observable_flows:
+                    stream = PacketStream.replay(flow, f"{label}/f{index}", label)
+                    applied.append(stream)
+                    index += 1
+        via_plan = OnlineAttack.from_pipeline(pipeline)
+        via_plan.consume(PacketStream.merge(planned))
+        via_flows = OnlineAttack.from_pipeline(pipeline)
+        via_flows.consume(PacketStream.merge(applied))
+        assert via_plan.predictions
+        assert via_plan.predictions == via_flows.predictions
 
 
 class TestStreamReplayExperiment:
@@ -124,6 +151,21 @@ class TestStreamReplayExperiment:
                 yield from names(node["children"])
 
         assert not [n for n in names(profile["spans"]) if n.startswith("scheme.apply[")]
+
+    def test_morphing_replays_its_plan_in_parity(self):
+        result = parallel.run_experiment_result(
+            "stream_replay", TINY, options={"schemes": "morphing"}, profile=True
+        )
+        assert result.extras["parity"] == {"morphing": True}
+        profile = result.meta["profile"]
+        counters = [*profile["counters"], *profile["process"]["counters"]]
+        removed = (
+            "batch.fallback_flows",
+            "proc.window_cache.applied_",
+            "proc.window_cache.flow_",
+        )
+        assert not [name for name in counters if name.startswith(removed)]
+        assert profile["counters"]["stream.traces_replayed"] == 7 * TINY.eval_sessions
 
     def test_serial_matches_jobs2(self):
         serial = parallel.run_experiment_result("stream_replay", TINY)

@@ -2,8 +2,8 @@
 
 Every experiment featurizes through
 :meth:`repro.experiments.ExperimentRunner.flow_feature_matrices`, which
-plans a scheme when it can fuse and applies it only when it declines.
-This module is the reference that dispatch is held to: every scheme is
+plans every scheme (morphing as a gather) and never applies one.
+This module is the reference that route is held to: every scheme is
 applied for real, every observable flow is featurized on its own with
 :func:`~repro.analysis.batch.flow_feature_matrix`, byte accounting is
 read off the applied :class:`~repro.defenses.base.DefendedTraffic`, and

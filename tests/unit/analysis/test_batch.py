@@ -18,7 +18,6 @@ import pytest
 from repro import obs
 from repro.analysis import batch
 from repro.analysis.batch import (
-    AppliedRecord,
     WindowCache,
     augment_direction_dropout,
     flow_feature_matrix,
@@ -31,7 +30,7 @@ from oracles.windows import (
     window_traces,
 )
 from repro.analysis.windows import grid_edges
-from repro.defenses.base import DefendedTraffic, StageOverhead
+from repro.defenses.base import FusedPlan
 from repro.traffic.trace import Trace
 
 
@@ -309,15 +308,14 @@ def _matrices(cache, source, flow, window, calls=None):
     return cache.flow_matrices(source, flow, window, build)[0]
 
 
+def _identity_plan(trace):
+    return FusedPlan.from_assignments(np.zeros(len(trace), dtype=np.int64), n_flows=1)
+
+
 def _fill(cache, source, traces, window=5.0):
-    """One ``plan``, ``flow`` and ``matrices`` request per trace."""
+    """One ``plan`` and one ``matrices`` request per trace."""
     for trace in traces:
-        cache.fused_plan(source, trace, lambda: (None, None))
-        cache.defended_flows(
-            source,
-            trace,
-            lambda trace=trace: (DefendedTraffic(original=trace, flows={0: trace}), None),
-        )
+        cache.fused_plan(source, trace, lambda t=trace: (_identity_plan(t), None))
         _matrices(cache, source, trace, window)
 
 
@@ -344,24 +342,35 @@ class TestWindowCache:
         assert jittered is _matrices(cache, source, flow, 0.3)
         assert cache.misses == 1
 
-    def test_defended_flows_builds_once(self):
+    def test_plan_builds_once(self):
         trace = Trace.from_arrays([0.0, 1.0], [10, 20])
         cache = WindowCache()
         calls = []
 
         def build():
             calls.append(1)
-            return DefendedTraffic(original=trace, flows={0: trace}), None
+            return _identity_plan(trace), None
 
         scheme = object()
-        first, _ = cache.defended_flows(scheme, trace, build)
-        second, _ = cache.defended_flows(scheme, trace, build)
+        first, _ = cache.fused_plan(scheme, trace, build)
+        second, _ = cache.fused_plan(scheme, trace, build)
         assert first is second
-        assert first.observable_flows == [trace]
         assert len(calls) == 1
-        # A different scheme re-reshapes.
-        cache.defended_flows(object(), trace, build)
+        assert cache.pinned_bytes == first.plan_bytes
+        # A different scheme plans again.
+        cache.fused_plan(object(), trace, build)
         assert len(calls) == 2
+
+    def test_two_layers(self):
+        """Only plans and matrices are cached, and counted."""
+        cache = WindowCache()
+        trace = Trace.from_arrays([0.0, 1.0], [10, 20])
+        with obs.capture() as cap:
+            _fill(cache, _Source(), [trace])
+        assert sorted(cap.metrics.counters) == [
+            "proc.window_cache.matrices_misses",
+            "proc.window_cache.plan_misses",
+        ]
 
     def test_clear(self):
         cache = WindowCache()
@@ -372,34 +381,6 @@ class TestWindowCache:
         assert (cache.hits, cache.misses, cache.pinned_bytes) == (0, 0, 0)
         _matrices(cache, source, trace, 5.0)
         assert cache.misses == 1
-
-
-class TestAppliedLayer:
-    def test_a_record_pins_no_bytes_and_releases_with_its_source(self):
-        cache = WindowCache()
-        trace = random_trace(np.random.default_rng(47), 60, 5.0)
-        source = _Source()
-        record = AppliedRecord(stages=(StageOverhead("s", 3, 0, (2,)),), flows=2)
-        for _ in range(2):
-            assert cache.applied(source, trace, lambda: (record, None)) == (record, None)
-        assert (cache.hits, cache.misses, cache.pinned_bytes) == (1, 1, 0)
-        cache.release(source)
-        cache.applied(source, trace, lambda: (record, None))
-        assert cache.misses == 2
-
-    def test_pinned_flows_peeks_without_building(self):
-        cache = WindowCache()
-        trace = random_trace(np.random.default_rng(48), 60, 5.0)
-        source = _Source()
-        with obs.capture() as cap:
-            assert cache.pinned_flows(source, trace) is None
-        assert not cap.metrics.counters
-        assert (cache.hits, cache.misses) == (0, 0)
-        defended = DefendedTraffic(original=trace, flows={0: trace})
-        cache.defended_flows(source, trace, lambda: (defended, None))
-        with obs.capture() as cap:
-            assert cache.pinned_flows(source, trace) == (defended, None)
-        assert cap.metrics.counters == {"proc.window_cache.flow_hits": 1}
 
 
 class TestRelease:
@@ -414,12 +395,12 @@ class TestRelease:
         kept, released = _Source(), _Source()
         _fill(cache, kept, traces)
         _fill(cache, released, traces)
-        assert cache.misses == 12  # 2 sources x 2 traces x 3 layers
+        assert cache.misses == 8  # 2 sources x 2 traces x 2 layers
         cache.release(released)
         _fill(cache, kept, traces)
-        assert (cache.hits, cache.misses) == (6, 12)
+        assert (cache.hits, cache.misses) == (4, 8)
         _fill(cache, released, traces)
-        assert (cache.hits, cache.misses) == (6, 18)
+        assert (cache.hits, cache.misses) == (4, 12)
 
     def test_unpins_the_source_and_nothing_another_source_names(self):
         cache = WindowCache()

@@ -3,16 +3,17 @@
 Property-level parity against the legacy apply→featurize oracle lives
 in ``tests/property/test_fused_properties.py``; here we pin down the
 kernel's unit-level contracts — telemetry (counts, the O(one flow)
-``batch.bytes_materialized`` gauge), empty-flow handling — and the
-cache semantics the runner depends on: None plans are cached (fallback
-schemes don't re-attempt fusion per window), captured subprofiles come
-back on every request — and that every featurization site runs the
-one shared windowing kernel.
+``batch.bytes_materialized`` gauge), empty-flow handling, reading
+through a gather — and the cache semantics the runner depends on:
+gather plans are cached like any other, captured subprofiles come back
+on every request — and that every featurization site runs the one
+shared windowing kernel.
 """
 
 import numpy as np
 import pytest
 
+from oracles.plans import flow_bounds
 from repro import obs
 from repro.analysis.batch import (
     WindowCache,
@@ -46,6 +47,21 @@ class TestFusedKernel:
         for matrix, flow in zip(fused, flows):
             np.testing.assert_array_equal(matrix, flow_feature_matrix(flow, 5.0))
 
+    @pytest.mark.parametrize("composition", ["morphing", "or+morphing", "morphing+rr"])
+    def test_reads_through_a_gather(self, composition):
+        trace = make_trace()
+        scheme = build_stack(composition, seed=3)
+        plan = scheme.fused_plan(trace)
+        assert plan.source is not None
+        fused, sub = obs.captured(lambda: fused_flow_matrices(trace, plan, window=5.0))
+        flows = scheme.apply(trace).observable_flows
+        assert len(fused) == len(flows)
+        for matrix, flow in zip(fused, flows):
+            np.testing.assert_array_equal(matrix, flow_feature_matrix(flow, 5.0))
+        # The gathered direction column counts in the working set.
+        gathered = plan.packets * trace.directions.itemsize
+        assert sub.metrics.gauges["batch.bytes_materialized"] > gathered
+
     def test_empty_flows_yield_empty_matrices(self):
         trace = make_trace(n=0)
         plan = build_stack("original", seed=3).fused_plan(trace)
@@ -72,7 +88,7 @@ class TestFusedKernel:
         # A flow's gather holds its times/sizes/directions plus the two
         # per-direction float64 size/time views: comfortably under
         # 6 × 8 bytes per packet of the *largest flow*.
-        counts = np.diff(plan.flow_bounds)
+        counts = np.diff(flow_bounds(plan))
         assert high_water <= int(counts.max()) * 6 * 8
         # And far below materializing the whole trace's flows at once.
         assert high_water < len(trace) * 3 * 8
@@ -146,8 +162,8 @@ class TestWindowCacheFusedMemoization:
         assert sub1 is sub2
         assert sub1.metrics.counters["batch.fused_plans"] == 1
 
-    def test_none_plans_are_cached_too(self):
-        """Fallback schemes must not re-attempt fusion per request."""
+    def test_gather_plans_are_cached_too(self):
+        """A morphing plan is built once and pins what it holds."""
         cache = WindowCache()
         trace = make_trace()
         scheme = build_stack("morphing", seed=3)
@@ -159,8 +175,9 @@ class TestWindowCacheFusedMemoization:
 
         plan1, _ = cache.fused_plan(scheme, trace, build)
         plan2, _ = cache.fused_plan(scheme, trace, build)
-        assert plan1 is None and plan2 is None
+        assert plan1 is plan2 and plan1.source is not None
         assert len(calls) == 1
+        assert cache.pinned_bytes == plan1.plan_bytes
 
     def test_flow_matrices_keyed_per_window(self):
         cache = WindowCache()

@@ -89,16 +89,21 @@ class TestWindowCacheSharing:
         assert runner.scheme(SchemeSpec("or", (("interfaces", 3),))) is first
         assert runner.scheme(legacy_scheme_spec("OR", 2)) is not first
 
-    def test_reshaped_flows_cached_across_windows(self, runner):
+    def test_plan_cached_across_windows(self, runner):
         scheme = build_scheme("or")
         trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
-        first = runner.observable_flows(scheme, trace)
-        second = runner.observable_flows(scheme, trace)
-        assert all(a is b for a, b in zip(first, second))
+        with obs.capture() as cap:
+            runner.flow_feature_matrices(scheme, trace, 5.0)
+            runner.flow_feature_matrices(scheme, trace, 10.0)
+        counters = cap.metrics.counters
+        assert counters["proc.window_cache.plan_misses"] == 1
+        assert counters["proc.window_cache.plan_hits"] == 1
+        assert counters["proc.window_cache.matrices_misses"] == 2
+        assert runner.fused_plan(scheme, trace) is runner.fused_plan(scheme, trace)
 
     def test_original_flows_are_the_trace(self, runner):
         trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
-        (flow,) = runner.observable_flows("original", trace)
+        (flow,) = runner.scheme("original").apply(trace).observable_flows
         assert flow is trace
 
     def test_evaluation_populates_feature_cache(self, runner):
@@ -124,9 +129,15 @@ class TestFusedPlanAccessor:
         assert plan.n_flows == len(runner.scheme("or").apply(trace).flows)
         assert counts == [1, 1]  # hit or miss, the request counts the same
 
-    def test_declined_plan_is_none(self, runner):
+    def test_morphing_plans_a_gather_equal_to_apply(self, runner):
         trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
-        assert runner.fused_plan("morphing", trace) is None
+        plan = runner.fused_plan("morphing", trace)
+        (flow,) = runner.scheme("morphing").apply(trace).observable_flows
+        assert plan.source is not None
+        _, source, sizes = plan.gather()
+        np.testing.assert_array_equal(trace.times[source], flow.times)
+        np.testing.assert_array_equal(sizes, flow.sizes)
+        np.testing.assert_array_equal(trace.directions[source], flow.directions)
 
 
 class TestPinnedBytes:
@@ -144,11 +155,11 @@ class TestPinnedBytes:
         expected = plan.plan_bytes + sum(matrix.nbytes for matrix in matrices)
         assert cache.pinned_bytes == expected
         assert cap.metrics.gauges["proc.window_cache.pinned_bytes"] == expected
-        flows = runner.observable_flows("morphing", trace)
         (matrix,) = runner.flow_feature_matrices("morphing", trace, 5.0)
-        columns = ("times", "sizes", "directions", "ifaces", "channels", "rssi")
-        expected += sum(getattr(flow, c).nbytes for flow in flows for c in columns)
-        expected += matrix.nbytes  # the declined plan itself pins nothing
+        gather = runner.fused_plan("morphing", trace)
+        # A gather plan pins its runs' flows, sources, sizes and lengths.
+        assert gather.plan_bytes == 4 * gather.repeats.nbytes
+        expected += gather.plan_bytes + matrix.nbytes
         assert cache.pinned_bytes == expected
         runner.flow_feature_matrices("or", trace, 5.0)  # all hits
         assert cache.pinned_bytes == expected
@@ -166,10 +177,10 @@ class TestRelease:
             )
         )
 
-    def test_fallback_matrices_are_the_applied_flows_featurized(self, runner):
+    def test_morphing_matrices_are_the_applied_flows_featurized(self, runner):
         trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
         matrices = runner.flow_feature_matrices("morphing", trace, 5.0)
-        flows = runner.observable_flows("morphing", trace)
+        flows = runner.scheme("morphing").apply(trace).observable_flows
         assert len(matrices) == len(flows)
         for matrix, flow in zip(matrices, flows):
             np.testing.assert_array_equal(matrix, flow_feature_matrix(flow, 5.0))
@@ -213,8 +224,8 @@ class TestRelease:
         assert runner.flow_feature_matrices("or", trace, 5.0) is kept
 
 
-class TestFallbackRecord:
-    """A non-fusable scheme keeps its accounting, not its flows."""
+class TestGatherPlan:
+    """A fragmenting scheme plans once, pins its gather and never applies."""
 
     @staticmethod
     def _counting_apply(monkeypatch, scheme):
@@ -232,44 +243,30 @@ class TestFallbackRecord:
     def _trace(runner, position=0):
         return runner.scenario.evaluation_by_app()[runner.app_order()[position]][0]
 
-    def test_featurizing_pins_no_flows(self, runner):
+    def test_featurizing_pins_the_plan_and_matrices_only(self, runner):
         scheme = build_stack("morphing", seed=21)
         trace = self._trace(runner)
         cache = runner.window_cache
         before = cache.pinned_bytes
         matrices = runner.flow_feature_matrices(scheme, trace, 5.0)
         runner.stage_overhead(scheme, trace)
-        assert cache.pinned_flows(scheme, trace) is None
-        assert cache.pinned_bytes - before == sum(m.nbytes for m in matrices)
+        plan = runner.fused_plan(scheme, trace)
+        pinned = plan.plan_bytes + sum(m.nbytes for m in matrices)
+        assert cache.pinned_bytes - before == pinned
         cache.release(scheme)
 
-    def test_accounting_after_featurizing_does_not_apply(self, runner, monkeypatch):
+    def test_featurizing_and_accounting_never_apply(self, runner, monkeypatch):
         scheme = build_stack("morphing", seed=22)
         trace = self._trace(runner)
         calls = self._counting_apply(monkeypatch, scheme)
         matrices = runner.flow_feature_matrices(scheme, trace, 5.0)
         (stage,) = runner.stage_overhead(scheme, trace)
         assert runner.flow_feature_matrices(scheme, trace, 5.0) is matrices
-        assert len(calls) == 1
+        assert calls == []
         assert stage == scheme.apply(trace).stages[0]
         runner.window_cache.release(scheme)
 
-    def test_pinned_flows_are_featurized_without_a_second_apply(
-        self, runner, monkeypatch
-    ):
-        scheme = build_stack("morphing", seed=23)
-        trace = self._trace(runner)
-        calls = self._counting_apply(monkeypatch, scheme)
-        flows = runner.observable_flows(scheme, trace)
-        matrices = runner.flow_feature_matrices(scheme, trace, 5.0)
-        runner.stage_overhead(scheme, trace)
-        assert len(calls) == 1
-        assert runner.window_cache.pinned_flows(scheme, trace)[0].observable_flows == flows
-        for matrix, flow in zip(matrices, flows):
-            np.testing.assert_array_equal(matrix, flow_feature_matrix(flow, 5.0))
-        runner.window_cache.release(scheme)
-
-    def test_another_window_applies_again_and_replays_the_record(self, runner):
+    def test_another_window_reuses_the_plan(self, runner):
         scheme = build_stack("morphing", seed=24)
         trace = self._trace(runner)
         _, five = obs.captured(lambda: runner.flow_feature_matrices(scheme, trace, 5.0))
@@ -278,9 +275,9 @@ class TestFallbackRecord:
         )
         for matrix, flow in zip(ten, scheme.apply(trace).observable_flows):
             np.testing.assert_array_equal(matrix, flow_feature_matrix(flow, 10.0))
-        assert again.metrics.counters["proc.window_cache.reapplies"] == 1
-        # The repeat's own telemetry is dropped: the request replays the
-        # recorded apply, exactly as the first window's did.
+        assert again.metrics.counters["proc.window_cache.plan_hits"] == 1
+        # The request replays the recorded plan's telemetry, exactly as
+        # the first window's did.
         assert (
             again.metrics.counters["scheme.apply_calls"]
             == five.metrics.counters["scheme.apply_calls"]
@@ -305,7 +302,7 @@ class TestFallbackRecord:
 
         cold, warm = request(), request()
         assert logical(warm) == logical(cold)
-        assert warm.metrics.counters["proc.window_cache.applied_hits"] == 2
+        assert warm.metrics.counters["proc.window_cache.plan_hits"] == 2
         runner.window_cache.release(scheme)
 
 
@@ -316,16 +313,16 @@ class TestStageOverhead:
             expected = runner.scheme(composition).apply(trace).stages
             assert runner.stage_overhead(composition, trace) == expected
 
-    def test_fallback_reads_the_cached_application(self, runner):
+    def test_morphing_reads_the_cached_plan(self, runner):
         trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
-        flows = runner.observable_flows("morphing", trace)
+        defended = runner.scheme("morphing").apply(trace)
         (stage,) = runner.stage_overhead("morphing", trace)
         assert isinstance(stage, StageOverhead)
-        assert stage.scheme == "morphing"
-        assert stage.flows == len(flows)
+        assert (stage,) == defended.stages
+        assert stage.flows == len(defended.observable_flows)
         hits = runner.window_cache.hits
-        runner.stage_overhead("morphing", trace)  # plan + flow hits, no apply
-        assert runner.window_cache.hits == hits + 2
+        runner.stage_overhead("morphing", trace)  # one plan hit, no apply
+        assert runner.window_cache.hits == hits + 1
 
     def test_undefended_original_books_no_overhead(self, runner):
         trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]

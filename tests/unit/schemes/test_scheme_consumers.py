@@ -39,13 +39,12 @@ class TestRunnerSchemes:
         assert runner.scheme("OR") is runner.scheme("or")
         assert runner.scheme("or") is not runner.scheme("or+fh")
 
-    def test_observable_flows_accepts_every_scheme_spelling(self, runner, trace):
-        from_obj = runner.observable_flows(runner.scheme("or"), trace)
-        from_str = runner.observable_flows("or", trace)
-        from_spec = runner.observable_flows(SchemeSpec("or"), trace)
-        from_tuple = runner.observable_flows((SchemeSpec("or"),), trace)
-        for flows in (from_str, from_spec, from_tuple):
-            assert all(a is b for a, b in zip(flows, from_obj))
+    def test_fused_plan_accepts_every_scheme_spelling(self, runner, trace):
+        from_obj = runner.fused_plan(runner.scheme("or"), trace)
+        for spelling in ("or", SchemeSpec("or"), (SchemeSpec("or"),)):
+            assert runner.fused_plan(spelling, trace) is from_obj
+        flows = runner.scheme("or").apply(trace).observable_flows
+        assert from_obj.n_flows == len(flows)
 
     def test_evaluate_scheme_accepts_spec_directly(self, runner):
         by_spec = runner.evaluate_scheme(legacy_scheme_spec("OR"), 5.0)
