@@ -40,11 +40,22 @@ GOLDEN_PARAMS = ScenarioParams(
 #: Experiment -> option overrides for the frozen runs.  fig1 exercises
 #: the generator path, table1 the reshaping engine, stream_replay the
 #: whole train -> reshape -> featurize -> classify pipeline in both its
-#: batch and streaming incarnations (plus their parity audit).
+#: batch and streaming incarnations (plus their parity audit).  The
+#: accuracy grids (table2-5, window_sweep), the stacked-defense grid,
+#: the combined defense and table6 pin every route that scores a scheme
+#: over the evaluation split.
 GOLDEN_RUNS: dict[str, dict[str, object]] = {
     "table1": {},
     "fig1": {"duration": 20.0, "grid_step": 64},
     "stream_replay": {},
+    "table2": {},
+    "table3": {},
+    "table4": {},
+    "table5": {},
+    "table6": {},
+    "window_sweep": {},
+    "combined": {},
+    "combined_grid": {},
 }
 
 
