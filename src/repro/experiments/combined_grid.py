@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro import obs
 from repro.analysis.attack import PipelineKey
 from repro.analysis.classifiers import CLASSIFIERS
@@ -262,20 +260,16 @@ def _grid_stack(
 def _run_cell(cell: ExperimentCell) -> GridCell:
     params = cell.params["scenario"]
     composition = str(cell.params["composition"])
+    classifier = str(cell.params["classifier"])
     stack = _grid_stack(params, composition, cell.params["specs"])
     runner = parallel.shared_runner(params)
-    pipeline = runner.pipeline(
-        PipelineKey(float(cell.params["window"]), (str(cell.params["classifier"]),))
+    report = runner.evaluate_scheme(
+        stack, PipelineKey(float(cell.params["window"]), (classifier,))
     )
-    matrices_by_label: dict[str, list[np.ndarray]] = {}
     original_bytes = extra_bytes = handshake_bytes = flow_count = 0
     per_stage: dict[str, int] = {}
-    for label, traces in runner.scenario.evaluation_by_label().items():
-        matrices_by_label[label] = []
+    for traces in runner.scenario.evaluation_by_label().values():
         for trace in traces:
-            matrices_by_label[label].extend(
-                runner.flow_feature_matrices(stack, trace, pipeline.window)
-            )
             stages = runner.stage_overhead(stack, trace)
             original_bytes += trace.total_bytes
             extra_bytes += sum(stage.extra_bytes for stage in stages)
@@ -285,10 +279,9 @@ def _run_cell(cell: ExperimentCell) -> GridCell:
                 per_stage[stage.scheme] = (
                     per_stage.get(stage.scheme, 0) + stage.extra_bytes
                 )
-    report = pipeline.evaluate_matrices(matrices_by_label)
     return GridCell(
         composition=composition,
-        classifier=str(cell.params["classifier"]),
+        classifier=classifier,
         mean_accuracy=report.mean_accuracy,
         overhead_percent=100.0 * extra_bytes / max(original_bytes, 1),
         handshake_bytes=handshake_bytes,

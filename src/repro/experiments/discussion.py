@@ -13,8 +13,6 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.analysis.linking import RssiLinker, linking_accuracy
 from repro.core.combined import CombinedDefense
 from repro.experiments import parallel, registry
@@ -79,45 +77,29 @@ def _run_combined_cell(cell: ExperimentCell) -> CombinedDefenseResult:
     rather than to zero — deviation documented in EXPERIMENTS.md.
 
     The attacker is the shared runner's pipeline (trained once per
-    process).  OR and the combined defense both plan and fuse: the
+    process), and ``evaluate_scheme`` scores each defense with it.  OR
+    and the combined defense both plan and fuse: the
     combined plan is OR's assignments plus a morph gather per chosen
     interface, and its byte overhead is read from that same cached plan.
     """
     window = float(cell.params["window"])
     runner = parallel.shared_runner(cell.params["scenario"])
     scenario = runner.scenario
-    pipeline = runner.pipeline(window)
-    orthogonal = runner.scheme(legacy_scheme_spec("or"))
+    split = scenario.evaluation_by_app()
     combined = CombinedDefense(
         build_raw(legacy_scheme_spec("or"), scenario.seed),
-        {
-            0: scenario.evaluation_trace(AppType.GAMING),
-            1: scenario.evaluation_trace(AppType.BROWSING),
-        },
+        {0: split[AppType.GAMING][0], 1: split[AppType.BROWSING][0]},
         seed=scenario.seed,
     )
-
-    or_matrices: dict[str, list[np.ndarray]] = {}
-    combined_matrices: dict[str, list[np.ndarray]] = {}
-    extra_bytes = 0
-    original_bytes = 0
-    for label, traces in scenario.evaluation_by_label().items():
-        or_matrices[label] = []
-        combined_matrices[label] = []
+    or_report = runner.evaluate_scheme(runner.scheme(legacy_scheme_spec("or")), window)
+    combined_report = runner.evaluate_scheme(combined, window)
+    extra_bytes = original_bytes = 0
+    for traces in split.values():
         for trace in traces:
             original_bytes += trace.total_bytes
-            or_matrices[label].extend(
-                runner.flow_feature_matrices(orthogonal, trace, window)
-            )
-            combined_matrices[label].extend(
-                runner.flow_feature_matrices(combined, trace, window)
-            )
             extra_bytes += sum(
                 stage.extra_bytes for stage in runner.stage_overhead(combined, trace)
             )
-
-    or_report = pipeline.evaluate_matrices(or_matrices)
-    combined_report = pipeline.evaluate_matrices(combined_matrices)
     return CombinedDefenseResult(
         or_accuracy=or_report.accuracy_by_class,
         combined_accuracy=combined_report.accuracy_by_class,

@@ -25,6 +25,19 @@ Design constraints:
   ``derive_seed(root, "cell", experiment, cell_name)`` — a pure
   function of the root seed and the cell's name, identical no matter
   which process (or start method) runs the cell.
+
+**Scoring grids.**  Most of the paper's tables make one measurement:
+the attacker trained at window W scores a scheme's observable flows
+over the evaluation split.  Such an experiment (table2, table3, table4,
+table5, window_sweep) declares only its grid, a module-level
+``grid(options)`` returning ``(cell name, window, SchemeSpec)`` per
+cell in cell order, and registers :func:`grid_cells` (bound to the
+grid), :func:`score_cell` and :func:`grid_pipelines` as its
+``build_cells``, ``run_cell`` and ``pipelines``; what it keeps of its
+own is ``combine`` and the rendering.  A cell's result is the
+:class:`~repro.analysis.attack.AttackReport` of
+:meth:`ExperimentRunner.evaluate_scheme
+<repro.experiments.runner.ExperimentRunner.evaluate_scheme>`.
 """
 
 from __future__ import annotations
@@ -32,7 +45,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields
 
-from repro.analysis.attack import PipelineKey
+from repro.analysis.attack import AttackReport, PipelineKey
 from repro.experiments.scenarios import EvaluationScenario, recipe_scalars
 from repro.schemes.spec import SchemeSpec, specs_from_json
 from repro.util.results import ExperimentResult
@@ -41,16 +54,19 @@ from repro.util.rng import derive_seed
 __all__ = [
     "ExperimentCell",
     "ExperimentSpec",
+    "GridEntry",
     "ScenarioParams",
     "all_specs",
     "get",
+    "grid_cells",
+    "grid_pipelines",
     "names",
     "parse_number_list",
     "register",
+    "score_cell",
     "single_cell",
     "take_only",
     "window_option",
-    "windows_option",
 ]
 
 
@@ -234,11 +250,47 @@ def window_option(
     return (PipelineKey(float(options["window"])),)
 
 
-def windows_option(
-    params: "ScenarioParams", options: dict[str, object]
+#: One cell of a scoring grid: its name, the attacker's window and the
+#: scheme recipe the attacker scores.
+GridEntry = tuple[str, float, SchemeSpec]
+
+#: A scoring grid: its entries for the resolved options, in cell order.
+Grid = Callable[[dict[str, object]], tuple[GridEntry, ...]]
+
+
+def grid_cells(
+    params: "ScenarioParams",
+    options: dict[str, object],
+    *,
+    experiment: str,
+    grid: Grid,
+) -> tuple[ExperimentCell, ...]:
+    """``build_cells`` of a scoring grid: one cell per entry of ``grid``."""
+    return tuple(
+        make_cell(
+            experiment,
+            name,
+            {"scenario": params, "window": window, "spec": spec},
+            params.seed,
+        )
+        for name, window, spec in grid(options)
+    )
+
+
+def grid_pipelines(
+    params: "ScenarioParams", options: dict[str, object], *, grid: Grid
 ) -> tuple[PipelineKey, ...]:
-    """``pipelines`` of a spec whose cells use its ``windows`` list."""
-    return tuple(PipelineKey(window) for window in parse_number_list(options["windows"]))
+    """``pipelines`` of a scoring grid: the default key of each distinct window."""
+    return tuple(dict.fromkeys(PipelineKey(window) for _, window, _ in grid(options)))
+
+
+def score_cell(cell: ExperimentCell) -> AttackReport:
+    """``run_cell`` of a scoring grid: the cell's scheme, scored at its window."""
+    from repro.experiments.parallel import shared_runner
+
+    runner = shared_runner(cell.params["scenario"])
+    scheme = runner.scheme(cell.params["spec"])
+    return runner.evaluate_scheme(scheme, float(cell.params["window"]))
 
 
 def take_only(

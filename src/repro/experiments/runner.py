@@ -28,7 +28,6 @@ from repro.analysis.classifiers.selection import TaskMap
 from repro.defenses.base import FusedPlan, StageOverhead
 from repro.experiments.scenarios import EvaluationScenario
 from repro.schemes import Scheme, SchemeSpec, build_stack, canonical_stack
-from repro.traffic.apps import AppType
 from repro.traffic.trace import Trace
 
 __all__ = ["ExperimentRunner", "train_pipelines"]
@@ -223,31 +222,23 @@ class ExperimentRunner:
     def evaluate_scheme(
         self,
         scheme: "SchemeLike",
-        window: float,
+        key: PipelineKey | float,
     ) -> AttackReport:
         """Attack every application's evaluation sessions under one scheme.
 
-        Featurization routes through :meth:`flow_feature_matrices`;
-        scoring is the pipeline's :meth:`~AttackPipeline.evaluate_matrices`.
+        The one loop that scores a scheme over the evaluation split:
+        ``key``'s pipeline (a bare window: its default key) scores the
+        scheme's flows, featurized at the pipeline's window through
+        :meth:`flow_feature_matrices`, with
+        :meth:`~AttackPipeline.evaluate_matrices`.
         """
-        pipeline = self.pipeline(window)
+        pipeline = self.pipeline(key)
         matrices_by_label: dict[str, list[np.ndarray]] = {}
         for label, traces in self.scenario.evaluation_by_label().items():
             matrices: list[np.ndarray] = []
             for trace in traces:
-                matrices.extend(self.flow_feature_matrices(scheme, trace, window))
+                matrices.extend(
+                    self.flow_feature_matrices(scheme, trace, pipeline.window)
+                )
             matrices_by_label[label] = matrices
         return pipeline.evaluate_matrices(matrices_by_label)
-
-    @staticmethod
-    def app_order() -> tuple[AppType, ...]:
-        """Row order used by every table (br, ch, ga, do, up, vo, bt)."""
-        return (
-            AppType.BROWSING,
-            AppType.CHATTING,
-            AppType.GAMING,
-            AppType.DOWNLOADING,
-            AppType.UPLOADING,
-            AppType.VIDEO,
-            AppType.BITTORRENT,
-        )

@@ -7,14 +7,14 @@ independent (train-at-W, evaluate-scheme) units.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.analysis.attack import AttackReport
-from repro.experiments import parallel, registry
+from repro.experiments import registry
 from repro.experiments.registry import (
-    ExperimentCell,
     ExperimentSpec,
+    GridEntry,
     ScenarioParams,
-    make_cell,
     parse_number_list,
 )
 from repro.schemes import DEFAULT_INTERFACES, legacy_scheme_spec
@@ -31,31 +31,26 @@ class Table4Result:
     fp_rates: dict[tuple[float, str], dict[str, float]]
     mean_fp: dict[tuple[float, str], float]
 
+    def columns(self) -> list[tuple[float, str]]:
+        """The (window, scheme) columns: by window, Original before OR."""
+        return sorted(self.fp_rates, key=lambda key: (key[0], key[1] != "Original"))
+
     def rows(self) -> list[list[object]]:
-        """One row per app (+ Mean): FP% at (5s orig, 5s OR, 60s orig, 60s OR)."""
-        order = (
-            "browsing",
-            "chatting",
-            "gaming",
-            "downloading",
-            "uploading",
-            "video",
-            "bittorrent",
-        )
-        columns = [(5.0, "Original"), (5.0, "OR"), (60.0, "Original"), (60.0, "OR")]
+        """One row per app (+ Mean): FP% per column of :meth:`columns`."""
+        columns = self.columns()
         rows: list[list[object]] = []
-        for app in order:
+        for app in (app.value for app in ALL_APPS):
             rows.append([app] + [self.fp_rates[column][app] for column in columns])
         rows.append(["Mean"] + [self.mean_fp[column] for column in columns])
         return rows
 
 
 # ----------------------------------------------------------------------
-# Registry integration: one cell per (window, scheme)
+# Registry integration: a scoring grid, one cell per (window, scheme)
 # ----------------------------------------------------------------------
 
 
-def _grid(options: dict[str, object]) -> tuple[tuple[float, str], ...]:
+def _columns(options: dict[str, object]) -> tuple[tuple[float, str], ...]:
     return tuple(
         (window, scheme)
         for window in parse_number_list(options["windows"])
@@ -63,30 +58,16 @@ def _grid(options: dict[str, object]) -> tuple[tuple[float, str], ...]:
     )
 
 
-def _cells(
-    params: ScenarioParams, options: dict[str, object]
-) -> tuple[ExperimentCell, ...]:
+def _grid(options: dict[str, object]) -> tuple[GridEntry, ...]:
+    interfaces = int(options["interfaces"])
     return tuple(
-        make_cell(
-            "table4",
+        (
             f"window={window:g}/scheme={scheme}",
-            {
-                "scenario": params,
-                "window": window,
-                "scheme": scheme,
-                "spec": legacy_scheme_spec(scheme, int(options["interfaces"])),
-                "interfaces": int(options["interfaces"]),
-            },
-            params.seed,
+            window,
+            legacy_scheme_spec(scheme, interfaces),
         )
-        for window, scheme in _grid(options)
+        for window, scheme in _columns(options)
     )
-
-
-def _run_cell(cell: ExperimentCell) -> AttackReport:
-    runner = parallel.shared_runner(cell.params["scenario"])
-    scheme = runner.scheme(cell.params["spec"])
-    return runner.evaluate_scheme(scheme, float(cell.params["window"]))
 
 
 def _combine(
@@ -96,9 +77,9 @@ def _combine(
 ) -> Table4Result:
     fp_rates: dict[tuple[float, str], dict[str, float]] = {}
     mean_fp: dict[tuple[float, str], float] = {}
-    for (window, scheme), report in zip(_grid(options), results):
-        fp_rates[(window, scheme)] = report.false_positive_by_class
-        mean_fp[(window, scheme)] = report.mean_false_positive
+    for column, report in zip(_columns(options), results):
+        fp_rates[column] = report.false_positive_by_class
+        mean_fp[column] = report.mean_false_positive
     return Table4Result(fp_rates=fp_rates, mean_fp=mean_fp)
 
 
@@ -107,17 +88,14 @@ def _to_result(
     options: dict[str, object],
     result: Table4Result,
 ) -> ExperimentResult:
-    columns = sorted(result.fp_rates, key=lambda key: (key[0], key[1] != "Original"))
-    headers = ["app"] + [f"{scheme} W={window:g}s" for window, scheme in columns]
-    rows: list[tuple[object, ...]] = []
-    for app in (a.value for a in ALL_APPS):
-        rows.append((app, *(result.fp_rates[column][app] for column in columns)))
-    rows.append(("Mean", *(result.mean_fp[column] for column in columns)))
     return ExperimentResult(
         experiment="table4",
         title="Table IV — false-positive rates %, Original vs OR",
-        headers=tuple(headers),
-        rows=tuple(rows),
+        headers=(
+            "app",
+            *(f"{scheme} W={window:g}s" for window, scheme in result.columns()),
+        ),
+        rows=tuple(tuple(row) for row in result.rows()),
         params={**params.as_dict(), **options},
     )
 
@@ -130,11 +108,11 @@ registry.register(
             "Per-application false-positive rate at W = 5 s and W = 60 s, "
             "undefended vs OR; one cell per (window, scheme)."
         ),
-        build_cells=_cells,
-        run_cell=_run_cell,
+        build_cells=partial(registry.grid_cells, experiment="table4", grid=_grid),
+        run_cell=registry.score_cell,
         combine=_combine,
         to_result=_to_result,
         options={"windows": "5,60", "interfaces": DEFAULT_INTERFACES},
-        pipelines=registry.windows_option,
+        pipelines=partial(registry.grid_pipelines, grid=_grid),
     )
 )

@@ -10,17 +10,18 @@ Registered as ``table5``: one cell per interface count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.analysis.attack import AttackReport
-from repro.experiments import parallel, registry
+from repro.experiments import registry
 from repro.experiments.registry import (
-    ExperimentCell,
     ExperimentSpec,
+    GridEntry,
     ScenarioParams,
-    make_cell,
     parse_number_list,
 )
 from repro.schemes import PAPER_INTERFACE_COUNTS, legacy_scheme_spec
+from repro.traffic.apps import ALL_APPS
 from repro.util.results import ExperimentResult
 
 __all__ = ["Table5Result"]
@@ -35,25 +36,16 @@ class Table5Result:
 
     def rows(self) -> list[list[object]]:
         """One row per app (+ Mean), one column per I."""
-        order = (
-            "browsing",
-            "chatting",
-            "gaming",
-            "downloading",
-            "uploading",
-            "video",
-            "bittorrent",
-        )
         counts = sorted(self.accuracies)
         rows: list[list[object]] = []
-        for app in order:
+        for app in (app.value for app in ALL_APPS):
             rows.append([app] + [self.accuracies[i][app] for i in counts])
         rows.append(["Mean"] + [self.means[i] for i in counts])
         return rows
 
 
 # ----------------------------------------------------------------------
-# Registry integration: one cell per interface count
+# Registry integration: a scoring grid, one cell per interface count
 # ----------------------------------------------------------------------
 
 
@@ -61,29 +53,12 @@ def _counts(options: dict[str, object]) -> tuple[int, ...]:
     return parse_number_list(options["interfaces"], int)
 
 
-def _cells(
-    params: ScenarioParams, options: dict[str, object]
-) -> tuple[ExperimentCell, ...]:
+def _grid(options: dict[str, object]) -> tuple[GridEntry, ...]:
+    window = float(options["window"])
     return tuple(
-        make_cell(
-            "table5",
-            f"interfaces={count}",
-            {
-                "scenario": params,
-                "interfaces": count,
-                "spec": legacy_scheme_spec("or", count),
-                "window": float(options["window"]),
-            },
-            params.seed,
-        )
+        (f"interfaces={count}", window, legacy_scheme_spec("or", count))
         for count in _counts(options)
     )
-
-
-def _run_cell(cell: ExperimentCell) -> AttackReport:
-    runner = parallel.shared_runner(cell.params["scenario"])
-    scheme = runner.scheme(cell.params["spec"])
-    return runner.evaluate_scheme(scheme, float(cell.params["window"]))
 
 
 def _combine(
@@ -122,14 +97,14 @@ registry.register(
             "OR accuracy at W = 5 s as the interface count sweeps over "
             "{2, 3, 5}; one cell per interface count."
         ),
-        build_cells=_cells,
-        run_cell=_run_cell,
+        build_cells=partial(registry.grid_cells, experiment="table5", grid=_grid),
+        run_cell=registry.score_cell,
         combine=_combine,
         to_result=_to_result,
         options={
             "window": 5.0,
             "interfaces": ",".join(str(c) for c in PAPER_INTERFACE_COUNTS),
         },
-        pipelines=registry.window_option,
+        pipelines=partial(registry.grid_pipelines, grid=_grid),
     )
 )

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.analysis.attack import AttackPipeline, PipelineKey
 from repro.defenses.morphing import TrafficMorphing
-from repro.defenses.overhead import overhead_percent
 from repro.experiments import parallel, registry
 from repro.experiments.registry import (
     ExperimentCell,
@@ -31,7 +30,8 @@ from repro.experiments.registry import (
 )
 from repro.experiments.runner import ExperimentRunner
 from repro.schemes import SchemeSpec
-from repro.traffic.apps import AppType
+from repro.traffic.apps import ALL_APPS, AppType
+from repro.traffic.trace import Trace
 from repro.util.results import ExperimentResult
 
 __all__ = ["Table6Result"]
@@ -70,17 +70,8 @@ class Table6Result:
 
     def rows(self) -> list[list[object]]:
         """One row per app plus the Mean row."""
-        order = (
-            "browsing",
-            "chatting",
-            "gaming",
-            "downloading",
-            "uploading",
-            "video",
-            "bittorrent",
-        )
         rows: list[list[object]] = []
-        for app in order:
+        for app in (app.value for app in ALL_APPS):
             rows.append(
                 [
                     app,
@@ -104,6 +95,11 @@ class Table6Result:
 _PADDING = SchemeSpec("padding")
 
 
+def _percent(extra_bytes: int, trace: Trace) -> float:
+    """``extra_bytes`` as a percentage of ``trace``'s volume (0 when empty)."""
+    return 100.0 * extra_bytes / trace.total_bytes if trace.total_bytes else 0.0
+
+
 def _app_row(
     runner: ExperimentRunner,
     pipeline: AttackPipeline,
@@ -113,9 +109,10 @@ def _app_row(
 
     Padded flows are featurized through the runner's dispatch and the
     padding overhead read from the same cached plan; morphing only
-    needs its byte overhead (the timing attack is shared).  Per-class
-    accuracy depends only on that class's confusion row, so scoring
-    each application on its own yields the joint evaluation's numbers.
+    needs its byte overhead (the timing attack is shared), read off its
+    plan without materializing a morphed flow.  Per-class accuracy
+    depends only on that class's confusion row, so scoring each
+    application on its own yields the joint evaluation's numbers.
     """
     scenario = runner.scenario
     padding = runner.scheme(_PADDING)
@@ -128,9 +125,7 @@ def _app_row(
             runner.flow_feature_matrices(padding, trace, pipeline.window)
         )
         extra = sum(stage.extra_bytes for stage in runner.stage_overhead(padding, trace))
-        pad_overheads.append(
-            100.0 * extra / trace.total_bytes if trace.total_bytes else 0.0
-        )
+        pad_overheads.append(_percent(extra, trace))
         if target_app is None:
             morph_overheads.append(0.0)
         else:
@@ -138,9 +133,12 @@ def _app_row(
                 target_trace=scenario.evaluation_trace(AppType(target_app)),
                 seed=scenario.seed + session_index,
             )
-            # Only the byte cost is read, so the morph is not counted
-            # as an evaluated scheme application.
-            morph_overheads.append(overhead_percent(morpher.transform(trace)))
+            # Only the byte cost is read, so the morph is planned without
+            # telemetry rather than counted as an evaluated scheme.
+            plan = morpher.fused_plan_columns(
+                trace.times, trace.sizes, trace.directions, trace.label
+            )
+            morph_overheads.append(_percent(plan.extra_bytes, trace))
     report = pipeline.evaluate_matrices({app.value: matrices})
     return (
         report.accuracy_by_class[app.value],
@@ -151,7 +149,7 @@ def _app_row(
 
 def _table(rows: list[tuple[float, float, float]]) -> Table6Result:
     """Per-app ``(accuracy, padding %, morphing %)`` rows, in AppType order."""
-    apps = [app.value for app in AppType]
+    apps = [app.value for app in ALL_APPS]
     accuracy, padding, morphing = (dict(zip(apps, column)) for column in zip(*rows))
     return Table6Result(
         accuracy=accuracy, padding_overhead=padding, morphing_overhead=morphing
@@ -182,7 +180,7 @@ def _cells(
             },
             params.seed,
         )
-        for app in AppType
+        for app in ALL_APPS
     )
 
 

@@ -13,15 +13,11 @@ from dataclasses import dataclass
 from functools import partial
 
 from repro.analysis.attack import AttackReport
-from repro.experiments import parallel, registry
-from repro.experiments.registry import (
-    ExperimentCell,
-    ExperimentSpec,
-    ScenarioParams,
-    make_cell,
-)
+from repro.experiments import registry
+from repro.experiments.registry import ExperimentSpec, GridEntry, ScenarioParams
 from repro.experiments.scenarios import SCHEME_NAMES
 from repro.schemes import DEFAULT_INTERFACES, legacy_scheme_spec
+from repro.traffic.apps import ALL_APPS
 from repro.util.results import ExperimentResult
 
 __all__ = ["AccuracyTable"]
@@ -44,55 +40,25 @@ class AccuracyTable:
 
     def rows(self) -> list[list[object]]:
         """Table rows: one per app plus a Mean row, columns per scheme."""
-        runner_order = (
-            "browsing",
-            "chatting",
-            "gaming",
-            "downloading",
-            "uploading",
-            "video",
-            "bittorrent",
-        )
         rows: list[list[object]] = []
-        for app in runner_order:
+        for app in (app.value for app in ALL_APPS):
             rows.append([app] + [self.accuracy(scheme, app) for scheme in SCHEME_NAMES])
         rows.append(["Mean"] + [self.mean(scheme) for scheme in SCHEME_NAMES])
         return rows
 
 
 # ----------------------------------------------------------------------
-# Registry integration: one cell per scheme
+# Registry integration: a scoring grid, one cell per scheme
 # ----------------------------------------------------------------------
 
 
-def _accuracy_cells(
-    params: ScenarioParams,
-    options: dict[str, object],
-    experiment: str,
-) -> tuple[ExperimentCell, ...]:
-    # The scheme grid is declared as registry specs: the cell carries
-    # the picklable recipe, never a live scheduler object.
+def _grid(options: dict[str, object]) -> tuple[GridEntry, ...]:
+    window = float(options["window"])
+    interfaces = int(options["interfaces"])
     return tuple(
-        make_cell(
-            experiment,
-            f"scheme={scheme}",
-            {
-                "scenario": params,
-                "scheme": scheme,
-                "spec": legacy_scheme_spec(scheme, int(options["interfaces"])),
-                "window": float(options["window"]),
-                "interfaces": int(options["interfaces"]),
-            },
-            params.seed,
-        )
+        (f"scheme={scheme}", window, legacy_scheme_spec(scheme, interfaces))
         for scheme in SCHEME_NAMES
     )
-
-
-def _run_accuracy_cell(cell: ExperimentCell) -> AttackReport:
-    runner = parallel.shared_runner(cell.params["scenario"])
-    scheme = runner.scheme(cell.params["spec"])
-    return runner.evaluate_scheme(scheme, float(cell.params["window"]))
 
 
 def _combine_accuracy(
@@ -134,11 +100,11 @@ for _name, _window, _title in (
                 "Per-application accuracy of the best attacker under "
                 "Original/FH/RA/RR/OR; one cell per scheme."
             ),
-            build_cells=partial(_accuracy_cells, experiment=_name),
-            run_cell=_run_accuracy_cell,
+            build_cells=partial(registry.grid_cells, experiment=_name, grid=_grid),
+            run_cell=registry.score_cell,
             combine=_combine_accuracy,
             to_result=partial(_accuracy_result, experiment=_name, title=_title),
             options={"window": _window, "interfaces": DEFAULT_INTERFACES},
-            pipelines=registry.window_option,
+            pipelines=partial(registry.grid_pipelines, grid=_grid),
         )
     )

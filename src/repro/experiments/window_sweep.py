@@ -15,13 +15,14 @@ computes each flow's feature matrix once per window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from repro.experiments import parallel, registry
+from repro.analysis.attack import AttackReport
+from repro.experiments import registry
 from repro.experiments.registry import (
-    ExperimentCell,
     ExperimentSpec,
+    GridEntry,
     ScenarioParams,
-    make_cell,
     parse_number_list,
 )
 from repro.schemes import legacy_scheme_spec
@@ -59,11 +60,11 @@ class WindowSweepResult:
 
 
 # ----------------------------------------------------------------------
-# Registry integration: one cell per (window, scheme)
+# Registry integration: a scoring grid, one cell per (window, scheme)
 #
 # This is the widest deterministic grid (2 schemes x N windows) and the
 # headline target for `repro run window_sweep --jobs N`: every cell
-# trains/evaluates independently, so wall-clock scales with cores.
+# evaluates independently, so wall-clock scales with cores.
 # ----------------------------------------------------------------------
 
 
@@ -71,50 +72,24 @@ def _windows(options: dict[str, object]) -> tuple[float, ...]:
     return parse_number_list(options["windows"])
 
 
-def _grid(options: dict[str, object]) -> tuple[tuple[float, str], ...]:
+def _grid(options: dict[str, object]) -> tuple[GridEntry, ...]:
     return tuple(
-        (window, scheme)
+        (f"window={window:g}/scheme={scheme}", window, legacy_scheme_spec(scheme))
         for window in _windows(options)
         for scheme in ("Original", "OR")
     )
 
 
-def _cells(
-    params: ScenarioParams, options: dict[str, object]
-) -> tuple[ExperimentCell, ...]:
-    return tuple(
-        make_cell(
-            "window_sweep",
-            f"window={window:g}/scheme={scheme}",
-            {
-                "scenario": params,
-                "window": window,
-                "scheme": scheme,
-                "spec": legacy_scheme_spec(scheme),
-            },
-            params.seed,
-        )
-        for window, scheme in _grid(options)
-    )
-
-
-def _run_cell(cell: ExperimentCell) -> float:
-    runner = parallel.shared_runner(cell.params["scenario"])
-    scheme = runner.scheme(cell.params["spec"])
-    return runner.evaluate_scheme(scheme, float(cell.params["window"])).mean_accuracy
-
-
 def _combine(
     params: ScenarioParams,
     options: dict[str, object],
-    results: list[float],
+    results: list[AttackReport],
 ) -> WindowSweepResult:
-    by_cell = dict(zip(_grid(options), results))
-    windows = _windows(options)
+    means = [report.mean_accuracy for report in results]
     return WindowSweepResult(
-        windows=windows,
-        original=tuple(by_cell[(window, "Original")] for window in windows),
-        orthogonal=tuple(by_cell[(window, "OR")] for window in windows),
+        windows=_windows(options),
+        original=tuple(means[0::2]),
+        orthogonal=tuple(means[1::2]),
     )
 
 
@@ -141,11 +116,13 @@ registry.register(
             "Mean accuracy of Original and OR across eavesdropping windows; "
             "one cell per (window, scheme) — the widest parallel grid."
         ),
-        build_cells=_cells,
-        run_cell=_run_cell,
+        build_cells=partial(
+            registry.grid_cells, experiment="window_sweep", grid=_grid
+        ),
+        run_cell=registry.score_cell,
         combine=_combine,
         to_result=_to_result,
         options={"windows": "5,15,30,60"},
-        pipelines=registry.windows_option,
+        pipelines=partial(registry.grid_pipelines, grid=_grid),
     )
 )

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from repro.defenses.morphing import TrafficMorphing
 from repro.experiments import parallel
-from repro.experiments.parallel import run_experiment
+from repro.experiments.parallel import run_experiment, run_experiment_result
 from repro.experiments.registry import ScenarioParams
 from repro.experiments.scenarios import SCHEME_NAMES
 from repro.schemes import build_scheme, legacy_scheme_spec
 from repro.schemes.base import IdentityScheme
+from repro.traffic.apps import ALL_APPS
 
 #: The reduced-scale corpus the table experiments share.
 SCENARIO = ScenarioParams(
@@ -84,6 +86,18 @@ class TestTables:
         result = run_experiment("table4", SCENARIO, {"windows": "5"})
         assert result.mean_fp[(5.0, "OR")] > result.mean_fp[(5.0, "Original")]
 
+    @pytest.mark.parametrize("windows", ["5", "60,5", "5,15,60"])
+    def test_table4_rows_follow_the_declared_windows(self, windows):
+        result = run_experiment("table4", SCENARIO, {"windows": windows})
+        rows = result.rows()
+        assert [row[0] for row in rows] == [app.value for app in ALL_APPS] + ["Mean"]
+        assert {len(row) for row in rows} == {1 + 2 * len(windows.split(","))}
+        rendered = run_experiment_result("table4", SCENARIO, {"windows": windows})
+        assert rendered.rows == tuple(tuple(row) for row in rows)
+        assert rendered.headers[1:] == tuple(
+            f"{scheme} W={window:g}s" for window, scheme in result.columns()
+        )
+
     def test_table5_sweep(self):
         result = run_experiment("table5", SCENARIO, {"interfaces": "2,3"})
         rows = result.rows()
@@ -99,6 +113,16 @@ class TestTables:
         assert result.morphing_overhead["video"] < 15.0
         assert result.morphing_overhead["downloading"] == 0.0
         assert result.mean_padding_overhead > result.mean_morphing_overhead
+
+
+    def test_table6_morphing_overhead_materializes_no_flow(self, monkeypatch):
+        expected = run_experiment("table6", SCENARIO)
+
+        def refuse(self, trace):
+            raise AssertionError("table6 materialized a morphed flow")
+
+        monkeypatch.setattr(TrafficMorphing, "transform", refuse)
+        assert run_experiment("table6", SCENARIO) == expected
 
 
 class TestDiscussion:

@@ -63,14 +63,14 @@ class TestRunnerParity:
     def test_reports_match_materializing_loop(self, scenario, spec):
         fused_runner = ExperimentRunner(scenario)
         legacy_runner = ExperimentRunner(scenario)
-        fused = fused_runner.evaluate_scheme(spec, window=5.0)
+        fused = fused_runner.evaluate_scheme(spec, 5.0)
         reference = legacy_report(legacy_runner, spec, window=5.0)
         assert_reports_equal(fused, reference)
 
     def test_morphing_plans_and_still_matches(self, scenario):
         fused_runner = ExperimentRunner(scenario)
         legacy_runner = ExperimentRunner(scenario)
-        fused = fused_runner.evaluate_scheme("morphing", window=5.0)
+        fused = fused_runner.evaluate_scheme("morphing", 5.0)
         reference = legacy_report(legacy_runner, "morphing", window=5.0)
         assert_reports_equal(fused, reference)
 
@@ -78,7 +78,7 @@ class TestRunnerParity:
 class TestRouteTelemetry:
     def _evaluate(self, scenario, spec):
         runner = ExperimentRunner(scenario)
-        _, sub = obs.captured(lambda: runner.evaluate_scheme(spec, window=5.0))
+        _, sub = obs.captured(lambda: runner.evaluate_scheme(spec, 5.0))
         return sub.metrics.counters
 
     def test_fusable_scheme_never_falls_back(self, scenario):
@@ -96,8 +96,8 @@ class TestRouteTelemetry:
 
     def test_second_window_hits_the_plan_cache(self, scenario):
         runner = ExperimentRunner(scenario)
-        runner.evaluate_scheme("or", window=5.0)
-        _, sub = obs.captured(lambda: runner.evaluate_scheme("or", window=7.0))
+        runner.evaluate_scheme("or", 5.0)
+        _, sub = obs.captured(lambda: runner.evaluate_scheme("or", 7.0))
         counters = sub.metrics.counters
         # Plans are window-independent: the second window replans nothing.
         assert counters["proc.window_cache.plan_hits"] > 0

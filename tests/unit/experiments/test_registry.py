@@ -3,12 +3,14 @@
 import pytest
 
 import repro.experiments  # noqa: F401  (importing registers every spec)
-from repro.experiments import registry
+from repro.analysis.attack import PipelineKey
+from repro.experiments import registry, run_experiment
 from repro.experiments.registry import (
     ScenarioParams,
     make_cell,
     parse_number_list,
 )
+from repro.experiments.runner import ExperimentRunner
 from repro.traffic.apps import AppType
 from repro.util.rng import derive_seed
 
@@ -71,6 +73,103 @@ class TestCellDecomposition:
         # Distinct cells, distinct streams; distinct roots, distinct streams.
         assert cell.seed != make_cell("table2", "scheme=RA", {}, 7).seed
         assert cell.seed != make_cell("table2", "scheme=OR", {}, 8).seed
+
+
+_ACCURACY_CELLS = tuple(
+    f"scheme={scheme}" for scheme in ("Original", "FH", "RA", "RR", "OR")
+)
+
+
+def _sweep_cells(*windows: str) -> tuple[str, ...]:
+    return tuple(
+        f"window={window}/scheme={scheme}"
+        for window in windows
+        for scheme in ("Original", "OR")
+    )
+
+
+class TestScoringGrids:
+    """The experiments declared as a scoring grid: cells, keys, one route."""
+
+    #: (experiment, option overrides, cell names in order, pipeline windows)
+    GRIDS = [
+        ("table2", {}, _ACCURACY_CELLS, (5.0,)),
+        ("table3", {}, _ACCURACY_CELLS, (60.0,)),
+        ("table4", {}, _sweep_cells("5", "60"), (5.0, 60.0)),
+        ("table4", {"windows": "5"}, _sweep_cells("5"), (5.0,)),
+        (
+            "table5",
+            {},
+            ("interfaces=2", "interfaces=3", "interfaces=5"),
+            (5.0,),
+        ),
+        ("table5", {"interfaces": "2,3"}, ("interfaces=2", "interfaces=3"), (5.0,)),
+        (
+            "window_sweep",
+            {},
+            _sweep_cells("5", "15", "30", "60"),
+            (5.0, 15.0, 30.0, 60.0),
+        ),
+    ]
+
+    @pytest.mark.parametrize("name,overrides,cells,windows", GRIDS)
+    def test_cell_names_order_and_seeds(self, name, overrides, cells, windows):
+        spec = registry.get(name)
+        params = ScenarioParams(seed=11)
+        built = spec.build_cells(params, spec.resolve_options(overrides))
+        assert tuple(cell.name for cell in built) == cells
+        assert [cell.seed for cell in built] == [
+            derive_seed(11, "cell", name, cell) for cell in cells
+        ]
+
+    @pytest.mark.parametrize("name,overrides,cells,windows", GRIDS)
+    def test_pipelines_are_the_default_key_per_distinct_window(
+        self, name, overrides, cells, windows
+    ):
+        spec = registry.get(name)
+        options = spec.resolve_options(overrides)
+        assert spec.pipelines(ScenarioParams(), options) == tuple(
+            PipelineKey(window) for window in windows
+        )
+
+    @pytest.mark.parametrize(
+        "name", ["table2", "table3", "table4", "table5", "window_sweep"]
+    )
+    def test_every_cell_scores_through_one_route(self, name):
+        spec = registry.get(name)
+        assert spec.run_cell is registry.score_cell
+        params = ScenarioParams(seed=11)
+        for cell in spec.build_cells(params, spec.resolve_options(None)):
+            assert set(cell.params) == {"scenario", "window", "spec"}
+            assert cell.params["scenario"] == params
+
+    @pytest.mark.parametrize(
+        "name,overrides,first_cell",
+        [
+            ("table2", {}, "scheme=Original"),
+            ("table3", {}, "scheme=Original"),
+            ("table4", {"windows": "5"}, "window=5/scheme=Original"),
+            ("table5", {"interfaces": "2"}, "interfaces=2"),
+            ("window_sweep", {"windows": "5"}, "window=5/scheme=Original"),
+        ],
+    )
+    def test_a_failing_cell_names_the_experiment_and_the_cell(
+        self, monkeypatch, name, overrides, first_cell
+    ):
+        def fail(self, scheme, key):
+            raise ValueError("scoring failed")
+
+        monkeypatch.setattr(ExperimentRunner, "evaluate_scheme", fail)
+        params = ScenarioParams(
+            seed=5, train_duration=30.0, eval_duration=20.0,
+            train_sessions=1, eval_sessions=1,
+        )
+        with pytest.raises(
+            RuntimeError,
+            match=f"experiment '{name}' cell '{first_cell}' failed: "
+            "ValueError: scoring failed",
+        ):
+            run_experiment(name, params, overrides)
 
 
 class TestOptions:

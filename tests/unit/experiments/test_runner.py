@@ -10,6 +10,7 @@ from repro.defenses.base import StageOverhead
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import EvaluationScenario
 from repro.schemes import SchemeSpec, build_scheme, build_stack, legacy_scheme_spec
+from repro.traffic.apps import ALL_APPS
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +92,7 @@ class TestWindowCacheSharing:
 
     def test_plan_cached_across_windows(self, runner):
         scheme = build_scheme("or")
-        trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
+        trace = runner.scenario.evaluation_by_app()[ALL_APPS[0]][0]
         with obs.capture() as cap:
             runner.flow_feature_matrices(scheme, trace, 5.0)
             runner.flow_feature_matrices(scheme, trace, 10.0)
@@ -102,9 +103,31 @@ class TestWindowCacheSharing:
         assert runner.fused_plan(scheme, trace) is runner.fused_plan(scheme, trace)
 
     def test_original_flows_are_the_trace(self, runner):
-        trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
+        trace = runner.scenario.evaluation_by_app()[ALL_APPS[0]][0]
         (flow,) = runner.scheme("original").apply(trace).observable_flows
         assert flow is trace
+
+    def test_evaluate_scheme_scores_with_the_keyed_pipeline(self, runner):
+        key = PipelineKey(5.0, ("svm",))
+        report = runner.evaluate_scheme("original", key)
+        expected = runner.pipeline(key).evaluate_matrices(
+            {
+                label: [
+                    matrix
+                    for trace in traces
+                    for matrix in runner.flow_feature_matrices("original", trace, 5.0)
+                ]
+                for label, traces in runner.scenario.evaluation_by_label().items()
+            }
+        )
+        assert report.confusion.classes == expected.confusion.classes
+        np.testing.assert_array_equal(report.confusion.matrix, expected.confusion.matrix)
+
+    def test_evaluate_scheme_featurizes_at_the_pipeline_window(self, runner):
+        runner.evaluate_scheme("original", 5.0)
+        with obs.capture() as cap:
+            runner.evaluate_scheme("original", PipelineKey(5.0 + 1e-12))
+        assert "proc.window_cache.matrices_misses" not in cap.metrics.counters
 
     def test_evaluation_populates_feature_cache(self, runner):
         runner.window_cache.clear()
@@ -119,7 +142,7 @@ class TestWindowCacheSharing:
 
 class TestFusedPlanAccessor:
     def test_returns_the_cached_plan_and_replays_its_telemetry(self, runner):
-        trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
+        trace = runner.scenario.evaluation_by_app()[ALL_APPS[0]][0]
         counts = []
         for _ in range(2):
             with obs.capture() as cap:
@@ -130,7 +153,7 @@ class TestFusedPlanAccessor:
         assert counts == [1, 1]  # hit or miss, the request counts the same
 
     def test_morphing_plans_a_gather_equal_to_apply(self, runner):
-        trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
+        trace = runner.scenario.evaluation_by_app()[ALL_APPS[0]][0]
         plan = runner.fused_plan("morphing", trace)
         (flow,) = runner.scheme("morphing").apply(trace).observable_flows
         assert plan.source is not None
@@ -148,7 +171,7 @@ class TestPinnedBytes:
         )
         runner = ExperimentRunner(scenario)
         cache = runner.window_cache
-        trace = scenario.evaluation_by_app()[runner.app_order()[0]][0]
+        trace = scenario.evaluation_by_app()[ALL_APPS[0]][0]
         with obs.capture() as cap:
             matrices = runner.flow_feature_matrices("or", trace, 5.0)
         plan = runner.fused_plan("or", trace)
@@ -178,7 +201,7 @@ class TestRelease:
         )
 
     def test_morphing_matrices_are_the_applied_flows_featurized(self, runner):
-        trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
+        trace = runner.scenario.evaluation_by_app()[ALL_APPS[0]][0]
         matrices = runner.flow_feature_matrices("morphing", trace, 5.0)
         flows = runner.scheme("morphing").apply(trace).observable_flows
         assert len(matrices) == len(flows)
@@ -189,7 +212,7 @@ class TestRelease:
     @pytest.mark.parametrize("composition", ["padding+or", "morphing"])
     def test_a_request_after_release_rebuilds_identically(self, runner, composition):
         by_app = runner.scenario.evaluation_by_app()
-        trace = by_app[runner.app_order()[1]][0]
+        trace = by_app[ALL_APPS[1]][0]
         cache = runner.window_cache
         scheme = build_stack(composition, seed=11)  # no other test holds it
         before = cache.pinned_bytes
@@ -216,7 +239,7 @@ class TestRelease:
         assert rebuilt.metrics.counters["proc.window_cache.matrices_misses"] == 1
 
     def test_other_schemes_survive_a_release(self, runner):
-        trace = runner.scenario.evaluation_by_app()[runner.app_order()[2]][0]
+        trace = runner.scenario.evaluation_by_app()[ALL_APPS[2]][0]
         kept = runner.flow_feature_matrices("or", trace, 5.0)
         released = build_stack("or", seed=12)
         runner.flow_feature_matrices(released, trace, 5.0)
@@ -241,7 +264,7 @@ class TestGatherPlan:
 
     @staticmethod
     def _trace(runner, position=0):
-        return runner.scenario.evaluation_by_app()[runner.app_order()[position]][0]
+        return runner.scenario.evaluation_by_app()[ALL_APPS[position]][0]
 
     def test_featurizing_pins_the_plan_and_matrices_only(self, runner):
         scheme = build_stack("morphing", seed=21)
@@ -308,13 +331,13 @@ class TestGatherPlan:
 
 class TestStageOverhead:
     def test_fused_accounting_matches_apply(self, runner):
-        trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
+        trace = runner.scenario.evaluation_by_app()[ALL_APPS[0]][0]
         for composition in ("or", "padding", "padding+or", "pseudonym+or"):
             expected = runner.scheme(composition).apply(trace).stages
             assert runner.stage_overhead(composition, trace) == expected
 
     def test_morphing_reads_the_cached_plan(self, runner):
-        trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
+        trace = runner.scenario.evaluation_by_app()[ALL_APPS[0]][0]
         defended = runner.scheme("morphing").apply(trace)
         (stage,) = runner.stage_overhead("morphing", trace)
         assert isinstance(stage, StageOverhead)
@@ -325,7 +348,7 @@ class TestStageOverhead:
         assert runner.window_cache.hits == hits + 1
 
     def test_undefended_original_books_no_overhead(self, runner):
-        trace = runner.scenario.evaluation_by_app()[runner.app_order()[0]][0]
+        trace = runner.scenario.evaluation_by_app()[ALL_APPS[0]][0]
         assert runner.stage_overhead("original", trace) == (
             StageOverhead("original", 0, 0, (1,)),
         )
